@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-parallel bench-parallel-gate bench-shard bench-shard-gate bench-fork bench-fork-gate report examples vet fmt lint clean race verify verify-telemetry verify-attr verify-latency regress regress-baseline
+.PHONY: all build test test-short bench bench-json bench-parallel bench-parallel-gate bench-fork bench-fork-gate report examples vet fmt lint clean race verify verify-telemetry verify-attr verify-latency regress regress-baseline
 
 all: verify
 
 # Tier-1 verify path: build + vet + determinism lint + full tests +
 # race gate over the concurrency-bearing packages (the parallel
-# experiment runner, the sharded engine and the simulator driving
-# them), plus the attribution and latency observability gates.
-verify: build vet lint test race verify-attr verify-latency
+# experiment runner, forked machines and the crypto suites they
+# share), plus the telemetry, attribution and latency observability
+# gates.
+verify: build vet lint test race verify-telemetry verify-attr verify-latency
 
 build:
 	$(GO) build ./...
@@ -36,12 +37,12 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector over the packages with real concurrency: the parallel
-# experiment runner's worker pool, the bank-striped sharded engine and
-# the sim context plumbing they exercise. -short skips the wall-clock
-# speedup comparison, which is meaningless under the race detector's
-# slowdown.
+# experiment runner's worker pool, forks running on their own
+# goroutines, the crypto suites every goroutine shares and the sim
+# context plumbing they exercise. -short skips the wall-clock speedup
+# comparison, which is meaningless under the race detector's slowdown.
 race:
-	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/telemetry
+	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/simcrypto ./internal/telemetry
 
 # One benchmark per paper table/figure, plus ablations and baselines.
 bench:
@@ -49,8 +50,7 @@ bench:
 
 # Machine-readable hot-path numbers, committed as BENCH_hotpath.json so
 # regressions show up in review: the per-scheme engine write path, the
-# real suite's keyed MAC (midstate vs the replaced rekey path, with
-# allocs/op) and the parallel runner sweep.
+# real suite's keyed MAC (with allocs/op) and the parallel runner sweep.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWriteLine|BenchmarkRealSuiteMAC|BenchmarkRunnerMatrix' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
@@ -78,26 +78,6 @@ bench-parallel-gate: bench-parallel
 	$(GO) run ./cmd/stardiff -tol regress.tolerance.json -q \
 		$(BENCH_PARALLEL_OUT) $(BENCH_PARALLEL_OUT)
 
-# Intra-machine sharding numbers, committed as BENCH_shard.json:
-# wall-clock STAR recovery at shard widths 1/2/4/8 under the real
-# crypto suite, with the speedup-vs-shards1 metric (meaningful only on
-# a multi-core machine; the document records its CPU count so the gate
-# below can tell the difference).
-BENCH_SHARD_OUT ?= BENCH_shard.json
-
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkRecoveryShards -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_SHARD_OUT)
-	@cat $(BENCH_SHARD_OUT)
-
-# Shard-scaling gate: re-measure, then let stardiff enforce the
-# metric_floors in regress.tolerance.json (speedup-vs-shards1 >= 2.0
-# at shards=4). The self-compare makes the floor absolute; machines
-# with fewer than floor_min_cpus CPUs skip it with an info line.
-bench-shard-gate: bench-shard
-	$(GO) run ./cmd/stardiff -tol regress.tolerance.json -q \
-		$(BENCH_SHARD_OUT) $(BENCH_SHARD_OUT)
-
 # Run-once/fork-many numbers, committed as BENCH_fork.json: wall time
 # of K crash-recovery variants on copy-on-write forks of one base run
 # versus K monolithic reruns, at 1/4/8/16 variants, with the
@@ -113,8 +93,8 @@ bench-fork:
 # metric_floors in regress.fork.tolerance.json (speedup-vs-rerun >= 3.0
 # at variants=8). The floor lives in its own tolerance file with no
 # floor_min_cpus: the win is algorithmic (one run instead of K), so it
-# binds on single-CPU machines too — unlike the parallel and shard
-# gates, whose floors regress.tolerance.json suspends below 4 CPUs.
+# binds on single-CPU machines too — unlike the parallel gate, whose
+# floor regress.tolerance.json suspends below 4 CPUs.
 bench-fork-gate: bench-fork
 	$(GO) run ./cmd/stardiff -tol regress.fork.tolerance.json -q \
 		$(BENCH_FORK_OUT) $(BENCH_FORK_OUT)
@@ -159,7 +139,7 @@ verify-attr:
 # Latency-observatory gate: (1) the disabled path stays
 # allocation-free on the engine's write hot path, (2) the histogram
 # merge/quantile and per-op recording invariants hold (bit-identical
-# across shard widths and forks, components summing to end-to-end),
+# run to run and across forks, components summing to end-to-end),
 # (3) a mini latency-enabled sweep renders the tail table and a
 # stardiff-comparable latency document whose self-compare enforces the
 # absolute p99 SLO ceilings of regress.latency.tolerance.json (the

@@ -449,14 +449,10 @@ func BenchmarkEngineWriteLineLatencyDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkRealSuiteMAC pins the real suite's keyed-MAC hot path. The
-// suite absorbs the 32-byte MAC key into a SHA-256 once at
-// construction and serializes that midstate; each MAC call rehydrates
-// it into a pooled digest and hashes only the message — zero per-call
-// allocations. The rekey sub-benchmark is the implementation this
-// replaced (fresh digest + key absorb on every call), kept so the
-// committed BENCH_hotpath.json shows the before/after pair; both paths
-// must produce identical MACs.
+// BenchmarkRealSuiteMAC pins the real suite's keyed-MAC hot path: a
+// fresh SHA-256 per call over the 32-byte MAC key and the message,
+// with zero per-call allocations. The suite must match an independent
+// SHA-256(macKey || msg) reference.
 func BenchmarkRealSuiteMAC(b *testing.B) {
 	key := [16]byte{0x57, 0xa2, 0x0b}
 	suite := simcrypto.NewReal(key)
@@ -467,27 +463,15 @@ func BenchmarkRealSuiteMAC(b *testing.B) {
 		msg[i] = byte(i * 131)
 	}
 	macKey := sha256.Sum256(append([]byte("nvmstar-mac"), key[:]...))
-	rekey := func(msg []byte) uint64 {
-		h := sha256.New()
-		h.Write(macKey[:])
-		h.Write(msg)
-		var sum [sha256.Size]byte
-		return binary.LittleEndian.Uint64(h.Sum(sum[:0])[:8])
-	}
-	if suite.MAC(msg) != rekey(msg) {
-		b.Fatal("midstate MAC diverges from the rekey reference")
+	ref := sha256.Sum256(append(macKey[:], msg...))
+	if suite.MAC(msg) != binary.LittleEndian.Uint64(ref[:8]) {
+		b.Fatal("real-suite MAC diverges from the SHA-256 reference")
 	}
 	var sink uint64
-	b.Run("midstate", func(b *testing.B) {
+	b.Run("suite", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink ^= suite.MAC(msg)
-		}
-	})
-	b.Run("rekey", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink ^= rekey(msg)
 		}
 	})
 	macBenchSink = sink
@@ -497,78 +481,53 @@ func BenchmarkRealSuiteMAC(b *testing.B) {
 // compiler.
 var macBenchSink uint64
 
-// recoveryShards1Ns holds BenchmarkRecoveryShards' shards=1 ns/op so
-// the wider sub-benchmarks (which run after it, in order) can report
-// their speedup over it. Benchmark state, not safe outside that
-// benchmark.
-var recoveryShards1Ns float64
-
-// BenchmarkRecoveryShards measures the wall-clock of STAR's post-crash
-// recovery at several intra-machine shard widths, using the real
-// AES-CTR/SHA-256 crypto suite — the deterministic fast suite's MACs
-// are too cheap for parallel hashing to show. Recovery restores
-// thousands of stale metadata nodes; at shards > 1 the counter
-// restore, the MAC recompute pass and the cache-tree rebuild fan out
-// over the shard workers while the restored NVM state stays
-// bit-identical to the serial run's. The stardiff gate requires
-// >= 2x speedup at shards=4 on 4+ CPUs; single-core machines record
-// cpus=1 and are exempt — compute-bound speedup is physically
-// impossible there.
-func BenchmarkRecoveryShards(b *testing.B) {
+// BenchmarkStarRecovery measures the wall-clock of STAR's post-crash
+// recovery under the real AES-CTR/SHA-256 crypto suite: the serial
+// bottom-up restore of thousands of stale metadata nodes, located
+// through the multi-layer index, followed by the cache-tree rebuild.
+func BenchmarkStarRecovery(b *testing.B) {
 	const (
-		shardDataBytes = 64 << 20
-		shardWrites    = 24000
+		recDataBytes = 64 << 20
+		recWrites    = 24000
 	)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var rep *secmem.RecoveryReport
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e, err := secmem.New(secmem.Config{
-					DataBytes: shardDataBytes,
-					MetaCache: cache.Config{SizeBytes: 256 << 10, Ways: 8},
-					Suite:     simcrypto.NewReal([16]byte{0x57, 0xa2, 0x0b}),
-					Shards:    shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := star.New(e, bitmap.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.SetScheme(s)
-				rng := uint64(2026)
-				var line [64]byte
-				for w := 0; w < shardWrites; w++ {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					addr := (rng % (shardDataBytes / 64)) * 64
-					line[0], line[1] = byte(rng), byte(rng>>8)
-					if err := e.WriteLine(addr, line); err != nil {
-						b.Fatal(err)
-					}
-				}
-				e.Crash()
-				b.StartTimer()
-				r, err := e.Recover()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Verified {
-					b.Fatal("recovery failed verification")
-				}
-				rep = r
-			}
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if shards == 1 {
-				recoveryShards1Ns = perOp
-			}
-			if recoveryShards1Ns > 0 {
-				b.ReportMetric(recoveryShards1Ns/perOp, "speedup-vs-shards1")
-			}
-			b.ReportMetric(float64(rep.StaleNodes), "stale-nodes")
+	var rep *secmem.RecoveryReport
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := secmem.New(secmem.Config{
+			DataBytes: recDataBytes,
+			MetaCache: cache.Config{SizeBytes: 256 << 10, Ways: 8},
+			Suite:     simcrypto.NewReal([16]byte{0x57, 0xa2, 0x0b}),
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := star.New(e, bitmap.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.SetScheme(s)
+		rng := uint64(2026)
+		var line [64]byte
+		for w := 0; w < recWrites; w++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			addr := (rng % (recDataBytes / 64)) * 64
+			line[0], line[1] = byte(rng), byte(rng>>8)
+			if err := e.WriteLine(addr, line); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e.Crash()
+		b.StartTimer()
+		r, err := e.Recover()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.Verified {
+			b.Fatal("recovery failed verification")
+		}
+		rep = r
 	}
+	b.ReportMetric(float64(rep.StaleNodes), "stale-nodes")
 }
 
 // BenchmarkForkRecovery measures the run-once/fork-many decomposition
@@ -578,7 +537,7 @@ func BenchmarkRecoveryShards(b *testing.B) {
 // K x (run + crash + recover). The timed path is the fork
 // decomposition; the rerun baseline is measured off the timer and
 // reported as `speedup-vs-rerun` = rerun / fork wall time. Unlike the
-// pool- and shard-scaling gates, this win is algorithmic — it removes
+// pool-scaling gate, this win is algorithmic — it removes
 // work instead of overlapping it — so the stardiff floor
 // (regress.fork.tolerance.json, >= 3x at variants=8) binds on
 // single-CPU machines too.

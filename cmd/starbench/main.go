@@ -54,7 +54,6 @@ func run() int {
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	metaKB := flag.Int("meta-kb", 256, "metadata cache size in KiB")
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "intra-machine shard width: engine goroutines per cell (0/1 = serial; results are bit-identical at every width)")
 	progress := flag.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -103,7 +102,6 @@ func run() int {
 		experiments.WithOps(*ops),
 		experiments.WithSeeds(*seeds),
 		experiments.WithParallelism(*parallel),
-		experiments.WithShards(*shards),
 		experiments.WithConfig(func() sim.Config {
 			cfg := sim.Default()
 			cfg.DataBytes = uint64(*dataMB) << 20
@@ -122,12 +120,12 @@ func run() int {
 	if *workloads != "" {
 		ropts = append(ropts, experiments.WithWorkloads(strings.Split(*workloads, ",")...))
 	}
-	if runtime.NumCPU() == 1 && (*parallel > 1 || *shards > 1) {
-		// Warn once: on a single-CPU host extra workers/shards only add
+	if runtime.NumCPU() == 1 && *parallel > 1 {
+		// Warn once: on a single-CPU host extra workers only add
 		// scheduling overhead, and speedup floors are meaningless there —
 		// stardiff records the cpus env field of every bench document so
 		// its gates can tell single-CPU numbers apart.
-		fmt.Fprintf(os.Stderr, "starbench: warning: -parallel/-shards > 1 on a 1-CPU host; no parallel speedup is possible (stardiff's cpus env field records this)\n")
+		fmt.Fprintf(os.Stderr, "starbench: warning: -parallel > 1 on a 1-CPU host; no parallel speedup is possible (stardiff's cpus env field records this)\n")
 	}
 	if *progress {
 		ropts = append(ropts, experiments.WithProgress(printProgress))

@@ -50,7 +50,6 @@ func run() int {
 	crashPts := flag.String("crash-points", "", "comma-separated mid-run crash points (in ops) for crash-family sweeps; all points share one forked base run per cell (default: one crash at end of run)")
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "intra-machine shard width: engine goroutines per cell (0/1 = serial; results are bit-identical at every width)")
 	attr := flag.Bool("attr", false, "enable write-cause attribution: append a per-(workload, scheme) cause breakdown to the report and expose it on -http /metrics")
 	latency := flag.Bool("latency", false, "enable the latency observatory: append a per-(workload, scheme, op) tail-latency table to the report and expose it on -http /metrics")
 	latencyOut := flag.String("latency-out", "", "write the tail-latency aggregate as a latency document (stardiff-comparable, SLO-gateable) to this file; requires -latency")
@@ -71,7 +70,6 @@ func run() int {
 		experiments.WithOps(*ops),
 		experiments.WithSeeds(*seeds),
 		experiments.WithParallelism(*parallel),
-		experiments.WithShards(*shards),
 		experiments.WithConfig(func() sim.Config {
 			cfg := sim.Default()
 			cfg.DataBytes = uint64(*dataMB) << 20

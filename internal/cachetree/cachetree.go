@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"nvmstar/internal/simcrypto"
 )
@@ -220,81 +219,4 @@ func BuildRoot(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEnt
 	}
 	t.RebuildAll()
 	return t.Root(), nil
-}
-
-// BuildRootParallel is BuildRoot with the set-MAC computation and the
-// interior-node hashing fanned out over workers goroutines: sets split
-// into contiguous chunks, then each tree level is hashed in parallel
-// with a barrier between levels (a node needs its children's level
-// complete). Workers hash through private buffers — Tree.hashChildren
-// reuses a shared one, so this builds the levels directly. The root is
-// bit-identical to BuildRoot's: same leaf values, same fixed shape,
-// same hash inputs. workers <= 1 simply delegates.
-func BuildRootParallel(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry, workers int) (uint64, error) {
-	if workers <= 1 {
-		return BuildRoot(suite, numSets, entriesBySet)
-	}
-	if numSets <= 0 {
-		return 0, fmt.Errorf("cachetree: need at least one set, got %d", numSets)
-	}
-	sets := make([]int, 0, len(entriesBySet))
-	for set := range entriesBySet { //detlint:ok keys collected then sorted below
-		if set < 0 || set >= numSets {
-			return 0, fmt.Errorf("cachetree: set %d out of range during rebuild", set)
-		}
-		sets = append(sets, set)
-	}
-	sort.Ints(sets)
-
-	leaves := make([]uint64, numSets)
-	parallelChunks(len(sets), workers, func(lo, hi int) {
-		for _, set := range sets[lo:hi] {
-			sorted := append([]SetEntry(nil), entriesBySet[set]...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
-			leaves[set] = SetMAC(suite, sorted)
-		}
-	})
-
-	level := leaves
-	for len(level) > 1 {
-		next := make([]uint64, (len(level)+7)/8)
-		children := level
-		parallelChunks(len(next), workers, func(lo, hi int) {
-			var buf [8 * 8]byte
-			for i := lo; i < hi; i++ {
-				for c := 0; c < 8; c++ {
-					var v uint64
-					if idx := i*8 + c; idx < len(children) {
-						v = children[idx]
-					}
-					binary.LittleEndian.PutUint64(buf[c*8:], v)
-				}
-				next[i] = suite.MAC(buf[:])
-			}
-		})
-		level = next
-	}
-	return level[0], nil
-}
-
-// parallelChunks splits [0, n) into one contiguous chunk per worker
-// and joins before returning.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -36,7 +36,6 @@ type Runner struct {
 	workloads []string
 	config    func() sim.Config
 	parallel  int
-	shards    int
 	progress  func(Progress)
 	trace     *telemetry.Trace
 	collector *provenance.Collector
@@ -108,14 +107,6 @@ func WithConfig(fn func() sim.Config) Option { return func(r *Runner) { r.config
 // a time (in cost-ranked dispatch order, not submission order), it
 // does not change any value.
 func WithParallelism(n int) Option { return func(r *Runner) { r.parallel = n } }
-
-// WithShards sets sim.Config.Shards on every machine the runner
-// builds: each machine bank-stripes its engine over n goroutine-backed
-// address shards (intra-machine parallelism, inside one cell), on top
-// of — and orthogonal to — WithParallelism's cell-level pool. All
-// observable outputs are bit-identical across widths; n <= 1 is the
-// serial engine. Overrides the Shards value of a WithConfig supplier.
-func WithShards(n int) Option { return func(r *Runner) { r.shards = n } }
 
 // WithCrashPoints sets the operation counts at which crash-family
 // sweeps (CrashPoints) fork and crash their base runs, enabling
@@ -337,7 +328,6 @@ func (r *Runner) BuildManifest(gitRev string) (*provenance.Manifest, error) {
 			SeedMatrix:  seeds,
 			Workloads:   r.workloadList(),
 			Parallelism: r.parallel,
-			Shards:      r.shards,
 		},
 		Stats: provenance.RunnerStats{
 			CellsDone:      stats.CellsDone,
@@ -703,17 +693,12 @@ func (r *Runner) forEach(parent context.Context, cells []Cell, job func(ctx cont
 
 func (r *Runner) cfg() sim.Config {
 	if r.config != nil {
-		cfg := r.config()
-		if r.shards > 0 {
-			cfg.Shards = r.shards
-		}
-		return cfg
+		return r.config()
 	}
 	cfg := sim.Default()
 	cfg.DataBytes = 64 << 20
 	cfg.L3 = cache.Config{SizeBytes: 1 << 20, Ways: 8}
 	cfg.MetaCache = cache.Config{SizeBytes: 256 << 10, Ways: 8}
-	cfg.Shards = r.shards
 	return cfg
 }
 

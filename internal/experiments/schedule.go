@@ -48,22 +48,11 @@ var schemeWeight = map[string]float64{
 }
 
 // staticCost is the a-priori cost estimate of a cell: scheme weight x
-// operations actually run for that scheme. Intra-machine sharding adds
-// fork-join and merge overhead per unit of work without changing the
-// result; the mild per-shard surcharge keeps cost-ranked dispatch
-// honest when sharded and serial sweeps share one cost model. The
-// surcharge saturates at 8 shards — wider fan-out stops adding
-// coordination that matters at this granularity.
+// operations actually run for that scheme.
 func (r *Runner) staticCost(c Cell) float64 {
 	w, ok := schemeWeight[c.Scheme]
 	if !ok {
 		w = 1.5
-	}
-	if s := r.shards; s > 1 {
-		if s > 8 {
-			s = 8
-		}
-		w *= 1 + float64(s-1)*0.3
 	}
 	return w * float64(r.opsFor(c.Scheme))
 }

@@ -114,45 +114,6 @@ func TestRunnerWidthSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunnerShardWidthDeterminism is the same harness one level down:
-// intra-machine sharding (engine goroutines inside each cell) must
-// leave every figure row and the sealed manifest digest bit-identical
-// to the serial engine, at any width, stacked on a parallel pool.
-func TestRunnerShardWidthDeterminism(t *testing.T) {
-	ctx := context.Background()
-	type outcome struct {
-		scheme []SchemeRow
-		digest string
-	}
-	run := func(shards int) outcome {
-		c := provenance.NewCollector()
-		r := fastRunner(2, WithShards(shards), WithCollector(c))
-		rows, err := r.SchemeComparison(ctx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.BuildManifest("shard-sweep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{scheme: rows, digest: m.Digest}
-	}
-	base := run(1)
-	if base.digest == "" {
-		t.Fatal("serial manifest has no digest")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := run(shards)
-		if !reflect.DeepEqual(base.scheme, got.scheme) {
-			t.Errorf("shards %d: SchemeComparison differs from serial:\nserial %+v\ngot    %+v",
-				shards, base.scheme, got.scheme)
-		}
-		if got.digest != base.digest {
-			t.Errorf("shards %d: manifest digest %s != serial %s", shards, got.digest, base.digest)
-		}
-	}
-}
-
 // TestRunnerSeedSplitMatchesSequentialLoop pins the deterministic
 // merge against ground truth: a cell averaged from seed units spread
 // across the pool must equal a hand-rolled sequential loop that runs

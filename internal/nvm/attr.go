@@ -12,10 +12,8 @@ import (
 // and the device accumulates per-cause × per-bank counters plus a
 // per-bank wear distribution. The disabled state is a single nil check
 // on the accounting path — no allocations, no behavioral change — and
-// all recording happens at the serial accounting point (AccountWrite /
-// AccountWriteCause), which the engine's sharded executor always runs
-// at the serial program point, so attribution is bit-identical at
-// every shard width with no merge step.
+// all recording happens in WriteCause, at the point the write is
+// counted.
 
 // Cause classifies why a line write reached the device.
 type Cause uint8
@@ -128,11 +126,25 @@ func (d *Device) AttributionBanks() int {
 	return d.attr.banks
 }
 
-// WriteCause is Write with a cause tag: AccountWriteCause followed by
-// CommitWrite.
+// WriteCause is Write with a cause tag: it counts one line write —
+// statistics, energy, attribution and the access hook — then stores
+// the line and bumps its wear.
 func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
-	d.AccountWriteCause(addr, cause)
-	d.CommitWrite(addr, l)
+	d.checkAddr(addr)
+	d.stats.Writes++
+	d.stats.WriteEnergy += d.cfg.Energy.WritePJ
+	if d.attr != nil {
+		d.attr.counts[cause][int(addr/memline.Size)%d.attr.banks]++
+		d.attr.wearValid = false
+	}
+	if d.hook != nil {
+		d.lastCause = cause
+		d.hook(true, addr)
+	}
+	d.store.store(addr, l)
+	if d.cfg.TrackWear {
+		d.store.bumpWear(addr)
+	}
 }
 
 // RecordOOB attributes one uncounted out-of-band line store (a Poke —
@@ -159,8 +171,7 @@ type CauseCount struct {
 // ascending Cause order (all causes always present, so the JSON shape
 // — and therefore result digests — depend only on the counts), the
 // total counted writes, and any out-of-band stores. The deterministic
-// ordering makes breakdowns directly comparable across runs, shard
-// widths and forks.
+// ordering makes breakdowns directly comparable across runs and forks.
 type Breakdown struct {
 	Total  uint64       `json:"total"` // counted line writes = sum over Causes
 	Banks  int          `json:"banks"`
@@ -176,7 +187,6 @@ func (d *Device) Breakdown() *Breakdown {
 	if a == nil {
 		return nil
 	}
-	d.drainPending()
 	b := &Breakdown{Banks: a.banks, Causes: make([]CauseCount, NumCauses)}
 	for c := Cause(0); c < NumCauses; c++ {
 		var sum uint64
@@ -327,7 +337,6 @@ func (d *Device) BankWearStats() []BankWear {
 	if a == nil {
 		return nil
 	}
-	d.drainPending()
 	if a.wearValid && a.wearWrites == d.stats.Writes {
 		return a.wearStats
 	}
@@ -369,7 +378,6 @@ func (d *Device) WearGrid(cols int) [][]uint64 {
 	if a == nil || cols < 1 {
 		return nil
 	}
-	d.drainPending()
 	grid := make([][]uint64, a.banks)
 	for b := range grid {
 		grid[b] = make([]uint64, cols)

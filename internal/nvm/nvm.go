@@ -64,12 +64,6 @@ type Config struct {
 	Energy        Energy
 	// TrackWear enables per-line write counters (endurance studies).
 	TrackWear bool
-	// Stripes > 1 backs the device with a bank-striped store: line i
-	// lives in sub-store i % Stripes. Addresses on different stripes
-	// may then be committed concurrently (CommitWrite), which is what
-	// the engine's intra-machine sharding relies on. 0 or 1 keeps the
-	// single paged store; observable behavior is identical either way.
-	Stripes int
 }
 
 // Stats accumulates device-level counters.
@@ -113,12 +107,6 @@ type Device struct {
 	// model) can classify the stall it charges. Valid only inside the
 	// hook; not part of serialized device state.
 	lastCause Cause
-	// drain runs before any cold-path inspection of device state
-	// (Peek/Poke, wear queries, snapshots): a deferred-execution owner
-	// (the engine's shard executor) installs it so queued-but-uncommitted
-	// writes land before anyone looks at the store out of band. The hot
-	// Read/Write paths never invoke it — their owner drains explicitly.
-	drain func()
 }
 
 // AccessHook observes every counted device access. The machine's
@@ -129,30 +117,13 @@ type AccessHook func(write bool, addr uint64)
 // SetHook installs the access observer (nil to remove).
 func (d *Device) SetHook(h AccessHook) { d.hook = h }
 
-// SetDrain installs the pending-write drain (nil to remove). It is a
-// separate hook from AccessHook: draining commits work whose access was
-// already accounted, so it must not fire the observer again.
-func (d *Device) SetDrain(fn func()) { d.drain = fn }
-
-func (d *Device) drainPending() {
-	if d.drain != nil {
-		d.drain()
-	}
-}
-
 // New creates a Device. Capacity must be a positive multiple of the
 // line size.
 func New(cfg Config) (*Device, error) {
 	if cfg.CapacityBytes == 0 || cfg.CapacityBytes%memline.Size != 0 {
 		return nil, fmt.Errorf("nvm: capacity %d is not a positive multiple of %d", cfg.CapacityBytes, memline.Size)
 	}
-	var s lineStore
-	if cfg.Stripes > 1 {
-		s = newStripedStore(cfg.CapacityBytes, cfg.Stripes)
-	} else {
-		s = newPagedStore(cfg.CapacityBytes)
-	}
-	return &Device{cfg: cfg, store: s}, nil
+	return &Device{cfg: cfg, store: newPagedStore(cfg.CapacityBytes)}, nil
 }
 
 // newWithStore builds a Device over an explicit backing store; the
@@ -182,85 +153,36 @@ func (d *Device) checkAddr(addr uint64) {
 // Read returns the line at addr and whether it has ever been written.
 // Unwritten lines are all-zero.
 func (d *Device) Read(addr uint64) (memline.Line, bool) {
-	d.AccountRead(addr)
-	return d.store.load(addr)
-}
-
-// AccountRead counts one line read — statistics, energy and the access
-// hook — without touching the store. Write = AccountWrite + CommitWrite
-// and Read = AccountRead + load: deferred execution (the engine's shard
-// executor, parallel recovery) uses the halves separately to keep the
-// counted access sequence identical to the serial one while the content
-// work happens elsewhere.
-func (d *Device) AccountRead(addr uint64) {
 	d.checkAddr(addr)
 	d.stats.Reads++
 	d.stats.ReadEnergy += d.cfg.Energy.ReadPJ
 	if d.hook != nil {
 		d.hook(false, addr)
 	}
+	return d.store.load(addr)
 }
 
 // Peek returns the line at addr without counting an access. Recovery
 // verification and tests use it to inspect device state.
 func (d *Device) Peek(addr uint64) (memline.Line, bool) {
-	d.drainPending()
 	d.checkAddr(addr)
 	return d.store.load(addr)
 }
 
-// Write stores a line at addr.
+// Write stores a line at addr. Untagged writes fall into CauseOther —
+// every issue point in the tree is expected to use WriteCause instead,
+// and the attribution tests assert CauseOther stays zero.
 func (d *Device) Write(addr uint64, l memline.Line) {
-	d.AccountWrite(addr)
-	d.CommitWrite(addr, l)
-}
-
-// AccountWrite counts one line write without storing data; see
-// AccountRead. Untagged writes fall into CauseOther — every issue
-// point in the tree is expected to use AccountWriteCause/WriteCause
-// instead, and the attribution tests assert CauseOther stays zero.
-func (d *Device) AccountWrite(addr uint64) {
-	d.AccountWriteCause(addr, CauseOther)
-}
-
-// AccountWriteCause counts one line write tagged with its cause. The
-// engine's sharded executor always runs accounting at the serial
-// program point, so per-cause counters need no cross-shard merge and
-// are bit-identical at every shard width.
-func (d *Device) AccountWriteCause(addr uint64, cause Cause) {
-	d.checkAddr(addr)
-	d.stats.Writes++
-	d.stats.WriteEnergy += d.cfg.Energy.WritePJ
-	if d.attr != nil {
-		d.attr.counts[cause][int(addr/memline.Size)%d.attr.banks]++
-		d.attr.wearValid = false
-	}
-	if d.hook != nil {
-		d.lastCause = cause
-		d.hook(true, addr)
-	}
+	d.WriteCause(addr, l, CauseOther)
 }
 
 // LastWriteCause returns the cause tag of the write whose access hook
-// is currently firing. The engine's sharded executor runs accounting at
-// the serial program point, so the value the hook reads is identical at
-// every shard width.
+// is currently firing.
 func (d *Device) LastWriteCause() Cause { return d.lastCause }
-
-// CommitWrite stores a line whose write was already accounted (store
-// and wear bump only — no counters, no hook). With a striped store,
-// commits to addresses on different stripes may run concurrently.
-func (d *Device) CommitWrite(addr uint64, l memline.Line) {
-	d.store.store(addr, l)
-	if d.cfg.TrackWear {
-		d.store.bumpWear(addr)
-	}
-}
 
 // Poke stores a line without counting an access. Attack injection and
 // test setup use it to mutate device state out of band.
 func (d *Device) Poke(addr uint64, l memline.Line) {
-	d.drainPending()
 	d.checkAddr(addr)
 	d.store.store(addr, l)
 }
@@ -284,29 +206,24 @@ func (d *Device) Reset() {
 
 // Fork returns a copy-on-write clone of the device: the clone observes
 // the current line contents, wear counters and statistics, and
-// subsequent writes on either side are invisible to the other. Pending
-// deferred writes are drained first so the clone is built from settled
-// state. The access hook and drain are deliberately NOT carried over —
-// they close over the parent's owners (machine timing model, shard
-// executor); the clone's owners re-install their own. Attribution
-// state is deep-copied: the fork observes the parent's counts so far
-// and diverges independently afterwards.
+// subsequent writes on either side are invisible to the other. The
+// access hook is deliberately NOT carried over — it closes over the
+// parent's machine timing model; the clone's owner re-installs its
+// own. Attribution state is deep-copied: the fork observes the
+// parent's counts so far and diverges independently afterwards.
 func (d *Device) Fork() *Device {
-	d.drainPending()
 	return &Device{cfg: d.cfg, store: d.store.fork(), stats: d.stats, attr: d.attr.clone()}
 }
 
 // Wear returns the write count of the line at addr. It is zero unless
 // TrackWear was enabled.
 func (d *Device) Wear(addr uint64) uint64 {
-	d.drainPending()
 	return d.store.wear(addr)
 }
 
 // MaxWear returns the highest per-line write count and its address
 // (the lowest such address on ties).
 func (d *Device) MaxWear() (addr, writes uint64) {
-	d.drainPending()
 	d.store.rangeWear(func(a, w uint64) {
 		if w > writes {
 			addr, writes = a, w
@@ -318,7 +235,6 @@ func (d *Device) MaxWear() (addr, writes uint64) {
 // WearProfile returns per-line wear sorted by descending write count,
 // capped at limit entries. It supports endurance analyses.
 func (d *Device) WearProfile(limit int) []WearEntry {
-	d.drainPending()
 	entries := make([]WearEntry, 0, d.store.wearCount())
 	d.store.rangeWear(func(a, w uint64) {
 		entries = append(entries, WearEntry{Addr: a, Writes: w})
@@ -343,6 +259,5 @@ type WearEntry struct {
 
 // LinesWritten returns how many distinct lines have ever been written.
 func (d *Device) LinesWritten() int {
-	d.drainPending()
 	return d.store.linesWritten()
 }

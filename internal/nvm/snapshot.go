@@ -18,7 +18,6 @@ const snapshotMagic = "NVMSTAR1"
 // Save serializes the device's line store (and wear counters when
 // tracked) to w.
 func (d *Device) Save(w io.Writer) error {
-	d.drainPending()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
@@ -73,7 +72,6 @@ func (d *Device) Save(w io.Writer) error {
 // Restore loads a snapshot produced by Save into the device, replacing
 // its contents. The snapshot's capacity must match the device's.
 func (d *Device) Restore(r io.Reader) error {
-	d.drainPending()
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {

@@ -19,7 +19,6 @@ func forEachStore(t *testing.T, cfg Config, fn func(t *testing.T, d *Device)) {
 	}{
 		{"paged", func() lineStore { return newPagedStore(cfg.CapacityBytes) }},
 		{"map", func() lineStore { return newMapStore() }},
-		{"striped", func() lineStore { return newStripedStore(cfg.CapacityBytes, 4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := newWithStore(cfg, tc.build())
@@ -157,29 +156,18 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	striped, err := newWithStore(cfg, newStripedStore(cfg.CapacityBytes, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	fill(paged)
 	fill(mapped)
-	fill(striped)
 
-	var fromPaged, fromMap, fromStriped bytes.Buffer
+	var fromPaged, fromMap bytes.Buffer
 	if err := paged.Save(&fromPaged); err != nil {
 		t.Fatal(err)
 	}
 	if err := mapped.Save(&fromMap); err != nil {
 		t.Fatal(err)
 	}
-	if err := striped.Save(&fromStriped); err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(fromPaged.Bytes(), fromMap.Bytes()) {
 		t.Fatal("snapshot bytes differ between store implementations")
-	}
-	if !bytes.Equal(fromPaged.Bytes(), fromStriped.Bytes()) {
-		t.Fatal("striped snapshot bytes differ from paged")
 	}
 
 	restored, err := newWithStore(cfg, newMapStore())

@@ -24,11 +24,6 @@ type RunConfig struct {
 	SeedMatrix  []uint64 `json:"seed_matrix"` // derived PRNG seed per seed index
 	Workloads   []string `json:"workloads"`
 	Parallelism int      `json:"parallelism"`
-	// Shards is the intra-machine shard width the sweep ran with.
-	// Like Parallelism it is recorded for the run log but excluded from
-	// comparability and the sealed digest: every observable output is
-	// bit-identical across widths.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Comparable reports whether two run configurations produce
@@ -124,12 +119,11 @@ func (m *Manifest) ComputeDigest() string {
 			Seed: c.Seed, Label: c.Label, Digest: c.Digest, Err: c.Err,
 		}
 	}
-	// Pool width and shard width are recorded but do not shape results
-	// (cells are bit-identical at any parallelism and any shard count),
-	// so both are excluded from the sealed invariant.
+	// Pool width is recorded but does not shape results (cells are
+	// bit-identical at any parallelism), so it is excluded from the
+	// sealed invariant.
 	cfg := m.Config
 	cfg.Parallelism = 0
-	cfg.Shards = 0
 	d, err := Digest(struct {
 		Schema int            `json:"schema"`
 		Config RunConfig      `json:"config"`

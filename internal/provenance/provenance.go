@@ -141,10 +141,6 @@ func ConfigFingerprint(cfg sim.Config) string {
 	customSuite := cfg.Suite != nil
 	cfg.Suite = nil
 	cfg.Seed = 0
-	// Shard width is execution strategy, not machine shape: outputs are
-	// bit-identical at every width, so sharded and serial runs must
-	// fingerprint (and therefore compare) equal.
-	cfg.Shards = 0
 	// The hash input is the %+v rendering of fingerprintConfig, an
 	// explicit mirror of the config fields as of the fingerprint's
 	// introduction — NOT of sim.Config itself, whose %+v string (and
@@ -162,7 +158,7 @@ func ConfigFingerprint(cfg sim.Config) string {
 		TrackWear: cfg.TrackWear, FreqGHz: cfg.FreqGHz,
 		L1LatNs: cfg.L1LatNs, L2LatNs: cfg.L2LatNs, L3LatNs: cfg.L3LatNs,
 		MCLatNs: cfg.MCLatNs, WriteQueue: cfg.WriteQueue, Banks: cfg.Banks,
-		Seed: cfg.Seed, Shards: cfg.Shards,
+		Seed:      cfg.Seed,
 		Telemetry: cfg.Telemetry, SampleEveryNs: cfg.SampleEveryNs,
 		TraceEvents: cfg.TraceEvents,
 	})
@@ -205,7 +201,7 @@ type fingerprintConfig struct {
 	WriteQueue    int
 	Banks         int
 	Seed          uint64
-	Shards        int
+	Shards        int // always zero: the option it mirrored is gone; kept only for hash stability
 	Telemetry     bool
 	SampleEveryNs float64
 	TraceEvents   bool

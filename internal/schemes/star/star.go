@@ -219,41 +219,34 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 
 	// Steps 2+3: restore counters (stale MSBs + children's LSBs), then
 	// recompute MACs against (restored) parent counters and write the
-	// nodes back. With intra-machine sharding the per-node content work
-	// fans out over worker goroutines (recover_parallel.go) behind a
-	// serial replay of the counted access sequence; outputs are
-	// bit-identical to the serial loops below.
+	// nodes back.
 	restored := make(map[sit.NodeID]counter.Node, len(ids))
-	if s.e.Shards() > 1 {
-		s.restoreNodesParallel(ids, restored, rep)
-	} else {
-		// Step 2.
-		for _, id := range ids {
-			stale, _ := s.e.ReadMetaRaw(id)
-			rep.NodeReads++
-			node := stale
-			for slot := 0; slot < counter.Arity; slot++ {
-				lsb, ok := s.childLSB(id, slot, rep)
-				if !ok {
-					// Child never persisted: the counter was never bumped
-					// since the stale copy; keep the stale value.
-					continue
-				}
-				node.Counters[slot] = counter.CombineLSB(stale.Counters[slot], lsb)
+	// Step 2.
+	for _, id := range ids {
+		stale, _ := s.e.ReadMetaRaw(id)
+		rep.NodeReads++
+		node := stale
+		for slot := 0; slot < counter.Arity; slot++ {
+			lsb, ok := s.childLSB(id, slot, rep)
+			if !ok {
+				// Child never persisted: the counter was never bumped
+				// since the stale copy; keep the stale value.
+				continue
 			}
-			restored[id] = node
+			node.Counters[slot] = counter.CombineLSB(stale.Counters[slot], lsb)
 		}
+		restored[id] = node
+	}
 
-		// Step 3.
-		for _, id := range ids {
-			node := restored[id]
-			pctr := s.parentCounter(id, restored, rep)
-			node.MACField = s.e.NodeMACField(id, node.Counters, pctr)
-			rep.MACComputes++
-			restored[id] = node
-			s.e.WriteMetaRestored(id, node)
-			rep.NodeWrites++
-		}
+	// Step 3.
+	for _, id := range ids {
+		node := restored[id]
+		pctr := s.parentCounter(id, restored, rep)
+		node.MACField = s.e.NodeMACField(id, node.Counters, pctr)
+		rep.MACComputes++
+		restored[id] = node
+		s.e.WriteMetaRestored(id, node)
+		rep.NodeWrites++
 	}
 
 	// Step 4: rebuild the cache-tree from the restored nodes — the
@@ -265,7 +258,7 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 		set := s.e.MetaCache().SetIndex(addr)
 		perSet[set] = append(perSet[set], cachetree.SetEntry{Addr: addr, MAC: restored[id].MACField})
 	}
-	root, err := cachetree.BuildRootParallel(s.e.Suite(), s.e.MetaCache().NumSets(), perSet, s.e.Shards())
+	root, err := cachetree.BuildRoot(s.e.Suite(), s.e.MetaCache().NumSets(), perSet)
 	if err != nil {
 		return rep, err
 	}

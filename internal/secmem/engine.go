@@ -63,16 +63,6 @@ type Config struct {
 	Energy nvm.Energy
 	// TrackWear enables per-line NVM write counters.
 	TrackWear bool
-	// Shards > 1 turns on intra-machine sharding: the NVM store is
-	// bank-striped Shards ways and the data-path tail of each user
-	// write (OTP, ciphertext, data MAC, store commit) is deferred into
-	// per-stripe queues that short-lived worker goroutines drain in
-	// parallel, modeling the ADR write-pending queue. Results are
-	// merged in ascending stripe order, so every observable output is
-	// bit-identical to Shards <= 1 (see shard.go and the golden
-	// corpus). Recovery also fans its content passes over Shards
-	// goroutines.
-	Shards int
 }
 
 // DefaultMetaCache is the paper's metadata cache configuration.
@@ -171,12 +161,6 @@ type Engine struct {
 	// steady-state cause, so recovery replay traffic is separable in
 	// write-cause breakdowns.
 	recovering bool
-
-	// Intra-machine sharding state (see shard.go). shards <= 1 leaves
-	// stripes nil and the serial data path untouched.
-	shards  int
-	stripes []*shardStripe
-	pending int
 }
 
 // New builds an engine. Call SetScheme before issuing any operation.
@@ -206,12 +190,11 @@ func New(cfg Config) (*Engine, error) {
 		Timing:        cfg.Timing,
 		Energy:        cfg.Energy,
 		TrackWear:     cfg.TrackWear,
-		Stripes:       cfg.Shards,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:       cfg,
 		geo:       geo,
 		dev:       dev,
@@ -220,9 +203,7 @@ func New(cfg Config) (*Engine, error) {
 		aux:       make(map[uint64]*nodeAux),
 		dataMAC:   paged.New[uint64](geo.DataBytes() / memline.Size),
 		dirtySets: make([][]SetEntry, meta.NumSets()),
-	}
-	e.initShards(cfg.Shards)
-	return e, nil
+	}, nil
 }
 
 // SetScheme installs the persistence scheme. It must be called exactly
@@ -249,13 +230,8 @@ func (e *Engine) MetaCache() *cache.Cache { return e.meta }
 // Scheme returns the installed scheme.
 func (e *Engine) Scheme() Scheme { return e.scheme }
 
-// Stats returns a copy of the engine counters. Pending sharded work is
-// drained first so every observation sees a consistent, serial-
-// equivalent state.
-func (e *Engine) Stats() Stats {
-	e.flushShards()
-	return e.stats
-}
+// Stats returns a copy of the engine counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // RootNode returns a copy of the on-chip root register (8 counters
 // covering the topmost stored level).
@@ -269,14 +245,7 @@ func (e *Engine) RootNode() counter.Node { return e.root }
 // synergization is on, or a full 64-bit MAC otherwise.
 func (e *Engine) NodeMACField(id sit.NodeID, ctrs [counter.Arity]uint64, parentCtr uint64) uint64 {
 	e.stats.MACComputes++
-	return e.NodeMACFieldInto(&e.macBuf, id, ctrs, parentCtr)
-}
-
-// NodeMACFieldInto is NodeMACField computed into the caller's buffer
-// without touching the statistics: the pure core shared by the serial
-// path and parallel recovery workers (each with a private buffer), so
-// the two can never diverge.
-func (e *Engine) NodeMACFieldInto(buf *[80]byte, id sit.NodeID, ctrs [counter.Arity]uint64, parentCtr uint64) uint64 {
+	buf := &e.macBuf
 	binary.LittleEndian.PutUint64(buf[0:8], e.geo.NodeAddr(id))
 	for i, c := range ctrs {
 		binary.LittleEndian.PutUint64(buf[8+i*8:16+i*8], c)
@@ -294,12 +263,7 @@ func (e *Engine) NodeMACFieldInto(buf *[80]byte, id sit.NodeID, ctrs [counter.Ar
 // packed alongside under synergization.
 func (e *Engine) DataMACField(addr uint64, cipher memline.Line, ctr uint64) uint64 {
 	e.stats.MACComputes++
-	return e.dataMACFieldInto(&e.macBuf, addr, cipher, ctr)
-}
-
-// dataMACFieldInto is DataMACField's pure core (see NodeMACFieldInto):
-// the deferred data path computes it on per-stripe buffers.
-func (e *Engine) dataMACFieldInto(buf *[80]byte, addr uint64, cipher memline.Line, ctr uint64) uint64 {
+	buf := &e.macBuf
 	binary.LittleEndian.PutUint64(buf[0:8], addr)
 	copy(buf[8:8+memline.Size], cipher[:])
 	binary.LittleEndian.PutUint64(buf[72:80], ctr)
@@ -360,64 +324,9 @@ func (e *Engine) WriteMetaRestored(id sit.NodeID, node counter.Node) {
 	e.writeMetaNVM(id, node)
 }
 
-// --- split recovery accounting ----------------------------------------
-//
-// Parallel recovery separates each counted NVM access into its
-// accounting half (statistics + the device hook, replayed serially in
-// the exact order the serial algorithm would issue it — the hook
-// mutates machine timing state, so its call sequence is part of the
-// observable result) and its content half (pure peeks and commits that
-// fan out over worker goroutines). The four helpers below are those
-// halves; together they compose to exactly ReadMetaRaw / ReadDataRaw /
-// WriteMetaRestored.
-
-// AccountMetaRead counts one metadata-line NVM read without touching
-// the store.
-func (e *Engine) AccountMetaRead(id sit.NodeID) {
-	e.stats.MetaNVMReads++
-	e.dev.AccountRead(e.geo.NodeAddr(id))
-}
-
-// AccountDataRead counts one user-data-line NVM read without touching
-// the store.
-func (e *Engine) AccountDataRead(addr uint64) {
-	e.stats.DataNVMReads++
-	e.dev.AccountRead(addr)
-}
-
-// AccountMetaWrite counts one metadata-line NVM write without storing
-// anything.
-func (e *Engine) AccountMetaWrite(id sit.NodeID) {
-	e.stats.MetaNVMWrites++
-	e.dev.AccountWriteCause(e.geo.NodeAddr(id), e.metaCause(id))
-}
-
-// PeekMetaRaw reads a metadata node from NVM without counting an
-// access. Safe for concurrent use by recovery workers (pure store
-// read; no pending sharded work exists after a crash).
-func (e *Engine) PeekMetaRaw(id sit.NodeID) (counter.Node, bool) {
-	line, ok := e.dev.Peek(e.geo.NodeAddr(id))
-	return counter.Decode(line), ok
-}
-
-// CommitMetaRestored stores a restored node whose write was already
-// accounted via AccountMetaWrite.
-func (e *Engine) CommitMetaRestored(id sit.NodeID, node counter.Node) {
-	e.dev.CommitWrite(e.geo.NodeAddr(id), node.Encode())
-}
-
-// AddMACComputes merges MAC-computation counts performed on worker
-// goroutines (callers merge in ascending shard order).
-func (e *Engine) AddMACComputes(n uint64) { e.stats.MACComputes += n }
-
-// Shards returns the configured intra-machine shard width (0 and 1
-// both mean serial).
-func (e *Engine) Shards() int { return e.shards }
-
 // ReadDataRaw reads a user-data line and its sideband MAC field from
 // NVM (counting one line access, per the Synergy one-line layout).
 func (e *Engine) ReadDataRaw(addr uint64) (memline.Line, uint64, bool) {
-	e.drainStripe(addr)
 	e.stats.DataNVMReads++
 	line, ok := e.dev.Read(addr)
 	mac, _ := e.dataMAC.Get(addr / memline.Size)
@@ -434,15 +343,12 @@ func (e *Engine) writeDataNVM(addr uint64, cipher memline.Line, macField uint64)
 // counting an access. Attack injection uses it together with
 // Device().Poke to replay old (data, MAC) tuples.
 func (e *Engine) PokeDataMAC(addr uint64, field uint64) {
-	e.flushShards()
 	e.dataMAC.Set(addr/memline.Size, field)
 }
 
-// PeekDataMAC returns the sideband MAC of a data line. Parallel
-// recovery workers call it concurrently; that is safe because pending
-// sharded work is always zero after a crash (Crash drains first).
+// PeekDataMAC returns the sideband MAC of a data line without counting
+// an access.
 func (e *Engine) PeekDataMAC(addr uint64) (uint64, bool) {
-	e.flushShards()
 	return e.dataMAC.Get(addr / memline.Size)
 }
 
@@ -773,15 +679,8 @@ func (e *Engine) WriteLine(addr uint64, plain memline.Line) error {
 	if err != nil {
 		return err
 	}
-	if e.shards > 1 {
-		// Deferred data path: account the write now (identical counted
-		// access sequence to the serial path), queue the infallible
-		// crypto tail for the stripe workers. See shard.go.
-		e.enqueueData(addr, ctr, plain)
-	} else {
-		cipher := simcrypto.XORLine(plain, e.suite.OTP(addr, ctr))
-		e.writeDataNVM(addr, cipher, e.DataMACField(addr, cipher, ctr))
-	}
+	cipher := simcrypto.XORLine(plain, e.suite.OTP(addr, ctr))
+	e.writeDataNVM(addr, cipher, e.DataMACField(addr, cipher, ctr))
 	if err := e.scheme.OnChildPersisted(cb); err != nil {
 		return err
 	}
@@ -796,9 +695,6 @@ func (e *Engine) ReadLine(addr uint64) (memline.Line, error) {
 		return memline.Line{}, fmt.Errorf("secmem: read address %#x beyond the %d-byte data region", addr, e.geo.DataBytes())
 	}
 	e.stats.UserReads++
-	// A queued-but-uncommitted write to this line would make the store
-	// content stale and its data MAC absent; land the batch first.
-	e.drainStripe(addr)
 	cb, slot := e.geo.CounterBlockOf(addr)
 	node, err := e.fetchNode(cb)
 	if err != nil {
@@ -829,9 +725,6 @@ func (e *Engine) ReadLine(addr uint64) (memline.Line, error) {
 // state is given to the scheme to dump; on-chip non-volatile registers
 // (the SIT root, the scheme's roots/index registers) survive.
 func (e *Engine) Crash() {
-	// The write-pending queue is battery-drained first: every write the
-	// engine acknowledged reaches NVM, exactly as in the serial path.
-	e.flushShards()
 	e.meta.DropAll()
 	e.dropAux()
 	e.pendingForced = nil
@@ -847,10 +740,6 @@ func (e *Engine) Crash() {
 // from (device, suite) is fresh. Machine reuse across experiment cells
 // is built on this.
 func (e *Engine) Reset(suite simcrypto.Suite) {
-	// Pending sharded work is discarded, not drained: everything it
-	// would produce (store lines, data MACs, MAC counts) is about to be
-	// wiped anyway.
-	e.discardShards()
 	e.cfg.Suite = suite
 	e.suite = suite
 	e.meta.Reset()
@@ -874,11 +763,8 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 // against the already-forked engine. The geometry and crypto suite are
 // shared: both are immutable and safe for concurrent use. The clone
 // carries no telemetry sink; attach one if the forked run should be
-// observed. Pending sharded work is flushed first so the fork happens
-// from settled state, and the clone re-wires its own shard executor and
-// device drain. Parent and clone may then run on different goroutines.
+// observed. Parent and clone may then run on different goroutines.
 func (e *Engine) Fork() *Engine {
-	e.flushShards()
 	f := &Engine{
 		cfg:        e.cfg,
 		geo:        e.geo,
@@ -902,7 +788,6 @@ func (e *Engine) Fork() *Engine {
 			f.dirtySets[i] = append([]SetEntry(nil), s...)
 		}
 	}
-	f.initShards(f.cfg.Shards)
 	f.scheme = e.scheme.Fork(f)
 	return f
 }

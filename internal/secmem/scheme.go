@@ -123,24 +123,3 @@ func (r *RecoveryReport) PhaseTimes() RecoveryPhases {
 
 // TimeSeconds returns the modeled recovery time in seconds.
 func (r *RecoveryReport) TimeSeconds() float64 { return r.TimeNs() / 1e9 }
-
-// ParallelTimeNs returns the modeled recovery wall time when the
-// per-node restore work fans out over shards independent address
-// shards (Section III-F parallelized): the index scan stays serial —
-// the multi-layer index walk is a dependent pointer chase — while node
-// reads and writes divide across shards, each shard streaming its own
-// NVM banks. shards <= 1 degenerates to TimeNs. This is a derived view
-// for reporting; it adds no fields, so serialized reports stay
-// identical across shard widths.
-func (r *RecoveryReport) ParallelTimeNs(shards int) float64 {
-	if shards <= 1 {
-		return r.TimeNs()
-	}
-	perShard := (r.NodeReads + r.NodeWrites + uint64(shards) - 1) / uint64(shards)
-	return float64(r.IndexReads+perShard) * RecoveryLineNs
-}
-
-// ParallelTimeSeconds is ParallelTimeNs in seconds.
-func (r *RecoveryReport) ParallelTimeSeconds(shards int) float64 {
-	return r.ParallelTimeNs(shards) / 1e9
-}

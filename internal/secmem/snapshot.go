@@ -31,7 +31,6 @@ const engineSnapshotMagic = "NVMSECM1"
 // configuration (including the crypto suite key) before calling
 // RestoreNonVolatile and then Recover.
 func (e *Engine) SaveNonVolatile(w io.Writer) error {
-	e.flushShards()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(engineSnapshotMagic); err != nil {
 		return err
@@ -114,9 +113,6 @@ func (e *Engine) RestoreNonVolatile(r io.Reader) error {
 		}
 	}
 	// Volatile state is empty in a fresh process; make that explicit.
-	// (Pending sharded work, if any, was already committed by the
-	// device drain and then replaced wholesale by the restored image.)
-	e.discardShards()
 	e.meta.DropAll()
 	e.dropAux()
 	e.pendingForced = nil

@@ -82,25 +82,23 @@ func TestAttrDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestAttrShardWidthBitIdentity extends the sharding contract to the
-// attribution counters: accounting runs at the serial program point,
-// so the breakdown must be bit-identical at every shard width.
-func TestAttrShardWidthBitIdentity(t *testing.T) {
+// TestAttrRunToRunIdentity pins the attribution counters as a pure
+// function of the operation history: two runs of the same config yield
+// bit-identical breakdowns.
+func TestAttrRunToRunIdentity(t *testing.T) {
 	var base *nvm.Breakdown
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := attrConfig("star")
-		cfg.Shards = shards
-		res, _, err := RunScenario(cfg, "hash", 600)
+	for run := 0; run < 2; run++ {
+		res, _, err := RunScenario(attrConfig("star"), "hash", 600)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if base == nil {
 			base = res.WriteBreakdown
 			continue
 		}
 		if !reflect.DeepEqual(res.WriteBreakdown, base) {
-			t.Errorf("shards=%d breakdown diverges from shards=1:\n got  %+v\n want %+v",
-				shards, res.WriteBreakdown, base)
+			t.Errorf("run %d breakdown diverges from run 0:\n got  %+v\n want %+v",
+				run, res.WriteBreakdown, base)
 		}
 	}
 }

@@ -50,16 +50,6 @@ type Config struct {
 
 	Seed uint64 // workload PRNG seed
 
-	// Shards is the intra-machine shard width: the engine bank-stripes
-	// its NVM store over this many sub-stores and fans the data-path
-	// crypto and per-node recovery work of one machine out over as many
-	// goroutines, merging results deterministically (ascending shard
-	// order). Every observable output — results, snapshots, manifest
-	// digests — is bit-identical across widths; 0 and 1 both select the
-	// fully serial engine. Orthogonal to the runner's Parallelism, which
-	// spreads whole machines over cells.
-	Shards int
-
 	// Telemetry enables the metrics registry: every layer registers its
 	// counters/gauges/histograms on the machine's telemetry.Registry.
 	// Disabled (the default) costs the hot paths nothing — instruments

@@ -311,51 +311,46 @@ func TestForkThenReset(t *testing.T) {
 	}
 }
 
-// TestForkShardWidths holds the Fork invariant at every shard width the
-// engine supports: the sharded write queue must be settled into the
-// fork so its crash state matches an unsharded-equivalent fresh run.
-func TestForkShardWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full cells per shard width")
-	}
+// TestForkCrashStateMatchesFresh holds the Fork invariant at the
+// crash boundary: a fork crashed right after the parent's run leaves
+// the same non-volatile image, and recovers with the same report, as a
+// fresh machine crashed at the same point.
+func TestForkCrashStateMatchesFresh(t *testing.T) {
 	const ops = 800
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := goldenConfig("star")
-		cfg.Shards = shards
+	cfg := goldenConfig("star")
 
-		fresh, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if _, err := fresh.RunUnverified("hash", ops); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		fresh.Crash()
+	fresh, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.RunUnverified("hash", ops); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Crash()
 
-		parent, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if _, err := parent.RunUnverified("hash", ops); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		fork := parent.Fork()
-		fork.Crash()
+	parent, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parent.RunUnverified("hash", ops); err != nil {
+		t.Fatal(err)
+	}
+	fork := parent.Fork()
+	fork.Crash()
 
-		if !bytes.Equal(snapshotOf(t, fresh, "fresh"), snapshotOf(t, fork, "fork")) {
-			t.Errorf("shards=%d: post-crash snapshot differs between fresh and fork", shards)
-		}
-		frep, err := fresh.Recover()
-		if err != nil {
-			t.Fatalf("shards=%d: fresh recovery: %v", shards, err)
-		}
-		krep, err := fork.Recover()
-		if err != nil {
-			t.Fatalf("shards=%d: fork recovery: %v", shards, err)
-		}
-		if !reflect.DeepEqual(frep, krep) {
-			t.Errorf("shards=%d: recovery reports differ:\nfresh %+v\nfork  %+v", shards, frep, krep)
-		}
+	if !bytes.Equal(snapshotOf(t, fresh, "fresh"), snapshotOf(t, fork, "fork")) {
+		t.Error("post-crash snapshot differs between fresh and fork")
+	}
+	frep, err := fresh.Recover()
+	if err != nil {
+		t.Fatalf("fresh recovery: %v", err)
+	}
+	krep, err := fork.Recover()
+	if err != nil {
+		t.Fatalf("fork recovery: %v", err)
+	}
+	if !reflect.DeepEqual(frep, krep) {
+		t.Errorf("recovery reports differ:\nfresh %+v\nfork  %+v", frep, krep)
 	}
 }
 

@@ -99,27 +99,24 @@ func TestLatencyDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestLatencyShardWidthBitIdentity extends the sharding contract to
-// the observatory: recording runs at the serial accounting points, so
-// the full breakdown — bucket vectors, sums, percentiles, component
-// shares — must be bit-identical at every shard width with no merge
-// step.
-func TestLatencyShardWidthBitIdentity(t *testing.T) {
+// TestLatencyRunToRunIdentity pins the observatory as a pure function
+// of the operation history: the full breakdown — bucket vectors, sums,
+// percentiles, component shares — is bit-identical across two runs of
+// the same config.
+func TestLatencyRunToRunIdentity(t *testing.T) {
 	var base *LatencyBreakdown
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := latConfig("star")
-		cfg.Shards = shards
-		res, _, err := RunScenario(cfg, "hash", 600)
+	for run := 0; run < 2; run++ {
+		res, _, err := RunScenario(latConfig("star"), "hash", 600)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if base == nil {
 			base = res.Latency
 			continue
 		}
 		if !reflect.DeepEqual(res.Latency, base) {
-			t.Errorf("shards=%d latency diverges from shards=1:\n got  %+v\n want %+v",
-				shards, res.Latency, base)
+			t.Errorf("run %d latency diverges from run 0:\n got  %+v\n want %+v",
+				run, res.Latency, base)
 		}
 	}
 }

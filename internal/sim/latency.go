@@ -17,12 +17,10 @@ import (
 // controller and cache probes, bank queue wait, metadata fetch by tree
 // level, write-queue stalls by write cause, recovery phases).
 //
-// The determinism argument mirrors write-cause attribution (PR 9):
-// every recording happens at a serial accounting point — the device
-// access hook, which the engine's sharded executor always fires at the
-// serial program point, and the machine's own charge sites, which run
-// on the driving goroutine — so Results.Latency is bit-identical at
-// every shard width with no merge step, and identical across
+// The determinism argument mirrors write-cause attribution: every
+// recording happens on the driving goroutine — in the device access
+// hook and the machine's own charge sites — so Results.Latency is a
+// pure function of the operation history, identical across
 // Fork/fresh and Reset/new machines. Disabled (the default), the hot
 // paths pay one nil check and Results marshal byte-identically to
 // builds without the feature.

@@ -111,7 +111,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Timing:    cfg.Timing,
 		Energy:    cfg.Energy,
 		TrackWear: cfg.TrackWear,
-		Shards:    cfg.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -281,9 +280,6 @@ func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 		m.readWait.Observe(start - m.coreNow[c])
 		m.observeBusyBanks(m.coreNow[c])
 		if m.lat != nil && m.lat.depth > 0 {
-			// The hook is the serial accounting point (the sharded
-			// executor always fires it at the serial program point), so
-			// these notes are bit-identical at every shard width.
 			m.lat.note(compBankWait, start-m.coreNow[c])
 			m.lat.note(m.latReadComp(addr), t.ReadNs())
 		}

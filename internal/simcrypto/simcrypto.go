@@ -23,10 +23,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
-	"hash"
-	"sync"
 
 	"nvmstar/internal/memline"
 )
@@ -98,14 +95,6 @@ func (m *MACInput) Sum(s Suite) uint64 { return s.MAC(m.buf) }
 type realSuite struct {
 	block  cipher.Block
 	macKey [32]byte
-
-	// macMidstate is the serialized state of a SHA-256 that has already
-	// absorbed macKey. Every MAC of a fixed key starts from this state,
-	// so hashing the 32-byte key prefix per call is replaced by
-	// rehydrating the midstate into a pooled digest — the MAC hot path
-	// runs with zero per-call allocations.
-	macMidstate []byte
-	macPool     sync.Pool // *macState, rehydrated from macMidstate per call
 }
 
 // NewReal returns a Suite backed by AES-128 OTPs and SHA-256 keyed
@@ -119,26 +108,7 @@ func NewReal(key [16]byte) Suite {
 	}
 	s := &realSuite{block: block}
 	s.macKey = sha256.Sum256(append([]byte("nvmstar-mac"), key[:]...))
-	h := sha256.New()
-	h.Write(s.macKey[:])
-	mid, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		// sha256's marshaler cannot fail; see its implementation.
-		panic("simcrypto: " + err.Error())
-	}
-	s.macMidstate = mid
-	s.macPool.New = func() any { return &macState{h: sha256.New()} }
 	return s
-}
-
-// macState is one pooled MAC scratch context: a SHA-256 digest plus
-// the reusable sum buffer it finalizes into. The buffer lives in the
-// pooled object rather than on the caller's stack because the slice
-// passed to hash.Hash.Sum escapes through the interface call — a
-// stack buffer there would be one heap allocation per MAC.
-type macState struct {
-	h   hash.Hash
-	sum [sha256.Size]byte
 }
 
 func (s *realSuite) OTP(lineAddr, counter uint64) memline.Line {
@@ -155,17 +125,16 @@ func (s *realSuite) OTP(lineAddr, counter uint64) memline.Line {
 	return pad
 }
 
+// MAC is SHA-256(macKey || msg) truncated to its first 8 bytes. A
+// fresh digest per call keeps the suite stateless (hence safe for
+// concurrent use) and, with the digest and sum buffer both on the
+// stack, allocation-free.
 func (s *realSuite) MAC(msg []byte) uint64 {
-	st := s.macPool.Get().(*macState)
-	if err := st.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.macMidstate); err != nil {
-		// The midstate was produced by the same implementation's
-		// MarshalBinary, so this is unreachable.
-		panic("simcrypto: " + err.Error())
-	}
-	st.h.Write(msg)
-	mac := binary.LittleEndian.Uint64(st.h.Sum(st.sum[:0])[:8])
-	s.macPool.Put(st)
-	return mac
+	h := sha256.New()
+	h.Write(s.macKey[:])
+	h.Write(msg)
+	var sum [sha256.Size]byte
+	return binary.LittleEndian.Uint64(h.Sum(sum[:0])[:8])
 }
 
 // --- Fast suite -------------------------------------------------------

@@ -1,6 +1,10 @@
 package simcrypto
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +94,73 @@ func TestMACLengthSensitive(t *testing.T) {
 		if a == b {
 			t.Errorf("%s: MAC insensitive to trailing zero byte", name)
 		}
+	}
+}
+
+// TestRealMACMatchesReference pins the real suite's MAC to an
+// independent computation: the first 8 bytes, little-endian, of
+// SHA-256(macKey || msg), where macKey = SHA-256("nvmstar-mac" || key).
+func TestRealMACMatchesReference(t *testing.T) {
+	key := [16]byte{0x57, 0xa2, 0x0b, 0xff}
+	s := NewReal(key)
+	macKey := sha256.Sum256(append([]byte("nvmstar-mac"), key[:]...))
+	// Lengths around the SHA-256 block (64 B) and padding (55/56 B)
+	// boundaries, plus the engine's 80-byte node/data MAC inputs.
+	for _, n := range []int{0, 1, 8, 31, 55, 56, 63, 64, 65, 80, 200} {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i*37 + n)
+		}
+		sum := sha256.Sum256(append(macKey[:], msg...))
+		if got, want := s.MAC(msg), binary.LittleEndian.Uint64(sum[:8]); got != want {
+			t.Errorf("len %d: MAC = %#x, want %#x", n, got, want)
+		}
+	}
+}
+
+// TestSuiteConcurrentUse holds the Suite contract that implementations
+// are safe for concurrent use: goroutines sharing one suite compute
+// exactly the MACs and pads a serial loop does. Run under -race to
+// check for data races as well as wrong values.
+func TestSuiteConcurrentUse(t *testing.T) {
+	const (
+		workers = 4
+		msgs    = 200
+	)
+	for name, s := range suites() {
+		t.Run(name, func(t *testing.T) {
+			msg := func(i int) []byte {
+				b := make([]byte, 80)
+				binary.LittleEndian.PutUint64(b, uint64(i))
+				return b
+			}
+			wantMAC := make([]uint64, msgs)
+			wantOTP := make([]memline.Line, msgs)
+			for i := range wantMAC {
+				wantMAC[i] = s.MAC(msg(i))
+				wantOTP[i] = s.OTP(uint64(i)*memline.Size, uint64(i))
+			}
+			var wg sync.WaitGroup
+			errs := make(chan string, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for k := 0; k < msgs; k++ {
+						i := (k + w*msgs/workers) % msgs // stagger so workers overlap on different inputs
+						if s.MAC(msg(i)) != wantMAC[i] || s.OTP(uint64(i)*memline.Size, uint64(i)) != wantOTP[i] {
+							errs <- fmt.Sprintf("worker %d: input %d differs from the serial result", w, i)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ func histCounts(h *Histogram) []uint64 {
 
 // TestHistogramMergeCommutative pins that Merge is order-independent:
 // a⊕b and b⊕a produce identical bucket vectors, counts, sums and
-// maxima. The sharded engine relies on this — per-shard histograms can
-// be merged in any deterministic order without changing the result.
+// maxima, so per-seed histograms can be merged in any deterministic
+// order without changing the result.
 func TestHistogramMergeCommutative(t *testing.T) {
 	bounds := ExpBuckets(1, 2, 8)
 	mk := func(obs ...float64) *Histogram {
@@ -54,8 +54,8 @@ func TestHistogramMergeCommutative(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociative pins (a⊕b)⊕c == a⊕(b⊕c): the shard
-// merge tree's shape cannot matter.
+// TestHistogramMergeAssociative pins (a⊕b)⊕c == a⊕(b⊕c): the merge
+// tree's shape cannot matter.
 func TestHistogramMergeAssociative(t *testing.T) {
 	bounds := ExpBuckets(1, 2, 6)
 	mk := func(obs ...float64) *Histogram {

@@ -306,8 +306,8 @@ func QuantileFromBuckets(bounds []float64, counts []uint64, max, q float64) floa
 // Merge adds o's observations into h: per-bucket counts, total count,
 // sum and max. Both histograms must share identical bucket bounds —
 // merging differently shaped histograms is a wiring bug. The merge is
-// deterministic (pure integer/float addition), so folding shard- or
-// seed-level histograms in a fixed order yields bit-identical results.
+// deterministic (pure integer/float addition), so folding seed-level
+// histograms in a fixed order yields bit-identical results.
 func (h *Histogram) Merge(o *Histogram) error {
 	if h == nil || o == nil {
 		return nil
