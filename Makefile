@@ -2,16 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-parallel bench-parallel-gate bench-fork bench-fork-gate report examples vet fmt lint clean race verify verify-telemetry verify-attr verify-latency regress regress-baseline
+.PHONY: all build test test-short bench bench-json bench-parallel bench-parallel-gate bench-fork bench-fork-gate report examples vet fmt lint clean race verify verify-telemetry verify-observe regress regress-baseline
 
 all: verify
 
 # Tier-1 verify path: build + vet + determinism lint + full tests +
 # race gate over the concurrency-bearing packages (the parallel
 # experiment runner, forked machines and the crypto suites they
-# share), plus the telemetry, attribution and latency observability
-# gates.
-verify: build vet lint test race verify-telemetry verify-attr verify-latency
+# share), plus the telemetry and observatory gates.
+verify: build vet lint test race verify-telemetry verify-observe
 
 build:
 	$(GO) build ./...
@@ -117,56 +116,44 @@ verify-telemetry:
 		/tmp/nvmstar-telemetry/sweep_trace.json
 	test -s /tmp/nvmstar-telemetry/timeline_dirty_frac.svg
 
-# Write-cause attribution gate: (1) the disabled path stays
-# allocation-free on the engine's write hot path, (2) the OpenMetrics
-# exposition and /metrics endpoint pass the strict lint, (3) a mini
-# attributed sweep produces a non-empty breakdown report, (4) the
-# golden trace fixture's event names (including attr:<cause>) validate.
-verify-attr:
-	rm -rf /tmp/nvmstar-attr && mkdir -p /tmp/nvmstar-attr
-	$(GO) test -run '^$$' -bench BenchmarkEngineWriteLineAttrDisabled -benchmem . \
-		| tee /tmp/nvmstar-attr/bench.txt
-	grep -q ' 0 allocs/op' /tmp/nvmstar-attr/bench.txt
-	$(GO) test -count=1 -run 'OpenMetrics|Metrics|Quantile' ./internal/telemetry
-	$(GO) test -count=1 -run 'Attr' ./internal/nvm ./internal/sim ./internal/experiments
-	$(GO) run ./cmd/starreport -ops 1200 -workloads hash -attr -gate=false -progress=false \
-		> /tmp/nvmstar-attr/report.md
-	grep -q 'Write-cause breakdown' /tmp/nvmstar-attr/report.md
-	$(GO) run ./cmd/starplot -wearmap -ops 1200 -out /tmp/nvmstar-attr
-	test -s /tmp/nvmstar-attr/wearmap.svg
-	$(GO) run ./cmd/tracecheck -min 1 -names cmd/tracecheck/testdata/golden_trace.json
+# Observatory gate (write-cause attribution + per-op latency):
+# (1) the disabled path stays allocation-free on the engine's write hot
+# path, (2) the OpenMetrics exposition, histogram merge/quantile and
+# attribution/latency recording invariants hold (bit-identical run to
+# run and across forks, components summing to end-to-end), (3) a mini
+# observed sweep renders both report sections and a stardiff-comparable
+# latency document whose self-compare enforces the absolute p99 SLO
+# ceilings of regress.latency.tolerance.json (the document is
+# deterministic — config + seed only — so the ceilings bind identically
+# on every host), (4) the wear heatmap and per-scheme CDF charts render
+# non-empty, and (5) the golden trace fixture's event names (including
+# attr:<cause>) and a live traced replay's lat:<op> instants validate.
+OBSERVE_DIR = /tmp/nvmstar-observe
 
-# Latency-observatory gate: (1) the disabled path stays
-# allocation-free on the engine's write hot path, (2) the histogram
-# merge/quantile and per-op recording invariants hold (bit-identical
-# run to run and across forks, components summing to end-to-end),
-# (3) a mini latency-enabled sweep renders the tail table and a
-# stardiff-comparable latency document whose self-compare enforces the
-# absolute p99 SLO ceilings of regress.latency.tolerance.json (the
-# document is deterministic — config + seed only — so the ceilings
-# bind identically on every host), (4) the per-scheme CDF charts
-# render non-empty, and (5) a live traced replay emits lat:<op>
-# instants that tracecheck validates by name.
-verify-latency:
-	rm -rf /tmp/nvmstar-latency && mkdir -p /tmp/nvmstar-latency
-	$(GO) test -run '^$$' -bench BenchmarkEngineWriteLineLatencyDisabled -benchmem . \
-		| tee /tmp/nvmstar-latency/bench.txt
-	grep -q ' 0 allocs/op' /tmp/nvmstar-latency/bench.txt
-	$(GO) test -count=1 -run 'Histogram|QuantileFromBuckets' ./internal/telemetry
-	$(GO) test -count=1 -run 'Latency' ./internal/sim ./internal/experiments ./internal/regress
-	$(GO) run ./cmd/starreport -ops 1200 -workloads hash -latency -gate=false -progress=false \
-		-latency-out /tmp/nvmstar-latency/latency.json \
-		> /tmp/nvmstar-latency/report.md
-	grep -q 'Tail latency' /tmp/nvmstar-latency/report.md
+verify-observe:
+	rm -rf $(OBSERVE_DIR) && mkdir -p $(OBSERVE_DIR)
+	$(GO) test -run '^$$' -bench BenchmarkEngineWriteLineObserveDisabled -benchmem . \
+		| tee $(OBSERVE_DIR)/bench.txt
+	grep -q ' 0 allocs/op' $(OBSERVE_DIR)/bench.txt
+	$(GO) test -count=1 -run 'OpenMetrics|Metrics|Histogram|Quantile' ./internal/telemetry
+	$(GO) test -count=1 -run 'Attr|Latency|Observ' ./internal/nvm ./internal/sim ./internal/experiments ./internal/regress
+	$(GO) run ./cmd/starreport -ops 1200 -workloads hash -observe -gate=false -progress=false \
+		-latency-out $(OBSERVE_DIR)/latency.json \
+		> $(OBSERVE_DIR)/report.md
+	grep -q 'Write-cause breakdown' $(OBSERVE_DIR)/report.md
+	grep -q 'Tail latency' $(OBSERVE_DIR)/report.md
 	$(GO) run ./cmd/stardiff -tol regress.latency.tolerance.json -q \
-		/tmp/nvmstar-latency/latency.json /tmp/nvmstar-latency/latency.json
-	$(GO) run ./cmd/starplot -cdf -ops 1200 -out /tmp/nvmstar-latency
-	test -s /tmp/nvmstar-latency/cdf_read_latency.svg
-	test -s /tmp/nvmstar-latency/cdf_write_latency.svg
-	$(GO) run ./cmd/startrace -record /tmp/nvmstar-latency/hash.trc -workload hash -ops 800 > /dev/null
-	$(GO) run ./cmd/startrace -replay /tmp/nvmstar-latency/hash.trc -scheme star -latency \
-		-trace-out /tmp/nvmstar-latency/lat_trace.json > /dev/null
-	$(GO) run ./cmd/tracecheck -min 1 -names /tmp/nvmstar-latency/lat_trace.json
+		$(OBSERVE_DIR)/latency.json $(OBSERVE_DIR)/latency.json
+	$(GO) run ./cmd/starplot -wearmap -ops 1200 -out $(OBSERVE_DIR)
+	test -s $(OBSERVE_DIR)/wearmap.svg
+	$(GO) run ./cmd/starplot -cdf -ops 1200 -out $(OBSERVE_DIR)
+	test -s $(OBSERVE_DIR)/cdf_read_latency.svg
+	test -s $(OBSERVE_DIR)/cdf_write_latency.svg
+	$(GO) run ./cmd/tracecheck -min 1 -names cmd/tracecheck/testdata/golden_trace.json
+	$(GO) run ./cmd/startrace -record $(OBSERVE_DIR)/hash.trc -workload hash -ops 800 > /dev/null
+	$(GO) run ./cmd/startrace -replay $(OBSERVE_DIR)/hash.trc -scheme star -observe \
+		-trace-out $(OBSERVE_DIR)/lat_trace.json > /dev/null
+	$(GO) run ./cmd/tracecheck -min 1 -names $(OBSERVE_DIR)/lat_trace.json
 
 # Executable paper-vs-measured report; non-zero exit if a shape breaks.
 report:
@@ -175,8 +162,7 @@ report:
 # Statistical regression gate. A smoke-sized sweep (deterministic: the
 # simulator's results depend only on config + seed, never on the host)
 # is diffed against the committed BASELINE_* artifacts with stardiff;
-# any cell digest drift or out-of-tolerance shape drift fails. The
-# BENCH self-compare is a stardiff sanity check on the bench path.
+# any cell digest drift or out-of-tolerance shape drift fails.
 # Smoke size is far below the shape gate's operating point, hence
 # -gate=false: absolute shapes are checked by `make report`, this
 # target checks drift against the baseline.
@@ -190,7 +176,6 @@ regress:
 		-shapes-out $(REGRESS_DIR)/shapes.json > $(REGRESS_DIR)/report.md
 	$(GO) run ./cmd/stardiff -tol regress.tolerance.json BASELINE_manifest.json $(REGRESS_DIR)/manifest.json
 	$(GO) run ./cmd/stardiff -tol regress.tolerance.json BASELINE_shapes.json $(REGRESS_DIR)/shapes.json
-	$(GO) run ./cmd/stardiff -tol regress.tolerance.json -q BENCH_hotpath.json BENCH_hotpath.json
 
 # Regenerate the committed regression baselines at the exact config
 # `make regress` runs. Do this deliberately, when a simulator change is

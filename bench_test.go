@@ -399,44 +399,20 @@ func BenchmarkEngineWriteLine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWriteLineAttrDisabled pins the attribution-disabled
-// invariant the verify-attr CI gate greps for: with sim.Config.Attr
-// off (the default), the write path must report 0 allocs/op — the
-// entire attribution feature costs one nil check per accounted write.
-func BenchmarkEngineWriteLineAttrDisabled(b *testing.B) {
+// BenchmarkEngineWriteLineObserveDisabled pins the disabled-path
+// invariant the verify-observe gate greps for: with sim.Config.Observe
+// off (the default), the write path must report 0 allocs/op — write
+// attribution and latency recording together cost one nil check per
+// hook.
+func BenchmarkEngineWriteLineObserveDisabled(b *testing.B) {
 	m, err := sim.NewMachine(benchCfg("star"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := m.Engine()
-	if e.Device().AttributionEnabled() {
-		b.Fatal("attribution unexpectedly enabled by default")
+	if e.Device().Breakdown() != nil || m.LatencySnapshot() != nil {
+		b.Fatal("observatory unexpectedly enabled by default")
 	}
-	var line [64]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := uint64(i%500000) * 64
-		line[0] = byte(i)
-		if err := e.WriteLine(addr, line); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineWriteLineLatencyDisabled pins the latency-observatory
-// disabled invariant the verify-latency CI gate greps for: with
-// sim.Config.Latency off (the default), the write path must report
-// 0 allocs/op — the entire observatory costs one nil check per hook.
-func BenchmarkEngineWriteLineLatencyDisabled(b *testing.B) {
-	m, err := sim.NewMachine(benchCfg("star"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if m.LatencySnapshot() != nil {
-		b.Fatal("latency observatory unexpectedly enabled by default")
-	}
-	e := m.Engine()
 	var line [64]byte
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,10 +11,10 @@
 //
 //	starplot -timeline -workload hash -scheme star -out ./figures
 //
-// The -cdf mode runs one latency-enabled simulation per scheme and
+// The -cdf mode runs one observed simulation per scheme and
 // renders paper-style operation-latency CDFs (log-x, one curve per
 // scheme); -wearmap renders a per-bank NVM wear heatmap from one
-// attribution-enabled run.
+// observed run.
 package main
 
 import (
@@ -44,8 +44,8 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", true, "report per-cell completion and ETA on stderr")
 	timeline := flag.Bool("timeline", false, "render sampled telemetry timelines of one run instead of the figure sweep")
-	wearmap := flag.Bool("wearmap", false, "render a per-bank NVM wear heatmap from one attribution-enabled run instead of the figure sweep")
-	cdf := flag.Bool("cdf", false, "render per-scheme operation-latency CDFs from latency-enabled runs instead of the figure sweep")
+	wearmap := flag.Bool("wearmap", false, "render a per-bank NVM wear heatmap from one observed run instead of the figure sweep")
+	cdf := flag.Bool("cdf", false, "render per-scheme operation-latency CDFs from observed runs instead of the figure sweep")
 	wearCols := flag.Int("wear-cols", 64, "address-slot columns of the -wearmap grid (each cell is the max line wear in its slot)")
 	workloadName := flag.String("workload", "hash", "workload for -timeline/-wearmap")
 	scheme := flag.String("scheme", "star", "scheme for -timeline/-wearmap")
@@ -310,7 +310,7 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 	return nil
 }
 
-// runCDF executes one latency-enabled run per scheme and renders the
+// runCDF executes one observed run per scheme and renders the
 // read- and write-latency distributions as paper-style CDFs (log-x,
 // cumulative %), one curve per scheme — where the write-friendliness
 // claims of the schemes become visible as tail separation.
@@ -330,7 +330,7 @@ func runCDF(outDir, workloadName string, ops int) error {
 		cfg.DataBytes = 64 << 20
 		cfg.MetaCache.SizeBytes = 256 << 10
 		cfg.Scheme = s
-		cfg.Latency = true
+		cfg.Observe = true
 		res, _, err := sim.RunScenario(cfg, workloadName, ops)
 		if err != nil {
 			return fmt.Errorf("cdf: %s/%s: %w", workloadName, s, err)
@@ -363,7 +363,7 @@ func runCDF(outDir, workloadName string, ops int) error {
 	return nil
 }
 
-// runWearmap executes one attribution-enabled run and renders the
+// runWearmap executes one observed run and renders the
 // device's per-bank wear distribution as a heatmap: one row per bank,
 // each cell the maximum per-line write count in its address slot. Row
 // labels carry the bank's max and p99 wear so the figure doubles as a
@@ -373,7 +373,7 @@ func runWearmap(outDir, workloadName, scheme string, ops, cols int) error {
 	cfg.DataBytes = 64 << 20
 	cfg.MetaCache.SizeBytes = 256 << 10
 	cfg.Scheme = scheme
-	cfg.Attr = true
+	cfg.Observe = true
 	cfg.TrackWear = true
 
 	res, m, err := sim.RunScenario(cfg, workloadName, ops)
@@ -384,7 +384,7 @@ func runWearmap(outDir, workloadName, scheme string, ops, cols int) error {
 	grid := dev.WearGrid(cols)
 	stats := dev.BankWearStats()
 	if len(grid) == 0 || len(stats) != len(grid) {
-		return fmt.Errorf("wearmap: no wear data (attribution off?)")
+		return fmt.Errorf("wearmap: no wear data (observatory off?)")
 	}
 	labels := make([]string, len(grid))
 	values := make([][]float64, len(grid))

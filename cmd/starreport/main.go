@@ -12,13 +12,11 @@
 // column to the markdown and failing on out-of-tolerance drift), and
 // -gate=false downgrades shape failures to warnings — for generating
 // baselines from smoke-sized runs whose absolute shapes are not
-// expected to hold. -attr enables write-cause attribution: the report
-// gains a per-(workload, scheme) cause-breakdown table and, with
-// -http, the aggregate is scrapable as OpenMetrics on /metrics.
-// -latency enables the latency observatory the same way: the report
-// gains a per-(workload, scheme, op) tail-latency table, -latency-out
-// persists it as a stardiff-comparable latency document (the SLO
-// gate's input), and the aggregate joins the /metrics exposition.
+// expected to hold. -observe enables the observatory: the report gains
+// a per-(workload, scheme) write-cause breakdown and a per-(workload,
+// scheme, op) tail-latency table, -latency-out persists the tails as a
+// stardiff-comparable latency document (the SLO gate's input), and
+// with -http the aggregate is scrapable as OpenMetrics on /metrics.
 package main
 
 import (
@@ -50,9 +48,8 @@ func run() int {
 	crashPts := flag.String("crash-points", "", "comma-separated mid-run crash points (in ops) for crash-family sweeps; all points share one forked base run per cell (default: one crash at end of run)")
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
-	attr := flag.Bool("attr", false, "enable write-cause attribution: append a per-(workload, scheme) cause breakdown to the report and expose it on -http /metrics")
-	latency := flag.Bool("latency", false, "enable the latency observatory: append a per-(workload, scheme, op) tail-latency table to the report and expose it on -http /metrics")
-	latencyOut := flag.String("latency-out", "", "write the tail-latency aggregate as a latency document (stardiff-comparable, SLO-gateable) to this file; requires -latency")
+	observe := flag.Bool("observe", false, "enable the observatory: append per-(workload, scheme) write-cause breakdown and tail-latency tables to the report and expose them on -http /metrics")
+	latencyOut := flag.String("latency-out", "", "write the tail-latency aggregate as a latency document (stardiff-comparable, SLO-gateable) to this file; requires -observe")
 	progress := flag.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	httpAddr := flag.String("http", "", "serve live sweep stats (expvar) and pprof on this address, e.g. :6060")
 	manifestOut := flag.String("manifest-out", "", "write a run provenance manifest (per-cell result digests) to this file")
@@ -74,24 +71,18 @@ func run() int {
 			cfg := sim.Default()
 			cfg.DataBytes = uint64(*dataMB) << 20
 			cfg.MetaCache.SizeBytes = 256 << 10
-			cfg.Attr = *attr
-			cfg.Latency = *latency
+			cfg.Observe = *observe
 			return cfg
 		}),
 	}
-	var agg *experiments.AttrAggregator
-	if *attr {
-		agg = experiments.NewAttrAggregator()
-		ropts = append(ropts, experiments.WithResultObserver(agg.Observe))
-	}
-	if *latencyOut != "" && !*latency {
-		fmt.Fprintln(os.Stderr, "starreport: -latency-out requires -latency")
+	if *latencyOut != "" && !*observe {
+		fmt.Fprintln(os.Stderr, "starreport: -latency-out requires -observe")
 		return 2
 	}
-	var latAgg *experiments.LatencyAggregator
-	if *latency {
-		latAgg = experiments.NewLatencyAggregator()
-		ropts = append(ropts, experiments.WithResultObserver(latAgg.Observe))
+	var obs *experiments.Observatory
+	if *observe {
+		obs = experiments.NewObservatory()
+		ropts = append(ropts, experiments.WithResultObserver(obs.Observe))
 	}
 	if *workloads != "" {
 		ropts = append(ropts, experiments.WithWorkloads(strings.Split(*workloads, ",")...))
@@ -132,18 +123,15 @@ func run() int {
 		srv := telemetry.NewDebugServer(*httpAddr, map[string]func() any{
 			"sweep": func() any { return r.Snapshot() },
 		})
-		if agg != nil {
-			srv.AddMetricsSource(agg)
-		}
-		if latAgg != nil {
-			srv.AddMetricsSource(latAgg)
+		if obs != nil {
+			srv.AddMetricsSource(obs)
 		}
 		addr, err := srv.Start()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "starreport: -http:", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "starreport: live stats on http://%s/debug/vars (pprof under /debug/pprof/; attribution on /metrics with -attr)\n", addr)
+		fmt.Fprintf(os.Stderr, "starreport: live stats on http://%s/debug/vars (pprof under /debug/pprof/; observatory on /metrics with -observe)\n", addr)
 	}
 
 	rep, err := shapes.EvaluateCtx(ctx, r)
@@ -193,7 +181,7 @@ func run() int {
 	}
 	if *latencyOut != "" {
 		var rows []regress.LatencyRow
-		for _, r := range latAgg.Rows() {
+		for _, r := range obs.Rows() {
 			for _, o := range r.Latency.Ops {
 				if o.Count == 0 {
 					continue
@@ -236,11 +224,8 @@ func run() int {
 	}
 
 	fmt.Print(rep.MarkdownWithDrift(drift))
-	if agg != nil {
-		fmt.Print("\n" + agg.Markdown())
-	}
-	if latAgg != nil {
-		fmt.Print("\n" + latAgg.Markdown())
+	if obs != nil {
+		fmt.Print("\n" + obs.Markdown())
 	}
 	if !rep.Passed() {
 		if *gate {

@@ -33,7 +33,7 @@ func run() int {
 	scheme := flag.String("scheme", "star", "scheme for recording/replaying")
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	traceOut := flag.String("trace-out", "", "also write the run's structured events (forced flushes, sampled evictions) as Chrome trace-event JSON")
-	latency := flag.Bool("latency", false, "enable the latency observatory on replay: print per-op tail latencies and add lat:<op> instants to -trace-out")
+	observe := flag.Bool("observe", false, "enable the observatory on replay: print per-op tail latencies and add lat:<op> instants to -trace-out")
 	flag.Parse()
 
 	cfg := sim.Default()
@@ -41,7 +41,7 @@ func run() int {
 	cfg.MetaCache.SizeBytes = 256 << 10
 	cfg.Scheme = *scheme
 	cfg.TraceEvents = *traceOut != ""
-	cfg.Latency = *latency
+	cfg.Observe = *observe
 
 	var err error
 	switch {

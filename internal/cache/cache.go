@@ -317,6 +317,19 @@ func (c *Cache) Invalidate(addr uint64) (Entry, bool) {
 	return out, true
 }
 
+// Take is Invalidate for a demand probe of an exclusive hierarchy: the
+// line moves out and the probe counts as a hit or a miss. LRU order is
+// left alone — a hit leaves the set, so there is no recency to update.
+func (c *Cache) Take(addr uint64) (Entry, bool) {
+	e, ok := c.Invalidate(addr)
+	if ok {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+	}
+	return e, ok
+}
+
 // FlushAll writes back every dirty line through onEvict and marks the
 // whole cache clean but still resident. A nil onEvict just cleans.
 func (c *Cache) FlushAll(onEvict EvictFn) {

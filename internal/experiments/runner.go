@@ -137,8 +137,8 @@ func WithTrace(tr *telemetry.Trace) Option { return func(r *Runner) { r.trace = 
 // cell whose value is a *sim.Results (seed-merged cells observe the
 // merged value; failed cells are not observed). Callbacks run on
 // worker goroutines as cells complete and must be safe for concurrent
-// use — the attribution and latency aggregators feeding live /metrics
-// exposition are the intended consumers. The option composes: each
+// use — the Observatory aggregator feeding live /metrics exposition is
+// the intended consumer. The option composes: each
 // registration appends an observer, and every observer sees every
 // cell in registration order.
 func WithResultObserver(fn func(Cell, *sim.Results)) Option {
@@ -391,61 +391,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 		return nil
 	})
 	return out, err
-}
-
-// Sweep is one completed Run with its final accounting: the per-cell
-// results plus the Stats the live expvar endpoints would have shown at
-// completion — available headless, after the fact.
-type Sweep struct {
-	Results []CellResult
-	Stats   Stats // runner counters at sweep completion (cumulative across its sweeps)
-	Wall    time.Duration
-}
-
-// RunSweep is Run returning the final Stats alongside the results, so
-// manifests and -progress summaries can report pool effectiveness
-// (machines built vs reused, cells/sec) without the -http server.
-func (r *Runner) RunSweep(ctx context.Context, cells []Cell) (*Sweep, error) {
-	start := time.Now()
-	out, err := r.Run(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	return &Sweep{Results: out, Stats: r.Snapshot(), Wall: time.Since(start)}, nil
-}
-
-// Stream is Run delivering each CellResult as it completes (completion
-// order, not cell order). The channel closes when the sweep finishes
-// or the context is canceled.
-func (r *Runner) Stream(ctx context.Context, cells []Cell) <-chan CellResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ch := make(chan CellResult)
-	go func() {
-		defer close(ch)
-		r.forEach(ctx, cells, func(ctx context.Context, mp *machinePool, i int) error {
-			start := time.Now()
-			res, runErr := r.runSeed(ctx, mp, cells[i])
-			wall := time.Since(start)
-			if runErr != nil {
-				r.record("matrix", cells[i], wall, nil, runErr)
-			} else {
-				r.record("matrix", cells[i], wall, res, nil)
-			}
-			cr := CellResult{Cell: cells[i], Results: res, Err: runErr, Wall: wall}
-			select {
-			case ch <- cr:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if runErr != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return nil
-		})
-	}()
-	return ch
 }
 
 // --- pool ----------------------------------------------------------------

@@ -155,20 +155,21 @@ func TestRunnerMachineReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRunSweepFinalStats checks the headless Stats path: a completed
-// RunSweep must report the sweep's accounting without the -http expvar
-// server, with a frozen (non-decaying) completion rate.
+// TestRunSweepFinalStats checks the headless Stats path: after a
+// completed Run, Snapshot must report the sweep's accounting without
+// the -http expvar server, with a frozen (non-decaying) completion
+// rate.
 func TestRunSweepFinalStats(t *testing.T) {
 	r := fastRunner(2)
 	cells := r.Matrix([]string{"array"}, []string{"wb", "star"})
-	sw, err := r.RunSweep(context.Background(), cells)
+	res, err := r.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Results) != len(cells) {
-		t.Fatalf("results = %d, want %d", len(sw.Results), len(cells))
+	if len(res) != len(cells) {
+		t.Fatalf("results = %d, want %d", len(res), len(cells))
 	}
-	s := sw.Stats
+	s := r.Snapshot()
 	if s.CellsDone != int64(len(cells)) || s.CellsTotal != int64(len(cells)) {
 		t.Fatalf("final stats miscount cells: %+v", s)
 	}
@@ -178,8 +179,8 @@ func TestRunSweepFinalStats(t *testing.T) {
 	if s.CellsPerSec <= 0 {
 		t.Fatalf("final CellsPerSec not reported: %+v", s)
 	}
-	if sw.Wall <= 0 || r.WallTime() <= 0 {
-		t.Fatalf("wall time not tracked: sweep %v, runner %v", sw.Wall, r.WallTime())
+	if r.WallTime() <= 0 {
+		t.Fatalf("wall time not tracked: runner %v", r.WallTime())
 	}
 	// The rate must be frozen at sweep completion, not decay with
 	// wall-clock time after it.
@@ -320,26 +321,6 @@ func TestRunnerPoolBounding(t *testing.T) {
 		t.Fatalf("pool ran %d jobs concurrently, bound is %d", got, width)
 	} else {
 		t.Logf("peak concurrency %d (bound %d)", got, width)
-	}
-}
-
-func TestRunnerStream(t *testing.T) {
-	r := fastRunner(2)
-	cells := r.Matrix([]string{"queue"}, []string{"wb", "star"})
-	var got []CellResult
-	for cr := range r.Stream(context.Background(), cells) {
-		if cr.Err != nil {
-			t.Fatal(cr.Err)
-		}
-		got = append(got, cr)
-	}
-	if len(got) != len(cells) {
-		t.Fatalf("streamed %d results, want %d", len(got), len(cells))
-	}
-	for _, cr := range got {
-		if cr.Results == nil || cr.Results.Ops == 0 {
-			t.Fatalf("empty streamed result for %v", cr.Cell)
-		}
 	}
 }
 

@@ -114,18 +114,6 @@ func (d *Device) EnableAttribution(banks int) {
 	d.attr = a
 }
 
-// AttributionEnabled reports whether write-cause attribution is on.
-func (d *Device) AttributionEnabled() bool { return d.attr != nil }
-
-// AttributionBanks returns the attribution bank count (0 when
-// disabled).
-func (d *Device) AttributionBanks() int {
-	if d.attr == nil {
-		return 0
-	}
-	return d.attr.banks
-}
-
 // WriteCause is Write with a cause tag: it counts one line write —
 // statistics, energy, attribution and the access hook — then stores
 // the line and bumps its wear.

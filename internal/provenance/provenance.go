@@ -146,10 +146,11 @@ func ConfigFingerprint(cfg sim.Config) string {
 	// introduction — NOT of sim.Config itself, whose %+v string (and
 	// therefore every sealed manifest's fingerprint) would silently
 	// change each time a field is added. New fields must opt in: either
-	// mix into the suffix when non-default (as Attr does — attribution
-	// adds WriteBreakdown to cell results, so attr runs must not compare
-	// equal to non-attr baselines) or extend the mirror with a new
-	// pinned baseline. TestConfigFingerprintPinned guards this.
+	// mix into the suffix when non-default (as Observe does — the
+	// observatory adds WriteBreakdown and Latency to cell results, so
+	// observed runs must not compare equal to unobserved baselines) or
+	// extend the mirror with a new pinned baseline.
+	// TestConfigFingerprintPinned guards this.
 	s := fmt.Sprintf("%+v", fingerprintConfig{
 		Cores: cfg.Cores, DataBytes: cfg.DataBytes,
 		L1: cfg.L1, L2: cfg.L2, L3: cfg.L3,
@@ -165,13 +166,11 @@ func ConfigFingerprint(cfg sim.Config) string {
 	if customSuite {
 		s += "+custom-suite"
 	}
-	if cfg.Attr {
-		s += "+attr"
-	}
-	if cfg.Latency {
-		// The observatory adds Latency to cell results, so latency runs
-		// must not compare equal to non-latency baselines.
-		s += "+lat"
+	if cfg.Observe {
+		// The suffix the observatory's two former switches produced when
+		// both were on, so fingerprints sealed by such runs keep their
+		// value.
+		s += "+attr+lat"
 	}
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])

@@ -91,32 +91,31 @@ func TestConfigFingerprintPinned(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintAttrDistinct checks that an observed config
+// never fingerprints equal to the unobserved one: its cell results
+// carry WriteBreakdown and Latency.
 func TestConfigFingerprintAttrDistinct(t *testing.T) {
 	a := sim.Default()
 	b := sim.Default()
-	b.Attr = true
+	b.Observe = true
 	if ConfigFingerprint(a) == ConfigFingerprint(b) {
-		t.Fatal("attr-enabled config must not fingerprint equal to the attr-off baseline: its cell results carry WriteBreakdown")
+		t.Fatal("observed config must not fingerprint equal to the unobserved baseline: its cell results carry WriteBreakdown and Latency")
 	}
 }
 
+// TestConfigFingerprintLatencyDistinct pins the observed baseline
+// config to the value that manifests of attributed, latency-recording
+// runs were sealed with: Observe hashes the "+attr+lat" suffix, kept
+// distinct from the write-cause-only and latency-only configs that
+// earlier manifests also carry.
 func TestConfigFingerprintLatencyDistinct(t *testing.T) {
-	a := sim.Default()
-	b := sim.Default()
-	b.Latency = true
-	if ConfigFingerprint(a) == ConfigFingerprint(b) {
-		t.Fatal("latency-enabled config must not fingerprint equal to the latency-off baseline: its cell results carry Latency")
-	}
-	c := sim.Default()
-	c.Attr = true
-	if ConfigFingerprint(b) == ConfigFingerprint(c) {
-		t.Fatal("+lat and +attr suffixes must stay distinct")
-	}
-	d := sim.Default()
-	d.Attr = true
-	d.Latency = true
-	if ConfigFingerprint(d) == ConfigFingerprint(b) || ConfigFingerprint(d) == ConfigFingerprint(c) {
-		t.Fatal("attr+latency config must fingerprint distinct from either alone")
+	cfg := sim.Default()
+	cfg.DataBytes = 64 << 20
+	cfg.MetaCache.SizeBytes = 256 << 10
+	cfg.Observe = true
+	const sealed = "48aaa453742f7b1aee738ba51957b9b043adcb7a0381f67702e31c034cc009cd"
+	if got := ConfigFingerprint(cfg); got != sealed {
+		t.Fatalf("observed baseline config fingerprint drifted:\n got %s\nwant %s", got, sealed)
 	}
 }
 

@@ -65,25 +65,23 @@ type Config struct {
 	// forced flushes, sampled metadata evictions) retrievable via
 	// Machine.Trace as Chrome trace-event JSON for Perfetto.
 	TraceEvents bool
-	// Attr enables write-cause attribution: every NVM line write is
-	// tagged with its cause (data, counter, tree-node, mac, bitmap,
-	// recovery, ...) and accumulated per cause × per bank (the machine's
-	// Banks count), surfacing as Results.WriteBreakdown, labeled
-	// telemetry series, and the /metrics exposition. Disabled (the
-	// default) the accounting path pays one nil check — results and
-	// digests are bit-identical to builds without the feature.
-	Attr bool
-	// Latency enables the per-operation latency observatory: every
-	// engine-level operation (data read, data write, persist, recovery)
-	// records its end-to-end simulated latency into a log-bucketed
-	// histogram per op kind, decomposed along the critical path into
-	// components (bank wait, metadata fetch by tree level, write-queue
-	// stalls by write cause, recovery phases). Surfaces as
-	// Results.Latency, labeled telemetry series, and the /metrics
-	// exposition. Disabled (the default) the hot paths pay one nil
-	// check — results and digests are bit-identical to builds without
+	// Observe enables the observatory, which answers why a scheme writes
+	// what it writes and where its latency goes:
+	//   - write-cause attribution: every NVM line write is tagged with
+	//     its cause (data, counter, tree-node, mac, bitmap, recovery, ...)
+	//     and accumulated per cause × per bank (the machine's Banks
+	//     count), surfacing as Results.WriteBreakdown;
+	//   - per-operation latency: every engine-level operation (data read,
+	//     data write, persist, recovery) records its end-to-end simulated
+	//     latency into a log-bucketed histogram per op kind, decomposed
+	//     along the critical path into components (bank wait, metadata
+	//     fetch by tree level, write-queue stalls by write cause, recovery
+	//     phases), surfacing as Results.Latency.
+	// Both also feed labeled telemetry series and the /metrics
+	// exposition. Disabled (the default) the hot paths pay one nil check
+	// per hook — results and digests are bit-identical to builds without
 	// the feature.
-	Latency bool
+	Observe bool
 }
 
 // Default returns the paper's configuration scaled to a

@@ -214,8 +214,7 @@ func TestForkOfFork(t *testing.T) {
 // child.
 func TestForkLatencyBitIdentity(t *testing.T) {
 	const ops = 400
-	cfg := goldenConfig("star")
-	cfg.Latency = true
+	cfg := observeConfig("star")
 
 	fresh, err := NewMachine(cfg)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 	"nvmstar/internal/telemetry"
 )
 
-// The per-operation latency observatory. Config.Latency gives the
-// machine a latRecorder that brackets every engine-level operation —
+// The per-operation latency half of the observatory. Config.Observe
+// gives the machine a latRecorder that brackets every engine-level operation —
 // data read, data write, persist/flush, recovery — and records its
 // end-to-end simulated latency into a log-bucketed histogram per op
 // kind, decomposed along the critical path into components (memory
@@ -46,9 +46,6 @@ func (o latOp) String() string {
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
-
-// LatOpNames returns the stable operation-kind labels in enum order.
-func LatOpNames() []string { return append([]string(nil), latOpNames[:]...) }
 
 // ValidLatOpName reports whether s is one of the stable op-kind
 // labels. Trace consumers (cmd/tracecheck) use it to validate
@@ -472,7 +469,7 @@ func (m *Machine) latReadComp(addr uint64) latComp {
 // LatencySnapshot returns the cumulative latency breakdown since
 // machine construction (or Reset) — everything the recorder has seen,
 // setup phases and post-measure recoveries included. Nil when
-// Config.Latency is off. Results.Latency is the measured-phase delta;
+// Config.Observe is off. Results.Latency is the measured-phase delta;
 // this is the whole-life view CLI tools print after a crash/recover
 // sequence.
 func (m *Machine) LatencySnapshot() *LatencyBreakdown {

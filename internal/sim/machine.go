@@ -65,7 +65,7 @@ type Machine struct {
 	writeWait *telemetry.Histogram
 	bankBusy  *telemetry.Histogram
 	// lat is the per-operation latency observatory (latency.go); nil
-	// unless Config.Latency, so the hot paths pay one nil check.
+	// unless Config.Observe, so the hot paths pay one nil check.
 	lat *latRecorder
 
 	err error // first engine error (integrity violation = fatal)
@@ -115,13 +115,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Attr {
+	if cfg.Observe {
 		// Before the scheme is installed so every write — including any a
 		// scheme constructor issues — is attributed. Banks matches the
 		// timing model's interleave.
 		m.engine.Device().EnableAttribution(cfg.Banks)
-	}
-	if cfg.Latency {
 		m.lat = newLatRecorder()
 	}
 	switch cfg.Scheme {
@@ -342,9 +340,9 @@ func (m *Machine) ensureL1(c int, addr uint64) *cache.Entry {
 	var data memline.Line
 	var dirty bool
 	switch {
-	case m.takeFrom(m.l2[c], addr, &data, &dirty):
+	case m.takeFrom(m.l2[c], addr, &data, &dirty, true):
 		m.charge(c, m.cfg.L2LatNs)
-	case m.takeFrom(m.l3, addr, &data, &dirty):
+	case m.takeFrom(m.l3, addr, &data, &dirty, true):
 		m.charge(c, m.cfg.L3LatNs)
 	case m.takeFromOtherCore(c, addr, &data, &dirty):
 		m.charge(c, m.cfg.L3LatNs) // directory + cross-core transfer
@@ -387,8 +385,16 @@ func (m *Machine) deleteOwner(addr uint64) {
 }
 
 // takeFrom extracts a line from a cache if present (exclusive move).
-func (m *Machine) takeFrom(from *cache.Cache, addr uint64, data *memline.Line, dirty *bool) bool {
-	e, ok := from.Invalidate(addr)
+// A demand probe — ensureL1 searching the core's own L2, then the
+// shared L3 — counts a hit or miss; cross-core migration does not.
+func (m *Machine) takeFrom(from *cache.Cache, addr uint64, data *memline.Line, dirty *bool, demand bool) bool {
+	var e cache.Entry
+	var ok bool
+	if demand {
+		e, ok = from.Take(addr)
+	} else {
+		e, ok = from.Invalidate(addr)
+	}
 	if !ok {
 		return false
 	}
@@ -403,7 +409,7 @@ func (m *Machine) takeFromOtherCore(c int, addr uint64, data *memline.Line, dirt
 	if !ok || o == c {
 		return false
 	}
-	if m.takeFrom(m.l1[o], addr, data, dirty) || m.takeFrom(m.l2[o], addr, data, dirty) {
+	if m.takeFrom(m.l1[o], addr, data, dirty, false) || m.takeFrom(m.l2[o], addr, data, dirty, false) {
 		return true
 	}
 	return false

@@ -41,17 +41,13 @@ type Results struct {
 	// marshaled Results are byte-identical with telemetry disabled.
 	Timelines []telemetry.Timeline `json:",omitempty"`
 
-	// WriteBreakdown is the per-cause × per-bank write attribution of
-	// the measured phase when Config.Attr is set; nil otherwise, so
+	// WriteBreakdown (per-cause × per-bank write attribution) and
+	// Latency (per-operation latency breakdown) cover the measured
+	// phase when Config.Observe is set; both are nil otherwise, so
 	// marshaled Results — and therefore manifest cell digests — are
-	// byte-identical with attribution disabled.
-	WriteBreakdown *nvm.Breakdown `json:",omitempty"`
-
-	// Latency is the per-operation latency breakdown of the measured
-	// phase when Config.Latency is set; nil otherwise, so marshaled
-	// Results — and therefore manifest cell digests — are byte-identical
-	// with the observatory disabled.
-	Latency *LatencyBreakdown `json:",omitempty"`
+	// byte-identical with the observatory disabled.
+	WriteBreakdown *nvm.Breakdown    `json:",omitempty"`
+	Latency        *LatencyBreakdown `json:",omitempty"`
 }
 
 // EnergyPJ returns the NVM access energy of the measured phase.
@@ -85,11 +81,6 @@ func (m *Machine) RunCtx(ctx context.Context, name string, ops int) (*Results, e
 // for recovery to restore.
 func (m *Machine) RunUnverified(name string, ops int) (*Results, error) {
 	return m.run(context.Background(), name, ops, false)
-}
-
-// RunUnverifiedCtx is RunUnverified under a context.
-func (m *Machine) RunUnverifiedCtx(ctx context.Context, name string, ops int) (*Results, error) {
-	return m.run(ctx, name, ops, false)
 }
 
 func (m *Machine) run(ctx context.Context, name string, ops int, verify bool) (*Results, error) {
@@ -189,9 +180,10 @@ func (s *Session) Verify() error {
 // Measure runs fn and captures machine-level deltas around it.
 func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
 	devBefore := m.engine.Device().Stats()
-	attrBefore := m.engine.Device().Breakdown()
+	var attrBefore *nvm.Breakdown
 	var latBefore *latSnapshot
-	if m.lat != nil {
+	if m.cfg.Observe {
+		attrBefore = m.engine.Device().Breakdown()
 		latBefore = m.lat.snapshot()
 	}
 	engBefore := m.engine.Stats()
@@ -249,8 +241,8 @@ func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
 	if m.sampler != nil && m.sampler.Samples() > 0 {
 		res.Timelines = m.sampler.Timelines()
 	}
-	res.WriteBreakdown = m.engine.Device().Breakdown().Sub(attrBefore)
-	if m.lat != nil {
+	if m.cfg.Observe {
+		res.WriteBreakdown = m.engine.Device().Breakdown().Sub(attrBefore)
 		res.Latency = m.lat.breakdown(latBefore)
 		m.traceLatency(res.Latency)
 	}

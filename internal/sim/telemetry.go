@@ -50,7 +50,7 @@ func (m *Machine) initTelemetry() {
 
 	// Latency-observatory histograms and component totals, exported as
 	// labeled OpenMetrics families on /metrics. No-op on a nil recorder
-	// (Config.Latency off) or a nil registry.
+	// (Config.Observe off) or a nil registry.
 	m.lat.register(reg)
 
 	// CPU cache hierarchy: the shared L3 directly, the per-core

@@ -154,6 +154,31 @@ func TestTimelineContent(t *testing.T) {
 	}
 }
 
+// TestHierarchyHitRatios checks that the exclusive hierarchy's demand
+// probes of L2 and L3 count hits and misses: both registry ratios land
+// in (0, 1] after a run whose working set spills out of L1.
+func TestHierarchyHitRatios(t *testing.T) {
+	cfg := telemetryTestConfig("star")
+	cfg.Telemetry = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run("hash", 2000); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	m.Telemetry().Each(func(name string, v float64) { got[name] = v })
+	for _, name := range []string{"l2.hit_ratio", "l3.hit_ratio"} {
+		if v, ok := got[name]; !ok || v <= 0 || v > 1 {
+			t.Errorf("%s = %v (registered %v), want in (0, 1]", name, v, ok)
+		}
+	}
+	if got["l3.hits"] == 0 || got["l3.misses"] == 0 {
+		t.Errorf("l3 probes not counted: hits %v, misses %v", got["l3.hits"], got["l3.misses"])
+	}
+}
+
 // TestMachineTraceJSON drives the full event-trace path — run, crash,
 // recover — and requires the serialized buffer to parse back as
 // Chrome trace-event JSON containing the crash marker and the named

@@ -11,7 +11,7 @@ import (
 
 // This file implements the OpenMetrics text exposition (the format
 // Prometheus scrapes) for the registry's instruments, plus a strict
-// lint parser used by the verify-attr CI gate. Only the stdlib is
+// lint parser used by the verify-observe CI gate. Only the stdlib is
 // used; the subset implemented is the one the simulator emits:
 // gauge, counter and histogram families, label sets, and the
 // mandatory `# EOF` terminator.
@@ -255,7 +255,7 @@ func WriteOpenMetrics(w io.Writer, families []MetricFamily) error {
 // TYPE-before-samples, non-interleaved families, `_total` counter
 // samples, cumulative ascending histogram buckets with a `+Inf`
 // bucket matching `_count`, parseable values, no duplicate series —
-// and returns the first violation found. The verify-attr gate scrapes
+// and returns the first violation found. The verify-observe gate scrapes
 // /metrics and runs this.
 func LintOpenMetrics(text []byte) error {
 	lines := strings.Split(string(text), "\n")

@@ -180,7 +180,7 @@ func TestLintOpenMetricsCatchesViolations(t *testing.T) {
 // TestDebugServerMetricsEndpoint scrapes /metrics end to end: attach a
 // registry with every instrument kind (including labeled series), GET
 // the endpoint, and run the scrape through the strict lint — the same
-// check the verify-attr CI gate performs.
+// check the verify-observe CI gate performs.
 func TestDebugServerMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("evt.count").Add(5)
