@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-parallel bench-parallel-gate bench-fork bench-fork-gate report examples vet fmt lint clean race verify verify-telemetry verify-observe regress regress-baseline
+.PHONY: all build test test-short bench bench-gate evaluation report examples vet fmt lint clean race verify verify-telemetry verify-observe regress regress-baseline
 
 all: verify
 
@@ -43,60 +43,19 @@ test-short:
 race:
 	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/simcrypto ./internal/telemetry
 
-# One benchmark per paper table/figure, plus ablations and baselines.
+# One benchmark per paper table/figure, plus ablations and baselines
+# (this also asserts the two speedup floors of bench-gate below).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable hot-path numbers, committed as BENCH_hotpath.json so
-# regressions show up in review: the per-scheme engine write path, the
-# real suite's keyed MAC (with allocs/op) and the parallel runner sweep.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWriteLine|BenchmarkRealSuiteMAC|BenchmarkRunnerMatrix' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
-	@cat BENCH_hotpath.json
-
-# Scaling numbers for the parallel runner with seed-level work
-# decomposition, committed as BENCH_parallel.json: wall time,
-# allocations and the speedup-vs-seq metric at pool widths 1/2/4/8
-# (meaningful only on a multi-core machine; the document records its
-# CPU count so the gate below can tell the difference).
-BENCH_PARALLEL_OUT ?= BENCH_parallel.json
-
-bench-parallel:
-	$(GO) test -run '^$$' -bench BenchmarkRunnerMatrix -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_PARALLEL_OUT)
-	@cat $(BENCH_PARALLEL_OUT)
-
-# Parallel-scaling gate: re-measure, then let stardiff enforce the
-# metric_floors in regress.tolerance.json (speedup-vs-seq >= 2.0 at
-# parallel=4). The self-compare makes the floor absolute — it binds on
-# the fresh numbers even with no drift vs a baseline. On machines with
-# fewer than floor_min_cpus CPUs the floor is skipped with an info
-# line, because compute-bound speedup is physically impossible there.
-bench-parallel-gate: bench-parallel
-	$(GO) run ./cmd/stardiff -tol regress.tolerance.json -q \
-		$(BENCH_PARALLEL_OUT) $(BENCH_PARALLEL_OUT)
-
-# Run-once/fork-many numbers, committed as BENCH_fork.json: wall time
-# of K crash-recovery variants on copy-on-write forks of one base run
-# versus K monolithic reruns, at 1/4/8/16 variants, with the
-# speedup-vs-rerun metric.
-BENCH_FORK_OUT ?= BENCH_fork.json
-
-bench-fork:
-	$(GO) test -run '^$$' -bench BenchmarkForkRecovery -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_FORK_OUT)
-	@cat $(BENCH_FORK_OUT)
-
-# Fork-decomposition gate: re-measure, then let stardiff enforce the
-# metric_floors in regress.fork.tolerance.json (speedup-vs-rerun >= 3.0
-# at variants=8). The floor lives in its own tolerance file with no
-# floor_min_cpus: the win is algorithmic (one run instead of K), so it
-# binds on single-CPU machines too — unlike the parallel gate, whose
-# floor regress.tolerance.json suspends below 4 CPUs.
-bench-fork-gate: bench-fork
-	$(GO) run ./cmd/stardiff -tol regress.fork.tolerance.json -q \
-		$(BENCH_FORK_OUT) $(BENCH_FORK_OUT)
+# Speedup floors, asserted inside the benchmarks that measure them:
+# BenchmarkRunnerMatrix fails below 2x speedup-vs-seq at parallel=4
+# (skipped with a log line on machines with fewer than 4 CPUs, where
+# compute-bound speedup is physically impossible), and
+# BenchmarkForkRecovery fails below 3x speedup-vs-rerun at variants=8
+# (on any machine: the win is algorithmic, one base run instead of K).
+bench-gate:
+	$(GO) test -run '^$$' -bench 'BenchmarkRunnerMatrix/parallel=(1|4)$$|BenchmarkForkRecovery/variants=8$$' .
 
 # Regenerate the evaluation tables (Figs. 10-14, Table II).
 evaluation:

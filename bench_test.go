@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -335,6 +336,13 @@ func BenchmarkAblationCacheTree(b *testing.B) {
 	})
 }
 
+// Speedup floors the benchmarks below assert (`make bench-gate`).
+const (
+	runnerFloor        = 2.0 // speedup-vs-seq at parallel=4
+	runnerFloorMinCPUs = 4   // fewer CPUs cannot speed up a CPU-bound sweep
+	forkFloor          = 3.0 // speedup-vs-rerun at variants=8
+)
+
 // runnerSeqNs holds BenchmarkRunnerMatrix's parallel=1 ns/op so the
 // wider sub-benchmarks (which run after it, in order) can report their
 // speedup over it. Benchmark state, not safe outside that benchmark.
@@ -346,10 +354,12 @@ var runnerSeqNs float64
 // the sequential run of the same process via `speedup-vs-seq`. Units
 // are seed-level and dispatched longest-expected-first, so on a
 // multi-core machine the sweep scales close to linearly until the
-// pool exceeds the units or the cores (the stardiff gate requires
-// >= 2x at parallel=4 on 4+ CPUs; single-core machines record cpus=1
-// and are exempt — compute-bound speedup is physically impossible
-// there); per-cell results are bit-identical at every width.
+// pool exceeds the units or the cores; per-cell results are
+// bit-identical at every width. The benchmark fails if parallel=4
+// falls below 2x on a machine with 4+ CPUs (`make bench-gate`); with
+// fewer CPUs compute-bound speedup is physically impossible, so the
+// floor is skipped with a log line. parallel=4 also fails if
+// parallel=1 did not run first, since there is no speedup to check.
 func BenchmarkRunnerMatrix(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
@@ -368,8 +378,21 @@ func BenchmarkRunnerMatrix(b *testing.B) {
 			if par == 1 {
 				runnerSeqNs = perOp
 			}
-			if runnerSeqNs > 0 {
-				b.ReportMetric(runnerSeqNs/perOp, "speedup-vs-seq")
+			if runnerSeqNs == 0 {
+				if par == 4 {
+					b.Fatal("speedup-vs-seq floor needs parallel=1 to run first")
+				}
+				return
+			}
+			speedup := runnerSeqNs / perOp
+			b.ReportMetric(speedup, "speedup-vs-seq")
+			if par != 4 {
+				return
+			}
+			if cpus := runtime.NumCPU(); cpus < runnerFloorMinCPUs {
+				b.Logf("speedup-vs-seq floor %.1fx skipped: NumCPU=%d < %d", runnerFloor, cpus, runnerFloorMinCPUs)
+			} else if speedup < runnerFloor {
+				b.Fatalf("speedup-vs-seq %.2fx at parallel=4 is below the %.1fx floor (NumCPU=%d)", speedup, runnerFloor, cpus)
 			}
 		})
 	}
@@ -512,11 +535,11 @@ func BenchmarkStarRecovery(b *testing.B) {
 // pages)) crashed and recovered independently, versus the monolithic
 // K x (run + crash + recover). The timed path is the fork
 // decomposition; the rerun baseline is measured off the timer and
-// reported as `speedup-vs-rerun` = rerun / fork wall time. Unlike the
-// pool-scaling gate, this win is algorithmic — it removes
-// work instead of overlapping it — so the stardiff floor
-// (regress.fork.tolerance.json, >= 3x at variants=8) binds on
-// single-CPU machines too.
+// reported as `speedup-vs-rerun` = rerun / fork wall time. The
+// benchmark fails if variants=8 falls below 3x (`make bench-gate`).
+// Unlike the pool-scaling floor, this win is algorithmic — it removes
+// work instead of overlapping it — so the floor binds on single-CPU
+// machines too.
 func BenchmarkForkRecovery(b *testing.B) {
 	const forkOps = 4000
 	cfg := benchCfg("star")
@@ -566,7 +589,11 @@ func BenchmarkForkRecovery(b *testing.B) {
 			}
 			forkNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if forkNs > 0 {
-				b.ReportMetric(float64(rerunNs)/float64(b.N)/forkNs, "speedup-vs-rerun")
+				speedup := float64(rerunNs) / float64(b.N) / forkNs
+				b.ReportMetric(speedup, "speedup-vs-rerun")
+				if variants == 8 && speedup < forkFloor {
+					b.Fatalf("speedup-vs-rerun %.2fx at variants=8 is below the %.1fx floor", speedup, forkFloor)
+				}
 			}
 		})
 	}

@@ -1,13 +1,14 @@
-// Command stardiff compares two nvmstar measurement artifacts — BENCH
-// benchmark documents, shapes reports, or run provenance manifests —
+// Command stardiff compares two nvmstar measurement artifacts — run
+// provenance manifests, shapes reports, or tail-latency documents —
 // and renders a markdown verdict. The artifact kind is sniffed from the
 // JSON, so the same invocation works for all three:
 //
 //	stardiff [-tol regress.tolerance.json] old.json new.json
 //
 // Exit codes: 0 clean (drift within tolerance), 1 regression detected,
-// 2 usage error, unreadable input, or refused comparison (different
-// env/config — the numbers measure different things).
+// 2 usage error, unreadable or unrecognized input, or refused
+// comparison (different run configs — the numbers measure different
+// things).
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"nvmstar/internal/benchfmt"
 	"nvmstar/internal/provenance"
 	"nvmstar/internal/shapes"
 )
@@ -13,8 +12,7 @@ import (
 // Doc is one loaded comparison artifact with its detected kind;
 // exactly one of the payload fields is set.
 type Doc struct {
-	Kind     string // "bench", "shapes", "manifest" or "latency"
-	Bench    *benchfmt.Doc
+	Kind     string // "manifest", "shapes" or "latency"
 	Shapes   *shapes.Report
 	Manifest *provenance.Manifest
 	Latency  *LatencyDoc
@@ -22,7 +20,7 @@ type Doc struct {
 
 // ReadDoc loads path and sniffs which artifact it is: a provenance
 // manifest ("schema" + "cells"), a tail-latency document ("latency"),
-// a benchmark document ("results"), or a shapes report ("Checks").
+// or a shapes report ("Checks").
 func ReadDoc(path string) (*Doc, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -45,12 +43,6 @@ func ReadDoc(path string) (*Doc, error) {
 			return nil, err
 		}
 		return &Doc{Kind: "latency", Latency: d}, nil
-	case probe["results"] != nil:
-		d, err := benchfmt.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Doc{Kind: "bench", Bench: d}, nil
 	case probe["Checks"] != nil:
 		r, err := shapes.ReadReport(path)
 		if err != nil {
@@ -58,7 +50,7 @@ func ReadDoc(path string) (*Doc, error) {
 		}
 		return &Doc{Kind: "shapes", Shapes: r}, nil
 	}
-	return nil, fmt.Errorf("regress: %s: unrecognized document (expected a BENCH doc, a shapes report, a run manifest or a latency doc)", path)
+	return nil, fmt.Errorf("regress: %s: unrecognized document (expected a run manifest, a shapes report or a latency doc)", path)
 }
 
 // CompareDocs dispatches on the documents' kind, which must match.
@@ -67,8 +59,6 @@ func CompareDocs(old, new *Doc, tol Tolerance) (*Verdict, error) {
 		return nil, fmt.Errorf("regress: cannot compare a %s document against a %s document", old.Kind, new.Kind)
 	}
 	switch old.Kind {
-	case "bench":
-		return CompareBench(old.Bench, new.Bench, tol)
 	case "shapes":
 		return CompareShapes(old.Shapes, new.Shapes, tol), nil
 	case "manifest":

@@ -1,15 +1,13 @@
 // Package regress is the repository's statistical regression
 // observatory: a benchstat-style comparator over the three kinds of
-// committed evaluation artifacts — BENCH_*.json benchmark documents,
-// shapes.Report reproduction reports, and provenance run manifests.
+// committed evaluation artifacts — provenance run manifests,
+// shapes.Report reproduction reports, and tail-latency documents.
 // Each comparison yields a Verdict of per-item findings (ok /
 // improved / regressed / missing / added) under a configurable noise
 // tolerance; cmd/stardiff renders the verdict as markdown and `make
-// regress` gates CI on it. Benchmark comparisons refuse outright when
-// the two documents' env provenance differs (numbers from different
-// machines are not comparable); manifest comparisons refuse when the
-// run configurations differ (different sweeps are not comparable),
-// but tolerate env differences because cell digests are
+// regress` gates CI on it. Manifest comparisons refuse when the run
+// configurations differ (different sweeps are not comparable), but
+// tolerate env differences because cell digests are
 // machine-independent.
 package regress
 
@@ -26,62 +24,41 @@ import (
 // in-repo JSON config (see regress.tolerance.json) so the gate's
 // sensitivity is reviewed like code.
 type Tolerance struct {
-	// Benchmark documents.
-	NsPerOpFrac     float64 `json:"ns_per_op_frac"`
-	BytesPerOpFrac  float64 `json:"bytes_per_op_frac"`
-	AllocsPerOpFrac float64 `json:"allocs_per_op_frac"`
-	MetricFrac      float64 `json:"metric_frac"` // custom bench metrics (direction-agnostic)
 	// Shape reports: relative drift allowed per measured check value.
 	ValueFrac float64 `json:"value_frac"`
-	// Env keys that must match between two benchmark documents; a
-	// mismatch refuses the comparison.
-	RequireSameEnv []string `json:"require_same_env"`
-	// MetricFloors maps benchmark name -> custom metric -> the minimum
-	// acceptable value in the NEW document (absolute, unlike the
-	// relative *Frac fields): the parallel-speedup gate. A floored
-	// metric that is absent or below its floor regresses.
-	MetricFloors map[string]map[string]float64 `json:"metric_floors,omitempty"`
 	// Latency documents: relative p99 drift allowed per
 	// (workload, scheme, op) row.
 	LatencyFrac float64 `json:"latency_frac"`
 	// LatencyP99CeilingsNs maps "scheme/op" -> the largest acceptable
-	// p99 (ns) in the NEW latency document (absolute, like
-	// MetricFloors): the tail-latency SLO gate. A gated pair with no
-	// observed rows regresses.
+	// p99 (ns) in the NEW latency document (absolute, unlike the
+	// relative *Frac fields): the tail-latency SLO gate. A gated pair
+	// with no observed rows regresses.
 	LatencyP99CeilingsNs map[string]float64 `json:"latency_p99_ceilings_ns,omitempty"`
-	// FloorMinCPUs suspends floor enforcement when the new document's
-	// "cpus" env key is missing or smaller: a 1-core container cannot
-	// physically speed up a CPU-bound sweep, so its honest ~1.0x
-	// speedup numbers are reported as info instead of failing the
-	// gate. 0 enforces floors everywhere.
-	FloorMinCPUs int `json:"floor_min_cpus,omitempty"`
 }
 
-// DefaultTolerance returns the gate's default noise model: benchmark
-// timings are noisy (25%), sizes and allocation counts are mostly
-// deterministic (10% / 1%), shape-check values on a fixed config are
-// fully deterministic (2% headroom for float formatting churn).
+// DefaultTolerance returns the gate's default noise model: shape-check
+// values on a fixed config are fully deterministic (2% headroom for
+// float formatting churn); latency percentiles get 25%.
 func DefaultTolerance() Tolerance {
 	return Tolerance{
-		NsPerOpFrac:     0.25,
-		BytesPerOpFrac:  0.10,
-		AllocsPerOpFrac: 0.01,
-		MetricFrac:      0.25,
-		ValueFrac:       0.02,
-		LatencyFrac:     0.25,
-		RequireSameEnv:  []string{"goos", "goarch"},
+		ValueFrac:   0.02,
+		LatencyFrac: 0.25,
 	}
 }
 
 // LoadTolerance reads a tolerance config; fields absent from the file
-// keep their defaults.
+// keep their defaults. An unknown key is an error, so a misspelled
+// gate setting cannot silently switch its gate off.
 func LoadTolerance(path string) (Tolerance, error) {
 	tol := DefaultTolerance()
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return tol, err
 	}
-	if err := json.Unmarshal(b, &tol); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tol); err != nil {
 		return tol, fmt.Errorf("regress: %s: %w", path, err)
 	}
 	return tol, nil
@@ -101,8 +78,8 @@ const (
 
 // Item is one compared quantity.
 type Item struct {
-	Kind      string // "bench", "check", "value", "cell", "env"
-	Name      string // benchmark / check / cell identity
+	Kind      string // "check", "value", "cell", "env", "latency" or "slo"
+	Name      string // check / cell / row identity
 	Status    Status
 	Old, New  string  // rendered values
 	DeltaFrac float64 // relative drift where meaningful (0 otherwise)
@@ -111,7 +88,7 @@ type Item struct {
 
 // Verdict is the outcome of one comparison.
 type Verdict struct {
-	Kind  string // "bench", "shapes" or "manifest"
+	Kind  string // "manifest", "shapes" or "latency"
 	Items []Item
 }
 

@@ -7,175 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"nvmstar/internal/benchfmt"
 	"nvmstar/internal/provenance"
 	"nvmstar/internal/shapes"
 )
-
-func benchDoc() *benchfmt.Doc {
-	return &benchfmt.Doc{
-		Env: map[string]string{"goos": "linux", "goarch": "amd64", "go_version": "go1.24.0"},
-		Results: []benchfmt.Result{
-			{Name: "BenchmarkEngineWriteLine/star-8", Runs: 1000, NsPerOp: 824, BytesPerOp: 47, AllocsPerOp: 0},
-			{Name: "BenchmarkRunnerMatrix/parallel=4-8", Runs: 1, NsPerOp: 4e9, BytesPerOp: -1, AllocsPerOp: -1,
-				Metrics: map[string]float64{"speedup-vs-seq": 2.0}},
-		},
-	}
-}
-
-func TestCompareBenchSelfIsClean(t *testing.T) {
-	v, err := CompareBench(benchDoc(), benchDoc(), DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Regressed() {
-		t.Fatalf("self-compare regressed: %s", v.Markdown())
-	}
-	if len(v.Items) == 0 {
-		t.Fatal("self-compare compared nothing")
-	}
-}
-
-func TestCompareBenchFlagsRegression(t *testing.T) {
-	old, new := benchDoc(), benchDoc()
-	new.Results[0].NsPerOp = 824 * 1.5 // +50%, far past the 25% noise floor
-	v, err := CompareBench(old, new, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Regressed() {
-		t.Fatal("50% ns/op slowdown not flagged")
-	}
-	regs := v.Regressions()
-	if len(regs) != 1 || regs[0].Name != "BenchmarkEngineWriteLine/star-8" || regs[0].Detail != "ns/op" {
-		t.Fatalf("regression not localized to the offending benchmark: %+v", regs)
-	}
-	if !strings.Contains(v.Markdown(), "BenchmarkEngineWriteLine/star-8") {
-		t.Fatal("markdown does not name the offending benchmark")
-	}
-}
-
-func TestCompareBenchSpeedupWithinNoiseIsOK(t *testing.T) {
-	old, new := benchDoc(), benchDoc()
-	new.Results[0].NsPerOp = 824 * 0.9 // 10% faster: inside noise, not "improved"
-	v, err := CompareBench(old, new, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Regressed() || v.Counts()[StatusImproved] != 0 {
-		t.Fatalf("10%% drift should be noise: %s", v.Markdown())
-	}
-}
-
-func TestCompareBenchMetricDriftIsDirectionAgnostic(t *testing.T) {
-	old, new := benchDoc(), benchDoc()
-	new.Results[1].Metrics = map[string]float64{"speedup-vs-seq": 1.0} // halved
-	v, err := CompareBench(old, new, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Regressed() {
-		t.Fatal("halved speedup metric not flagged")
-	}
-}
-
-func TestCompareBenchRefusesEnvMismatch(t *testing.T) {
-	old, new := benchDoc(), benchDoc()
-	new.Env["goarch"] = "arm64"
-	_, err := CompareBench(old, new, DefaultTolerance())
-	var mismatch *EnvMismatchError
-	if !errors.As(err, &mismatch) || mismatch.Key != "goarch" {
-		t.Fatalf("expected goarch EnvMismatchError, got %v", err)
-	}
-}
-
-func TestCompareBenchMissingBenchmarkRegresses(t *testing.T) {
-	old, new := benchDoc(), benchDoc()
-	new.Results = new.Results[:1]
-	v, err := CompareBench(old, new, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Regressed() {
-		t.Fatal("vanished benchmark not flagged")
-	}
-}
-
-func floorTolerance() Tolerance {
-	tol := DefaultTolerance()
-	// Keyed without the "-8" procs suffix: floors must match documents
-	// from machines with any GOMAXPROCS.
-	tol.MetricFloors = map[string]map[string]float64{
-		"BenchmarkRunnerMatrix/parallel=4": {"speedup-vs-seq": 2.0},
-	}
-	tol.FloorMinCPUs = 4
-	return tol
-}
-
-func TestCompareBenchFloorEnforced(t *testing.T) {
-	doc := benchDoc()
-	doc.Env["cpus"] = "8"
-	v, err := CompareBench(doc, doc, floorTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Regressed() {
-		t.Fatalf("speedup 2.0 meets the 2.0 floor but regressed: %s", v.Markdown())
-	}
-
-	slow := benchDoc()
-	slow.Env["cpus"] = "8"
-	slow.Results[1].Metrics["speedup-vs-seq"] = 1.5
-	// Keep old == new so only the floor (not relative metric drift)
-	// can fire.
-	v, err = CompareBench(slow, slow, floorTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := v.Regressions()
-	if len(regs) != 1 || regs[0].Kind != "floor" || regs[0].Detail != "speedup-vs-seq" {
-		t.Fatalf("1.5 speedup under a 2.0 floor not localized to the floor item: %+v", regs)
-	}
-}
-
-func TestCompareBenchFloorSkippedBelowMinCPUs(t *testing.T) {
-	for _, cpus := range []string{"", "1", "2"} {
-		doc := benchDoc()
-		if cpus != "" {
-			doc.Env["cpus"] = cpus
-		}
-		doc.Results[1].Metrics["speedup-vs-seq"] = 0.9 // would fail the floor
-		v, err := CompareBench(doc, doc, floorTolerance())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Regressed() {
-			t.Fatalf("cpus=%q: floor enforced on a machine that cannot pass it: %s", cpus, v.Markdown())
-		}
-		skipped := false
-		for _, it := range v.Items {
-			if it.Kind == "floor" && it.Status == StatusInfo {
-				skipped = true
-			}
-		}
-		if !skipped {
-			t.Fatalf("cpus=%q: no info item explaining the skipped floor", cpus)
-		}
-	}
-}
-
-func TestCompareBenchFloorMissingMetricRegresses(t *testing.T) {
-	doc := benchDoc()
-	doc.Env["cpus"] = "8"
-	doc.Results[1].Metrics = nil // floored metric vanished
-	v, err := CompareBench(doc, doc, floorTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Regressed() {
-		t.Fatalf("vanished floored metric not flagged: %s", v.Markdown())
-	}
-}
 
 func shapeReport() *shapes.Report {
 	return &shapes.Report{Checks: []shapes.Check{
@@ -303,7 +137,7 @@ func TestCompareManifestsEnvDiffIsInfo(t *testing.T) {
 
 func TestLoadTolerancePartialKeepsDefaults(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tol.json")
-	if err := os.WriteFile(path, []byte(`{"ns_per_op_frac": 0.5}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"value_frac": 0.5}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tol, err := LoadTolerance(path)
@@ -311,8 +145,22 @@ func TestLoadTolerancePartialKeepsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := DefaultTolerance()
-	if tol.NsPerOpFrac != 0.5 || tol.ValueFrac != def.ValueFrac || len(tol.RequireSameEnv) != len(def.RequireSameEnv) {
+	if tol.ValueFrac != 0.5 || tol.LatencyFrac != def.LatencyFrac || tol.LatencyP99CeilingsNs != nil {
 		t.Fatalf("partial tolerance config mishandled: %+v", tol)
+	}
+}
+
+// TestLoadToleranceRejectsUnknownKeys: a misspelled key must fail the
+// load, not silently leave its gate at the default (for the SLO
+// ceilings, switched off).
+func TestLoadToleranceRejectsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tol.json")
+	if err := os.WriteFile(path, []byte(`{"latency_p99_ceiling_ns": {"star/write": 1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadTolerance(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "latency_p99_ceiling_ns") {
+		t.Fatalf("misspelled key not rejected with the file named: %v", err)
 	}
 }
 
@@ -323,9 +171,8 @@ func TestReadDocSniffsKinds(t *testing.T) {
 	if err := manifest(strings.Repeat("aa", 32)).WriteFile(mPath); err != nil {
 		t.Fatal(err)
 	}
-	bPath := filepath.Join(dir, "bench.json")
-	b, _ := benchDoc().Marshal()
-	if err := os.WriteFile(bPath, b, 0o644); err != nil {
+	lPath := filepath.Join(dir, "latency.json")
+	if err := WriteLatencyDoc(lPath, latRows()); err != nil {
 		t.Fatal(err)
 	}
 	sPath := filepath.Join(dir, "shapes.json")
@@ -333,7 +180,7 @@ func TestReadDocSniffsKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for path, kind := range map[string]string{mPath: "manifest", bPath: "bench", sPath: "shapes"} {
+	for path, kind := range map[string]string{mPath: "manifest", lPath: "latency", sPath: "shapes"} {
 		doc, err := ReadDoc(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -351,7 +198,53 @@ func TestReadDocSniffsKinds(t *testing.T) {
 		}
 	}
 
-	if _, err := CompareDocs(&Doc{Kind: "bench"}, &Doc{Kind: "shapes"}, DefaultTolerance()); err == nil {
+	// The retired go-test benchmark document shape is not an artifact.
+	bPath := filepath.Join(dir, "bench.json")
+	if err := os.WriteFile(bPath, []byte(`{"results":[{"name":"BenchmarkX","ns_per_op":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDoc(bPath); err == nil || !strings.Contains(err.Error(), "unrecognized document") {
+		t.Fatalf("benchmark document not rejected as unrecognized: %v", err)
+	}
+
+	if _, err := CompareDocs(&Doc{Kind: "latency"}, &Doc{Kind: "shapes"}, DefaultTolerance()); err == nil {
 		t.Fatal("kind mismatch not rejected")
 	}
+}
+
+// FuzzReadDoc: stardiff reads arbitrary files from disk, so for any
+// input ReadDoc returns a document or an error, and a self-compare of
+// whatever it returns must not panic.
+func FuzzReadDoc(f *testing.F) {
+	for _, seed := range []string{"../../BASELINE_manifest.json", "../../BASELINE_shapes.json"} {
+		b, err := os.ReadFile(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	lPath := filepath.Join(f.TempDir(), "latency.json")
+	if err := WriteLatencyDoc(lPath, latRows()); err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(lPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"results":[]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "doc.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ReadDoc(path)
+		if err != nil {
+			return
+		}
+		if _, err := CompareDocs(d, d, DefaultTolerance()); err != nil {
+			t.Logf("self-compare refused: %v", err)
+		}
+	})
 }
