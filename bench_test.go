@@ -360,16 +360,19 @@ var runnerSeqNs float64
 // fewer CPUs compute-bound speedup is physically impossible, so the
 // floor is skipped with a log line. parallel=4 also fails if
 // parallel=1 did not run first, since there is no speedup to check.
+// Every iteration builds its own runner, so each one simulates the
+// whole sweep rather than reading the previous iteration's runs back
+// from the run memo.
 func BenchmarkRunnerMatrix(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			r := experiments.NewRunner(
-				experiments.WithOps(benchOps),
-				experiments.WithWorkloads("array", "hash", "queue"),
-				experiments.WithParallelism(par),
-				experiments.WithConfig(func() sim.Config { return benchCfg("star") }),
-			)
 			for i := 0; i < b.N; i++ {
+				r := experiments.NewRunner(
+					experiments.WithOps(benchOps),
+					experiments.WithWorkloads("array", "hash", "queue"),
+					experiments.WithParallelism(par),
+					experiments.WithConfig(func() sim.Config { return benchCfg("star") }),
+				)
 				if _, err := r.SchemeComparison(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}

@@ -245,8 +245,9 @@ func run() int {
 // is done — the headless counterpart of the -http expvar endpoint.
 func printFinalStats(prog string, r *experiments.Runner) {
 	s := r.Snapshot()
-	fmt.Fprintf(os.Stderr, "%s: done: %d/%d cells in %.1fs (%d machines built, %d reused, %.1f cells/s)\n",
-		prog, s.CellsDone, s.CellsTotal, r.WallTime().Seconds(), s.MachinesBuilt, s.MachinesReused, s.CellsPerSec)
+	wall := r.WallTime().Seconds()
+	fmt.Fprintf(os.Stderr, "%s: done: %d/%d cells in %.1fs (%d machines built, %d reused, %d runs shared, %.1f cells/s)\n",
+		prog, s.CellsDone, s.CellsTotal, wall, s.MachinesBuilt, s.MachinesReused, s.RunsShared, float64(s.CellsDone)/wall)
 	for _, w := range s.Workers {
 		busy := time.Duration(w.BusyNs).Seconds()
 		idle := time.Duration(w.IdleNs).Seconds()

@@ -145,8 +145,9 @@ func run() int {
 	}
 	if *progress {
 		s := r.Snapshot()
-		fmt.Fprintf(os.Stderr, "starreport: done: %d/%d cells in %.1fs (%d machines built, %d reused, %.1f cells/s)\n",
-			s.CellsDone, s.CellsTotal, r.WallTime().Seconds(), s.MachinesBuilt, s.MachinesReused, s.CellsPerSec)
+		wall := r.WallTime().Seconds()
+		fmt.Fprintf(os.Stderr, "starreport: done: %d/%d cells in %.1fs (%d machines built, %d reused, %d runs shared, %.1f cells/s)\n",
+			s.CellsDone, s.CellsTotal, wall, s.MachinesBuilt, s.MachinesReused, s.RunsShared, float64(s.CellsDone)/wall)
 		for _, w := range s.Workers {
 			busy := time.Duration(w.BusyNs).Seconds()
 			idle := time.Duration(w.IdleNs).Seconds()

@@ -8,26 +8,21 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"nvmstar/internal/memline"
 )
 
-// Entry is one cache line slot.
+// Entry is one cache line slot. Its address and LRU stamp live in the
+// cache's tag and stamp arrays, not in the entry: a set probe compares
+// tags only, and victim selection reads stamps only.
 type Entry struct {
-	Addr   uint64 // line-aligned byte address
 	Data   memline.Line
 	Dirty  bool
-	valid  bool
 	pinned bool
-	lru    uint64 // global LRU stamp; larger = more recently used
 }
 
 // Pinned reports whether the entry is exempt from victim selection.
 func (e *Entry) Pinned() bool { return e.pinned }
-
-// Valid reports whether the slot holds a line.
-func (e *Entry) Valid() bool { return e.valid }
 
 // Config sizes a cache.
 type Config struct {
@@ -59,14 +54,29 @@ type EvictFn func(addr uint64, data memline.Line, dirty bool)
 // Cache is a set-associative write-back cache. It is not safe for
 // concurrent use; the simulator is single-goroutine by design so every
 // run is deterministic.
+//
+// Slots are stored set-major in flat arrays: tags holds one word per
+// slot (the line address with bit 0 set when the slot is valid, 0 when
+// it is empty — line addresses are 64-byte aligned, so bit 0 is free),
+// stamps the slot's LRU stamp (larger = more recently used) and lines
+// the entries. A lookup scans only the set's tags, one contiguous
+// 64-byte run for an 8-way set, and touches the matching entry alone;
+// victim selection scans the set's stamps.
 type Cache struct {
 	cfg     Config
 	numSets int
-	sets    [][]Entry
+	tags    []uint64
+	stamps  []uint64
+	lines   []Entry
 	clock   uint64
 	stats   Stats
 	dirty   int // number of dirty lines currently held
 }
+
+// tagOf is the tag word of a valid slot holding the line at addr, and
+// addrOf its inverse.
+func tagOf(addr uint64) uint64 { return addr | 1 }
+func addrOf(tag uint64) uint64 { return tag &^ 1 }
 
 // New creates a cache. SizeBytes must be a multiple of Ways*64 and the
 // resulting set count must be a power of two (so set indexing is a
@@ -86,12 +96,13 @@ func New(cfg Config) (*Cache, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", numSets)
 	}
-	sets := make([][]Entry, numSets)
-	backing := make([]Entry, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, numSets: numSets, sets: sets}, nil
+	return &Cache{
+		cfg:     cfg,
+		numSets: numSets,
+		tags:    make([]uint64, lineCapacity),
+		stamps:  make([]uint64, lineCapacity),
+		lines:   make([]Entry, lineCapacity),
+	}, nil
 }
 
 // MustNew is New but panics on error, for tests and fixed configs.
@@ -110,7 +121,7 @@ func (c *Cache) NumSets() int { return c.numSets }
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() int { return c.numSets * c.cfg.Ways }
+func (c *Cache) Lines() int { return len(c.tags) }
 
 // SetIndex returns the set an address maps to.
 func (c *Cache) SetIndex(addr uint64) int {
@@ -123,13 +134,28 @@ func (c *Cache) Stats() Stats { return c.stats }
 // DirtyCount returns the number of dirty lines currently cached.
 func (c *Cache) DirtyCount() int { return c.dirty }
 
-// find returns the entry holding addr, or nil.
-func (c *Cache) find(addr uint64) *Entry {
-	set := c.sets[c.SetIndex(addr)]
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			return &set[i]
+// setTags returns the first slot of addr's set and the set's tags.
+func (c *Cache) setTags(addr uint64) (base int, tags []uint64) {
+	base = c.SetIndex(addr) * c.cfg.Ways
+	return base, c.tags[base : base+c.cfg.Ways]
+}
+
+// slot returns the slot holding the line-aligned addr, or -1.
+func (c *Cache) slot(addr uint64) int {
+	base, tags := c.setTags(addr)
+	want := tagOf(addr)
+	for i, t := range tags {
+		if t == want {
+			return base + i
 		}
+	}
+	return -1
+}
+
+// find returns the entry holding the line-aligned addr, or nil.
+func (c *Cache) find(addr uint64) *Entry {
+	if i := c.slot(addr); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -137,12 +163,11 @@ func (c *Cache) find(addr uint64) *Entry {
 // Lookup returns the cached line and whether it was present, updating
 // LRU order and hit/miss statistics.
 func (c *Cache) Lookup(addr uint64) (*Entry, bool) {
-	addr = memline.Align(addr)
-	if e := c.find(addr); e != nil {
+	if i := c.slot(memline.Align(addr)); i >= 0 {
 		c.clock++
-		e.lru = c.clock
+		c.stamps[i] = c.clock
 		c.stats.Hits++
-		return e, true
+		return &c.lines[i], true
 	}
 	c.stats.Misses++
 	return nil, false
@@ -156,7 +181,7 @@ func (c *Cache) Peek(addr uint64) (*Entry, bool) {
 
 // Contains reports presence without touching LRU order or stats.
 func (c *Cache) Contains(addr uint64) bool {
-	return c.find(memline.Align(addr)) != nil
+	return c.slot(memline.Align(addr)) >= 0
 }
 
 // Insert places a line in the cache, evicting the set's LRU victim if
@@ -164,73 +189,92 @@ func (c *Cache) Contains(addr uint64) bool {
 // address that is already present overwrites it in place.
 func (c *Cache) Insert(addr uint64, data memline.Line, dirty bool, onEvict EvictFn) *Entry {
 	addr = memline.Align(addr)
-	if e := c.find(addr); e != nil {
+	if i := c.slot(addr); i >= 0 {
+		e := &c.lines[i]
 		if dirty && !e.Dirty {
 			c.dirty++
 		}
 		e.Data = data
 		e.Dirty = e.Dirty || dirty
 		c.clock++
-		e.lru = c.clock
+		c.stamps[i] = c.clock
 		return e
 	}
-	victim := c.victimSlot(c.SetIndex(addr))
-	if victim == nil {
+	v := c.victimSlot(addr)
+	if v < 0 {
 		panic(fmt.Sprintf("cache: every way of set %d is pinned", c.SetIndex(addr)))
 	}
-	if victim.valid {
+	victim := &c.lines[v]
+	if tag := c.tags[v]; tag != 0 {
 		c.stats.Evictions++
 		if victim.Dirty {
 			c.stats.DirtyEvicts++
 			c.dirty--
 		}
 		if onEvict != nil {
-			onEvict(victim.Addr, victim.Data, victim.Dirty)
+			onEvict(addrOf(tag), victim.Data, victim.Dirty)
 		}
 	}
 	c.clock++
-	*victim = Entry{Addr: addr, Data: data, Dirty: dirty, valid: true, lru: c.clock}
+	c.tags[v] = tagOf(addr)
+	c.stamps[v] = c.clock
+	victim.Data, victim.Dirty, victim.pinned = data, dirty, false
 	if dirty {
 		c.dirty++
 	}
 	return victim
 }
 
-// victimSlot returns the slot Insert would fill in this set: the first
-// invalid slot, else the least recently used unpinned entry, or nil if
-// every valid slot is pinned.
-func (c *Cache) victimSlot(set int) *Entry {
-	var victim *Entry
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
-		if !e.valid {
-			return e
+// victimSlot returns the slot Insert would fill in addr's set: the
+// first empty slot, else the least recently used unpinned entry, or -1
+// if every valid slot is pinned.
+func (c *Cache) victimSlot(addr uint64) int {
+	base, tags := c.setTags(addr)
+	stamps := c.stamps[base : base+len(tags)]
+	oldest := 0
+	for i, t := range tags {
+		if t == 0 {
+			return base + i
 		}
-		if e.pinned {
+		if stamps[i] < stamps[oldest] {
+			oldest = i
+		}
+	}
+	if !c.lines[base+oldest].pinned {
+		return base + oldest
+	}
+	// Pins are rare: only now look at every way's pin.
+	victim := -1
+	for i := range tags {
+		if c.lines[base+i].pinned {
 			continue
 		}
-		if victim == nil || e.lru < victim.lru {
-			victim = e
+		if victim < 0 || stamps[i] < stamps[victim] {
+			victim = i
 		}
 	}
-	return victim
+	if victim < 0 {
+		return -1
+	}
+	return base + victim
 }
 
-// VictimFor previews the eviction Insert(addr, ...) would perform:
-// the valid entry that would leave the cache, or ok=false when the
-// insertion needs no eviction (the address is already present, or a
-// free slot exists). The engine uses it to flush dirty victims before
-// the insertion, so dirty lines never leave the cache unwritten.
-func (c *Cache) VictimFor(addr uint64) (*Entry, bool) {
+// VictimFor previews the eviction Insert(addr, ...) would perform: the
+// address and dirty bit of the valid line that would leave the cache,
+// or ok=false when the insertion needs no eviction (the address is
+// already present, or a free slot exists). The engine uses it to flush
+// dirty victims before the insertion, so dirty lines never leave the
+// cache unwritten.
+func (c *Cache) VictimFor(addr uint64) (victim uint64, dirty, ok bool) {
 	addr = memline.Align(addr)
-	if c.find(addr) != nil {
-		return nil, false
+	if c.slot(addr) >= 0 {
+		return 0, false, false
 	}
-	v := c.victimSlot(c.SetIndex(addr))
-	if v == nil || !v.valid {
-		return nil, false
+	v := c.victimSlot(addr)
+	if v < 0 || c.tags[v] == 0 {
+		return 0, false, false
 	}
-	return v, true
+	return addrOf(c.tags[v]), c.lines[v].Dirty, true
 }
 
 // Pin exempts a cached line from victim selection, returning whether
@@ -301,48 +345,53 @@ func (c *Cache) CleanEntry(e *Entry) (wasDirty bool) {
 	return wasDirty
 }
 
-// Invalidate removes a line from the cache without writing it back and
-// returns the entry contents if it was present. Cross-core migration
-// and crash modeling use it.
-func (c *Cache) Invalidate(addr uint64) (Entry, bool) {
-	e := c.find(memline.Align(addr))
-	if e == nil {
-		return Entry{}, false
+// Invalidate removes a line from the cache without writing it back.
+// When data is non-nil the line's contents are moved into it. It
+// returns the line's dirty bit and whether it was present. Cross-core
+// migration and crash modeling use it.
+func (c *Cache) Invalidate(addr uint64, data *memline.Line) (dirty, ok bool) {
+	i := c.slot(memline.Align(addr))
+	if i < 0 {
+		return false, false
 	}
-	out := *e
-	if e.Dirty {
+	e := &c.lines[i]
+	if data != nil {
+		*data = e.Data
+	}
+	dirty = e.Dirty
+	if dirty {
 		c.dirty--
 	}
-	*e = Entry{}
-	return out, true
+	// A zero tag frees the slot; its entry is dead until Insert
+	// rewrites every field.
+	c.tags[i] = 0
+	return dirty, true
 }
 
 // Take is Invalidate for a demand probe of an exclusive hierarchy: the
 // line moves out and the probe counts as a hit or a miss. LRU order is
 // left alone — a hit leaves the set, so there is no recency to update.
-func (c *Cache) Take(addr uint64) (Entry, bool) {
-	e, ok := c.Invalidate(addr)
+func (c *Cache) Take(addr uint64, data *memline.Line) (dirty, ok bool) {
+	dirty, ok = c.Invalidate(addr, data)
 	if ok {
 		c.stats.Hits++
 	} else {
 		c.stats.Misses++
 	}
-	return e, ok
+	return dirty, ok
 }
 
 // FlushAll writes back every dirty line through onEvict and marks the
 // whole cache clean but still resident. A nil onEvict just cleans.
 func (c *Cache) FlushAll(onEvict EvictFn) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			e := &c.sets[s][i]
-			if e.valid && e.Dirty {
-				if onEvict != nil {
-					onEvict(e.Addr, e.Data, true)
-				}
-				e.Dirty = false
-				c.dirty--
+	for i, tag := range c.tags {
+		e := &c.lines[i]
+		if tag != 0 && e.Dirty {
+			if onEvict != nil {
+				onEvict(addrOf(tag), e.Data, true)
 			}
+			e.Dirty = false
+			c.dirty--
 		}
 	}
 }
@@ -350,19 +399,17 @@ func (c *Cache) FlushAll(onEvict EvictFn) {
 // DropAll invalidates every line without write-back: the cache's
 // contents vanish, as volatile state does at a crash.
 func (c *Cache) DropAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = Entry{}
-		}
-	}
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.lines)
 	c.dirty = 0
 }
 
 // Reset restores the cache to its just-constructed state — every line
-// invalid, LRU clock and statistics zeroed — reusing the entry backing
-// array. The LRU clock must rewind along with the entries: victim
-// selection compares stamps, so a stale clock would change eviction
-// order relative to a fresh cache.
+// invalid, LRU clock and statistics zeroed — reusing the slot arrays.
+// The LRU clock must rewind along with the entries: victim selection
+// compares stamps, so a stale clock would change eviction order
+// relative to a fresh cache.
 func (c *Cache) Reset() {
 	c.DropAll()
 	c.clock = 0
@@ -373,24 +420,19 @@ func (c *Cache) Reset() {
 // pins, dirty bits and statistics, in freshly allocated storage. The
 // copy and the original may then be used from different goroutines.
 func (c *Cache) Fork() *Cache {
-	f := &Cache{cfg: c.cfg, numSets: c.numSets, clock: c.clock, stats: c.stats, dirty: c.dirty}
-	backing := make([]Entry, c.numSets*c.cfg.Ways)
-	f.sets = make([][]Entry, c.numSets)
-	for i := range f.sets {
-		f.sets[i] = backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
-		copy(f.sets[i], c.sets[i])
-	}
-	return f
+	f := *c
+	f.tags = append([]uint64(nil), c.tags...)
+	f.stamps = append([]uint64(nil), c.stamps...)
+	f.lines = append([]Entry(nil), c.lines...)
+	return &f
 }
 
-// Range calls fn for every valid entry. Iteration order is by set then
-// way, which is deterministic.
-func (c *Cache) Range(fn func(e *Entry)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				fn(&c.sets[s][i])
-			}
+// Range calls fn for every valid entry with its address. Iteration
+// order is by set then way, which is deterministic.
+func (c *Cache) Range(fn func(addr uint64, e *Entry)) {
+	for i, tag := range c.tags {
+		if tag != 0 {
+			fn(addrOf(tag), &c.lines[i])
 		}
 	}
 }
@@ -398,26 +440,9 @@ func (c *Cache) Range(fn func(e *Entry)) {
 // SlotOf returns the (set, way) position of a cached address. The
 // Anubis baseline keys its shadow-table entries by cache slot.
 func (c *Cache) SlotOf(addr uint64) (set, way int, ok bool) {
-	addr = memline.Align(addr)
-	set = c.SetIndex(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].Addr == addr {
-			return set, i, true
-		}
+	i := c.slot(memline.Align(addr))
+	if i < 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
-}
-
-// SetEntries returns the valid entries of one set ordered by ascending
-// address. The cache-tree's set-MACs are defined over exactly this
-// ordering.
-func (c *Cache) SetEntries(set int) []*Entry {
-	var out []*Entry
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid {
-			out = append(out, &c.sets[set][i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	return i / c.cfg.Ways, i % c.cfg.Ways, true
 }

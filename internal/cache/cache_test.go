@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nvmstar/internal/memline"
 )
@@ -123,8 +124,9 @@ func TestInsertExistingMergesDirty(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := tiny(t)
 	c.Insert(0, memline.Line{9}, true, nil)
-	e, ok := c.Invalidate(0)
-	if !ok || e.Data[0] != 9 || !e.Dirty {
+	var data memline.Line
+	dirty, ok := c.Invalidate(0, &data)
+	if !ok || data[0] != 9 || !dirty {
 		t.Fatal("Invalidate did not return the entry")
 	}
 	if c.Contains(0) {
@@ -154,23 +156,6 @@ func TestFlushAllAndDropAll(t *testing.T) {
 	c.DropAll()
 	if c.Contains(0) || c.Contains(64) {
 		t.Fatal("DropAll left lines")
-	}
-}
-
-func TestSetEntriesOrdered(t *testing.T) {
-	c := MustNew(Config{SizeBytes: 64 * 8, Ways: 4}) // 2 sets
-	// set 0 receives even line indices.
-	c.Insert(4*64, memline.Line{}, true, nil)
-	c.Insert(0*64, memline.Line{}, true, nil)
-	c.Insert(8*64, memline.Line{}, false, nil)
-	entries := c.SetEntries(0)
-	if len(entries) != 3 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Addr >= entries[i].Addr {
-			t.Fatal("SetEntries not ascending")
-		}
 	}
 }
 
@@ -204,11 +189,11 @@ func TestDirtyCountInvariantQuick(t *testing.T) {
 			case 2:
 				c.CleanLine(addr)
 			case 3:
-				c.Invalidate(addr)
+				c.Invalidate(addr, nil)
 			}
 		}
 		count := 0
-		c.Range(func(e *Entry) {
+		c.Range(func(_ uint64, e *Entry) {
 			if e.Dirty {
 				count++
 			}
@@ -217,5 +202,15 @@ func TestDirtyCountInvariantQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlotFootprint pins the memory cost of one slot: tag word, LRU
+// stamp and entry must not exceed the 88-byte entry (address, data,
+// flags, stamp) each slot cost before the tag array.
+func TestSlotFootprint(t *testing.T) {
+	const tagAndStamp = 2 * unsafe.Sizeof(uint64(0))
+	if got := unsafe.Sizeof(Entry{}) + tagAndStamp; got > 88 {
+		t.Fatalf("a slot costs %d bytes, want at most 88", got)
 	}
 }

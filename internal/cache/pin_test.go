@@ -79,9 +79,9 @@ func TestVictimForMatchesInsert(t *testing.T) {
 	c.Insert(64, memline.Line{}, false, nil)
 	c.Lookup(0) // 64 becomes LRU
 
-	victim, ok := c.VictimFor(128)
-	if !ok || victim.Addr != 64 {
-		t.Fatalf("VictimFor = %+v (ok=%v), want line 64", victim, ok)
+	victim, dirty, ok := c.VictimFor(128)
+	if !ok || victim != 64 || dirty {
+		t.Fatalf("VictimFor = %#x (dirty=%v, ok=%v), want clean line 64", victim, dirty, ok)
 	}
 	var evicted uint64
 	c.Insert(128, memline.Line{}, false, func(addr uint64, _ memline.Line, _ bool) {
@@ -95,12 +95,12 @@ func TestVictimForMatchesInsert(t *testing.T) {
 func TestVictimForNoEvictionCases(t *testing.T) {
 	c := pinCache(t)
 	// Free slot: no eviction needed.
-	if _, ok := c.VictimFor(0); ok {
+	if _, _, ok := c.VictimFor(0); ok {
 		t.Fatal("VictimFor reported eviction with free slots")
 	}
 	c.Insert(0, memline.Line{}, false, nil)
 	// Address already present: overwrite in place.
-	if _, ok := c.VictimFor(0); ok {
+	if _, _, ok := c.VictimFor(0); ok {
 		t.Fatal("VictimFor reported eviction for resident address")
 	}
 }

@@ -29,7 +29,10 @@ import (
 // slots in ascending seed order — output is bit-identical to a
 // sequential fresh-machine sweep regardless of pool width or dispatch
 // order, because Machine.Reset(seed) is equivalent to building a new
-// machine with that seed.
+// machine with that seed. A run the runner has already computed — same
+// seeded configuration, workload and operation count — is not
+// simulated again: the run memo hands later units a copy of the first
+// unit's Results.
 type Runner struct {
 	ops       int
 	seeds     int
@@ -51,6 +54,9 @@ type Runner struct {
 	// one sweep refine the next one's schedule.
 	costs *costModel
 
+	// memo holds every run this runner has completed, across sweeps.
+	memo runMemo
+
 	// Live sweep introspection, cumulative across this runner's sweeps
 	// and read lock-free by Snapshot (expvar handlers poll it from
 	// other goroutines while a sweep runs).
@@ -58,6 +64,7 @@ type Runner struct {
 	cellsTotal     atomic.Int64
 	machinesBuilt  atomic.Int64
 	machinesReused atomic.Int64
+	runsShared     atomic.Int64
 	sweepDone      atomic.Int64 // units completed in the active sweep
 	sweepStart     atomic.Int64 // UnixNano of the active sweep's start
 	sweepEnd       atomic.Int64 // UnixNano of the active sweep's completion (0 while running)
@@ -236,6 +243,7 @@ type Stats struct {
 	CellsTotal     int64        // units enqueued
 	MachinesBuilt  int64        // simulator machines constructed from scratch
 	MachinesReused int64        // units served by Reset-ing a pooled machine
+	RunsShared     int64        // units served by the run memo, with no machine at all
 	CellsPerSec    float64      // completion rate of the active/last sweep
 	Workers        []WorkerStat // per-lane busy/idle accounting (empty before any sweep)
 }
@@ -252,6 +260,7 @@ func (r *Runner) Snapshot() Stats {
 		CellsTotal:     r.cellsTotal.Load(),
 		MachinesBuilt:  r.machinesBuilt.Load(),
 		MachinesReused: r.machinesReused.Load(),
+		RunsShared:     r.runsShared.Load(),
 	}
 	if start := r.sweepStart.Load(); start != 0 {
 		if done := r.sweepDone.Load(); done > 0 {
@@ -302,7 +311,9 @@ func (r *Runner) record(sweep string, c Cell, wall time.Duration, v any, err err
 // BuildManifest assembles the provenance manifest of everything the
 // attached collector has recorded: environment, seedless config
 // fingerprint, seed matrix, final Stats, wall and simulated time, and
-// the per-cell digest trail. gitRev overrides git-revision detection
+// the per-cell digest trail. The recorded cells/s is the whole run's
+// rate — every completed unit over the wall time of all sweeps — not
+// the last sweep's. gitRev overrides git-revision detection
 // (empty runs `git rev-parse` best-effort). Call it after the sweeps
 // of interest have completed; the manifest is sealed with its own
 // digest over the run-invariant subset.
@@ -316,6 +327,11 @@ func (r *Runner) BuildManifest(gitRev string) (*provenance.Manifest, error) {
 		seeds[i] = cfg.Seed + uint64(i)*7919
 	}
 	stats := r.Snapshot()
+	wall := r.WallTime()
+	var cellsPerSec float64
+	if wall > 0 {
+		cellsPerSec = float64(stats.CellsDone) / wall.Seconds()
+	}
 	m := &provenance.Manifest{
 		Schema:    provenance.SchemaVersion,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
@@ -333,9 +349,9 @@ func (r *Runner) BuildManifest(gitRev string) (*provenance.Manifest, error) {
 			CellsDone:      stats.CellsDone,
 			MachinesBuilt:  stats.MachinesBuilt,
 			MachinesReused: stats.MachinesReused,
-			CellsPerSec:    stats.CellsPerSec,
+			CellsPerSec:    cellsPerSec,
 		},
-		WallNs:    r.wallNs.Load(),
+		WallNs:    wall.Nanoseconds(),
 		SimTimeNs: r.collector.SimTimeNs(),
 		Cells:     r.collector.Cells(),
 	}
@@ -408,6 +424,9 @@ type machinePool struct {
 	// live counters (nil in tests that construct pools directly).
 	built  *atomic.Int64
 	reused *atomic.Int64
+	// shared is set by the run memo when the worker's current unit was
+	// served from another unit's run; dispatch clears it per unit.
+	shared bool
 }
 
 func bump(c *atomic.Int64) {
@@ -557,12 +576,19 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 				}
 				unitStart := time.Now()
 				r.workerIdleNs[worker].Add(unitStart.Sub(idleSince).Nanoseconds())
+				mp.shared = false
 				err := job(ctx, mp, units[i])
 				wall := time.Since(unitStart)
 				idleSince = time.Now()
 				r.workerBusyNs[worker].Add(wall.Nanoseconds())
 				r.workerUnits[worker].Add(1)
-				r.costs.observe(keys[i], static[i], wall)
+				// A memo hit's near-zero wall says nothing about what
+				// its cost key takes to simulate.
+				if mp.shared {
+					r.runsShared.Add(1)
+				} else {
+					r.costs.observe(keys[i], static[i], wall)
+				}
 				r.cellsDone.Add(1)
 				r.sweepDone.Add(1)
 				if err != nil {
@@ -664,16 +690,98 @@ func (r *Runner) opsFor(scheme string) int {
 	return r.ops
 }
 
-// runSeed executes one single-seed cell on a pooled machine.
+// runSeed executes one single-seed cell.
 func (r *Runner) runSeed(ctx context.Context, mp *machinePool, c Cell) (*sim.Results, error) {
 	cfg := r.cfg()
 	cfg.Scheme = c.Scheme
 	cfg.Seed += uint64(c.Seed) * 7919
+	return r.run(ctx, mp, cfg, c.Workload, r.opsFor(c.Scheme))
+}
+
+// --- run memo ------------------------------------------------------------
+
+// runMemo is a Runner's single-flight memo of completed simulator runs.
+// The simulator is deterministic, so a run is a function of its seeded
+// configuration, workload and operation count: an equal key means an
+// equal run. The paper's sweeps repeat many runs — Fig. 10, Figs.
+// 11–13, Fig. 14a and Table II's default ADR point all simulate the
+// same default wb and star runs — and the memo computes each once per
+// Runner. It is always on; there is nothing to tune.
+type runMemo struct {
+	mu   sync.Mutex
+	runs map[string]*memoRun
+}
+
+// memoRun is one run, in flight or completed. done closes when the
+// unit running it finishes; res is then the stored result, or nil if
+// the run failed (failed runs are dropped from the memo, not stored).
+type memoRun struct {
+	done chan struct{}
+	res  *sim.Results
+}
+
+// run returns the Results of running workload for ops operations on a
+// machine configured by cfg. The first unit with a key simulates it on
+// a pooled machine; a unit arriving while that run is in flight waits
+// for it (or for ctx); later units get a copy of the stored Results.
+// Every caller gets Results it owns — seed merges mutate them in place
+// — so the stored value is never handed out. A caller-supplied crypto
+// suite is not fingerprintable, so such configs bypass the memo as
+// they bypass the machine pool.
+func (r *Runner) run(ctx context.Context, mp *machinePool, cfg sim.Config, workload string, ops int) (*sim.Results, error) {
+	if cfg.Suite != nil {
+		return simulate(ctx, mp, cfg, workload, ops)
+	}
+	key := memoKey(cfg, workload, ops)
+	for {
+		r.memo.mu.Lock()
+		e, found := r.memo.runs[key]
+		if !found {
+			e = &memoRun{done: make(chan struct{})}
+			if r.memo.runs == nil {
+				r.memo.runs = make(map[string]*memoRun)
+			}
+			r.memo.runs[key] = e
+		}
+		r.memo.mu.Unlock()
+		if !found {
+			res, err := simulate(ctx, mp, cfg, workload, ops)
+			r.memo.mu.Lock()
+			if err != nil {
+				delete(r.memo.runs, key)
+			} else {
+				e.res = res.Clone()
+			}
+			r.memo.mu.Unlock()
+			close(e.done)
+			return res, err
+		}
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if e.res != nil {
+			mp.shared = true
+			return e.res.Clone(), nil
+		}
+		// The run failed; run it again under this unit's own context.
+	}
+}
+
+// memoKey identifies a run: the full seeded configuration, printed as
+// machinePool prints it, plus the workload and operation count.
+func memoKey(cfg sim.Config, workload string, ops int) string {
+	return fmt.Sprintf("%+v %s %d", cfg, workload, ops)
+}
+
+// simulate runs workload for ops operations on a pooled machine.
+func simulate(ctx context.Context, mp *machinePool, cfg sim.Config, workload string, ops int) (*sim.Results, error) {
 	m, err := mp.machine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.RunCtx(ctx, c.Workload, r.opsFor(c.Scheme))
+	return m.RunCtx(ctx, workload, ops)
 }
 
 // runCellsAveraged executes seed-averaged cells at seed-unit grain:
@@ -858,12 +966,7 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 		cfg := r.cfg()
 		cfg.Scheme = "star"
 		cfg.Bitmap = bitmap.Config{ADRL1Lines: p.lines - p.l2, ADRL2Lines: p.l2}
-		m, err := mp.machine(cfg)
-		if err != nil {
-			r.record("table2", cells[i], time.Since(start), nil, err)
-			return err
-		}
-		res, err := m.RunCtx(ctx, cells[i].Workload, r.opsFor("star"))
+		res, err := r.run(ctx, mp, cfg, cells[i].Workload, r.opsFor("star"))
 		if err != nil {
 			r.record("table2", cells[i], time.Since(start), nil, err)
 			return err

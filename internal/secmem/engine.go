@@ -367,16 +367,16 @@ func (e *Engine) PeekDataMAC(addr uint64) (uint64, bool) {
 func (e *Engine) insertMeta(id sit.NodeID, line memline.Line, aux *nodeAux) (inserted bool, err error) {
 	addr := e.geo.NodeAddr(id)
 	for tries := 0; ; tries++ {
-		victim, needsEvict := e.meta.VictimFor(addr)
-		if !needsEvict || !victim.Dirty {
+		victim, dirty, needsEvict := e.meta.VictimFor(addr)
+		if !needsEvict || !dirty {
 			break
 		}
 		if tries > 4*e.meta.Ways() {
 			return false, fmt.Errorf("secmem: cannot clean a victim for %v: set thrashing", id)
 		}
-		vid, ok := e.geo.NodeAt(victim.Addr)
+		vid, ok := e.geo.NodeAt(victim)
 		if !ok {
-			panic(fmt.Sprintf("secmem: non-metadata line %#x in metadata cache", victim.Addr))
+			panic(fmt.Sprintf("secmem: non-metadata line %#x in metadata cache", victim))
 		}
 		if err := e.FlushNode(vid); err != nil {
 			return false, err
@@ -640,11 +640,11 @@ func (e *Engine) FlushAllMetadata() error {
 	for {
 		var pickID sit.NodeID
 		found := false
-		e.meta.Range(func(ent *cache.Entry) {
+		e.meta.Range(func(addr uint64, ent *cache.Entry) {
 			if !ent.Dirty {
 				return
 			}
-			id, ok := e.geo.NodeAt(ent.Addr)
+			id, ok := e.geo.NodeAt(addr)
 			if !ok {
 				return
 			}

@@ -387,19 +387,19 @@ func (m *Machine) deleteOwner(addr uint64) {
 // takeFrom extracts a line from a cache if present (exclusive move).
 // A demand probe — ensureL1 searching the core's own L2, then the
 // shared L3 — counts a hit or miss; cross-core migration does not.
+// The line moves straight into *data; *data and *dirty are left alone
+// on a miss.
 func (m *Machine) takeFrom(from *cache.Cache, addr uint64, data *memline.Line, dirty *bool, demand bool) bool {
-	var e cache.Entry
-	var ok bool
+	var d, ok bool
 	if demand {
-		e, ok = from.Take(addr)
+		d, ok = from.Take(addr, data)
 	} else {
-		e, ok = from.Invalidate(addr)
+		d, ok = from.Invalidate(addr, data)
 	}
-	if !ok {
-		return false
+	if ok {
+		*dirty = d
 	}
-	*data, *dirty = e.Data, e.Dirty
-	return true
+	return ok
 }
 
 // takeFromOtherCore migrates a line out of another core's private

@@ -10,6 +10,12 @@ package sim
 // the identity fields) deliberately keep the first seed's values, as
 // the legacy loop did.
 
+import (
+	"slices"
+
+	"nvmstar/internal/telemetry"
+)
+
 // Accumulate adds o's seed-averaged counters into r. It is one step of
 // the seed-averaging fold: r starts as the seed-0 Results and each
 // later seed is accumulated in ascending order, then DivideBy(seeds)
@@ -86,4 +92,30 @@ func (r *Results) DivideBy(n int) {
 	}
 	r.WriteBreakdown.DivideBy(n)
 	r.Latency.DivideBy(n)
+}
+
+// Clone returns a deep copy of r: no pointer or slice of the copy
+// aliases r, so the copy may be accumulated, divided or handed to
+// another goroutine while r stays untouched.
+func (r *Results) Clone() *Results {
+	c := *r
+	if r.Bitmap != nil {
+		b := *r.Bitmap
+		c.Bitmap = &b
+	}
+	if r.Anubis != nil {
+		a := *r.Anubis
+		c.Anubis = &a
+	}
+	if r.Timelines != nil {
+		c.Timelines = make([]telemetry.Timeline, len(r.Timelines))
+		for i, tl := range r.Timelines {
+			tl.TimesNs = slices.Clone(tl.TimesNs)
+			tl.Values = slices.Clone(tl.Values)
+			c.Timelines[i] = tl
+		}
+	}
+	c.WriteBreakdown = r.WriteBreakdown.Sub(nil)
+	c.Latency = r.Latency.Copy()
+	return &c
 }

@@ -162,3 +162,45 @@ func TestAccumulateCopiesBitmap(t *testing.T) {
 		t.Fatal("Accumulate changed the original Bitmap stats")
 	}
 }
+
+// TestResultsCloneIsDeep pins Clone's contract, which the experiment
+// runner's run memo relies on when it hands one run to several seed
+// merges: the clone equals the original, and mutating every pointer
+// and slice the clone holds leaves the original untouched.
+func TestResultsCloneIsDeep(t *testing.T) {
+	for _, scheme := range []string{"star", "anubis"} {
+		cfg := observeConfig(scheme)
+		cfg.Telemetry = true
+		cfg.SampleEveryNs = 5000
+		res, _, err := RunScenario(cfg, "hash", 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WriteBreakdown == nil || res.Latency == nil || len(res.Timelines) == 0 ||
+			(res.Bitmap == nil && res.Anubis == nil) {
+			t.Fatalf("%s: run lacks a field Clone must copy: %+v", scheme, res)
+		}
+		want, _, err := RunScenario(cfg, "hash", 400) // the same run, sharing nothing with res
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Clone()
+		if !reflect.DeepEqual(c, res) {
+			t.Fatalf("%s: clone differs from the original", scheme)
+		}
+		if c.Bitmap != nil {
+			c.Bitmap.L1.Hits++
+		}
+		if c.Anubis != nil {
+			c.Anubis.STWrites++
+		}
+		c.WriteBreakdown.Causes[0].Banks[0]++
+		c.Latency.Ops[0].BucketsNs[0]++
+		c.Latency.Ops[0].Components = append(c.Latency.Ops[0].Components[:0], ComponentNs{})
+		c.Timelines[0].Values[0]++
+		c.Timelines[0].TimesNs[0]++
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: mutating the clone changed the original", scheme)
+		}
+	}
+}

@@ -15,6 +15,9 @@
 // costs the same regardless of its bytes, so replay synthesizes
 // deterministic data from (address, sequence) and traffic/timing
 // results are identical to the original run.
+//
+// An access size must lie in [1, MaxSize]; the reader rejects any
+// other record with an error.
 package trace
 
 import (
@@ -52,6 +55,13 @@ func (k Kind) letter() byte {
 		return '?'
 	}
 }
+
+// MaxSize bounds the size of one traced access: 1 MiB, twice the
+// largest access a built-in workload issues (the array workload's
+// 512 KiB set-up persist). Replay materializes loads and stores in a
+// buffer of the access size, so an unbounded size from a corrupt or
+// hostile trace would otherwise exhaust memory or panic.
+const MaxSize = 1 << 20
 
 // Entry is one traced access.
 type Entry struct {
@@ -181,8 +191,8 @@ func parse(text string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	if size <= 0 {
-		return Entry{}, fmt.Errorf("non-positive size %d", size)
+	if size <= 0 || size > MaxSize {
+		return Entry{}, fmt.Errorf("size %d outside [1, %d]", size, MaxSize)
 	}
 	e.Core, e.Addr, e.Size = core, addr, size
 	return e, nil
@@ -237,13 +247,17 @@ type CoreSetter interface {
 // Replay drives every entry through mem. Store data is synthesized
 // deterministically from (address, sequence). maxCore bounds the core
 // index (entries beyond it wrap), letting a trace from an 8-core run
-// replay on a smaller machine.
+// replay on a smaller machine. An access whose size lies outside
+// [1, MaxSize] is an error, as it is for the reader.
 func Replay(mem heap.Memory, cs CoreSetter, entries []Entry, maxCore int) error {
 	if maxCore <= 0 {
 		return fmt.Errorf("trace: maxCore must be positive")
 	}
 	buf := make([]byte, 0, 256)
 	for seq, e := range entries {
+		if e.Kind != KindFence && (e.Size <= 0 || e.Size > MaxSize) {
+			return fmt.Errorf("trace: entry %d: size %d outside [1, %d]", seq, e.Size, MaxSize)
+		}
 		cs.SetCore(e.Core % maxCore)
 		switch e.Kind {
 		case KindLoad:

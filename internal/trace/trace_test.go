@@ -62,6 +62,8 @@ func TestReaderRejectsGarbage(t *testing.T) {
 		"L 0 40\n",
 		"S 0 40 0\n",
 		"F\n",
+		"L 0 0 9000000000000000000\n", // once a makeslice panic in Replay
+		"P 0 0 1048577\n",             // one byte over MaxSize
 	} {
 		if _, err := trace.ReadAll(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
@@ -183,4 +185,47 @@ func TestReplayValidatesMaxCore(t *testing.T) {
 	if err := trace.Replay(m, m, nil, 0); err == nil {
 		t.Fatal("maxCore 0 accepted")
 	}
+}
+
+// FuzzTraceParse feeds arbitrary text to the reader and replays
+// whatever parses onto a small machine: bad input must come back as an
+// error, never a panic. Plain go test runs the seed corpus.
+func FuzzTraceParse(f *testing.F) {
+	for _, seed := range []string{
+		"L 0 40 8\nS 3 1000 40\nP 1 80 128\nF 2\n",
+		"# a comment\n\nL 0 40 8\n  \nF 1\n",
+		"X 0 40 8\n",
+		"L 0 zz 8\n",
+		"L 0 40\n",
+		"S 0 40 0\n",
+		"F\n",
+		"L 0 0 9000000000000000000\n",
+		"S -3 fffffffffffffff0 64\nP 7 ffffffffffffffff 1048576\n",
+	} {
+		f.Add(seed)
+	}
+	cfg := sim.Default()
+	cfg.Cores = 2
+	cfg.DataBytes = 1 << 20
+	cfg.L1 = cache.Config{SizeBytes: 1 << 10, Ways: 2}
+	cfg.L2 = cache.Config{SizeBytes: 4 << 10, Ways: 8}
+	cfg.L3 = cache.Config{SizeBytes: 8 << 10, Ways: 8}
+	cfg.MetaCache = cache.Config{SizeBytes: 4 << 10, Ways: 8}
+	cfg.Scheme = "star"
+	f.Fuzz(func(t *testing.T, in string) {
+		entries, err := trace.ReadAll(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, e := range entries {
+			if e.Kind != trace.KindFence && (e.Size <= 0 || e.Size > trace.MaxSize) {
+				t.Fatalf("entry %d parsed with size %d outside [1, %d]", i, e.Size, trace.MaxSize)
+			}
+		}
+		m, err := sim.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = trace.Replay(m, m, entries, cfg.Cores)
+	})
 }
