@@ -63,17 +63,27 @@ evaluation:
 
 # End-to-end observability gate: a sampled + traced timeline run and a
 # traced mini-sweep, with tracecheck asserting both Chrome trace-event
-# files parse and are non-empty (Perfetto-loadable).
+# files parse and are non-empty (Perfetto-loadable), and the
+# mini-sweep's six evaluation figures rendering non-empty.
+TELEMETRY_DIR = /tmp/nvmstar-telemetry
+
 verify-telemetry:
-	rm -rf /tmp/nvmstar-telemetry && mkdir -p /tmp/nvmstar-telemetry
+	rm -rf $(TELEMETRY_DIR) && mkdir -p $(TELEMETRY_DIR)
 	$(GO) run ./cmd/starplot -timeline -ops 3000 -sample-ns 5000 \
-		-out /tmp/nvmstar-telemetry
-	$(GO) run ./cmd/starbench -exp fig14a -ops 1500 -workloads hash,array \
-		-progress=false -trace-out /tmp/nvmstar-telemetry/sweep_trace.json
+		-out $(TELEMETRY_DIR)
+	$(GO) run ./cmd/starbench -exp all -ops 1500 -workloads hash,array \
+		-progress=false -trace-out $(TELEMETRY_DIR)/sweep_trace.json \
+		-svg $(TELEMETRY_DIR) > /dev/null
 	$(GO) run ./cmd/tracecheck -min 1 \
-		/tmp/nvmstar-telemetry/timeline_trace.json \
-		/tmp/nvmstar-telemetry/sweep_trace.json
-	test -s /tmp/nvmstar-telemetry/timeline_dirty_frac.svg
+		$(TELEMETRY_DIR)/timeline_trace.json \
+		$(TELEMETRY_DIR)/sweep_trace.json
+	test -s $(TELEMETRY_DIR)/timeline_dirty_frac.svg
+	test -s $(TELEMETRY_DIR)/fig10_bitmap_writes.svg
+	test -s $(TELEMETRY_DIR)/fig11_write_traffic.svg
+	test -s $(TELEMETRY_DIR)/fig12_ipc.svg
+	test -s $(TELEMETRY_DIR)/fig13_energy.svg
+	test -s $(TELEMETRY_DIR)/fig14a_dirty_fraction.svg
+	test -s $(TELEMETRY_DIR)/fig14b_recovery_time.svg
 
 # Observatory gate (write-cause attribution + per-op latency):
 # (1) the disabled path stays allocation-free on the engine's write hot
@@ -96,7 +106,7 @@ verify-observe:
 	grep -q ' 0 allocs/op' $(OBSERVE_DIR)/bench.txt
 	$(GO) test -count=1 -run 'OpenMetrics|Metrics|Histogram|Quantile' ./internal/telemetry
 	$(GO) test -count=1 -run 'Attr|Latency|Observ' ./internal/nvm ./internal/sim ./internal/experiments ./internal/regress
-	$(GO) run ./cmd/starreport -ops 1200 -workloads hash -observe -gate=false -progress=false \
+	$(GO) run ./cmd/starbench -exp report -ops 1200 -workloads hash -observe -gate=false -progress=false \
 		-latency-out $(OBSERVE_DIR)/latency.json \
 		> $(OBSERVE_DIR)/report.md
 	grep -q 'Write-cause breakdown' $(OBSERVE_DIR)/report.md
@@ -116,7 +126,7 @@ verify-observe:
 
 # Executable paper-vs-measured report; non-zero exit if a shape breaks.
 report:
-	$(GO) run ./cmd/starreport -ops 8000
+	$(GO) run ./cmd/starbench -exp report -ops 8000
 
 # Statistical regression gate. A smoke-sized sweep (deterministic: the
 # simulator's results depend only on config + seed, never on the host)
@@ -130,7 +140,7 @@ REGRESS_DIR = /tmp/nvmstar-regress
 
 regress:
 	rm -rf $(REGRESS_DIR) && mkdir -p $(REGRESS_DIR)
-	$(GO) run ./cmd/starreport $(REGRESS_FLAGS) \
+	$(GO) run ./cmd/starbench -exp report $(REGRESS_FLAGS) \
 		-manifest-out $(REGRESS_DIR)/manifest.json \
 		-shapes-out $(REGRESS_DIR)/shapes.json > $(REGRESS_DIR)/report.md
 	$(GO) run ./cmd/stardiff -tol regress.tolerance.json BASELINE_manifest.json $(REGRESS_DIR)/manifest.json
@@ -140,7 +150,7 @@ regress:
 # `make regress` runs. Do this deliberately, when a simulator change is
 # meant to move the numbers; the diff shows up in review.
 regress-baseline:
-	$(GO) run ./cmd/starreport $(REGRESS_FLAGS) \
+	$(GO) run ./cmd/starbench -exp report $(REGRESS_FLAGS) \
 		-manifest-out BASELINE_manifest.json \
 		-shapes-out BASELINE_shapes.json > /dev/null
 

@@ -1,7 +1,7 @@
 // Command tracecheck validates a Chrome trace-event JSON file as
-// produced by -trace-out (starplot, startrace, starbench): it must
-// parse in either the object or bare-array form Perfetto accepts and
-// contain at least -min events. The CI verify-telemetry target uses it
+// produced by -trace-out (starplot -timeline, startrace, starbench):
+// it must parse in either the object or bare-array form Perfetto
+// accepts and contain at least -min events. The CI verify-telemetry target uses it
 // as the machine check that tracing produced a loadable, non-empty
 // trace. With -names it additionally validates every event's name
 // against the simulator's known emission points — crash/recovery

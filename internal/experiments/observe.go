@@ -16,7 +16,7 @@ import (
 // per-(workload, scheme) totals: write-cause breakdowns sum, latency
 // bucket vectors merge deterministically and percentiles re-derive
 // from the merged buckets. It is the WithResultObserver consumer behind
-// starreport -observe: cells whose runs carried sim.Config.Observe
+// starbench -observe: cells whose runs carried sim.Config.Observe
 // contribute their WriteBreakdown and Latency as they complete; cells
 // without them are ignored. All methods are safe for concurrent use —
 // Observe runs on pool workers while MetricFamilies may be serving a

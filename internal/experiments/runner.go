@@ -236,8 +236,7 @@ type WorkerStat struct {
 
 // Stats is a point-in-time snapshot of a Runner's live counters,
 // cumulative across its sweeps. Safe to call from any goroutine while
-// a sweep runs; the -http expvar endpoints of starbench and starreport
-// publish it.
+// a sweep runs; the -http expvar endpoint of starbench publishes it.
 type Stats struct {
 	CellsDone      int64        // units completed (all sweeps on this runner)
 	CellsTotal     int64        // units enqueued

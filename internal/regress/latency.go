@@ -12,7 +12,7 @@ const LatencyDocSchema = "nvmstar/latency/v1"
 
 // LatencyDoc is the committed tail-latency artifact: one row per
 // (workload, scheme, op) carrying the merged observation count and the
-// derived percentile estimates, as rendered by starreport -latency-out.
+// derived percentile estimates, as rendered by starbench -latency-out.
 // stardiff compares two of them and enforces the absolute p99 SLO
 // ceilings of the tolerance file.
 type LatencyDoc struct {

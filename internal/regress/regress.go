@@ -14,6 +14,7 @@ package regress
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -48,7 +49,8 @@ func DefaultTolerance() Tolerance {
 
 // LoadTolerance reads a tolerance config; fields absent from the file
 // keep their defaults. An unknown key is an error, so a misspelled
-// gate setting cannot silently switch its gate off.
+// gate setting cannot silently switch its gate off; so are trailing
+// data after the object and negative fractions or ceilings.
 func LoadTolerance(path string) (Tolerance, error) {
 	tol := DefaultTolerance()
 	f, err := os.Open(path)
@@ -60,6 +62,17 @@ func LoadTolerance(path string) (Tolerance, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tol); err != nil {
 		return tol, fmt.Errorf("regress: %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return tol, fmt.Errorf("regress: %s: trailing data after the tolerance object", path)
+	}
+	if tol.ValueFrac < 0 || tol.LatencyFrac < 0 {
+		return tol, fmt.Errorf("regress: %s: negative drift fraction", path)
+	}
+	for pair, ns := range tol.LatencyP99CeilingsNs {
+		if ns < 0 {
+			return tol, fmt.Errorf("regress: %s: negative p99 ceiling for %s", path, pair)
+		}
 	}
 	return tol, nil
 }

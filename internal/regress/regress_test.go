@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -43,13 +44,6 @@ func TestCompareShapesFlagsFlipAndDrift(t *testing.T) {
 	}
 	if !flip || !drift {
 		t.Fatalf("missing flip/drift findings: %+v", v.Regressions())
-	}
-	d := DriftByName(v)
-	if d[old.Checks[1].Name] == "" || d[old.Checks[1].Name] == "=" {
-		t.Fatalf("drift column empty for drifted check: %v", d)
-	}
-	if d[old.Checks[0].Name] == "" {
-		t.Fatalf("drift column empty for flipped check: %v", d)
 	}
 }
 
@@ -246,5 +240,40 @@ func FuzzReadDoc(f *testing.F) {
 		if _, err := CompareDocs(d, d, DefaultTolerance()); err != nil {
 			t.Logf("self-compare refused: %v", err)
 		}
+	})
+}
+
+// FuzzLoadTolerance: the gates read their tolerance from a committed
+// file, so for any input LoadTolerance returns a tolerance or an
+// error. A tolerance it accepts came from exactly one JSON object and
+// never makes a self-compare regress.
+func FuzzLoadTolerance(f *testing.F) {
+	for _, seed := range []string{"../../regress.tolerance.json", "../../regress.latency.tolerance.json"} {
+		b, err := os.ReadFile(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// A negative fraction used to load and flag every value as drift.
+	f.Add([]byte(`{"value_frac": -0.5}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tol.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tol, err := LoadTolerance(path)
+		if err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a file that is not one JSON value: %q", data)
+		}
+		if v := CompareShapes(shapeReport(), shapeReport(), tol); v.Regressed() {
+			t.Fatalf("tolerance %+v makes a shapes self-compare regress:\n%s", tol, v.Markdown())
+		}
+		doc := &LatencyDoc{Schema: LatencyDocSchema, Latency: latRows()}
+		CompareLatency(doc, doc, tol)
 	})
 }

@@ -80,35 +80,3 @@ func passFail(pass bool) string {
 	}
 	return "FAIL"
 }
-
-// DriftByName condenses a shapes verdict into one cell of text per
-// check name — what starreport embeds as the report's drift column.
-func DriftByName(v *Verdict) map[string]string {
-	out := map[string]string{}
-	worst := map[string]Status{}
-	rank := map[Status]int{StatusOK: 0, StatusInfo: 0, StatusAdded: 1, StatusImproved: 2, StatusMissing: 3, StatusRegressed: 3}
-	for _, it := range v.Items {
-		prev, ok := worst[it.Name]
-		if ok && rank[it.Status] <= rank[prev] {
-			continue
-		}
-		worst[it.Name] = it.Status
-		switch it.Status {
-		case StatusOK, StatusInfo:
-			out[it.Name] = "="
-		case StatusAdded:
-			out[it.Name] = "new"
-		case StatusImproved:
-			out[it.Name] = "improved"
-		case StatusMissing:
-			out[it.Name] = "**missing**"
-		case StatusRegressed:
-			if it.DeltaFrac != 0 {
-				out[it.Name] = fmt.Sprintf("**%+.1f%%**", 100*it.DeltaFrac)
-			} else {
-				out[it.Name] = "**regressed**"
-			}
-		}
-	}
-	return out
-}

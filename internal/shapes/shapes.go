@@ -1,9 +1,9 @@
 // Package shapes turns EXPERIMENTS.md's paper-vs-measured claims into
 // executable checks: it runs the evaluation matrix and verifies the
 // qualitative *shape* of every result — who wins, by roughly what
-// factor, where the knees fall — against the paper's findings. The
-// starreport command renders the outcome as a markdown report, and the
-// repository's long-running shape test fails if a change to the
+// factor, where the knees fall — against the paper's findings.
+// starbench -exp report renders the outcome as a markdown report, and
+// the repository's long-running shape test fails if a change to the
 // simulator breaks any reproduced relationship.
 package shapes
 
@@ -240,35 +240,15 @@ func (r *Report) fig14Checks() []Check {
 }
 
 // Markdown renders the report.
-func (r *Report) Markdown() string { return r.markdown(nil) }
-
-// MarkdownWithDrift renders the report with an extra per-check drift
-// column (keyed by check name) — starreport fills it from a stardiff
-// comparison against a committed baseline report, so the reproduction
-// report and its regression verdict read as one table.
-func (r *Report) MarkdownWithDrift(drift map[string]string) string { return r.markdown(drift) }
-
-func (r *Report) markdown(drift map[string]string) string {
+func (r *Report) Markdown() string {
 	out := "# Shape report: paper vs. measured\n\n"
-	if drift == nil {
-		out += "| check | result | measured |\n|---|---|---|\n"
-	} else {
-		out += "| check | result | measured | drift vs baseline |\n|---|---|---|---|\n"
-	}
+	out += "| check | result | measured |\n|---|---|---|\n"
 	for _, c := range r.Checks {
 		status := "PASS"
 		if !c.Pass {
 			status = "**FAIL**"
 		}
-		if drift == nil {
-			out += fmt.Sprintf("| %s | %s | %s |\n", c.Name, status, c.Detail)
-			continue
-		}
-		d := drift[c.Name]
-		if d == "" {
-			d = "—"
-		}
-		out += fmt.Sprintf("| %s | %s | %s | %s |\n", c.Name, status, c.Detail, d)
+		out += fmt.Sprintf("| %s | %s | %s |\n", c.Name, status, c.Detail)
 	}
 	out += "\n## Figs. 11-13 (normalized to WB)\n\n"
 	out += "| workload | scheme | writes/op | W vs WB | IPC vs WB | E vs WB |\n|---|---|---|---|---|---|\n"

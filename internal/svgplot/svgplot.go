@@ -1,7 +1,8 @@
 // Package svgplot renders grouped bar charts as standalone SVG — just
 // enough of a plotting library (standard library only) to regenerate
 // the paper's figures graphically from the experiment harness's rows.
-// The starplot command writes one SVG per figure.
+// starbench -svg DIR writes one SVG per figure; starplot draws the
+// single-run line, heatmap and CDF charts.
 package svgplot
 
 import (

@@ -189,5 +189,8 @@ func ParseTraceJSON(data []byte) ([]Event, error) {
 	if err := json.Unmarshal(data, &arr); err != nil {
 		return nil, fmt.Errorf("telemetry: not a trace-event document: %w", err)
 	}
+	if arr == nil { // a JSON null, which decodes without error
+		return nil, fmt.Errorf("telemetry: not a trace-event document: null")
+	}
 	return arr, nil
 }
