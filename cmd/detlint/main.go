@@ -2,8 +2,8 @@
 // over a map in determinism-critical packages, because Go randomizes
 // map iteration order and anything that flows from such a loop into
 // statistics, NVM content, snapshots or provenance digests makes two
-// identical runs diverge (the Engine.dropAux free-list was exactly
-// this bug).
+// identical runs diverge (the secmem engine's former per-node free
+// list, refilled in map range order, was exactly this bug).
 //
 //	go run ./cmd/detlint ./internal/sim ./internal/secmem ...
 //
@@ -11,7 +11,7 @@
 // line carries a suppression comment naming the reason the order
 // cannot reach observable output, e.g.:
 //
-//	for addr := range e.aux { //detlint:ok keys collected then sorted below
+//	for addr := range pending { //detlint:ok keys collected then sorted below
 //
 // Only non-test files are checked: tests assert on outputs, so a test
 // whose map iteration leaks into an assertion fails visibly on its

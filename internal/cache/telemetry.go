@@ -7,7 +7,7 @@ import "nvmstar/internal/telemetry"
 // live Stats and dirty count at sample time only, so the lookup and
 // insert paths stay untouched; a nil registry makes every registration
 // a no-op.
-func (c *Cache) AttachTelemetry(reg *telemetry.Registry, prefix string) {
+func (c *Of[T]) AttachTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".hits", func() float64 { return float64(c.stats.Hits) })
 	reg.GaugeFunc(prefix+".misses", func() float64 { return float64(c.stats.Misses) })
 	reg.GaugeFunc(prefix+".hit_ratio", func() float64 { return c.stats.HitRatio() })

@@ -50,28 +50,27 @@ type Node struct {
 
 // Encode serializes the node into its 64-byte line representation.
 // Counters are stored little-endian in 7 bytes each, followed by the
-// 8-byte MAC field.
+// 8-byte MAC field. Each counter goes out as one 8-byte store; its
+// zero top byte lands on the next counter's first byte (or the MAC
+// field's), which the next, ascending store overwrites.
 func (n *Node) Encode() memline.Line {
 	var l memline.Line
 	for i, c := range n.Counters {
 		if c&^CounterMask != 0 {
 			panic(fmt.Sprintf("counter: counter %d overflows 56 bits: %#x", i, c))
 		}
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], c)
-		copy(l[i*counterBytes:(i+1)*counterBytes], tmp[:counterBytes])
+		binary.LittleEndian.PutUint64(l[i*counterBytes:], c)
 	}
 	binary.LittleEndian.PutUint64(l[macOffset:], n.MACField)
 	return l
 }
 
-// Decode parses a 64-byte line into a Node.
+// Decode parses a 64-byte line into a Node: one 8-byte load per
+// counter, masked to the counter's 7 bytes.
 func Decode(l memline.Line) Node {
 	var n Node
-	for i := 0; i < Arity; i++ {
-		var tmp [8]byte
-		copy(tmp[:counterBytes], l[i*counterBytes:(i+1)*counterBytes])
-		n.Counters[i] = binary.LittleEndian.Uint64(tmp[:])
+	for i := range n.Counters {
+		n.Counters[i] = binary.LittleEndian.Uint64(l[i*counterBytes:]) & CounterMask
 	}
 	n.MACField = binary.LittleEndian.Uint64(l[macOffset:])
 	return n

@@ -1,9 +1,11 @@
 package counter
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"nvmstar/internal/memline"
 	"nvmstar/internal/simcrypto"
 )
 
@@ -118,5 +120,70 @@ func TestIncrementWraps(t *testing.T) {
 	}
 	if got := Increment(41); got != 42 {
 		t.Fatalf("Increment(41) = %d", got)
+	}
+}
+
+// refDecode and refEncode are the byte-at-a-time codec the word-load
+// Decode and Encode must agree with: counter i is bytes [7i, 7i+7)
+// little-endian, the MAC field is bytes [56, 64) little-endian.
+func refDecode(l memline.Line) Node {
+	var n Node
+	for i := range n.Counters {
+		for b := counterBytes - 1; b >= 0; b-- {
+			n.Counters[i] = n.Counters[i]<<8 | uint64(l[i*counterBytes+b])
+		}
+	}
+	for b := 7; b >= 0; b-- {
+		n.MACField = n.MACField<<8 | uint64(l[macOffset+b])
+	}
+	return n
+}
+
+func refEncode(n Node) memline.Line {
+	var l memline.Line
+	for i, c := range n.Counters {
+		for b := 0; b < counterBytes; b++ {
+			l[i*counterBytes+b] = byte(c >> (8 * b))
+		}
+	}
+	for b := 0; b < 8; b++ {
+		l[macOffset+b] = byte(n.MACField >> (8 * b))
+	}
+	return l
+}
+
+func TestCodecMatchesBytewiseReference(t *testing.T) {
+	var ones memline.Line
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	lines := []memline.Line{{}, ones}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var l memline.Line
+		rng.Read(l[:])
+		lines = append(lines, l)
+	}
+	for _, l := range lines {
+		want := refDecode(l)
+		got := Decode(l)
+		if got != want {
+			t.Fatalf("Decode(%x) = %+v, reference %+v", l, got, want)
+		}
+		if enc := got.Encode(); enc != refEncode(want) || enc != l {
+			t.Fatalf("Encode(%+v) = %x, reference %x, line %x", got, enc, refEncode(want), l)
+		}
+	}
+	for i := 0; i < Arity; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Encode with counter %d over 56 bits did not panic", i)
+				}
+			}()
+			var n Node
+			n.Counters[i] = CounterMask + 1
+			n.Encode()
+		}()
 	}
 }

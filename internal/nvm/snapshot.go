@@ -96,7 +96,7 @@ func (d *Device) Restore(r io.Reader) error {
 			return fmt.Errorf("nvm: truncated snapshot at line %d: %w", i, err)
 		}
 		addr := binary.LittleEndian.Uint64(rec[0:8])
-		if addr%memline.Size != 0 || addr+memline.Size > capacity {
+		if !validLine(addr, capacity) {
 			return fmt.Errorf("nvm: snapshot contains invalid address %#x", addr)
 		}
 		var l memline.Line
@@ -113,9 +113,21 @@ func (d *Device) Restore(r io.Reader) error {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return fmt.Errorf("nvm: truncated wear table: %w", err)
 		}
+		addr := binary.LittleEndian.Uint64(rec[0:8])
+		if !validLine(addr, capacity) {
+			return fmt.Errorf("nvm: snapshot contains invalid wear address %#x", addr)
+		}
 		if d.cfg.TrackWear {
-			d.store.setWear(binary.LittleEndian.Uint64(rec[0:8]), binary.LittleEndian.Uint64(rec[8:16]))
+			d.store.setWear(addr, binary.LittleEndian.Uint64(rec[8:16]))
 		}
 	}
 	return nil
+}
+
+// validLine reports whether a snapshot record's address names a line of
+// a device of the given capacity (a multiple of the line size). It
+// compares addr itself, not addr+Size, so no address wraps past the
+// check.
+func validLine(addr, capacity uint64) bool {
+	return addr%memline.Size == 0 && addr < capacity
 }

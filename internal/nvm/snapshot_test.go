@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -121,5 +122,48 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("snapshot bytes not deterministic")
+	}
+}
+
+// image builds a snapshot by hand: line records at lineAddrs (zero
+// contents) and one wear record per wearAddrs entry.
+func image(capacity uint64, lineAddrs, wearAddrs []uint64) []byte {
+	var buf bytes.Buffer
+	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	buf.WriteString(snapshotMagic)
+	u64(capacity)
+	u64(uint64(len(lineAddrs)))
+	for _, a := range lineAddrs {
+		u64(a)
+		buf.Write(make([]byte, memline.Size))
+	}
+	u64(uint64(len(wearAddrs)))
+	for _, a := range wearAddrs {
+		u64(a)
+		u64(1)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreRejectsOutOfRangeRecords: a record addressing a line past
+// capacity, misaligned, or so high that addr+64 wraps must be an error,
+// never a panic — for wear records as well as line records.
+func TestRestoreRejectsOutOfRangeRecords(t *testing.T) {
+	const capacity = 1 << 20
+	cases := map[string][]byte{
+		"wear past capacity": image(capacity, nil, []uint64{1 << 40}),
+		"wear misaligned":    image(capacity, nil, []uint64{3}),
+		"wear wraps":         image(capacity, nil, []uint64{^uint64(memline.Size - 1)}),
+		"line past capacity": image(capacity, []uint64{capacity}, nil),
+		"line wraps":         image(capacity, []uint64{^uint64(memline.Size - 1)}, nil),
+	}
+	for name, img := range cases {
+		d := newDev(t, capacity) // TrackWear on
+		if err := d.Restore(bytes.NewReader(img)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, []uint64{0}, []uint64{capacity - memline.Size}))); err != nil {
+		t.Fatalf("in-range records rejected: %v", err)
 	}
 }

@@ -46,7 +46,7 @@ func (e *Engine) AuditTree() []Violation {
 			return e.root.Counters[slot]
 		}
 		if ent, ok := e.meta.Peek(geo.NodeAddr(id)); ok {
-			return counter.Decode(ent.Data).Counters[slot]
+			return ent.Data.Node.Counters[slot]
 		}
 		line, ok := e.dev.Peek(geo.NodeAddr(id))
 		if !ok {
@@ -62,12 +62,14 @@ func (e *Engine) AuditTree() []Violation {
 			if ent, cached := e.meta.Peek(addr); cached {
 				// A clean cached copy must equal the NVM image: any
 				// divergence is tampering with NVM behind the cache's
-				// back. A dirty copy is legitimately ahead of NVM.
-				if !ent.Dirty && present && ent.Data != line {
-					node := counter.Decode(line)
-					cachedNode := counter.Decode(ent.Data)
-					out = append(out, Violation{Node: id, Addr: addr,
-						StoredMAC: node.MACField, WantMAC: cachedNode.MACField})
+				// back. A dirty copy is legitimately ahead of NVM. The
+				// codec is a bijection, so comparing decoded nodes is
+				// comparing lines.
+				if !ent.Dirty && present {
+					if node := counter.Decode(line); node != ent.Data.Node {
+						out = append(out, Violation{Node: id, Addr: addr,
+							StoredMAC: node.MACField, WantMAC: ent.Data.Node.MACField})
+					}
 				}
 				continue
 			}
@@ -99,7 +101,7 @@ func (e *Engine) AuditData() []uint64 {
 		cb, slot := geo.CounterBlockOf(addr)
 		var ctr uint64
 		if ent, cached := e.meta.Peek(geo.NodeAddr(cb)); cached {
-			ctr = counter.Decode(ent.Data).Counters[slot]
+			ctr = ent.Data.Node.Counters[slot]
 		} else if line, present := e.dev.Peek(geo.NodeAddr(cb)); present {
 			ctr = counter.Decode(line).Counters[slot]
 		}

@@ -31,7 +31,6 @@ package secmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"nvmstar/internal/cache"
 	"nvmstar/internal/counter"
@@ -100,14 +99,19 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-type nodeAux struct {
-	// parentCtr is the parent's counter for this node. It is constant
+// MetaLine is what the metadata cache holds for one metadata node: the
+// node itself, kept decoded so counter bumps edit it in place, and the
+// bookkeeping that lives exactly as long as the node is cached. The
+// node is encoded only when it is written to NVM.
+type MetaLine struct {
+	Node counter.Node
+	// ParentCtr is the parent's counter for this node. It is constant
 	// while the node is cached: the parent bumps it only when this
 	// node is written back (which refreshes this snapshot).
-	parentCtr uint64
-	// base holds the counter values of the node's in-NVM copy, for
+	ParentCtr uint64
+	// Base holds the counter values of the node's in-NVM copy, for
 	// the forced-MSB-flush rule.
-	base [counter.Arity]uint64
+	Base [counter.Arity]uint64
 }
 
 // Engine is the secure-memory controller. It is not safe for
@@ -118,8 +122,7 @@ type Engine struct {
 	geo   *sit.Geometry
 	dev   *nvm.Device
 	suite simcrypto.Suite
-	meta  *cache.Cache
-	aux   map[uint64]*nodeAux
+	meta  *cache.Of[MetaLine]
 	root  counter.Node // on-chip non-volatile root register
 	// dataMAC models the sideband MAC chip: one 64-bit field per data
 	// line, keyed by line index in a paged table so the per-access
@@ -127,12 +130,6 @@ type Engine struct {
 	dataMAC *paged.Table[uint64]
 	scheme  Scheme
 	stats   Stats
-
-	// auxFree recycles nodeAux objects across fetches: dropAux harvests
-	// every aux when volatile state vanishes (crash, reset, snapshot
-	// restore) and newAux pops from here before allocating. Recycled
-	// objects are fully overwritten, so reuse cannot change results.
-	auxFree []*nodeAux
 
 	// pendingForced queues forced MSB write-backs (see bumpSlot); they
 	// run only after the child write that triggered them reaches NVM.
@@ -177,7 +174,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Energy == (nvm.Energy{}) {
 		cfg.Energy = nvm.DefaultEnergy()
 	}
-	meta, err := cache.New(cfg.MetaCache)
+	meta, err := cache.NewOf[MetaLine](cfg.MetaCache)
 	if err != nil {
 		return nil, fmt.Errorf("secmem: metadata cache: %w", err)
 	}
@@ -200,7 +197,6 @@ func New(cfg Config) (*Engine, error) {
 		dev:       dev,
 		suite:     cfg.Suite,
 		meta:      meta,
-		aux:       make(map[uint64]*nodeAux),
 		dataMAC:   paged.New[uint64](geo.DataBytes() / memline.Size),
 		dirtySets: make([][]SetEntry, meta.NumSets()),
 	}, nil
@@ -225,7 +221,7 @@ func (e *Engine) Device() *nvm.Device { return e.dev }
 func (e *Engine) Suite() simcrypto.Suite { return e.suite }
 
 // MetaCache returns the security-metadata cache.
-func (e *Engine) MetaCache() *cache.Cache { return e.meta }
+func (e *Engine) MetaCache() *cache.Of[MetaLine] { return e.meta }
 
 // Scheme returns the installed scheme.
 func (e *Engine) Scheme() Scheme { return e.scheme }
@@ -281,7 +277,7 @@ func (e *Engine) readMetaNVM(id sit.NodeID) (memline.Line, bool) {
 	return e.dev.Read(e.geo.NodeAddr(id))
 }
 
-func (e *Engine) writeMetaNVM(id sit.NodeID, node counter.Node) {
+func (e *Engine) writeMetaNVM(id sit.NodeID, node *counter.Node) {
 	e.stats.MetaNVMWrites++
 	e.dev.WriteCause(e.geo.NodeAddr(id), node.Encode(), e.metaCause(id))
 }
@@ -321,7 +317,7 @@ func (e *Engine) ReadMetaRaw(id sit.NodeID) (counter.Node, bool) {
 // WriteMetaRestored writes a restored metadata node to NVM (counting
 // the access); recovery paths use it.
 func (e *Engine) WriteMetaRestored(id sit.NodeID, node counter.Node) {
-	e.writeMetaNVM(id, node)
+	e.writeMetaNVM(id, &node)
 }
 
 // ReadDataRaw reads a user-data line and its sideband MAC field from
@@ -362,9 +358,8 @@ func (e *Engine) PeekDataMAC(addr uint64) (uint64, bool) {
 //
 // If a nested operation brings the same address in while the victim is
 // being cleaned, that copy is newer (it may already carry counter
-// bumps); insertMeta then leaves it untouched and reports
-// inserted == false.
-func (e *Engine) insertMeta(id sit.NodeID, line memline.Line, aux *nodeAux) (inserted bool, err error) {
+// bumps); insertMeta then leaves it untouched.
+func (e *Engine) insertMeta(id sit.NodeID, ml MetaLine) error {
 	addr := e.geo.NodeAddr(id)
 	for tries := 0; ; tries++ {
 		victim, dirty, needsEvict := e.meta.VictimFor(addr)
@@ -372,71 +367,28 @@ func (e *Engine) insertMeta(id sit.NodeID, line memline.Line, aux *nodeAux) (ins
 			break
 		}
 		if tries > 4*e.meta.Ways() {
-			return false, fmt.Errorf("secmem: cannot clean a victim for %v: set thrashing", id)
+			return fmt.Errorf("secmem: cannot clean a victim for %v: set thrashing", id)
 		}
 		vid, ok := e.geo.NodeAt(victim)
 		if !ok {
 			panic(fmt.Sprintf("secmem: non-metadata line %#x in metadata cache", victim))
 		}
 		if err := e.FlushNode(vid); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if e.meta.Contains(addr) {
-		e.auxFree = append(e.auxFree, aux)
-		return false, nil
+		return nil
 	}
-	e.aux[addr] = aux
-	e.meta.Insert(addr, line, false, func(vaddr uint64, _ memline.Line, vdirty bool) {
+	e.meta.Insert(addr, ml, false, func(vaddr uint64, _ MetaLine, vdirty bool) {
 		if vdirty {
 			panic(fmt.Sprintf("secmem: dirty line %#x evicted without write-back", vaddr))
 		}
-		if a := e.aux[vaddr]; a != nil {
-			e.auxFree = append(e.auxFree, a)
-		}
-		delete(e.aux, vaddr)
 		if e.trace != nil {
 			e.traceEvict(vaddr)
 		}
 	})
-	return true, nil
-}
-
-// newAux returns a nodeAux with the given contents, recycling a
-// previously dropped one when available.
-func (e *Engine) newAux(parentCtr uint64, base [counter.Arity]uint64) *nodeAux {
-	if n := len(e.auxFree); n > 0 {
-		a := e.auxFree[n-1]
-		e.auxFree = e.auxFree[:n-1]
-		a.parentCtr = parentCtr
-		a.base = base
-		return a
-	}
-	return &nodeAux{parentCtr: parentCtr, base: base}
-}
-
-// dropAux empties the aux map, harvesting every object into the
-// freelist. Used wherever volatile controller state vanishes.
-//
-// The harvest runs in ascending key order: map iteration order is
-// randomized, and although recycled aux objects are fully overwritten
-// before reuse (so today no result depends on freelist order), an
-// unordered drain is exactly the bug class that produced the rbtree
-// determinism leak — any future code that lets object identity show
-// through (pointer comparison, leak diagnostics) would inherit a
-// nondeterministic freelist. Sorting here is cold-path (crash, reset,
-// restore) and keeps the engine's internal state a pure function of
-// the operation history.
-func (e *Engine) dropAux() {
-	keys := make([]uint64, 0, len(e.aux))
-	for addr := range e.aux { //detlint:ok keys collected then sorted below
-		keys = append(keys, addr)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, addr := range keys {
-		e.auxFree = append(e.auxFree, e.aux[addr])
-	}
-	clear(e.aux)
+	return nil
 }
 
 // parentCounterOf returns the parent's counter covering id, fetching
@@ -446,28 +398,18 @@ func (e *Engine) parentCounterOf(id sit.NodeID) (uint64, error) {
 	if e.geo.IsRoot(parent) {
 		return e.root.Counters[slot], nil
 	}
-	node, err := e.fetchNode(parent)
+	ent, err := e.fetchNode(parent)
 	if err != nil {
 		return 0, err
 	}
-	return node.Counters[slot], nil
+	return ent.Data.Node.Counters[slot], nil
 }
 
 // fetchNode ensures a metadata node is resident in the metadata cache,
 // verifying its MAC against the parent chain on the way in, and
-// returns its current content.
-func (e *Engine) fetchNode(id sit.NodeID) (counter.Node, error) {
-	ent, err := e.fetchNodeEntry(id)
-	if err != nil {
-		return counter.Node{}, err
-	}
-	return counter.Decode(ent.Data), nil
-}
-
-// fetchNodeEntry is fetchNode returning the cache entry itself. The
-// handle is valid until the next operation that can displace cache
-// lines; hot-path callers use it to avoid an immediate re-lookup.
-func (e *Engine) fetchNodeEntry(id sit.NodeID) (*cache.Entry, error) {
+// returns its cache entry. The handle is valid until the next
+// operation that can displace cache lines.
+func (e *Engine) fetchNode(id sit.NodeID) (*cache.EntryOf[MetaLine], error) {
 	addr := e.geo.NodeAddr(id)
 	for tries := 0; tries < 64; tries++ {
 		if ent, ok := e.meta.Lookup(addr); ok {
@@ -499,9 +441,8 @@ func (e *Engine) fetchNodeEntry(id sit.NodeID) (*cache.Entry, error) {
 					Detail: fmt.Sprintf("node missing from NVM but parent counter is %d", pctr)}
 			}
 			node.MACField = e.NodeMACField(id, node.Counters, 0)
-			line = node.Encode()
 		}
-		if _, err := e.insertMeta(id, line, e.newAux(pctr, node.Counters)); err != nil {
+		if err := e.insertMeta(id, MetaLine{Node: node, ParentCtr: pctr, Base: node.Counters}); err != nil {
 			return nil, err
 		}
 		if ent, ok := e.meta.Peek(addr); ok {
@@ -522,29 +463,30 @@ func (e *Engine) bumpSlot(parent sit.NodeID, slot int) (uint64, error) {
 		e.root.Counters[slot] = counter.Increment(e.root.Counters[slot])
 		return e.root.Counters[slot], nil
 	}
-	ent, err := e.fetchNodeEntry(parent)
+	ent, err := e.fetchNode(parent)
 	if err != nil {
 		return 0, err
 	}
 	addr := e.geo.NodeAddr(parent)
-	aux := e.aux[addr]
-	node := counter.Decode(ent.Data)
-	node.Counters[slot] = counter.Increment(node.Counters[slot])
-	node.MACField = e.NodeMACField(parent, node.Counters, aux.parentCtr)
-	ent.Data = node.Encode()
+	ml := &ent.Data
+	newVal := counter.Increment(ml.Node.Counters[slot])
+	ml.Node.Counters[slot] = newVal
+	ml.Node.MACField = e.NodeMACField(parent, ml.Node.Counters, ml.ParentCtr)
+	// The scheme hooks below may displace cache lines, which would
+	// invalidate ent: take what is needed after them now.
+	mac, base := ml.Node.MACField, ml.Base[slot]
 	set := e.meta.SetIndex(addr)
 	// The dirty list is refreshed before the scheme hooks run: STAR's
 	// OnMetaModified reads DirtySetEntries and must see this line with
 	// its new MAC.
 	if transition := e.meta.MarkEntryDirty(ent); transition {
-		e.dirtyInsert(set, addr, node.MACField)
+		e.dirtyInsert(set, addr, mac)
 		e.scheme.OnMetaDirty(parent, e.geo.MetaLineIndex(parent), set)
 	} else {
-		e.dirtyUpdate(set, addr, node.MACField)
+		e.dirtyUpdate(set, addr, mac)
 	}
 	e.scheme.OnMetaModified(parent, set)
-	newVal := node.Counters[slot]
-	if e.scheme.Synergize() && newVal-aux.base[slot] >= forcedFlushWindow {
+	if e.scheme.Synergize() && newVal-base >= forcedFlushWindow {
 		// Defer the forced MSB write-back until after the triggering
 		// child reaches NVM: flushing here would re-verify tree state
 		// in which the parent counter is already bumped but the child
@@ -602,14 +544,11 @@ func (e *Engine) FlushNode(id sit.NodeID) error {
 	if !ok {
 		return fmt.Errorf("secmem: pinned node %v vanished during flush", id)
 	}
-	node := counter.Decode(ent.Data)
-	node.MACField = e.NodeMACField(id, node.Counters, newPctr)
-	ent.Data = node.Encode()
-	e.writeMetaNVM(id, node)
-
-	aux := e.aux[addr]
-	aux.parentCtr = newPctr
-	aux.base = node.Counters
+	ml := &ent.Data
+	ml.Node.MACField = e.NodeMACField(id, ml.Node.Counters, newPctr)
+	e.writeMetaNVM(id, &ml.Node)
+	ml.ParentCtr = newPctr
+	ml.Base = ml.Node.Counters
 	set := e.meta.SetIndex(addr)
 	if e.meta.CleanEntry(ent) {
 		e.dirtyRemove(set, addr)
@@ -640,7 +579,7 @@ func (e *Engine) FlushAllMetadata() error {
 	for {
 		var pickID sit.NodeID
 		found := false
-		e.meta.Range(func(addr uint64, ent *cache.Entry) {
+		e.meta.Range(func(addr uint64, ent *cache.EntryOf[MetaLine]) {
 			if !ent.Dirty {
 				return
 			}
@@ -696,11 +635,11 @@ func (e *Engine) ReadLine(addr uint64) (memline.Line, error) {
 	}
 	e.stats.UserReads++
 	cb, slot := e.geo.CounterBlockOf(addr)
-	node, err := e.fetchNode(cb)
+	ent, err := e.fetchNode(cb)
 	if err != nil {
 		return memline.Line{}, err
 	}
-	ctr := node.Counters[slot]
+	ctr := ent.Data.Node.Counters[slot]
 	e.stats.DataNVMReads++
 	cipher, present := e.dev.Read(addr)
 	if !present {
@@ -726,7 +665,6 @@ func (e *Engine) ReadLine(addr uint64) (memline.Line, error) {
 // (the SIT root, the scheme's roots/index registers) survive.
 func (e *Engine) Crash() {
 	e.meta.DropAll()
-	e.dropAux()
 	e.pendingForced = nil
 	e.clearDirtySets()
 	e.scheme.OnCrash()
@@ -734,16 +672,15 @@ func (e *Engine) Crash() {
 
 // Reset restores the engine to the state New would produce for the
 // same configuration with the given crypto suite, reusing every
-// allocation: the metadata cache, the paged NVM store and data-MAC
-// table, the aux objects and the per-set dirty lists are all rewound
-// in place. The scheme resets last, after the engine state it derives
-// from (device, suite) is fresh. Machine reuse across experiment cells
-// is built on this.
+// allocation: the metadata cache (with the per-node bookkeeping it
+// holds), the paged NVM store and data-MAC table and the per-set dirty
+// lists are all rewound in place. The scheme resets last, after the
+// engine state it derives from (device, suite) is fresh. Machine reuse
+// across experiment cells is built on this.
 func (e *Engine) Reset(suite simcrypto.Suite) {
 	e.cfg.Suite = suite
 	e.suite = suite
 	e.meta.Reset()
-	e.dropAux()
 	e.root = counter.Node{}
 	e.dataMAC.Clear()
 	e.dev.Reset()
@@ -758,10 +695,10 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 
 // Fork returns a copy-on-write clone of the engine: device contents
 // fork page-granular (O(occupied pages) via the paged store), volatile
-// controller state — metadata cache, aux snapshots, dirty lists, the
-// root register, statistics — copies deeply, and the scheme forks last,
-// against the already-forked engine. The geometry and crypto suite are
-// shared: both are immutable and safe for concurrent use. The clone
+// controller state — the metadata cache with its decoded nodes and
+// per-node bookkeeping, dirty lists, the root register, statistics —
+// copies deeply, and the scheme forks last, against the already-forked
+// engine. The geometry and crypto suite are shared: both are immutable and safe for concurrent use. The clone
 // carries no telemetry sink; attach one if the forked run should be
 // observed. Parent and clone may then run on different goroutines.
 func (e *Engine) Fork() *Engine {
@@ -771,15 +708,10 @@ func (e *Engine) Fork() *Engine {
 		dev:        e.dev.Fork(),
 		suite:      e.suite,
 		meta:       e.meta.Fork(),
-		aux:        make(map[uint64]*nodeAux, len(e.aux)),
 		root:       e.root,
 		dataMAC:    e.dataMAC.Fork(),
 		stats:      e.stats,
 		recovering: e.recovering,
-	}
-	for addr, a := range e.aux { //detlint:ok order-independent deep copy into a fresh map
-		cp := *a
-		f.aux[addr] = &cp
 	}
 	f.pendingForced = append([]sit.NodeID(nil), e.pendingForced...)
 	f.dirtySets = make([][]SetEntry, len(e.dirtySets))
@@ -872,5 +804,5 @@ func (e *Engine) CachedNode(id sit.NodeID) (node counter.Node, set, way int, ok 
 		return counter.Node{}, 0, 0, false
 	}
 	set, way, _ = e.meta.SlotOf(addr)
-	return counter.Decode(ent.Data), set, way, true
+	return ent.Data.Node, set, way, true
 }

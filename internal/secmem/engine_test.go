@@ -32,7 +32,12 @@ func newEngineBare(t testing.TB, dataBytes uint64, cacheBytes int) *secmem.Engin
 // newEngine builds a small engine with the named scheme.
 func newEngine(t testing.TB, scheme string, dataBytes uint64, cacheBytes int) *secmem.Engine {
 	t.Helper()
-	e := newEngineBare(t, dataBytes, cacheBytes)
+	return withScheme(t, newEngineBare(t, dataBytes, cacheBytes), scheme)
+}
+
+// withScheme installs the named scheme on e and returns e.
+func withScheme(t testing.TB, e *secmem.Engine, scheme string) *secmem.Engine {
+	t.Helper()
 	switch scheme {
 	case "wb":
 		e.SetScheme(wb.New())

@@ -1,0 +1,74 @@
+package secmem_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"nvmstar/internal/cache"
+	"nvmstar/internal/memline"
+	"nvmstar/internal/secmem"
+	"nvmstar/internal/simcrypto"
+)
+
+// fuzzEngine builds the small engine FuzzRestoreNonVolatile restores
+// into. Wear tracking is on, so an image's wear records reach the
+// device's wear table.
+func fuzzEngine(t testing.TB, scheme string) *secmem.Engine {
+	t.Helper()
+	e, err := secmem.New(secmem.Config{
+		DataBytes: 1 << 16,
+		MetaCache: cache.Config{SizeBytes: 4 << 10, Ways: 8},
+		Suite:     simcrypto.NewFast(2024),
+		TrackWear: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return withScheme(t, e, scheme)
+}
+
+// crashedImage runs a short workload on a fuzz engine, crashes it and
+// returns its SaveNonVolatile image.
+func crashedImage(t testing.TB, scheme string) []byte {
+	t.Helper()
+	e := fuzzEngine(t, scheme)
+	runWorkload(t, e, 20, 915)
+	e.Crash()
+	var buf bytes.Buffer
+	if err := e.SaveNonVolatile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wearRecordImage is an engine image of an empty device with one wear
+// record far past the device's capacity.
+func wearRecordImage(capacity uint64) []byte {
+	var b bytes.Buffer
+	put := func(v uint64) { _ = binary.Write(&b, binary.LittleEndian, v) }
+	b.WriteString("NVMSECM1") // engine magic
+	b.WriteString("NVMSTAR1") // device magic
+	put(capacity)
+	put(0) // no line records
+	put(1) // one wear record ...
+	put(1 << 40)
+	put(1)
+	put(0)                              // no data MACs
+	b.Write(make([]byte, memline.Size)) // root register
+	return b.Bytes()
+}
+
+// FuzzRestoreNonVolatile feeds arbitrary bytes to RestoreNonVolatile
+// on a star engine (which has registers) and a wb engine (which has
+// none): it must return an error or succeed, and never panic.
+func FuzzRestoreNonVolatile(f *testing.F) {
+	f.Add(crashedImage(f, "star"))
+	f.Add(crashedImage(f, "wb"))
+	f.Add(wearRecordImage(fuzzEngine(f, "wb").Geometry().TotalBytes()))
+	f.Fuzz(func(t *testing.T, img []byte) {
+		for _, scheme := range []string{"star", "wb"} {
+			_ = fuzzEngine(t, scheme).RestoreNonVolatile(bytes.NewReader(img))
+		}
+	})
+}

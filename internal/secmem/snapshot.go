@@ -114,7 +114,6 @@ func (e *Engine) RestoreNonVolatile(r io.Reader) error {
 	}
 	// Volatile state is empty in a fresh process; make that explicit.
 	e.meta.DropAll()
-	e.dropAux()
 	e.pendingForced = nil
 	e.clearDirtySets()
 	return nil

@@ -42,6 +42,11 @@ type Machine struct {
 	instr   []uint64  // per-core retired instructions
 	curCore int
 
+	// timing is cfg.Timing with the zero value resolved to the
+	// default once, here rather than on every device access; cfg keeps
+	// the caller's value because it feeds config fingerprints.
+	timing nvm.Timing
+
 	bankFree  []float64 // per-bank busy-until for reads, ns
 	wqDone    []float64 // completion times of outstanding writes (ring)
 	wqIdx     int
@@ -97,11 +102,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:       cfg,
 		autoSuite: autoSuite,
+		timing:    cfg.Timing,
 		owner:     paged.New[int32](cfg.DataBytes / memline.Size),
 		coreNow:   make([]float64, cfg.Cores),
 		instr:     make([]uint64, cfg.Cores),
 		wqDone:    make([]float64, cfg.WriteQueue),
 		bankFree:  make([]float64, cfg.Banks),
+	}
+	if m.timing == (nvm.Timing{}) {
+		m.timing = nvm.DefaultTiming()
 	}
 	var err error
 	m.engine, err = secmem.New(secmem.Config{
@@ -265,10 +274,7 @@ func (m *Machine) pollCtx() {
 // write-throughs) turns into IPC loss in the paper.
 func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 	c := m.curCore
-	t := m.cfg.Timing
-	if t == (nvm.Timing{}) {
-		t = nvm.DefaultTiming()
-	}
+	t := &m.timing
 	if !write {
 		bank := int(addr/memline.Size) % len(m.bankFree)
 		start := m.coreNow[c]
@@ -642,6 +648,7 @@ func (m *Machine) Fork() *Machine {
 		cfg:       m.cfg,
 		engine:    m.engine.Fork(),
 		autoSuite: m.autoSuite,
+		timing:    m.timing,
 		owner:     m.owner.Fork(),
 		coreNow:   append([]float64(nil), m.coreNow...),
 		instr:     append([]uint64(nil), m.instr...),
