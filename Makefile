@@ -61,14 +61,18 @@ bench-gate:
 evaluation:
 	$(GO) run ./cmd/starbench -exp all -ops 20000
 
-# End-to-end observability gate: a sampled + traced timeline run and a
-# traced mini-sweep, with tracecheck asserting both Chrome trace-event
-# files parse and are non-empty (Perfetto-loadable), and the
-# mini-sweep's six evaluation figures rendering non-empty.
+# End-to-end observability gate: the machine-registry tests (exported
+# series set, fork isolation, timeline content), a sampled + traced
+# timeline run and a traced mini-sweep, with tracecheck asserting both
+# Chrome trace-event files parse and are non-empty (Perfetto-loadable)
+# and the timeline trace's event names are known, and the three
+# timeline charts and the mini-sweep's six evaluation figures rendering
+# non-empty.
 TELEMETRY_DIR = /tmp/nvmstar-telemetry
 
 verify-telemetry:
 	rm -rf $(TELEMETRY_DIR) && mkdir -p $(TELEMETRY_DIR)
+	$(GO) test -count=1 -run 'Telemetry|Timeline|Hierarchy|Fork' ./internal/sim
 	$(GO) run ./cmd/starplot -timeline -ops 3000 -sample-ns 5000 \
 		-out $(TELEMETRY_DIR)
 	$(GO) run ./cmd/starbench -exp all -ops 1500 -workloads hash,array \
@@ -77,7 +81,10 @@ verify-telemetry:
 	$(GO) run ./cmd/tracecheck -min 1 \
 		$(TELEMETRY_DIR)/timeline_trace.json \
 		$(TELEMETRY_DIR)/sweep_trace.json
+	$(GO) run ./cmd/tracecheck -min 1 -names $(TELEMETRY_DIR)/timeline_trace.json
 	test -s $(TELEMETRY_DIR)/timeline_dirty_frac.svg
+	test -s $(TELEMETRY_DIR)/timeline_hit_ratios.svg
+	test -s $(TELEMETRY_DIR)/timeline_write_amp.svg
 	test -s $(TELEMETRY_DIR)/fig10_bitmap_writes.svg
 	test -s $(TELEMETRY_DIR)/fig11_write_traffic.svg
 	test -s $(TELEMETRY_DIR)/fig12_ipc.svg

@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"nvmstar/internal/sim"
 	"nvmstar/internal/svgplot"
+	"nvmstar/internal/telemetry"
 )
 
 // main delegates to run so every error path returns an exit code
@@ -92,56 +94,20 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 		return fmt.Errorf("run produced no samples; lower -sample-ns (simulated time was %.0f ns)", res.TimeNs)
 	}
 
-	series := func(names ...string) []svgplot.LineSeries {
-		var out []svgplot.LineSeries
-		for _, tl := range res.Timelines {
-			for _, want := range names {
-				if tl.Name != want {
-					continue
-				}
-				s := svgplot.LineSeries{Label: tl.Name, X: make([]float64, len(tl.TimesNs)), Y: tl.Values}
-				for i, t := range tl.TimesNs {
-					s.X[i] = t / 1e6 // ns -> ms
-				}
-				out = append(out, s)
-			}
-		}
-		return out
+	charts, err := timelineCharts(res.Timelines, fmt.Sprintf("%s/%s (%d ops)", workloadName, scheme, ops))
+	if err != nil {
+		return err
 	}
-	write := func(name string, chart *svgplot.LineChart) error {
-		svg, err := chart.SVG()
+	for _, c := range charts {
+		svg, err := c.chart.SVG()
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", c.file, err)
 		}
-		path := filepath.Join(outDir, name)
+		path := filepath.Join(outDir, c.file)
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", path)
-		return nil
-	}
-
-	title := fmt.Sprintf("%s/%s (%d ops)", workloadName, scheme, ops)
-	if err := write("timeline_dirty_frac.svg", &svgplot.LineChart{
-		Title: "Dirty metadata fraction over time: " + title, XLabel: "simulated time (ms)",
-		YLabel: "dirty fraction", YMax: 1,
-		Series: series("meta.dirty_frac"),
-	}); err != nil {
-		return err
-	}
-	if err := write("timeline_hit_ratios.svg", &svgplot.LineChart{
-		Title: "Cache hit ratios over time: " + title, XLabel: "simulated time (ms)",
-		YLabel: "hit ratio", YMax: 1,
-		Series: series("meta.hit_ratio", "l1.hit_ratio", "l2.hit_ratio", "l3.hit_ratio"),
-	}); err != nil {
-		return err
-	}
-	if err := write("timeline_write_amp.svg", &svgplot.LineChart{
-		Title: "Write amplification over time: " + title, XLabel: "simulated time (ms)",
-		YLabel: "NVM writes / user write",
-		Series: series("engine.write_amp"),
-	}); err != nil {
-		return err
 	}
 
 	if tr := m.Trace(); tr != nil && tr.Len() > 0 {
@@ -159,6 +125,63 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 		fmt.Printf("wrote %s (%d events; load in Perfetto / chrome://tracing)\n", tracePath, tr.Len())
 	}
 	return nil
+}
+
+// timelineChart is one -timeline figure and the file it is written to.
+type timelineChart struct {
+	file  string
+	chart *svgplot.LineChart
+}
+
+// timelineCharts builds the -timeline figures from a run's sampled
+// series: the dirty-metadata fraction, the cache hit ratios and the
+// write amplification over simulated time. Every series a chart names
+// must be present — a missing one is an error, not a silently missing
+// curve.
+func timelineCharts(tls []telemetry.Timeline, title string) ([]timelineChart, error) {
+	var missing []string
+	series := func(names ...string) []svgplot.LineSeries {
+		var out []svgplot.LineSeries
+		// Curves follow the timelines' sorted order, not the order of
+		// names, so a chart's legend is stable.
+		for _, tl := range tls {
+			if !slices.Contains(names, tl.Name) {
+				continue
+			}
+			s := svgplot.LineSeries{Label: tl.Name, X: make([]float64, len(tl.TimesNs)), Y: tl.Values}
+			for i, t := range tl.TimesNs {
+				s.X[i] = t / 1e6 // ns -> ms
+			}
+			out = append(out, s)
+		}
+		for _, want := range names {
+			if !slices.ContainsFunc(out, func(s svgplot.LineSeries) bool { return s.Label == want }) {
+				missing = append(missing, want)
+			}
+		}
+		return out
+	}
+	charts := []timelineChart{
+		{"timeline_dirty_frac.svg", &svgplot.LineChart{
+			Title: "Dirty metadata fraction over time: " + title, XLabel: "simulated time (ms)",
+			YLabel: "dirty fraction", YMax: 1,
+			Series: series("meta.dirty_frac"),
+		}},
+		{"timeline_hit_ratios.svg", &svgplot.LineChart{
+			Title: "Cache hit ratios over time: " + title, XLabel: "simulated time (ms)",
+			YLabel: "hit ratio", YMax: 1,
+			Series: series("meta.hit_ratio", "l1.hit_ratio", "l2.hit_ratio", "l3.hit_ratio"),
+		}},
+		{"timeline_write_amp.svg", &svgplot.LineChart{
+			Title: "Write amplification over time: " + title, XLabel: "simulated time (ms)",
+			YLabel: "NVM writes / user write",
+			Series: series("engine.write_amp"),
+		}},
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("timeline: series %q not sampled", missing)
+	}
+	return charts, nil
 }
 
 // runCDF executes one observed run per scheme and renders the

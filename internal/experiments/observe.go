@@ -123,12 +123,11 @@ func sortObservatoryRows(rows []ObservatoryRow) {
 }
 
 // MetricFamilies implements telemetry.MetricsSource, exposing the
-// aggregate on /metrics alongside the machine-level series:
-// observe_cells{workload,scheme} counts observed cells,
-// attr_writes{workload,scheme,cause} carries the summed per-cause write
-// counts, and latency_count / latency_p99_ns{workload,scheme,op} the
-// merged observation counts and tails (nonzero causes and ops only, to
-// keep the exposition tight).
+// aggregate on /metrics: observe_cells{workload,scheme} counts
+// observed cells, attr_writes{workload,scheme,cause} carries the summed
+// per-cause write counts, and latency_count /
+// latency_p99_ns{workload,scheme,op} the merged observation counts and
+// tails (nonzero causes and ops only, to keep the exposition tight).
 func (o *Observatory) MetricFamilies() []telemetry.MetricFamily {
 	rows := o.Rows()
 	if len(rows) == 0 {

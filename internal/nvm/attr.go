@@ -34,7 +34,8 @@ const (
 )
 
 // causeNames is indexed by Cause; the names are the stable labels used
-// in JSON breakdowns, telemetry series and OpenMetrics exposition.
+// in JSON breakdowns, trace events and the observatory's /metrics
+// labels.
 var causeNames = [NumCauses]string{
 	"other", "data", "counter", "tree-node", "mac", "adr-flush", "bitmap", "recovery",
 }
@@ -65,9 +66,8 @@ type attrState struct {
 	counts [NumCauses][]uint64 // per cause: counted writes per bank
 	oob    [NumCauses]uint64   // uncounted out-of-band stores (Poke paths)
 
-	// Wear-summary memo: the per-bank scan is O(lines written) and the
-	// telemetry gauge funcs sample several per-bank series per tick, so
-	// the scan result is cached until the write count moves.
+	// Wear-summary memo: the per-bank scan is O(lines written), so the
+	// scan result is cached until the write count moves.
 	wearWrites uint64
 	wearValid  bool
 	wearStats  []BankWear
@@ -319,7 +319,7 @@ var wearBuckets = telemetry.ExpBuckets(1, 2, 24)
 // BankWearStats returns the per-bank wear distribution (max/mean/p99
 // line wear), or nil when attribution is disabled. Requires
 // Config.TrackWear for non-zero data. The scan is memoized against the
-// device write count, so repeated sampling between writes is free.
+// device write count, so repeated calls between writes are free.
 func (d *Device) BankWearStats() []BankWear {
 	a := d.attr
 	if a == nil {

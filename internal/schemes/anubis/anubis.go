@@ -24,7 +24,6 @@ import (
 	"nvmstar/internal/nvm"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sit"
-	"nvmstar/internal/telemetry"
 )
 
 // lsb48Mask selects the 48 counter bits an ST entry records. The
@@ -302,13 +301,4 @@ func combine48(stale, lsb48 uint64) uint64 {
 		return stale
 	}
 	return restored & counter.CounterMask
-}
-
-// AttachTelemetry implements secmem.TelemetryAttacher: export the
-// shadow-table traffic — Anubis's defining extra-write cost — and the
-// ST-tree's hash work as lazily sampled series.
-func (s *Scheme) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("anubis.st_writes", func() float64 { return float64(s.stats.STWrites) })
-	reg.GaugeFunc("anubis.st_reads", func() float64 { return float64(s.stats.STReads) })
-	s.stTree.AttachTelemetry(reg, "anubis.tree")
 }

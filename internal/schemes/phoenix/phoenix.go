@@ -26,7 +26,6 @@ import (
 	"nvmstar/internal/nvm"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sit"
-	"nvmstar/internal/telemetry"
 )
 
 // DefaultStride is the counter-block persistence stride (Osiris' N).
@@ -344,14 +343,4 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 	}
 	clear(s.updates)
 	return rep, nil
-}
-
-// AttachTelemetry implements secmem.TelemetryAttacher: export the
-// intermediate-node shadow-table writes and the stride-rule counter
-// persists — Phoenix's two sources of extra write traffic — plus the
-// ST-tree's hash work as lazily sampled series.
-func (s *Scheme) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("phoenix.st_writes", func() float64 { return float64(s.stats.STWrites) })
-	reg.GaugeFunc("phoenix.stride_persists", func() float64 { return float64(s.stats.StridePersists) })
-	s.stTree.AttachTelemetry(reg, "phoenix.tree")
 }

@@ -9,7 +9,6 @@ package strict
 import (
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sit"
-	"nvmstar/internal/telemetry"
 )
 
 // Scheme is the strict write-through persistence baseline.
@@ -86,11 +85,4 @@ func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme {
 // stale metadata, so recovery is a (successful) no-op.
 func (*Scheme) Recover() (*secmem.RecoveryReport, error) {
 	return &secmem.RecoveryReport{Scheme: "strict", Supported: true, Verified: true}, nil
-}
-
-// AttachTelemetry implements secmem.TelemetryAttacher: strict's only
-// scheme-side quantity is how many branch write-throughs ran (its
-// write amplification shows up in the engine's own series).
-func (s *Scheme) AttachTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("strict.branch_flushes", func() float64 { return float64(s.branchFlushes) })
 }

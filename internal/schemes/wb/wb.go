@@ -9,7 +9,6 @@ package wb
 import (
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sit"
-	"nvmstar/internal/telemetry"
 )
 
 // Scheme is the WB baseline.
@@ -52,8 +51,3 @@ func (*Scheme) Fork(*secmem.Engine) secmem.Scheme { return New() }
 func (*Scheme) Recover() (*secmem.RecoveryReport, error) {
 	return &secmem.RecoveryReport{Scheme: "wb", Supported: false}, secmem.ErrRecoveryUnsupported
 }
-
-// AttachTelemetry implements secmem.TelemetryAttacher as a documented
-// no-op: WB adds no traffic beyond what the engine and device already
-// export, so it registers no series of its own.
-func (*Scheme) AttachTelemetry(*telemetry.Registry) {}

@@ -142,8 +142,8 @@ type Engine struct {
 	// is O(1) instead of a scan-decode-sort per call.
 	dirtySets [][]SetEntry
 
-	// trace is the optional event-trace sink installed by
-	// AttachTelemetry; nil (the default) makes every emission a no-op.
+	// trace is the optional event-trace sink installed by SetTrace;
+	// nil (the default) makes every emission a no-op.
 	trace *telemetry.Trace
 
 	// macBuf is the reused input buffer for Node/DataMACField. Both
@@ -699,7 +699,7 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 // per-node bookkeeping, dirty lists, the root register, statistics —
 // copies deeply, and the scheme forks last, against the already-forked
 // engine. The geometry and crypto suite are shared: both are immutable and safe for concurrent use. The clone
-// carries no telemetry sink; attach one if the forked run should be
+// carries no trace sink; install one with SetTrace if the forked run should be
 // observed. Parent and clone may then run on different goroutines.
 func (e *Engine) Fork() *Engine {
 	f := &Engine{

@@ -2,46 +2,15 @@ package secmem
 
 import "nvmstar/internal/telemetry"
 
-// TelemetryAttacher is the optional interface schemes implement to
-// export their own series (shadow-table traffic, bitmap-line hit
-// ratio, branch flushes) into the machine's registry. It is separate
-// from Scheme so existing implementations and test fakes stay valid.
-type TelemetryAttacher interface {
-	AttachTelemetry(reg *telemetry.Registry)
-}
-
 // evictSampleMask selects which metadata-cache evictions become trace
 // events: one in 64. Evictions are the bulk event of a metadata-bound
 // run; tracing all of them would dwarf every other track in Perfetto.
 const evictSampleMask = 63
 
-// AttachTelemetry registers the engine's counters as lazily sampled
-// series — the dirty-metadata fraction ("meta.dirty_frac", Fig. 14a's
-// quantity over time), the metadata-cache and per-region NVM traffic,
-// and the run's write amplification — and installs tr as the engine's
-// event-trace sink (sampled metadata evictions, forced MSB flushes).
-// Both parameters are nil-safe: a nil registry skips registration, a
-// nil trace leaves event emission as no-ops.
-func (e *Engine) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Trace) {
-	e.trace = tr
-	e.meta.AttachTelemetry(reg, "meta")
-	reg.GaugeFunc("engine.user_reads", func() float64 { return float64(e.stats.UserReads) })
-	reg.GaugeFunc("engine.user_writes", func() float64 { return float64(e.stats.UserWrites) })
-	reg.GaugeFunc("engine.data_nvm_reads", func() float64 { return float64(e.stats.DataNVMReads) })
-	reg.GaugeFunc("engine.data_nvm_writes", func() float64 { return float64(e.stats.DataNVMWrites) })
-	reg.GaugeFunc("engine.meta_nvm_reads", func() float64 { return float64(e.stats.MetaNVMReads) })
-	reg.GaugeFunc("engine.meta_nvm_writes", func() float64 { return float64(e.stats.MetaNVMWrites) })
-	reg.GaugeFunc("engine.forced_flushes", func() float64 { return float64(e.stats.ForcedFlushes) })
-	reg.GaugeFunc("engine.mac_computes", func() float64 { return float64(e.stats.MACComputes) })
-	// Write amplification: total NVM line writes (data + metadata +
-	// scheme-side extras, all of which reach the device) per user write.
-	reg.GaugeFunc("engine.write_amp", func() float64 {
-		if e.stats.UserWrites == 0 {
-			return 0
-		}
-		return float64(e.dev.Stats().Writes) / float64(e.stats.UserWrites)
-	})
-}
+// SetTrace installs tr as the engine's event-trace sink (sampled
+// metadata evictions, forced MSB flushes). A nil trace, the default,
+// leaves every emission a no-op.
+func (e *Engine) SetTrace(tr *telemetry.Trace) { e.trace = tr }
 
 // traceEvict emits a sampled metadata-eviction event: every 64th
 // eviction of the metadata cache, annotated with the evicted address.

@@ -50,15 +50,16 @@ type Config struct {
 
 	Seed uint64 // workload PRNG seed
 
-	// Telemetry enables the metrics registry: every layer registers its
-	// counters/gauges/histograms on the machine's telemetry.Registry.
-	// Disabled (the default) costs the hot paths nothing — instruments
-	// are nil pointers whose methods are no-ops.
+	// Telemetry enables the machine's telemetry.Registry: lazily read
+	// series over the machine's layers (dirty-metadata fraction, cache
+	// hit ratios, write amplification; see telemetry.go). Disabled (the
+	// default) costs the hot paths nothing — nothing is registered and
+	// the layers are never read.
 	Telemetry bool
 	// SampleEveryNs snapshots every registered series each time
 	// simulated time crosses a multiple of this interval, building the
 	// in-memory timelines attached to Results. 0 disables sampling
-	// (the registry still collects end-of-run values). Requires
+	// (the registry still reads live values). Requires
 	// Telemetry.
 	SampleEveryNs float64
 	// TraceEvents buffers structured events (crash, recovery phases,
@@ -77,8 +78,8 @@ type Config struct {
 	//     along the critical path into components (bank wait, metadata
 	//     fetch by tree level, write-queue stalls by write cause, recovery
 	//     phases), surfacing as Results.Latency.
-	// Both also feed labeled telemetry series and the /metrics
-	// exposition. Disabled (the default) the hot paths pay one nil check
+	// A sweep's experiments.Observatory aggregates both and serves them
+	// on starbench -http's /metrics. Disabled (the default) the hot paths pay one nil check
 	// per hook — results and digests are bit-identical to builds without
 	// the feature.
 	Observe bool

@@ -37,7 +37,8 @@ const (
 )
 
 // latOpNames is indexed by latOp; the names are the stable labels used
-// in Results.Latency, telemetry series, trace events and reports.
+// in Results.Latency, trace events, reports and the observatory's
+// /metrics labels.
 var latOpNames = [numLatOps]string{"read", "write", "persist", "recovery"}
 
 func (o latOp) String() string {
@@ -123,8 +124,7 @@ type latFrame struct {
 }
 
 // latRecorder accumulates the machine's per-op latency state. It lives
-// on the driving goroutine only — no atomics beyond what the
-// histograms provide for concurrent /metrics scrapes.
+// on the driving goroutine only.
 type latRecorder struct {
 	hists [numLatOps]*telemetry.Histogram
 	comps [numLatOps][numLatComps]float64
@@ -208,25 +208,6 @@ func (r *latRecorder) reset() {
 	}
 	r.comps = [numLatOps][numLatComps]float64{}
 	r.depth = 0
-}
-
-// register exposes the recorder's histograms and component totals on
-// the machine's telemetry registry as labeled series — the /metrics
-// exposition renders the histograms as OpenMetrics families with
-// cumulative le buckets. No-op on a nil registry.
-func (r *latRecorder) register(reg *telemetry.Registry) {
-	if r == nil || reg == nil {
-		return
-	}
-	for op := latOp(0); op < numLatOps; op++ {
-		reg.AttachHistogram(fmt.Sprintf("latency.op_ns{op=%q}", op.String()), r.hists[op])
-		for comp := latComp(0); comp < numLatComps; comp++ {
-			op, comp := op, comp
-			reg.GaugeFunc(
-				fmt.Sprintf("latency.component_ns{op=%q,component=%q}", op.String(), latCompNames[comp]),
-				func() float64 { return r.comps[op][comp] })
-		}
-	}
 }
 
 // latSnapshot is the recorder state at a phase boundary; Measure

@@ -60,15 +60,10 @@ type Machine struct {
 	ctxDone <-chan struct{}
 	ctxPoll uint
 
-	// Observability (nil when disabled; see telemetry.go). The
-	// histogram pointers are nil-safe no-ops, so the hot paths below
-	// call them unconditionally.
-	tel       *telemetry.Registry
-	sampler   *telemetry.Sampler
-	trace     *telemetry.Trace
-	readWait  *telemetry.Histogram
-	writeWait *telemetry.Histogram
-	bankBusy  *telemetry.Histogram
+	// Observability (nil when disabled; see telemetry.go).
+	tel     *telemetry.Registry
+	sampler *telemetry.Sampler
+	trace   *telemetry.Trace
 	// lat is the per-operation latency observatory (latency.go); nil
 	// unless Config.Observe, so the hot paths pay one nil check.
 	lat *latRecorder
@@ -281,8 +276,6 @@ func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 		if m.bankFree[bank] > start {
 			start = m.bankFree[bank]
 		}
-		m.readWait.Observe(start - m.coreNow[c])
-		m.observeBusyBanks(m.coreNow[c])
 		if m.lat != nil && m.lat.depth > 0 {
 			m.lat.note(compBankWait, start-m.coreNow[c])
 			m.lat.note(m.latReadComp(addr), t.ReadNs())
@@ -294,13 +287,10 @@ func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 	// Queue full? Stall until the oldest outstanding write completes.
 	oldest := m.wqDone[m.wqIdx]
 	if oldest > m.coreNow[c] {
-		m.writeWait.Observe(oldest - m.coreNow[c])
 		if m.lat != nil && m.lat.depth > 0 {
 			m.lat.note(stallCompOf(m.engine.Device().LastWriteCause()), oldest-m.coreNow[c])
 		}
 		m.coreNow[c] = oldest
-	} else {
-		m.writeWait.Observe(0)
 	}
 	// Service completion: aggregate drain rate of Banks/tWR.
 	interval := t.WriteNs() / float64(len(m.bankFree))
@@ -314,22 +304,6 @@ func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 }
 
 func (m *Machine) charge(c int, ns float64) { m.coreNow[c] += ns }
-
-// observeBusyBanks records how many banks are still servicing earlier
-// reads at time now. Guarded so disabled telemetry skips the O(Banks)
-// count, not just the nil-safe Observe.
-func (m *Machine) observeBusyBanks(now float64) {
-	if m.bankBusy == nil {
-		return
-	}
-	busy := 0
-	for _, free := range m.bankFree {
-		if free > now {
-			busy++
-		}
-	}
-	m.bankBusy.Observe(float64(busy))
-}
 
 // --- cache hierarchy ------------------------------------------------------
 
@@ -711,7 +685,6 @@ func (m *Machine) Reset(seed uint64) {
 	m.wqLastOut = 0
 	m.ctx, m.ctxDone = nil, nil
 	m.ctxPoll = 0
-	m.tel.Reset()
 	m.sampler.Reset()
 	m.trace.Reset()
 	m.lat.reset()

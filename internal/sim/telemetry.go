@@ -8,72 +8,56 @@ import (
 )
 
 // initTelemetry builds the machine's observability objects per the
-// configuration and threads them through every layer. With both
-// Telemetry and TraceEvents off (the default) it does nothing and the
-// machine's instrument pointers stay nil, which makes every hot-path
-// emission a nil-check no-op.
+// configuration. With both Telemetry and TraceEvents off (the default)
+// it does nothing and the machine's sink pointers stay nil, which makes
+// every hot-path emission a nil-check no-op.
+//
+// The registry exports exactly the series a tool or test reads:
+// starplot -timeline's dirty-metadata fraction (Fig. 14a over time),
+// cache hit ratios and write amplification, plus the raw NVM write and
+// L3 probe counts the simulator tests check. Every series is a gauge
+// function over the machine's own layers, evaluated only when the
+// sampler fires; the closures go through m so a fork's registry reads
+// the fork, never its parent.
 func (m *Machine) initTelemetry() {
-	if !m.cfg.Telemetry && !m.cfg.TraceEvents {
-		return
-	}
 	if m.cfg.TraceEvents {
 		m.trace = telemetry.NewTrace(0)
 		// Events are timestamped with the issuing core's simulated
 		// clock and laned by core.
 		m.trace.SetClock(func() (float64, int) { return m.coreNow[m.curCore], m.curCore })
+		// The engine emits sampled metadata evictions and forced MSB
+		// flushes into the same trace.
+		m.engine.SetTrace(m.trace)
 	}
-	if m.cfg.Telemetry {
-		m.tel = telemetry.NewRegistry()
-		m.sampler = telemetry.NewSampler(m.tel, m.cfg.SampleEveryNs)
+	if !m.cfg.Telemetry {
+		return
 	}
-	// Registrations below are no-ops on a nil registry (TraceEvents
-	// without Telemetry), but the engine still receives the trace sink.
-	reg := m.tel
-
-	// Machine-level series and the device-timing histograms fed from
-	// onDeviceAccess.
-	reg.GaugeFunc("machine.time_ns", m.maxTimeNs)
-	reg.GaugeFunc("machine.instructions", func() float64 {
-		var n uint64
-		for _, v := range m.instr {
-			n += v
-		}
-		return float64(n)
+	reg := telemetry.NewRegistry()
+	reg.GaugeFunc("meta.dirty_frac", func() float64 {
+		mc := m.engine.MetaCache()
+		return float64(mc.DirtyCount()) / float64(mc.Lines())
 	})
-	m.readWait = reg.Histogram("nvm.read_bank_wait_ns", telemetry.ExpBuckets(1, 2, 12))
-	m.writeWait = reg.Histogram("nvm.write_queue_wait_ns", telemetry.ExpBuckets(1, 2, 12))
-	bounds := make([]float64, len(m.bankFree))
-	for i := range bounds {
-		bounds[i] = float64(i)
-	}
-	m.bankBusy = reg.Histogram("nvm.busy_banks", bounds)
-
-	// Latency-observatory histograms and component totals, exported as
-	// labeled OpenMetrics families on /metrics. No-op on a nil recorder
-	// (Config.Observe off) or a nil registry.
-	m.lat.register(reg)
-
-	// CPU cache hierarchy: the shared L3 directly, the per-core
-	// private levels as aggregates (per-core series would multiply the
-	// timeline count eightfold without changing any figure).
-	m.l3.AttachTelemetry(reg, "l3")
-	l1s, l2s := m.l1, m.l2
-	reg.GaugeFunc("l1.hit_ratio", func() float64 { return aggregateHitRatio(l1s) })
-	reg.GaugeFunc("l2.hit_ratio", func() float64 { return aggregateHitRatio(l2s) })
-
-	// ADR pools (STAR only): occupancy and hit ratio of the
-	// battery-backed regions come through the scheme attacher below.
-
-	// Memory controller and NVM device; the engine also takes the
-	// trace sink for its sampled eviction and forced-flush events.
-	m.engine.Device().AttachTelemetry(reg, "nvm")
-	m.engine.AttachTelemetry(reg, m.trace)
-
-	// Scheme-specific series (shadow-table traffic, bitmap hit ratio,
-	// branch flushes) via the optional attacher interface.
-	if a, ok := m.engine.Scheme().(secmem.TelemetryAttacher); ok {
-		a.AttachTelemetry(reg)
-	}
+	reg.GaugeFunc("meta.hit_ratio", func() float64 { return m.engine.MetaCache().Stats().HitRatio() })
+	// The per-core private levels export one aggregate each (per-core
+	// series would multiply the timeline count without changing any
+	// figure); the shared L3 exports its probe counts too.
+	reg.GaugeFunc("l1.hit_ratio", func() float64 { return aggregateHitRatio(m.l1) })
+	reg.GaugeFunc("l2.hit_ratio", func() float64 { return aggregateHitRatio(m.l2) })
+	reg.GaugeFunc("l3.hit_ratio", func() float64 { return m.l3.Stats().HitRatio() })
+	reg.GaugeFunc("l3.hits", func() float64 { return float64(m.l3.Stats().Hits) })
+	reg.GaugeFunc("l3.misses", func() float64 { return float64(m.l3.Stats().Misses) })
+	reg.GaugeFunc("nvm.writes", func() float64 { return float64(m.engine.Device().Stats().Writes) })
+	// Write amplification: total NVM line writes (data, metadata and
+	// scheme-side extras all reach the device) per user write.
+	reg.GaugeFunc("engine.write_amp", func() float64 {
+		user := m.engine.Stats().UserWrites
+		if user == 0 {
+			return 0
+		}
+		return float64(m.engine.Device().Stats().Writes) / float64(user)
+	})
+	m.tel = reg
+	m.sampler = telemetry.NewSampler(reg, m.cfg.SampleEveryNs)
 }
 
 // aggregateHitRatio folds the per-core caches of one private level

@@ -255,3 +255,101 @@ func TestTelemetryResetInvariant(t *testing.T) {
 		t.Errorf("reused instrumented machine diverged:\nfresh  %+v\nreused %+v", want, got)
 	}
 }
+
+// telemetrySeries is the machine registry's whole export: the series
+// starplot -timeline, the repository benchmark and this package's
+// tests read. A new series belongs here only together with its reader.
+var telemetrySeries = []string{
+	"engine.write_amp",
+	"l1.hit_ratio",
+	"l2.hit_ratio",
+	"l3.hit_ratio",
+	"l3.hits",
+	"l3.misses",
+	"meta.dirty_frac",
+	"meta.hit_ratio",
+	"nvm.writes",
+}
+
+// TestTelemetrySeriesSet pins the exported series set for every scheme,
+// with and without the observatory, so no layer re-adds an unread
+// series unnoticed.
+func TestTelemetrySeriesSet(t *testing.T) {
+	for _, scheme := range []string{"wb", "strict", "star", "anubis", "phoenix"} {
+		for _, observe := range []bool{false, true} {
+			cfg := telemetryTestConfig(scheme)
+			cfg.Telemetry = true
+			cfg.Observe = observe
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Telemetry().SeriesNames(); !reflect.DeepEqual(got, telemetrySeries) {
+				t.Errorf("%s (observe %v): series = %v, want %v", scheme, observe, got, telemetrySeries)
+			}
+		}
+	}
+}
+
+// TestForkTelemetryIsolated checks that a fork's registry reads the
+// fork's own layers and the parent's registry keeps reading the
+// parent's, after the parent runs on past the fork point.
+func TestForkTelemetryIsolated(t *testing.T) {
+	cfg := telemetryTestConfig("star")
+	cfg.Telemetry = true
+	cfg.SampleEveryNs = 10000
+	parent, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := parent.NewSession("hash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepN(400); err != nil {
+		t.Fatal(err)
+	}
+	fork := parent.Fork()
+	if err := s.StepN(400); err != nil {
+		t.Fatal(err)
+	}
+	if fork.Telemetry() == parent.Telemetry() || fork.Sampler() == parent.Sampler() {
+		t.Fatal("fork shares the parent's registry or sampler")
+	}
+	if parent.Engine().Device().Stats().Writes == fork.Engine().Device().Stats().Writes {
+		t.Fatal("parent wrote nothing after the fork; the test cannot tell the machines apart")
+	}
+
+	own := func(m *Machine) map[string]float64 {
+		mc := m.Engine().MetaCache()
+		return map[string]float64{
+			"nvm.writes":      float64(m.Engine().Device().Stats().Writes),
+			"meta.dirty_frac": float64(mc.DirtyCount()) / float64(mc.Lines()),
+		}
+	}
+	for _, c := range []struct {
+		label string
+		m     *Machine
+	}{{"parent", parent}, {"fork", fork}} {
+		want := own(c.m)
+		got := map[string]float64{}
+		c.m.Telemetry().Each(func(name string, v float64) {
+			if _, ok := want[name]; ok {
+				got[name] = v
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s registry = %v, want its own layers' %v", c.label, got, want)
+		}
+	}
+
+	// The fork's sampler starts fresh and samples the fork's registry.
+	fork.sample(fork.CurrentCore())
+	tl := fork.Sampler().Timeline("nvm.writes")
+	if tl == nil {
+		t.Fatal("fork sampler has no nvm.writes timeline")
+	}
+	if got, want := tl.Last(), own(fork)["nvm.writes"]; got != want {
+		t.Errorf("fork sampler's last nvm.writes sample = %v, want %v", got, want)
+	}
+}

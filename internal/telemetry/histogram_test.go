@@ -3,7 +3,6 @@ package telemetry
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -164,40 +163,4 @@ func TestQuantileFromBuckets(t *testing.T) {
 	if got := QuantileFromBuckets(bounds, nil, 0, 0.5); !math.IsNaN(got) && got != 0 {
 		t.Fatalf("empty counts q50 = %g, want 0", got)
 	}
-}
-
-// TestAttachHistogramOpenMetrics pins that an externally built
-// histogram attached to a registry renders as a labelled, lint-clean
-// OpenMetrics histogram family — the path the latency observatory's
-// latency.op_ns{op="..."} series take onto /metrics.
-func TestAttachHistogramOpenMetrics(t *testing.T) {
-	reg := NewRegistry()
-	h := NewHistogram(ExpBuckets(1, 2, 4))
-	reg.AttachHistogram(`latency.op_ns{op="read"}`, h)
-	h.Observe(3)
-	h.Observe(100) // overflow
-
-	var sb strings.Builder
-	if err := WriteOpenMetrics(&sb, reg.MetricFamilies()); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	if err := LintOpenMetrics([]byte(text)); err != nil {
-		t.Fatalf("attached histogram fails OpenMetrics lint: %v\n%s", err, text)
-	}
-	for _, want := range []string{
-		`latency_op_ns_bucket{op="read",le="4"} 1`,
-		`latency_op_ns_bucket{op="read",le="+Inf"} 2`,
-		`latency_op_ns_count{op="read"} 2`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-
-	// Attach is nil-safe in both directions: a nil registry and a nil
-	// histogram are no-ops, matching the disabled-telemetry idiom.
-	var nilReg *Registry
-	nilReg.AttachHistogram("x", h)
-	reg.AttachHistogram("y", nil)
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the OpenMetrics text exposition (the format
-// Prometheus scrapes) for the registry's instruments, plus a strict
-// lint parser used by the verify-observe CI gate. Only the stdlib is
+// Prometheus scrapes) of MetricsSource families, plus a strict lint
+// parser used by the verify-observe CI gate. Only the stdlib is
 // used; the subset implemented is the one the simulator emits:
 // gauge, counter and histogram families, label sets, and the
 // mandatory `# EOF` terminator.
@@ -47,139 +47,6 @@ type MetricFamily struct {
 // goroutines call them while the owning component runs.
 type MetricsSource interface {
 	MetricFamilies() []MetricFamily
-}
-
-// sanitizeMetricName maps a registry series name onto the OpenMetrics
-// name charset: dots (the registry's namespace separator) become
-// underscores, as does any other invalid rune.
-func sanitizeMetricName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9' && i > 0:
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// splitSeriesName separates a registry series name from its optional
-// trailing label block (`base{k="v",...}`). A malformed block is kept
-// as part of the name (and later sanitized away).
-func splitSeriesName(name string) (base string, labels []Label) {
-	open := strings.IndexByte(name, '{')
-	if open < 0 || !strings.HasSuffix(name, "}") {
-		return name, nil
-	}
-	block := name[open+1 : len(name)-1]
-	base = name[:open]
-	for len(block) > 0 {
-		eq := strings.IndexByte(block, '=')
-		if eq < 0 || len(block) < eq+2 || block[eq+1] != '"' {
-			return name, nil
-		}
-		key := block[:eq]
-		rest := block[eq+2:]
-		end := -1
-		for i := 0; i < len(rest); i++ {
-			if rest[i] == '\\' {
-				i++
-				continue
-			}
-			if rest[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			return name, nil
-		}
-		labels = append(labels, Label{Key: key, Value: rest[:end]})
-		block = rest[end+1:]
-		if strings.HasPrefix(block, ",") {
-			block = block[1:]
-		} else if len(block) > 0 {
-			return name, nil
-		}
-	}
-	return base, labels
-}
-
-// MetricFamilies renders the registry's instruments as OpenMetrics
-// families: counters as counter families (sample name + "_total"),
-// gauges and gauge funcs as gauges, histograms as histogram families
-// with cumulative le-labeled buckets. Series whose registry name
-// carries a label block (`name{k="v"}`) contribute labeled samples to
-// the shared base family.
-func (r *Registry) MetricFamilies() []MetricFamily {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-
-	byName := make(map[string]*MetricFamily)
-	order := []string{}
-	family := func(name, typ string) *MetricFamily {
-		if f, ok := byName[name]; ok {
-			return f
-		}
-		f := &MetricFamily{Name: name, Type: typ}
-		byName[name] = f
-		order = append(order, name)
-		return f
-	}
-	add := func(series, typ, suffix string, v float64, extra ...Label) {
-		base, labels := splitSeriesName(series)
-		f := family(sanitizeMetricName(base), typ)
-		f.Samples = append(f.Samples, Sample{Suffix: suffix, Labels: append(labels, extra...), Value: v})
-	}
-
-	for _, c := range r.counters {
-		add(c.name, "counter", "_total", c.Value())
-	}
-	for _, g := range r.gauges {
-		add(g.name, "gauge", "", g.Value())
-	}
-	for _, gf := range r.gfuncs {
-		add(gf.name, "gauge", "", gf.fn())
-	}
-	for _, h := range r.hists {
-		base, labels := splitSeriesName(h.name)
-		f := family(sanitizeMetricName(base), "histogram")
-		bounds, counts := h.Buckets()
-		var cum uint64
-		for i, b := range bounds {
-			cum += counts[i]
-			le := strconv.FormatFloat(b, 'g', -1, 64)
-			f.Samples = append(f.Samples, Sample{
-				Suffix: "_bucket",
-				Labels: append(append([]Label(nil), labels...), Label{Key: "le", Value: le}),
-				Value:  float64(cum),
-			})
-		}
-		cum += counts[len(counts)-1]
-		f.Samples = append(f.Samples, Sample{
-			Suffix: "_bucket",
-			Labels: append(append([]Label(nil), labels...), Label{Key: "le", Value: "+Inf"}),
-			Value:  float64(cum),
-		})
-		f.Samples = append(f.Samples,
-			Sample{Suffix: "_count", Labels: labels, Value: float64(h.Count())},
-			Sample{Suffix: "_sum", Labels: labels, Value: h.Sum()},
-		)
-	}
-
-	sort.Strings(order)
-	out := make([]MetricFamily, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	return out
 }
 
 // formatMetricValue renders a sample value in OpenMetrics syntax.

@@ -84,61 +84,47 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	})
 }
 
-func TestRegistryMetricFamiliesLabels(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("evt.count").Add(3)
-	r.Gauge("live.val").Set(1.5)
-	r.GaugeFunc(`nvm.writes_by_cause{cause="data",bank="0"}`, func() float64 { return 7 })
-	r.GaugeFunc(`nvm.writes_by_cause{cause="mac",bank="1"}`, func() float64 { return 2 })
-	r.Histogram("lat.ns", []float64{1, 2}).Observe(1.5)
-
-	fams := r.MetricFamilies()
-	byName := map[string]MetricFamily{}
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	c, ok := byName["evt_count"]
-	if !ok || c.Type != "counter" || c.Samples[0].Suffix != "_total" || c.Samples[0].Value != 3 {
-		t.Fatalf("counter family wrong: %+v", c)
-	}
-	w, ok := byName["nvm_writes_by_cause"]
-	if !ok || w.Type != "gauge" || len(w.Samples) != 2 {
-		t.Fatalf("labeled gauge family wrong: %+v", w)
-	}
-	s := w.Samples[0]
-	if len(s.Labels) != 2 || s.Labels[0] != (Label{"cause", "data"}) || s.Labels[1] != (Label{"bank", "0"}) {
-		t.Fatalf("labels not split from series name: %+v", s.Labels)
-	}
-	h, ok := byName["lat_ns"]
-	if !ok || h.Type != "histogram" {
-		t.Fatalf("histogram family missing: %+v", fams)
-	}
-	// 2 finite buckets + +Inf + _count + _sum.
-	if len(h.Samples) != 5 {
-		t.Fatalf("histogram samples = %d, want 5: %+v", len(h.Samples), h.Samples)
+// testFamilies is one family of each kind a MetricsSource emits: a
+// counter, a labeled gauge and a histogram with cumulative buckets.
+func testFamilies() []MetricFamily {
+	return []MetricFamily{
+		{Name: "evt_count", Type: "counter", Samples: []Sample{{Suffix: "_total", Value: 3}}},
+		{Name: "attr_writes", Type: "gauge", Samples: []Sample{
+			{Labels: []Label{{"cause", "data"}, {"bank", "0"}}, Value: 7},
+			{Labels: []Label{{"cause", "mac"}, {"bank", "1"}}, Value: 2},
+		}},
+		{Name: "lat_ns", Type: "histogram", Samples: []Sample{
+			{Suffix: "_bucket", Labels: []Label{{"le", "1"}}, Value: 0},
+			{Suffix: "_bucket", Labels: []Label{{"le", "2"}}, Value: 1},
+			{Suffix: "_bucket", Labels: []Label{{"le", "+Inf"}}, Value: 1},
+			{Suffix: "_count", Value: 1},
+			{Suffix: "_sum", Value: 1.5},
+		}},
 	}
 }
 
-func TestWriteOpenMetricsPassesLint(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("evt.count").Add(3)
-	r.Gauge("live.val").Set(1.5)
-	r.GaugeFunc(`nvm.writes_by_cause{cause="data",bank="0"}`, func() float64 { return 7 })
-	r.Histogram("lat.ns", []float64{1, 2}).Observe(1.5)
+// staticSource serves fixed families to the debug server.
+type staticSource []MetricFamily
 
+func (s staticSource) MetricFamilies() []MetricFamily { return s }
+
+func TestWriteOpenMetricsPassesLint(t *testing.T) {
 	var b strings.Builder
-	if err := WriteOpenMetrics(&b, r.MetricFamilies()); err != nil {
+	if err := WriteOpenMetrics(&b, testFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
 	if !strings.HasSuffix(text, "# EOF\n") {
 		t.Fatalf("missing # EOF terminator:\n%s", text)
 	}
-	if !strings.Contains(text, `nvm_writes_by_cause{cause="data",bank="0"} 7`) {
-		t.Fatalf("labeled sample missing:\n%s", text)
-	}
-	if !strings.Contains(text, "evt_count_total 3") {
-		t.Fatalf("counter _total sample missing:\n%s", text)
+	for _, want := range []string{
+		`attr_writes{cause="data",bank="0"} 7`,
+		"evt_count_total 3",
+		`lat_ns_bucket{le="+Inf"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("sample %q missing:\n%s", want, text)
+		}
 	}
 	if err := LintOpenMetrics([]byte(text)); err != nil {
 		t.Fatalf("own exposition fails own lint: %v\n%s", err, text)
@@ -177,19 +163,14 @@ func TestLintOpenMetricsCatchesViolations(t *testing.T) {
 	}
 }
 
-// TestDebugServerMetricsEndpoint scrapes /metrics end to end: attach a
-// registry with every instrument kind (including labeled series), GET
-// the endpoint, and run the scrape through the strict lint — the same
+// TestDebugServerMetricsEndpoint scrapes /metrics end to end: attach
+// sources with every family kind (including labeled samples), GET the
+// endpoint, and run the scrape through the strict lint — the same
 // check the verify-observe CI gate performs.
 func TestDebugServerMetricsEndpoint(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("evt.count").Add(5)
-	r.Gauge("live.val").Set(2)
-	r.GaugeFunc(`nvm.writes_by_cause{cause="counter",bank="3"}`, func() float64 { return 11 })
-	r.Histogram("lat.ns", ExpBuckets(1, 2, 4)).Observe(3)
-
 	d := NewDebugServer("127.0.0.1:0", nil)
-	d.AddMetricsSource(r)
+	d.AddMetricsSource(staticSource(testFamilies()))
+	d.AddMetricsSource(staticSource{{Name: "live_val", Type: "gauge", Samples: []Sample{{Value: 2}}}})
 	d.AddMetricsSource(nil) // must be ignored
 	addr, err := d.Start()
 	if err != nil {
@@ -212,9 +193,10 @@ func TestDebugServerMetricsEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"evt_count_total 5",
-		`nvm_writes_by_cause{cause="counter",bank="3"} 11`,
+		"evt_count_total 3",
+		`attr_writes{cause="mac",bank="1"} 2`,
 		"lat_ns_count 1",
+		"live_val 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q:\n%s", want, text)

@@ -1,98 +1,40 @@
 // Package telemetry is the simulator's observability layer: a
-// registry of named counters, gauges and histograms that the machine,
-// engine, device, caches and schemes populate; a simulated-time
-// sampler that turns the registered series into in-memory timelines
-// (sampler.go); a structured event trace emitted as Chrome
-// trace-event JSON (trace.go); and an OpenMetrics text exposition of
-// the registered instruments (openmetrics.go) served by the debug
-// server's /metrics endpoint.
+// registry of lazily evaluated series that the machine populates
+// (telemetry.go); a simulated-time sampler that turns the registered
+// series into in-memory timelines (sampler.go); a structured event
+// trace emitted as Chrome trace-event JSON (trace.go); fixed-bucket
+// histograms with quantile estimates that the latency observatory and
+// the device's wear summary use; and an OpenMetrics text exposition
+// of attached MetricsSources (openmetrics.go) served by the debug
+// server's /metrics endpoint, with a strict lint for it.
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may
-// not regress when nobody is watching. Every instrument is therefore a
-// pointer whose methods are nil-safe no-ops — a component asks a nil
-// *Registry for a counter, gets a nil *Counter back, and `c.Inc()`
-// compiles to a nil check and a return. No interface values, no
-// indirect calls, no allocation on either path.
+// not regress when nobody is watching. The sinks are therefore
+// pointers whose methods are nil-safe no-ops — a nil *Histogram's
+// Observe and a nil *Trace's Instant compile to a nil check and a
+// return. No interface values, no indirect calls, no allocation on
+// either path.
 //
-// The simulator itself is single-goroutine per machine, but the debug
-// server scrapes instruments from HTTP handler goroutines while a run
-// mutates them, so instrument updates are lock-free atomics and
-// registration is mutex-guarded. Updates stay allocation-free.
-//
-// Series names may carry an OpenMetrics-style label block, e.g.
-// `nvm.writes_by_cause{cause="data",bank="0"}`. The registry and
-// sampler treat the whole string as the series name; the OpenMetrics
-// writer splits the block back into labels at exposition time.
+// The simulator itself is single-goroutine per machine, but readers
+// on other goroutines may snapshot a histogram or walk a registry
+// while a run updates it, so histogram updates are lock-free atomics
+// and registry access is mutex-guarded.
 package telemetry
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing event count. The zero of a
-// run's telemetry: every method on a nil *Counter is a no-op, so
-// instrumented code never branches on "is telemetry on".
-type Counter struct {
-	name string
-	v    atomic.Uint64 // float64 bits
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n float64) {
-	if c == nil {
-		return
-	}
-	for {
-		old := c.v.Load()
-		if c.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+n)) {
-			return
-		}
-	}
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.v.Load())
-}
-
-// Gauge is an instantaneous value set by its owner.
-type Gauge struct {
-	name string
-	v    atomic.Uint64 // float64 bits
-}
-
-// Set overwrites the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.v.Load())
-}
-
-// Histogram accumulates a distribution over fixed bucket upper bounds.
-// The sampler exports its count and sum (so means over time are
-// derivable); the full bucket vector is available for end-of-run
-// reporting.
+// Histogram accumulates a distribution over fixed bucket upper bounds:
+// count, sum, max and the per-bucket vector that end-of-run reports
+// and quantile estimates read.
 type Histogram struct {
-	name   string
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []uint64  // len(bounds)+1, accessed atomically
 	count  atomic.Uint64
@@ -100,11 +42,9 @@ type Histogram struct {
 	max    atomic.Uint64 // float64 bits of the largest observation
 }
 
-// NewHistogram builds a standalone histogram over the given ascending
-// bucket upper bounds, unattached to any registry — for components
-// that summarize distributions (the device's per-bank wear p99)
-// without exporting the histogram itself as a series. AttachHistogram
-// can later export it under a name.
+// NewHistogram builds a histogram over the given ascending bucket
+// upper bounds — for components that summarize distributions (the
+// latency observatory's per-op tails, the device's per-bank wear p99).
 func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
@@ -116,7 +56,7 @@ func (h *Histogram) Clone() *Histogram {
 	if h == nil {
 		return nil
 	}
-	c := &Histogram{name: h.name, bounds: h.bounds, counts: make([]uint64, len(h.counts))}
+	c := &Histogram{bounds: h.bounds, counts: make([]uint64, len(h.counts))}
 	for i := range h.counts {
 		c.counts[i] = atomic.LoadUint64(&h.counts[i])
 	}
@@ -127,8 +67,8 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // Reset zeroes the histogram's counts, sum and max while keeping its
-// bounds and name — the standalone-histogram half of the machine-reuse
-// Reset invariant (Registry.Reset covers registered instruments).
+// bounds — a Reset machine's histograms then read exactly as a fresh
+// machine's would.
 func (h *Histogram) Reset() {
 	if h == nil {
 		return
@@ -154,7 +94,7 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	// Max tracking assumes non-negative observations (true of every
-	// series here: latencies, wear counts, bank occupancy); the zero
+	// histogram here: latencies and wear counts); the zero
 	// initial value then never overstates the maximum.
 	for {
 		old := h.max.Load()
@@ -204,7 +144,7 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Buckets returns the bucket upper bounds and a snapshot of the
-// per-bucket counts aligned with the bounds passed at registration,
+// per-bucket counts aligned with the bounds passed to NewHistogram,
 // plus one overflow count.
 func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
 	if h == nil {
@@ -359,133 +299,47 @@ type gaugeFunc struct {
 	fn   func() float64
 }
 
-// Registry holds a machine's instruments. A nil *Registry is the
-// disabled state: every constructor method returns a nil instrument
-// and every registration is a no-op. Registration and snapshot reads
-// are mutex-guarded so the debug server may scrape while the owning
-// machine registers and updates; instrument updates themselves are
-// atomic and never take the lock.
+// Registry holds a machine's series. A nil *Registry is the disabled
+// state: every registration is a no-op and every read is empty.
+// Registration and reads are mutex-guarded so a reader on another
+// goroutine may walk the registry while its owner registers.
 type Registry struct {
-	mu       sync.RWMutex
-	counters []*Counter
-	gauges   []*Gauge
-	gfuncs   []gaugeFunc
-	hists    []*Histogram
-	names    map[string]bool
+	mu     sync.RWMutex
+	gfuncs []gaugeFunc // sorted by name
 }
 
 // NewRegistry returns an empty, enabled registry.
-func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]bool)}
-}
-
-// claim reserves a series name; duplicate registration is a wiring bug
-// worth failing loudly on (two components exporting the same name
-// would silently interleave in timelines). Callers hold r.mu.
-func (r *Registry) claim(name string) {
-	if r.names[name] {
-		panic(fmt.Sprintf("telemetry: series %q registered twice", name))
-	}
-	r.names[name] = true
-}
-
-// Counter registers and returns a named counter (nil on a nil
-// registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
-}
-
-// Gauge registers and returns a named gauge (nil on a nil registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	g := &Gauge{name: name}
-	r.gauges = append(r.gauges, g)
-	return g
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // GaugeFunc registers a lazily evaluated series. The function runs at
 // sample time only, so it may read live component state (cache stats,
-// device counters) without any hot-path cost.
+// device counters) without any hot-path cost. Duplicate registration
+// is a wiring bug worth failing loudly on (two components exporting
+// the same name would silently interleave in timelines), so it panics.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.claim(name)
-	r.gfuncs = append(r.gfuncs, gaugeFunc{name: name, fn: fn})
-}
-
-// Histogram registers and returns a named histogram over the given
-// ascending bucket upper bounds (nil on a nil registry).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
+	i := sort.Search(len(r.gfuncs), func(i int) bool { return r.gfuncs[i].name >= name })
+	if i < len(r.gfuncs) && r.gfuncs[i].name == name {
+		panic(fmt.Sprintf("telemetry: series %q registered twice", name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	h := &Histogram{name: name, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-	r.hists = append(r.hists, h)
-	return h
+	r.gfuncs = slices.Insert(r.gfuncs, i, gaugeFunc{name: name, fn: fn})
 }
 
-// AttachHistogram registers an existing standalone histogram under
-// name, exposing it as a series (timelines, /metrics le buckets)
-// without copying: the owner keeps observing into the same object. The
-// latency observatory uses it so its per-op histograms feed both
-// Results and the OpenMetrics exposition. No-op on a nil registry or
-// histogram.
-func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	h.name = name
-	r.hists = append(r.hists, h)
-}
-
-// SeriesNames returns every registered series name in sorted order. A
-// histogram contributes two series: name.count and name.sum.
+// SeriesNames returns every registered series name in sorted order.
 func (r *Registry) SeriesNames() []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.seriesNamesLocked()
-}
-
-func (r *Registry) seriesNamesLocked() []string {
-	var names []string
-	for _, c := range r.counters {
-		names = append(names, c.name)
+	names := make([]string, len(r.gfuncs))
+	for i, gf := range r.gfuncs {
+		names[i] = gf.name
 	}
-	for _, g := range r.gauges {
-		names = append(names, g.name)
-	}
-	for _, gf := range r.gfuncs {
-		names = append(names, gf.name)
-	}
-	for _, h := range r.hists {
-		names = append(names, h.name+".count", h.name+".sum")
-	}
-	sort.Strings(names)
 	return names
 }
 
@@ -498,44 +352,7 @@ func (r *Registry) Each(fn func(name string, value float64)) {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	// The per-kind slices are registration-ordered; merge through the
-	// sorted name list so timelines have a stable, readable order.
-	vals := make(map[string]float64, len(r.names)+len(r.hists))
-	for _, c := range r.counters {
-		vals[c.name] = c.Value()
-	}
-	for _, g := range r.gauges {
-		vals[g.name] = g.Value()
-	}
 	for _, gf := range r.gfuncs {
-		vals[gf.name] = gf.fn()
-	}
-	for _, h := range r.hists {
-		vals[h.name+".count"] = float64(h.Count())
-		vals[h.name+".sum"] = h.Sum()
-	}
-	for _, name := range r.seriesNamesLocked() {
-		fn(name, vals[name])
-	}
-}
-
-// Reset zeroes every counter, gauge and histogram while keeping all
-// registrations — the telemetry half of the machine-reuse Reset
-// invariant: a Reset machine's instruments read exactly as a fresh
-// machine's would.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.Reset()
+		fn(gf.name, gf.fn())
 	}
 }

@@ -11,25 +11,18 @@ import (
 
 func TestNilInstrumentsNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", ExpBuckets(1, 2, 4))
 	r.GaugeFunc("gf", func() float64 { return 1 })
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry must hand out nil instruments")
-	}
-	c.Inc()
-	c.Add(3)
-	g.Set(7)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatalf("nil instruments must read as zero")
-	}
 	if names := r.SeriesNames(); names != nil {
 		t.Fatalf("nil registry SeriesNames = %v, want nil", names)
 	}
 	r.Each(func(string, float64) { t.Fatalf("nil registry Each must not call back") })
-	r.Reset()
+
+	var h *Histogram
+	h.Observe(1)
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Overflow() != 0 {
+		t.Fatalf("nil histogram must read as zero")
+	}
 
 	var s *Sampler
 	s.MaybeSample(1e9)
@@ -53,14 +46,10 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 }
 
 func TestNilInstrumentsAllocFree(t *testing.T) {
-	var r *Registry
-	c := r.Counter("c")
-	h := r.Histogram("h", nil)
+	var h *Histogram
 	var s *Sampler
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
 		h.Observe(3)
 		s.MaybeSample(1e12)
 		tr.Instant("x", "y")
@@ -72,39 +61,42 @@ func TestNilInstrumentsAllocFree(t *testing.T) {
 
 func TestRegistryValuesAndOrder(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("b.count")
-	g := r.Gauge("a.gauge")
 	live := 1.5
 	r.GaugeFunc("z.live", func() float64 { return live })
-	h := r.Histogram("m.lat", []float64{1, 10})
+	r.GaugeFunc("b.count", func() float64 { return 4 })
+	r.GaugeFunc("a.gauge", func() float64 { return -2 })
 
-	c.Add(4)
-	g.Set(-2)
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(100)
-
-	want := []string{"a.gauge", "b.count", "m.lat.count", "m.lat.sum", "z.live"}
+	want := []string{"a.gauge", "b.count", "z.live"}
 	if got := r.SeriesNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SeriesNames = %v, want %v", got, want)
 	}
 
-	got := map[string]float64{}
-	var order []string
-	r.Each(func(name string, v float64) {
-		got[name] = v
-		order = append(order, name)
-	})
+	each := func() (map[string]float64, []string) {
+		got := map[string]float64{}
+		var order []string
+		r.Each(func(name string, v float64) {
+			got[name] = v
+			order = append(order, name)
+		})
+		return got, order
+	}
+	got, order := each()
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("Each order = %v, want %v", order, want)
 	}
-	wantVals := map[string]float64{
-		"a.gauge": -2, "b.count": 4, "m.lat.count": 3, "m.lat.sum": 105.5, "z.live": 1.5,
-	}
-	if !reflect.DeepEqual(got, wantVals) {
+	if wantVals := map[string]float64{"a.gauge": -2, "b.count": 4, "z.live": 1.5}; !reflect.DeepEqual(got, wantVals) {
 		t.Fatalf("Each values = %v, want %v", got, wantVals)
 	}
+	// Gauge funcs are evaluated per read: they follow live state.
+	live = 9
+	if got, _ := each(); got["z.live"] != 9 {
+		t.Fatalf("z.live = %v after the live value moved to 9", got["z.live"])
+	}
 
+	h := NewHistogram([]float64{1, 10})
+	h.Observe(0.5)
+	h.Observe(5)
+	h.Observe(100)
 	bounds, counts := h.Buckets()
 	if !reflect.DeepEqual(bounds, []float64{1, 10}) || !reflect.DeepEqual(counts, []uint64{1, 1, 1}) {
 		t.Fatalf("Buckets = %v %v", bounds, counts)
@@ -112,37 +104,17 @@ func TestRegistryValuesAndOrder(t *testing.T) {
 	if h.Mean() != 105.5/3 {
 		t.Fatalf("Mean = %v", h.Mean())
 	}
-
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("Reset must zero instruments")
-	}
-	_, counts = h.Buckets()
-	if counts[0]+counts[1]+counts[2] != 0 {
-		t.Fatalf("Reset must zero histogram buckets")
-	}
-	// Live gauge funcs survive Reset (they read component state).
-	live = 9
-	found := false
-	r.Each(func(name string, v float64) {
-		if name == "z.live" {
-			found = v == 9
-		}
-	})
-	if !found {
-		t.Fatalf("gauge func must stay registered across Reset")
-	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup")
+	r.GaugeFunc("dup", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("duplicate registration must panic")
 		}
 	}()
-	r.Gauge("dup")
+	r.GaugeFunc("dup", func() float64 { return 1 })
 }
 
 func TestExpBuckets(t *testing.T) {
@@ -156,19 +128,20 @@ func TestExpBuckets(t *testing.T) {
 
 func TestSamplerCadence(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops")
+	ops := 0.0
+	r.GaugeFunc("ops", func() float64 { return ops })
 	s := NewSampler(r, 100)
 	if s.IntervalNs() != 100 {
 		t.Fatalf("IntervalNs = %v", s.IntervalNs())
 	}
 
-	c.Inc()
+	ops++
 	s.MaybeSample(50) // before first boundary: nothing
 	if s.Samples() != 0 {
 		t.Fatalf("sampled before boundary")
 	}
 	s.MaybeSample(100) // exactly at boundary
-	c.Add(9)
+	ops += 9
 	s.MaybeSample(350) // jumps boundaries 200 and 300 in one burst
 	if s.Samples() != 3 {
 		t.Fatalf("Samples = %d, want 3", s.Samples())
@@ -198,11 +171,10 @@ func TestSamplerCadence(t *testing.T) {
 	// Reset rewinds the cadence and drops samples; a fresh run over the
 	// same registry starts from the first boundary again.
 	s.Reset()
-	r.Reset()
 	if s.Samples() != 0 {
 		t.Fatalf("Samples after Reset = %d", s.Samples())
 	}
-	c.Add(2)
+	ops = 2
 	s.MaybeSample(100)
 	tl = s.Timeline("ops")
 	if !reflect.DeepEqual(tl.TimesNs, []float64{100}) || !reflect.DeepEqual(tl.Values, []float64{2}) {
@@ -216,10 +188,10 @@ func TestSamplerCadence(t *testing.T) {
 
 func TestSamplerLateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a")
+	r.GaugeFunc("a", func() float64 { return 0 })
 	s := NewSampler(r, 10)
 	s.MaybeSample(10)
-	r.Counter("b")
+	r.GaugeFunc("b", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("late registration must panic at next sample")
