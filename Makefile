@@ -37,11 +37,12 @@ test-short:
 
 # Race detector over the packages with real concurrency: the parallel
 # experiment runner's worker pool, forks running on their own
-# goroutines, the crypto suites every goroutine shares and the sim
-# context plumbing they exercise. -short skips the wall-clock speedup
+# goroutines, the cache slot arrays they share copy-on-write, the
+# crypto suites every goroutine shares and the sim context plumbing
+# they exercise. -short skips the wall-clock speedup
 # comparison, which is meaningless under the race detector's slowdown.
 race:
-	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/simcrypto ./internal/telemetry
+	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/simcrypto ./internal/telemetry ./internal/cache
 
 # One benchmark per paper table/figure, plus ablations and baselines
 # (this also asserts the two speedup floors of bench-gate below).

@@ -13,6 +13,8 @@ package cache
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"nvmstar/internal/memline"
 )
@@ -61,7 +63,8 @@ type EvictFn[T any] func(addr uint64, data T, dirty bool)
 
 // Of is a set-associative write-back cache whose slots hold a T. It is
 // not safe for concurrent use; the simulator is single-goroutine by
-// design so every run is deterministic.
+// design so every run is deterministic. A cache and its forks may run
+// on different goroutines.
 //
 // Slots are stored set-major in flat arrays: tags holds one word per
 // slot (the line address with bit 0 set when the slot is valid, 0 when
@@ -70,16 +73,33 @@ type EvictFn[T any] func(addr uint64, data T, dirty bool)
 // the entries. A lookup scans only the set's tags, one contiguous
 // 64-byte run for an 8-way set, and touches the matching entry alone;
 // victim selection scans the set's stamps.
+//
+// Fork shares the three arrays copy-on-write: while sh is non-nil the
+// arrays may be read by other caches, and every method that writes
+// them or hands out an entry first calls own. A cache that drops its
+// contents while shared lets go of the arrays instead of clearing
+// them (sh is then &released and the arrays nil), so a fork that is
+// crashed never copies a slot.
 type Of[T any] struct {
 	cfg     Config
 	numSets int
 	tags    []uint64
 	stamps  []uint64
 	lines   []EntryOf[T]
+	sh      *share
 	clock   uint64
 	stats   Stats
 	dirty   int // number of dirty lines currently held
 }
+
+// share counts the caches holding one set of slot arrays. Forks may run
+// on other goroutines, so the count is atomic; the arrays themselves
+// are only read while more than one cache holds them.
+type share struct{ holders atomic.Int32 }
+
+// released marks a cache whose shared arrays were dropped: it reads as
+// empty and allocates fresh arrays on its next write.
+var released share
 
 // Cache is a cache of raw 64-byte lines: the CPU caches.
 type Cache = Of[memline.Line]
@@ -135,7 +155,7 @@ func (c *Of[T]) NumSets() int { return c.numSets }
 func (c *Of[T]) Ways() int { return c.cfg.Ways }
 
 // Lines returns the total line capacity.
-func (c *Of[T]) Lines() int { return len(c.tags) }
+func (c *Of[T]) Lines() int { return c.numSets * c.cfg.Ways }
 
 // SetIndex returns the set an address maps to.
 func (c *Of[T]) SetIndex(addr uint64) int {
@@ -166,7 +186,17 @@ func (c *Of[T]) slot(addr uint64) int {
 	return -1
 }
 
-// find returns the entry holding the line-aligned addr, or nil.
+// peekSlot is slot for the read-only methods, which must not make the
+// arrays their own: a cache whose shared arrays were dropped is empty.
+func (c *Of[T]) peekSlot(addr uint64) int {
+	if c.tags == nil {
+		return -1
+	}
+	return c.slot(addr)
+}
+
+// find returns the entry holding the line-aligned addr, or nil. The
+// caller owns the arrays.
 func (c *Of[T]) find(addr uint64) *EntryOf[T] {
 	if i := c.slot(addr); i >= 0 {
 		return &c.lines[i]
@@ -174,9 +204,33 @@ func (c *Of[T]) find(addr uint64) *EntryOf[T] {
 	return nil
 }
 
+// own makes the slot arrays this cache's alone before it writes them or
+// hands out an entry: the one check on every such path.
+func (c *Of[T]) own() {
+	if c.sh != nil {
+		c.unshare()
+	}
+}
+
+// unshare ends sharing: a dropped cache gets fresh empty arrays, a
+// cache still sharing with others copies the arrays once, and the last
+// holder keeps them in place.
+func (c *Of[T]) unshare() {
+	switch {
+	case c.sh == &released:
+		n := c.Lines()
+		c.tags, c.stamps, c.lines = make([]uint64, n), make([]uint64, n), make([]EntryOf[T], n)
+	case c.sh.holders.Load() > 1:
+		c.tags, c.stamps, c.lines = slices.Clone(c.tags), slices.Clone(c.stamps), slices.Clone(c.lines)
+		c.sh.holders.Add(-1)
+	}
+	c.sh = nil
+}
+
 // Lookup returns the cached line and whether it was present, updating
 // LRU order and hit/miss statistics.
 func (c *Of[T]) Lookup(addr uint64) (*EntryOf[T], bool) {
+	c.own()
 	if i := c.slot(memline.Align(addr)); i >= 0 {
 		c.clock++
 		c.stamps[i] = c.clock
@@ -189,19 +243,21 @@ func (c *Of[T]) Lookup(addr uint64) (*EntryOf[T], bool) {
 
 // Peek returns the cached entry without touching LRU order or stats.
 func (c *Of[T]) Peek(addr uint64) (*EntryOf[T], bool) {
+	c.own()
 	e := c.find(memline.Align(addr))
 	return e, e != nil
 }
 
 // Contains reports presence without touching LRU order or stats.
 func (c *Of[T]) Contains(addr uint64) bool {
-	return c.slot(memline.Align(addr)) >= 0
+	return c.peekSlot(memline.Align(addr)) >= 0
 }
 
 // Insert places a line in the cache, evicting the set's LRU victim if
 // needed (reported through onEvict, which may be nil). Inserting an
 // address that is already present overwrites it in place.
 func (c *Of[T]) Insert(addr uint64, data T, dirty bool, onEvict EvictFn[T]) *EntryOf[T] {
+	c.own()
 	addr = memline.Align(addr)
 	if i := c.slot(addr); i >= 0 {
 		e := &c.lines[i]
@@ -281,7 +337,7 @@ func (c *Of[T]) victimSlot(addr uint64) int {
 // cache unwritten.
 func (c *Of[T]) VictimFor(addr uint64) (victim uint64, dirty, ok bool) {
 	addr = memline.Align(addr)
-	if c.slot(addr) >= 0 {
+	if c.tags == nil || c.slot(addr) >= 0 {
 		return 0, false, false
 	}
 	v := c.victimSlot(addr)
@@ -294,6 +350,7 @@ func (c *Of[T]) VictimFor(addr uint64) (victim uint64, dirty, ok bool) {
 // Pin exempts a cached line from victim selection, returning whether
 // it was present. Pins do not nest: one Unpin releases the line.
 func (c *Of[T]) Pin(addr uint64) bool {
+	c.own()
 	e := c.find(memline.Align(addr))
 	if e == nil {
 		return false
@@ -304,6 +361,7 @@ func (c *Of[T]) Pin(addr uint64) bool {
 
 // Unpin releases a pinned line.
 func (c *Of[T]) Unpin(addr uint64) {
+	c.own()
 	if e := c.find(memline.Align(addr)); e != nil {
 		e.pinned = false
 	}
@@ -311,14 +369,15 @@ func (c *Of[T]) Unpin(addr uint64) {
 
 // IsPinned reports whether a cached line is pinned.
 func (c *Of[T]) IsPinned(addr uint64) bool {
-	e := c.find(memline.Align(addr))
-	return e != nil && e.pinned
+	i := c.peekSlot(memline.Align(addr))
+	return i >= 0 && c.lines[i].pinned
 }
 
 // MarkDirty marks a cached line dirty, returning whether the line was
 // present and whether this was a clean-to-dirty transition. The
 // transition signal is what STAR's bitmap lines track.
 func (c *Of[T]) MarkDirty(addr uint64) (present, transition bool) {
+	c.own()
 	e := c.find(memline.Align(addr))
 	if e == nil {
 		return false, false
@@ -328,7 +387,8 @@ func (c *Of[T]) MarkDirty(addr uint64) (present, transition bool) {
 
 // MarkEntryDirty is MarkDirty through an entry handle the caller
 // already holds (from Lookup, Peek or Insert), skipping the set scan.
-// The handle must come from this cache and still be valid.
+// The handle must come from this cache and still be valid: a Fork, like
+// any other operation, invalidates it.
 func (c *Of[T]) MarkEntryDirty(e *EntryOf[T]) (transition bool) {
 	transition = !e.Dirty
 	if transition {
@@ -341,6 +401,7 @@ func (c *Of[T]) MarkEntryDirty(e *EntryOf[T]) (transition bool) {
 // CleanLine clears the dirty bit of a cached line (after a write-back
 // that did not evict, e.g. a flush), returning whether it was dirty.
 func (c *Of[T]) CleanLine(addr uint64) (wasDirty bool) {
+	c.own()
 	e := c.find(memline.Align(addr))
 	if e == nil {
 		return false
@@ -364,6 +425,7 @@ func (c *Of[T]) CleanEntry(e *EntryOf[T]) (wasDirty bool) {
 // returns the line's dirty bit and whether it was present. Cross-core
 // migration and crash modeling use it.
 func (c *Of[T]) Invalidate(addr uint64, data *T) (dirty, ok bool) {
+	c.own()
 	i := c.slot(memline.Align(addr))
 	if i < 0 {
 		return false, false
@@ -398,6 +460,10 @@ func (c *Of[T]) Take(addr uint64, data *T) (dirty, ok bool) {
 // FlushAll writes back every dirty line through onEvict and marks the
 // whole cache clean but still resident. A nil onEvict just cleans.
 func (c *Of[T]) FlushAll(onEvict EvictFn[T]) {
+	if c.dirty == 0 {
+		return
+	}
+	c.own()
 	for i, tag := range c.tags {
 		e := &c.lines[i]
 		if tag != 0 && e.Dirty {
@@ -411,16 +477,28 @@ func (c *Of[T]) FlushAll(onEvict EvictFn[T]) {
 }
 
 // DropAll invalidates every line without write-back: the cache's
-// contents vanish, as volatile state does at a crash.
+// contents vanish, as volatile state does at a crash. A cache that
+// still shares its arrays with a fork lets go of them untouched; slot
+// storage is allocated again on its next write.
 func (c *Of[T]) DropAll() {
-	clear(c.tags)
-	clear(c.stamps)
-	clear(c.lines)
+	switch {
+	case c.sh == &released:
+	case c.sh != nil && c.sh.holders.Load() > 1:
+		c.sh.holders.Add(-1)
+		c.sh = &released
+		c.tags, c.stamps, c.lines = nil, nil, nil
+	default:
+		c.sh = nil
+		clear(c.tags)
+		clear(c.stamps)
+		clear(c.lines)
+	}
 	c.dirty = 0
 }
 
 // Reset restores the cache to its just-constructed state — every line
-// invalid, LRU clock and statistics zeroed — reusing the slot arrays.
+// invalid, LRU clock and statistics zeroed — reusing the slot arrays
+// unless a fork still shares them (see DropAll).
 // The LRU clock must rewind along with the entries: victim selection
 // compares stamps, so a stale clock would change eviction order
 // relative to a fresh cache.
@@ -430,20 +508,32 @@ func (c *Of[T]) Reset() {
 	c.stats = Stats{}
 }
 
-// Fork returns a deep copy of the cache: same contents, LRU order,
-// pins, dirty bits and statistics, in freshly allocated storage. The
-// copy and the original may then be used from different goroutines.
+// Fork returns a copy of the cache: same contents, LRU order, pins,
+// dirty bits and statistics. The copy shares the slot arrays with the
+// original copy-on-write, so Fork allocates only the new header, and
+// whichever side writes first while the other still holds the arrays
+// copies them. The copy and the original may then be used from
+// different goroutines.
 func (c *Of[T]) Fork() *Of[T] {
+	switch c.sh {
+	case nil:
+		c.sh = new(share)
+		c.sh.holders.Store(2)
+	case &released:
+	default:
+		c.sh.holders.Add(1)
+	}
 	f := *c
-	f.tags = append([]uint64(nil), c.tags...)
-	f.stamps = append([]uint64(nil), c.stamps...)
-	f.lines = append([]EntryOf[T](nil), c.lines...)
 	return &f
 }
 
 // Range calls fn for every valid entry with its address. Iteration
 // order is by set then way, which is deterministic.
 func (c *Of[T]) Range(fn func(addr uint64, e *EntryOf[T])) {
+	if c.tags == nil {
+		return
+	}
+	c.own()
 	for i, tag := range c.tags {
 		if tag != 0 {
 			fn(addrOf(tag), &c.lines[i])
@@ -454,7 +544,7 @@ func (c *Of[T]) Range(fn func(addr uint64, e *EntryOf[T])) {
 // SlotOf returns the (set, way) position of a cached address. The
 // Anubis baseline keys its shadow-table entries by cache slot.
 func (c *Of[T]) SlotOf(addr uint64) (set, way int, ok bool) {
-	i := c.slot(memline.Align(addr))
+	i := c.peekSlot(memline.Align(addr))
 	if i < 0 {
 		return 0, 0, false
 	}

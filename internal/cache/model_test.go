@@ -71,6 +71,18 @@ func (m *model) victim(addr uint64) (way int, evict uint64, ok bool) {
 	return way, evict, way >= 0
 }
 
+// clone returns an independent copy of the model, as Fork does for the
+// cache.
+func (m *model) clone() *model {
+	f := *m
+	f.lines = make(map[uint64]*modelLine, len(m.lines))
+	for a, l := range m.lines {
+		cp := *l
+		f.lines[a] = &cp
+	}
+	return &f
+}
+
 func (m *model) dirtyCount() int {
 	n := 0
 	for _, l := range m.lines {
@@ -91,7 +103,11 @@ type evictRec struct {
 // through a Cache and the naive model side by side and compares every
 // observable after every step: return values, statistics, eviction
 // callbacks in order, DirtyCount, SlotOf for every resident line and
-// VictimFor for a probe address.
+// VictimFor for a probe address. Fork steps add a cache (forks of
+// forks too) with its own copy of the model; every step works on one
+// of the live caches, and every live cache is checked against its own
+// model after every step, so a write that leaks through shared slot
+// arrays shows on the other side.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 2 * 64, Ways: 2},  // one set: every address collides
@@ -106,11 +122,21 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// instance is one live cache and the model it must match.
+type instance struct {
+	c *Cache
+	m *model
+}
+
+// maxInstances bounds the live caches; a Fork beyond it replaces a
+// random one, leaving its share of the slot arrays unreleased.
+const maxInstances = 4
+
 func checkAgainstModel(t *testing.T, cfg Config, seed int64, steps int) {
-	c := MustNew(cfg)
-	m := &model{sets: c.NumSets(), ways: c.Ways(), lines: map[uint64]*modelLine{}}
+	first := MustNew(cfg)
+	live := []instance{{first, &model{sets: first.NumSets(), ways: first.Ways(), lines: map[uint64]*modelLine{}}}}
 	rng := rand.New(rand.NewSource(seed))
-	space := uint64(4 * c.Lines()) // enough addresses to force conflicts
+	space := uint64(4 * first.Lines()) // enough addresses to force conflicts
 	randAddr := func() uint64 { return uint64(rng.Int63n(int64(space))) * memline.Size }
 
 	var got []evictRec
@@ -120,12 +146,14 @@ func checkAgainstModel(t *testing.T, cfg Config, seed int64, steps int) {
 	for step := 0; step < steps; step++ {
 		got = got[:0]
 		var want []evictRec
+		k := rng.Intn(len(live))
+		c, m := live[k].c, live[k].m
 		addr := randAddr()
 		// Unaligned addresses must behave like their line.
 		probe := addr + uint64(rng.Intn(memline.Size))
 		l := m.lines[addr]
-		op := rng.Intn(12)
-		desc := fmt.Sprintf("step %d op %d addr %#x", step, op, addr)
+		op := rng.Intn(15)
+		desc := fmt.Sprintf("step %d cache %d op %d addr %#x", step, k, op, addr)
 		switch op {
 		case 0, 1, 2: // Insert
 			data, dirty := byte(rng.Intn(256)), rng.Intn(3) == 0
@@ -261,6 +289,25 @@ func checkAgainstModel(t *testing.T, cfg Config, seed int64, steps int) {
 			}
 			c.DropAll()
 			m.lines = map[uint64]*modelLine{}
+		case 12: // Fork, rarely
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			f := instance{c.Fork(), m.clone()}
+			if len(live) < maxInstances {
+				live = append(live, f)
+			} else {
+				live[rng.Intn(len(live))] = f
+			}
+		case 13: // Reset, rarely
+			if rng.Intn(16) != 0 {
+				continue
+			}
+			c.Reset()
+			m.lines = map[uint64]*modelLine{}
+			m.clock, m.stats = 0, Stats{}
+		case 14: // Range, which makes the arrays the cache's own
+			checkResident(t, desc+": Range", m, c.Range)
 		}
 
 		if len(got) != len(want) {
@@ -271,41 +318,66 @@ func checkAgainstModel(t *testing.T, cfg Config, seed int64, steps int) {
 				t.Fatalf("%s: callbacks %v, model %v", desc, got, want)
 			}
 		}
-		if c.Stats() != m.stats {
-			t.Fatalf("%s: stats %+v, model %+v", desc, c.Stats(), m.stats)
+		for i, in := range live {
+			checkObservables(t, fmt.Sprintf("%s: cache %d", desc, i), in.c, in.m, randAddr())
 		}
-		if c.DirtyCount() != m.dirtyCount() {
-			t.Fatalf("%s: DirtyCount %d, model %d", desc, c.DirtyCount(), m.dirtyCount())
+	}
+}
+
+// checkObservables compares everything a cache shows without changing
+// it — statistics, DirtyCount, Range, SlotOf and VictimFor for the
+// probe address q — against the model.
+func checkObservables(t *testing.T, desc string, c *Cache, m *model, q uint64) {
+	t.Helper()
+	if c.Stats() != m.stats {
+		t.Fatalf("%s: stats %+v, model %+v", desc, c.Stats(), m.stats)
+	}
+	if c.DirtyCount() != m.dirtyCount() {
+		t.Fatalf("%s: DirtyCount %d, model %d", desc, c.DirtyCount(), m.dirtyCount())
+	}
+	checkResident(t, desc, m, scanShared(c))
+	for a, ml := range m.lines {
+		set, way, ok := c.SlotOf(a)
+		if !ok || set != m.set(a) || way != ml.way {
+			t.Fatalf("%s: SlotOf(%#x) = (%d, %d, %v), model (%d, %d)", desc, a, set, way, ok, m.set(a), ml.way)
 		}
-		resident := 0
-		c.Range(func(a uint64, e *Entry) {
-			resident++
-			ml := m.lines[a]
-			if ml == nil || e.Data[0] != ml.data || e.Dirty != ml.dirty || e.Pinned() != ml.pinned {
-				t.Fatalf("%s: Range yields %#x %+v, model %+v", desc, a, e, ml)
+	}
+	gotV, gotDirty, gotOK := c.VictimFor(q)
+	var wantV uint64
+	var wantOK bool
+	if m.lines[q] == nil {
+		_, wantV, wantOK = m.victim(q)
+	}
+	if gotOK != wantOK || (wantOK && (gotV != wantV || gotDirty != m.lines[wantV].dirty)) {
+		t.Fatalf("%s: VictimFor(%#x) = (%#x, %v, %v), model (%#x, %v)", desc, q, gotV, gotDirty, gotOK, wantV, wantOK)
+	}
+}
+
+// scanShared is Range without making the arrays the cache's own, so
+// checking a cache does not end its sharing with its forks.
+func scanShared(c *Cache) func(func(uint64, *Entry)) {
+	return func(fn func(uint64, *Entry)) {
+		for i, tag := range c.tags {
+			if tag != 0 {
+				fn(addrOf(tag), &c.lines[i])
 			}
-		})
-		if resident != len(m.lines) {
-			t.Fatalf("%s: %d resident lines, model %d", desc, resident, len(m.lines))
 		}
-		for a, ml := range m.lines {
-			set, way, ok := c.SlotOf(a)
-			if !ok || set != m.set(a) || way != ml.way {
-				t.Fatalf("%s: SlotOf(%#x) = (%d, %d, %v), model (%d, %d)", desc, a, set, way, ok, m.set(a), ml.way)
-			}
+	}
+}
+
+// checkResident compares the lines a range function yields with the
+// model's.
+func checkResident(t *testing.T, desc string, m *model, rangeFn func(func(uint64, *Entry))) {
+	t.Helper()
+	resident := 0
+	rangeFn(func(a uint64, e *Entry) {
+		resident++
+		ml := m.lines[a]
+		if ml == nil || e.Data[0] != ml.data || e.Dirty != ml.dirty || e.Pinned() != ml.pinned {
+			t.Fatalf("%s: range yields %#x %+v, model %+v", desc, a, e, ml)
 		}
-		if _, _, ok := c.SlotOf(addr); !ok && m.lines[addr] != nil {
-			t.Fatalf("%s: SlotOf missed a resident line", desc)
-		}
-		q := randAddr()
-		gotV, gotDirty, gotOK := c.VictimFor(q)
-		var wantV uint64
-		var wantOK bool
-		if m.lines[q] == nil {
-			_, wantV, wantOK = m.victim(q)
-		}
-		if gotOK != wantOK || (wantOK && (gotV != wantV || gotDirty != m.lines[wantV].dirty)) {
-			t.Fatalf("%s: VictimFor(%#x) = (%#x, %v, %v), model (%#x, %v)", desc, q, gotV, gotDirty, gotOK, wantV, wantOK)
-		}
+	})
+	if resident != len(m.lines) {
+		t.Fatalf("%s: %d resident lines, model %d", desc, resident, len(m.lines))
 	}
 }

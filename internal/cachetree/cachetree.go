@@ -10,11 +10,16 @@
 // (zero if the set has no dirty line), and a fixed-shape 8-ary tree is
 // built over the set-MACs. A block becoming dirty or clean touches one
 // set-MAC and one branch; nothing ever moves.
+//
+// Set-MACs are computed when a set changes, interior nodes only when
+// the root is read: the root sits in a register that matters only at a
+// crash, so a branch changed many times between crashes is hashed once.
 package cachetree
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nvmstar/internal/simcrypto"
@@ -29,9 +34,8 @@ type SetEntry struct {
 
 // Stats counts hash work, used by the incremental-vs-rebuild ablation.
 type Stats struct {
-	SetMACs     uint64 // set-MAC computations
-	NodeHashes  uint64 // interior-node hash computations
-	BranchSteps uint64 // incremental branch updates performed
+	SetMACs    uint64 // set-MAC computations
+	NodeHashes uint64 // interior-node hash computations
 }
 
 // Tree is the in-controller cache-tree. The root is assumed to live in
@@ -43,7 +47,10 @@ type Tree struct {
 	// levels[0] has numSets set-MACs; each higher level has
 	// ceil(len/8) nodes; the last has exactly one (the root).
 	levels [][]uint64
-	stats  Stats
+	// stale[l][i] flags node i of levels[l+1], whose children changed
+	// since it was last hashed.
+	stale [][]bool
+	stats Stats
 
 	// Reused MAC-input buffers: building the inputs in fields instead
 	// of locals keeps the slices passed through the Suite interface
@@ -66,33 +73,23 @@ func New(suite simcrypto.Suite, numSets int) (*Tree, error) {
 			break
 		}
 		size = (size + 7) / 8
+		t.stale = append(t.stale, make([]bool, size))
 	}
-	// Establish interior nodes for the all-empty state so Root is
-	// deterministic from the start.
-	for l := 0; l+1 < len(t.levels); l++ {
-		for i := range t.levels[l+1] {
-			t.levels[l+1][i] = t.hashChildren(l, i)
-		}
-	}
+	// The interior nodes of the all-empty state are hashed on the
+	// first Root, like any other stale node.
+	t.markAllStale()
 	return t, nil
 }
 
 // Reset restores the tree to its just-constructed state over suite,
 // reusing the level storage. Machine reuse re-derives the per-seed
-// crypto suite, so the new suite is taken here rather than kept. The
-// body mirrors New exactly — stats are zeroed first and the empty-state
-// interior nodes are then recomputed through hashChildren, so the
-// NodeHashes counter ends at the same nonzero value a fresh tree
-// carries (the golden corpus includes these counters).
+// crypto suite, so the new suite is taken here rather than kept. As
+// in New, the empty state's interior nodes wait for the next Root.
 func (t *Tree) Reset(suite simcrypto.Suite) {
 	t.suite = suite
 	t.stats = Stats{}
 	clear(t.levels[0])
-	for l := 0; l+1 < len(t.levels); l++ {
-		for i := range t.levels[l+1] {
-			t.levels[l+1][i] = t.hashChildren(l, i)
-		}
-	}
+	t.markAllStale()
 }
 
 // NumSets returns the leaf count.
@@ -106,8 +103,39 @@ func (t *Tree) Levels() int { return len(t.levels) }
 // Stats returns a copy of the hash-work counters.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// Root returns the current root value.
-func (t *Tree) Root() uint64 { return t.levels[len(t.levels)-1][0] }
+// Root returns the current root value, first hashing every interior
+// node whose children changed since the last call.
+func (t *Tree) Root() uint64 {
+	t.settle()
+	return t.levels[len(t.levels)-1][0]
+}
+
+// markAllStale marks every parent of a leaf stale, so the next settle
+// recomputes the whole tree.
+func (t *Tree) markAllStale() {
+	if len(t.stale) > 0 {
+		for i := range t.stale[0] {
+			t.stale[0][i] = true
+		}
+	}
+}
+
+// settle hashes the stale interior nodes bottom-up, each once: a level
+// is finished before its parents, which it marks stale in turn.
+func (t *Tree) settle() {
+	for l, stale := range t.stale {
+		for i, s := range stale {
+			if !s {
+				continue
+			}
+			stale[i] = false
+			t.levels[l+1][i] = t.hashChildren(l, i)
+			if l+1 < len(t.stale) {
+				t.stale[l+1][i/8] = true
+			}
+		}
+	}
+}
 
 func (t *Tree) hashChildren(level, parentIdx int) uint64 {
 	t.stats.NodeHashes++
@@ -155,8 +183,9 @@ func (t *Tree) setMAC(entries []SetEntry) uint64 {
 }
 
 // UpdateSet recomputes one set-MAC (entries must be the set's dirty
-// lines in ascending address order) and refreshes the branch to the
-// root. This is the O(log) incremental path taken during execution.
+// lines in ascending address order) and marks its parent stale; the
+// branch to the root is rehashed by the next Root. This is the path
+// taken during execution.
 func (t *Tree) UpdateSet(set int, entries []SetEntry) {
 	if set < 0 || set >= t.numSets {
 		panic(fmt.Sprintf("cachetree: set %d out of range", set))
@@ -167,23 +196,25 @@ func (t *Tree) UpdateSet(set int, entries []SetEntry) {
 		return
 	}
 	t.levels[0][set] = newMAC
-	idx := set
-	for l := 0; l+1 < len(t.levels); l++ {
-		idx /= 8
-		t.levels[l+1][idx] = t.hashChildren(l, idx)
-		t.stats.BranchSteps++
+	if len(t.stale) > 0 {
+		t.stale[0][set/8] = true
 	}
 }
 
 // Fork returns a deep copy of the tree sharing only the crypto suite
-// (suites are safe for concurrent use). Level storage is freshly
-// allocated and the reused MAC buffers start empty, so the copy and the
-// original may then be used from different goroutines.
+// (suites are safe for concurrent use). Stale nodes are hashed first,
+// so neither side repeats that work. Level storage is freshly
+// allocated and the reused MAC buffers start empty, so the copy and
+// the original may then be used from different goroutines.
 func (t *Tree) Fork() *Tree {
+	t.settle()
 	f := &Tree{suite: t.suite, numSets: t.numSets, stats: t.stats}
 	f.levels = make([][]uint64, len(t.levels))
 	for i, l := range t.levels {
-		f.levels[i] = append([]uint64(nil), l...)
+		f.levels[i] = slices.Clone(l)
+	}
+	for _, flags := range t.stale {
+		f.stale = append(f.stale, make([]bool, len(flags)))
 	}
 	return f
 }
@@ -192,31 +223,42 @@ func (t *Tree) Fork() *Tree {
 // It exists for the ablation benchmark comparing incremental updates
 // against full recomputation.
 func (t *Tree) RebuildAll() {
-	for l := 0; l+1 < len(t.levels); l++ {
-		for i := range t.levels[l+1] {
-			t.levels[l+1][i] = t.hashChildren(l, i)
-		}
-	}
+	t.markAllStale()
+	t.settle()
 }
 
-// BuildRoot reconstructs the root from scratch, as recovery does: it
-// sorts each set's entries by ascending address (the same order used
-// before the crash), computes the set-MACs, and hashes up the fixed
-// tree shape. entriesBySet may omit empty sets.
-func BuildRoot(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry) (uint64, error) {
+// Build reconstructs the tree from scratch, as recovery does: it sorts
+// each set's entries by ascending address (the same order used before
+// the crash) and computes the set-MACs over the fixed tree shape.
+// entriesBySet may omit empty sets. An out-of-range set is an error
+// naming the smallest such set.
+func Build(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry) (*Tree, error) {
 	t, err := New(suite, numSets)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	for set, entries := range entriesBySet { //detlint:ok each set assigns its own leaf slot; RebuildAll below sees only the final leaves
+	sets := make([]int, 0, len(entriesBySet))
+	for set := range entriesBySet { //detlint:ok keys collected then sorted below
+		sets = append(sets, set)
+	}
+	sort.Ints(sets)
+	for _, set := range sets {
 		if set < 0 || set >= numSets {
-			return 0, fmt.Errorf("cachetree: set %d out of range during rebuild", set)
+			return nil, fmt.Errorf("cachetree: set %d out of range during rebuild", set)
 		}
-		sorted := append([]SetEntry(nil), entries...)
+		sorted := slices.Clone(entriesBySet[set])
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
 		t.levels[0][set] = SetMAC(suite, sorted)
 		t.stats.SetMACs++
 	}
-	t.RebuildAll()
+	return t, nil
+}
+
+// BuildRoot is the root of Build's tree.
+func BuildRoot(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry) (uint64, error) {
+	t, err := Build(suite, numSets, entriesBySet)
+	if err != nil {
+		return 0, err
+	}
 	return t.Root(), nil
 }

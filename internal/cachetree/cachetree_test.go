@@ -139,12 +139,93 @@ func TestIncrementalEqualsRebuildQuick(t *testing.T) {
 }
 
 func TestBranchUpdateCost(t *testing.T) {
-	// Incremental updates must touch O(levels) nodes, not O(sets).
+	// UpdateSet hashes its set-MAC only; the next Root rehashes the
+	// one changed branch, O(levels) nodes, not O(sets).
 	tr, _ := New(suite(), 1024)
+	tr.Root()
 	before := tr.Stats()
 	tr.UpdateSet(512, []SetEntry{{Addr: 64, MAC: 1}})
-	delta := tr.Stats().NodeHashes - before.NodeHashes
-	if delta > uint64(tr.Levels()) {
-		t.Fatalf("branch update hashed %d nodes, want <= %d", delta, tr.Levels())
+	if d := tr.Stats().NodeHashes - before.NodeHashes; d != 0 {
+		t.Fatalf("UpdateSet hashed %d interior nodes, want 0", d)
+	}
+	tr.Root()
+	if d := tr.Stats().NodeHashes - before.NodeHashes; d > uint64(tr.Levels()-1) {
+		t.Fatalf("Root after one update hashed %d nodes, want <= %d", d, tr.Levels()-1)
+	}
+}
+
+func TestLazyRootMatchesBuild(t *testing.T) {
+	// Property: under any interleaving of UpdateSet, Root, Fork and
+	// Reset, Root equals BuildRoot over the current leaves, and a
+	// second Root hashes nothing. Forks are checked against their own
+	// copy of the leaves.
+	const sets = 100 // a partial last node at every interior level
+	type tree struct {
+		tr     *Tree
+		leaves map[int][]SetEntry
+	}
+	f := func(ops []struct {
+		Kind uint8
+		Set  uint8
+		Addr uint16
+		MAC  uint64
+	}) bool {
+		tr, _ := New(suite(), sets)
+		live := []tree{{tr, map[int][]SetEntry{}}}
+		for _, op := range ops {
+			cur := &live[int(op.Set)%len(live)]
+			switch op.Kind % 8 {
+			case 0, 1, 2, 3:
+				set := int(op.Set) % sets
+				es := []SetEntry{{Addr: uint64(op.Addr), MAC: op.MAC}}
+				if op.MAC%4 == 0 {
+					es = nil // the set turned clean
+				}
+				cur.leaves[set] = es
+				cur.tr.UpdateSet(set, es)
+			case 4, 5:
+				want, err := BuildRoot(suite(), sets, cur.leaves)
+				if err != nil || cur.tr.Root() != want {
+					return false
+				}
+				hashes := cur.tr.Stats().NodeHashes
+				if cur.tr.Root() != want || cur.tr.Stats().NodeHashes != hashes {
+					return false
+				}
+			case 6:
+				leaves := make(map[int][]SetEntry, len(cur.leaves))
+				for set, es := range cur.leaves {
+					leaves[set] = es
+				}
+				if len(live) < 4 {
+					live = append(live, tree{cur.tr.Fork(), leaves})
+				} else {
+					live[0] = tree{cur.tr.Fork(), leaves}
+				}
+			case 7:
+				cur.tr.Reset(suite())
+				cur.leaves = map[int][]SetEntry{}
+			}
+		}
+		for _, l := range live {
+			want, err := BuildRoot(suite(), sets, l.leaves)
+			if err != nil || l.tr.Root() != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBuildRootRejectsSmallestBadSet(t *testing.T) {
+	bad := map[int][]SetEntry{9: {{Addr: 1, MAC: 1}}, -3: {{Addr: 2, MAC: 2}}, 12: nil, 2: nil}
+	for i := 0; i < 20; i++ {
+		_, err := BuildRoot(suite(), 8, bad)
+		if err == nil || err.Error() != "cachetree: set -3 out of range during rebuild" {
+			t.Fatalf("error %v, want the smallest bad set named", err)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"nvmstar/internal/cachetree"
 	"nvmstar/internal/counter"
@@ -211,11 +210,11 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 		}
 		recs = append(recs, stRec{id: id, entry: entry})
 	}
-	root, err := cachetree.BuildRoot(s.e.Suite(), s.stTree.NumSets(), perSlot)
+	tree, err := cachetree.Build(s.e.Suite(), s.stTree.NumSets(), perSlot)
 	if err != nil {
 		return rep, err
 	}
-	if root != s.stRoot {
+	if tree.Root() != s.stRoot {
 		rep.Verified = false
 		return rep, fmt.Errorf("%w: shadow-table root mismatch", secmem.ErrRecoveryVerification)
 	}
@@ -261,17 +260,9 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 	rep.StaleNodes = len(order)
 	rep.Verified = true
 
-	// Rebuild the volatile ST tree so the engine can keep running
-	// after recovery, reusing its storage.
-	s.stTree.Reset(s.e.Suite())
-	slots := make([]int, 0, len(perSlot))
-	for slot := range perSlot { //detlint:ok keys collected then sorted below
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	for _, slot := range slots {
-		s.stTree.UpdateSet(slot, perSlot[slot])
-	}
+	// The verified tree is the volatile ST tree the engine keeps
+	// running with.
+	s.stTree = tree
 	return rep, nil
 }
 

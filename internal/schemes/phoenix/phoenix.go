@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"nvmstar/internal/cachetree"
 	"nvmstar/internal/counter"
@@ -229,11 +228,11 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 		}
 		recs = append(recs, stRec{id: id, ctrLSBs: lsbs})
 	}
-	root, err := cachetree.BuildRoot(s.e.Suite(), s.stTree.NumSets(), perSlot)
+	tree, err := cachetree.Build(s.e.Suite(), s.stTree.NumSets(), perSlot)
 	if err != nil {
 		return rep, err
 	}
-	if root != s.stRoot {
+	if tree.Root() != s.stRoot {
 		return rep, fmt.Errorf("%w: shadow-table root mismatch", secmem.ErrRecoveryVerification)
 	}
 
@@ -330,17 +329,9 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 	rep.StaleNodes = len(order)
 	rep.Verified = true
 
-	// Rebuild volatile structures for continued execution, reusing
-	// their storage.
-	s.stTree.Reset(s.e.Suite())
-	slots := make([]int, 0, len(perSlot))
-	for slot := range perSlot { //detlint:ok keys collected then sorted below
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	for _, slot := range slots {
-		s.stTree.UpdateSet(slot, perSlot[slot])
-	}
+	// The verified tree is the volatile ST tree the engine keeps
+	// running with.
+	s.stTree = tree
 	clear(s.updates)
 	return rep, nil
 }

@@ -11,7 +11,7 @@ import (
 // non-volatile state is the cache-tree root and the L3 index line.
 // Valid only after a crash (the registers are frozen then).
 func (s *Scheme) SaveRegisters(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, s.treeRoot); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, s.CacheTreeRoot()); err != nil {
 		return err
 	}
 	l3 := s.tracker.L3Register()

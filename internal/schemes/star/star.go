@@ -49,9 +49,10 @@ type Scheme struct {
 	e       *secmem.Engine
 	tracker *bitmap.Tracker
 	tree    *cachetree.Tree
-	// treeRoot models the on-chip non-volatile root register: it is
-	// kept equal to tree.Root() during execution and is all that
-	// survives of the cache-tree at a crash.
+	// treeRoot models the on-chip non-volatile root register. While
+	// running, the register always equals tree.Root(), which is read
+	// where the register is; OnCrash takes the value, and it is all
+	// that survives of the cache-tree at a crash.
 	treeRoot  uint64
 	bitmapCfg bitmap.Config
 	crashed   bool
@@ -73,7 +74,7 @@ func New(e *secmem.Engine, cfg bitmap.Config) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scheme{e: e, tracker: tracker, tree: tree, treeRoot: tree.Root(), bitmapCfg: cfg}, nil
+	return &Scheme{e: e, tracker: tracker, tree: tree, bitmapCfg: cfg}, nil
 }
 
 // Name implements secmem.Scheme.
@@ -90,7 +91,12 @@ func (s *Scheme) Tracker() *bitmap.Tracker { return s.tracker }
 func (s *Scheme) CacheTree() *cachetree.Tree { return s.tree }
 
 // CacheTreeRoot returns the on-chip root register value.
-func (s *Scheme) CacheTreeRoot() uint64 { return s.treeRoot }
+func (s *Scheme) CacheTreeRoot() uint64 {
+	if s.crashed {
+		return s.treeRoot
+	}
+	return s.tree.Root()
+}
 
 // OnMetaDirty implements secmem.Scheme: record the line's location in
 // the bitmap lines — the only moment STAR touches them.
@@ -99,7 +105,7 @@ func (s *Scheme) OnMetaDirty(_ sit.NodeID, metaIdx uint64, _ int) {
 }
 
 // OnMetaModified implements secmem.Scheme: refresh the set-MAC of the
-// modified line's cache set and the branch to the cache-tree root.
+// modified line's cache set; the branch to the root follows lazily.
 func (s *Scheme) OnMetaModified(_ sit.NodeID, set int) {
 	s.updateSet(set)
 }
@@ -118,7 +124,6 @@ func (s *Scheme) updateSet(set int) {
 		s.conv = append(s.conv, cachetree.SetEntry{Addr: en.Addr, MAC: en.MAC})
 	}
 	s.tree.UpdateSet(set, s.conv)
-	s.treeRoot = s.tree.Root()
 }
 
 // OnChildPersisted implements secmem.Scheme: the parent's modification
@@ -133,7 +138,7 @@ func (*Scheme) OnChildPersisted(sit.NodeID) error { return nil }
 func (s *Scheme) Reset() {
 	s.tracker.Reset()
 	s.tree.Reset(s.e.Suite())
-	s.treeRoot = s.tree.Root()
+	s.treeRoot = 0
 	s.crashed = false
 	s.conv = s.conv[:0]
 }
@@ -154,7 +159,7 @@ func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme {
 		e:         e,
 		tracker:   tracker,
 		tree:      s.tree.Fork(),
-		treeRoot:  s.treeRoot,
+		treeRoot:  s.CacheTreeRoot(),
 		bitmapCfg: s.bitmapCfg,
 		crashed:   s.crashed,
 	}
@@ -162,8 +167,11 @@ func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme {
 
 // OnCrash implements secmem.Scheme: battery-dump the ADR bitmap lines
 // into the recovery area. The L3 index register and the cache-tree
-// root survive on chip.
+// root survive on chip. The engine has already cleared its dirty
+// lists, but the tree's set-MACs were computed as the sets changed,
+// so the root still covers the pre-crash dirty lines.
 func (s *Scheme) OnCrash() {
+	s.treeRoot = s.tree.Root()
 	s.tracker.Crash()
 	s.crashed = true
 }

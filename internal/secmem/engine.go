@@ -694,9 +694,10 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 }
 
 // Fork returns a copy-on-write clone of the engine: device contents
-// fork page-granular (O(occupied pages) via the paged store), volatile
-// controller state — the metadata cache with its decoded nodes and
-// per-node bookkeeping, dirty lists, the root register, statistics —
+// fork page-granular (O(occupied pages) via the paged store), the
+// metadata cache with its decoded nodes and per-node bookkeeping
+// shares its slot arrays copy-on-write, the rest of the volatile
+// controller state — dirty lists, the root register, statistics —
 // copies deeply, and the scheme forks last, against the already-forked
 // engine. The geometry and crypto suite are shared: both are immutable and safe for concurrent use. The clone
 // carries no trace sink; install one with SetTrace if the forked run should be

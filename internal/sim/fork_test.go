@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -403,5 +404,43 @@ func TestForkConcurrentSmoke(t *testing.T) {
 		if !ok {
 			t.Errorf("fork %d failed to recover", i)
 		}
+	}
+}
+
+// TestMachineForkAllocation guards what a fork costs: the CPU and
+// metadata caches are shared copy-on-write, so forking an
+// evaluation-sized star machine (eight cores, 64 MiB of data, a
+// 256 KiB metadata cache) after 2000 hash steps allocates well under
+// the 12 MB its caches occupy.
+func TestMachineForkAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sets up a 64 MiB workload")
+	}
+	cfg := Default()
+	cfg.DataBytes = 64 << 20
+	cfg.MetaCache.SizeBytes = 256 << 10
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.NewSession("hash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepN(2000); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := m.Fork()
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	if mb >= 1 {
+		t.Fatalf("Fork allocated %.2f MB, want under 1 MB", mb)
+	}
+	t.Logf("Fork allocated %.3f MB", mb)
+	f.Crash()
+	if rep, err := f.Recover(); err != nil || !rep.Verified {
+		t.Fatalf("recovering the fork: %v, %+v", err, rep)
 	}
 }

@@ -612,9 +612,11 @@ func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
 //
 // for every observable output — Results, statistics, snapshots, sealed
 // manifest digests. Device and owner-table contents share pages
-// copy-on-write, so the call is O(occupied pages), not O(memory), and
-// the parent may keep running (or Reset and be reused) while forks run
-// on other goroutines. Telemetry is isolated: the fork starts fresh
+// copy-on-write and the CPU and metadata caches share their slot
+// arrays copy-on-write, so the call is O(occupied pages), not
+// O(memory), and a fork that is crashed copies no cache. The parent
+// may keep running (or Reset and be reused) while forks run on other
+// goroutines. Telemetry is isolated: the fork starts fresh
 // per its config, never sharing the parent's sinks; the attached
 // context is not inherited.
 func (m *Machine) Fork() *Machine {
