@@ -17,9 +17,9 @@
 // check fails (-gate=false downgrades that to a warning; -shapes-out
 // writes the report as JSON for stardiff). -observe enables the
 // observatory: the output gains per-(workload, scheme) write-cause and
-// tail-latency tables, -latency-out writes the tails as a
-// stardiff-comparable latency document, and -http serves the aggregate
-// as OpenMetrics on /metrics.
+// tail-latency tables, and -latency-out writes the tails as a
+// stardiff-comparable latency document. -http serves live sweep stats
+// (expvar) and pprof while the sweep runs.
 //
 // The -workloads flag restricts the workload set, e.g.
 // -workloads array,hash. Per-cell completion, wall time and ETA are
@@ -107,12 +107,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
-	httpAddr := fs.String("http", "", "serve live sweep stats (expvar) and pprof on this address, e.g. :6060 (with -observe, the observatory on /metrics)")
+	httpAddr := fs.String("http", "", "serve live sweep stats (expvar) and pprof on this address, e.g. :6060")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the sweep's cells to this file")
 	manifestOut := fs.String("manifest-out", "", "write a run provenance manifest (per-cell result digests) to this file")
 	gitRev := fs.String("git-rev", "", "git revision recorded in the manifest (default: ask git)")
 	svgDir := fs.String("svg", "", "also write each SVG figure whose rows the run computed to this directory")
-	observe := fs.Bool("observe", false, "enable the observatory: append per-(workload, scheme) write-cause breakdown and tail-latency tables to the output and expose them on -http /metrics")
+	observe := fs.Bool("observe", false, "enable the observatory: append per-(workload, scheme) write-cause breakdown and tail-latency tables to the output (and to -latency-out)")
 	latencyOut := fs.String("latency-out", "", "write the tail-latency aggregate as a latency document (stardiff-comparable, SLO-gateable) to this file; requires -observe")
 	shapesOut := fs.String("shapes-out", "", "write the shape report as JSON to this file (-exp report)")
 	gate := fs.Bool("gate", true, "exit non-zero when a shape check fails (-exp report)")
@@ -236,15 +236,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		srv := telemetry.NewDebugServer(*httpAddr, map[string]func() any{
 			"sweep": func() any { return s.r.Snapshot() },
 		})
-		if obs != nil {
-			srv.AddMetricsSource(obs)
-		}
 		addr, err := srv.Start()
 		if err != nil {
 			logf("-http: %v", err)
 			return 2
 		}
-		logf("live stats on http://%s/debug/vars (pprof under /debug/pprof/; observatory on /metrics with -observe)", addr)
+		logf("live stats on http://%s/debug/vars (pprof under /debug/pprof/)", addr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

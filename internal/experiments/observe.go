@@ -8,7 +8,6 @@ import (
 
 	"nvmstar/internal/nvm"
 	"nvmstar/internal/sim"
-	"nvmstar/internal/telemetry"
 	"nvmstar/internal/workload"
 )
 
@@ -18,9 +17,10 @@ import (
 // from the merged buckets. It is the WithResultObserver consumer behind
 // starbench -observe: cells whose runs carried sim.Config.Observe
 // contribute their WriteBreakdown and Latency as they complete; cells
-// without them are ignored. All methods are safe for concurrent use —
-// Observe runs on pool workers while MetricFamilies may be serving a
-// live /metrics scrape.
+// without them are ignored. The aggregate reaches readers through
+// Markdown (the report's observatory sections) and Rows (starbench's
+// -latency-out document). All methods are safe for concurrent use —
+// Observe runs on pool workers as cells complete.
 type Observatory struct {
 	mu      sync.Mutex
 	entries map[obsKey]*ObservatoryRow
@@ -120,46 +120,6 @@ func sortObservatoryRows(rows []ObservatoryRow) {
 		}
 		return rows[i].Scheme < rows[j].Scheme
 	})
-}
-
-// MetricFamilies implements telemetry.MetricsSource, exposing the
-// aggregate on /metrics: observe_cells{workload,scheme} counts
-// observed cells, attr_writes{workload,scheme,cause} carries the summed
-// per-cause write counts, and latency_count /
-// latency_p99_ns{workload,scheme,op} the merged observation counts and
-// tails (nonzero causes and ops only, to keep the exposition tight).
-func (o *Observatory) MetricFamilies() []telemetry.MetricFamily {
-	rows := o.Rows()
-	if len(rows) == 0 {
-		return nil
-	}
-	cells := telemetry.MetricFamily{Name: "observe_cells", Type: "gauge"}
-	writes := telemetry.MetricFamily{Name: "attr_writes", Type: "gauge"}
-	count := telemetry.MetricFamily{Name: "latency_count", Type: "gauge"}
-	p99 := telemetry.MetricFamily{Name: "latency_p99_ns", Type: "gauge"}
-	for _, r := range rows {
-		base := []telemetry.Label{
-			{Key: "workload", Value: r.Workload},
-			{Key: "scheme", Value: r.Scheme},
-		}
-		with := func(key, value string) []telemetry.Label {
-			return append(append([]telemetry.Label(nil), base...), telemetry.Label{Key: key, Value: value})
-		}
-		cells.Samples = append(cells.Samples, telemetry.Sample{Labels: base, Value: float64(r.Cells)})
-		for _, c := range r.Breakdown.Causes {
-			if c.Writes > 0 {
-				writes.Samples = append(writes.Samples, telemetry.Sample{Labels: with("cause", c.Cause), Value: float64(c.Writes)})
-			}
-		}
-		for _, op := range r.Latency.Ops {
-			if op.Count > 0 {
-				labels := with("op", op.Op)
-				count.Samples = append(count.Samples, telemetry.Sample{Labels: labels, Value: float64(op.Count)})
-				p99.Samples = append(p99.Samples, telemetry.Sample{Labels: labels, Value: op.P99Ns})
-			}
-		}
-	}
-	return []telemetry.MetricFamily{cells, writes, count, p99}
 }
 
 // Markdown renders the aggregate as the report's two observatory

@@ -2,23 +2,25 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"nvmstar/internal/cache"
 	"nvmstar/internal/sim"
-	"nvmstar/internal/telemetry"
 )
 
 // observedSweep drives a 4-wide observed sweep through an Observatory
 // and checks what its write-cause and latency halves share: every cell
-// carries both fields, one row per (workload, scheme) observed once, in
-// workload-major scheme order, and a lint-clean exposition. A second
-// observer rides along to pin WithResultObserver's compose-don't-
-// replace contract: both observers must see every cell. It returns the
-// cell results, the aggregate rows, the exposition and the report.
-func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, expo, md string) {
+// carries both fields, and there is one row per (workload, scheme)
+// observed once, in workload-major scheme order. A second observer
+// rides along to pin WithResultObserver's compose-don't-replace
+// contract: both observers must see every cell. It returns the cell
+// results, the aggregate rows and the report.
+func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, md string) {
 	t.Helper()
 	obs := NewObservatory()
 	var seen atomic.Int64
@@ -70,27 +72,15 @@ func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, expo,
 	if rows[0].Scheme != "wb" || rows[1].Scheme != "star" || rows[0].Workload != rows[1].Workload {
 		t.Errorf("row order wrong: %+v", rows)
 	}
-
-	// The aggregate's exposition must pass the strict OpenMetrics lint.
-	var b strings.Builder
-	if err := telemetry.WriteOpenMetrics(&b, obs.MetricFamilies()); err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.LintOpenMetrics([]byte(b.String())); err != nil {
-		t.Fatalf("aggregate exposition fails lint: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), `observe_cells{workload="array",scheme="star"}`) {
-		t.Errorf("exposition missing labeled observe_cells sample:\n%s", b.String())
-	}
-	return res, rows, b.String(), obs.Markdown()
+	return res, rows, obs.Markdown()
 }
 
 // TestAttrAggregatorSweep checks the write-cause half of an observed
 // sweep's aggregate: per-pair totals equal the cells' write totals,
-// writes are attributed to data, and the attr_writes family and the
-// write-cause report section are rendered.
+// writes are attributed to data, and the write-cause report section is
+// rendered.
 func TestAttrAggregatorSweep(t *testing.T) {
-	res, rows, expo, md := observedSweep(t)
+	res, rows, md := observedSweep(t)
 	want := map[obsKey]uint64{}
 	for _, cr := range res {
 		want[obsKey{cr.Workload, cr.Scheme}] += cr.Results.WriteBreakdown.Total
@@ -103,9 +93,6 @@ func TestAttrAggregatorSweep(t *testing.T) {
 			t.Errorf("%s/%s has no data-attributed writes", row.Workload, row.Scheme)
 		}
 	}
-	if !strings.Contains(expo, `attr_writes{workload="array",scheme="star",cause="data"}`) {
-		t.Errorf("exposition missing labeled attr_writes sample:\n%s", expo)
-	}
 	for _, want := range []string{"## Write-cause breakdown", "| workload | scheme | cells | writes |", "| array | star |"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
@@ -115,9 +102,9 @@ func TestAttrAggregatorSweep(t *testing.T) {
 
 // TestLatencyAggregatorSweep checks the latency half of the same
 // aggregate: per-pair write-op counts equal the cells' counts, and the
-// latency families and the tail-latency report section are rendered.
+// tail-latency report section is rendered.
 func TestLatencyAggregatorSweep(t *testing.T) {
-	res, rows, expo, md := observedSweep(t)
+	res, rows, md := observedSweep(t)
 	want := map[obsKey]uint64{}
 	for _, cr := range res {
 		want[obsKey{cr.Workload, cr.Scheme}] += cr.Results.Latency.Op("write").Count
@@ -127,14 +114,6 @@ func TestLatencyAggregatorSweep(t *testing.T) {
 			t.Errorf("%s/%s aggregate write count = %d, want %d", row.Workload, row.Scheme, got, w)
 		}
 	}
-	for _, sample := range []string{
-		`latency_count{workload="array",scheme="star",op="write"}`,
-		`latency_p99_ns{workload="array",scheme="star",op="write"}`,
-	} {
-		if !strings.Contains(expo, sample) {
-			t.Errorf("exposition missing labeled sample %s:\n%s", sample, expo)
-		}
-	}
 	for _, want := range []string{"## Tail latency", "| workload | scheme | op |", "| array | star | write |"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
@@ -142,15 +121,98 @@ func TestLatencyAggregatorSweep(t *testing.T) {
 	}
 }
 
-// TestAttrAggregatorEmpty pins the disabled-sweep behavior: no
-// families (so /metrics stays unchanged), a stub under the write-cause
-// heading, and observing a result without the observatory fields is a
-// no-op, not a panic.
+// TestObservatoryOrderIndependent pins that the aggregate does not
+// depend on the order cells complete in, which varies with -parallel
+// and scheduling. Three seeds per (workload, scheme) give every row a
+// three-way merge; one Observatory sees the cells in worker completion
+// order, two more are fed the same results in cell order and in
+// reverse. The report, the write breakdowns and every latency row's
+// count, buckets and derived percentiles (what -latency-out writes)
+// must be identical. SumNs and the component times are float sums, so
+// they only agree within rounding.
+func TestObservatoryOrderIndependent(t *testing.T) {
+	live := NewObservatory()
+	r := NewRunner(
+		WithOps(600),
+		WithWorkloads("array", "queue"),
+		WithSeeds(3),
+		WithConfig(func() sim.Config {
+			cfg := sim.Default()
+			cfg.Cores = 2
+			cfg.DataBytes = 16 << 20
+			cfg.MetaCache = cache.Config{SizeBytes: 64 << 10, Ways: 8}
+			cfg.Observe = true
+			return cfg
+		}),
+		WithParallelism(4),
+		WithResultObserver(live.Observe),
+	)
+	res, err := r.Run(context.Background(), r.Matrix(nil, []string{"wb", "star"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward, reverse := NewObservatory(), NewObservatory()
+	for i := range res {
+		if res[i].Err != nil {
+			t.Fatalf("cell %v: %v", res[i].Cell, res[i].Err)
+		}
+		forward.Observe(res[i].Cell, res[i].Results)
+		back := res[len(res)-1-i]
+		reverse.Observe(back.Cell, back.Results)
+	}
+
+	want := forward.Rows()
+	if len(want) != 4 {
+		t.Fatalf("rows = %d, want 4 (2 workloads x 2 schemes)", len(want))
+	}
+	for _, row := range want {
+		if row.Cells != 3 {
+			t.Fatalf("%s/%s merged %d cells, want 3", row.Workload, row.Scheme, row.Cells)
+		}
+	}
+	closeTo := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for name, obs := range map[string]*Observatory{"completion order": live, "reverse order": reverse} {
+		if got, wantMD := obs.Markdown(), forward.Markdown(); got != wantMD {
+			t.Errorf("%s: Markdown differs from cell order:\n%s\nwant:\n%s", name, got, wantMD)
+		}
+		got := obs.Rows()
+		if len(got) != len(want) {
+			t.Fatalf("%s: rows = %d, want %d", name, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			id := fmt.Sprintf("%s: %s/%s", name, w.Workload, w.Scheme)
+			if g.Workload != w.Workload || g.Scheme != w.Scheme || g.Cells != w.Cells {
+				t.Errorf("%s: row %d is %s/%s with %d cells", id, i, g.Workload, g.Scheme, g.Cells)
+			}
+			if !reflect.DeepEqual(g.Breakdown, w.Breakdown) {
+				t.Errorf("%s: breakdown %+v, want %+v", id, g.Breakdown, w.Breakdown)
+			}
+			for j, gop := range g.Latency.Ops {
+				wop := w.Latency.Ops[j]
+				if gop.Op != wop.Op || gop.Count != wop.Count || !reflect.DeepEqual(gop.BucketsNs, wop.BucketsNs) ||
+					gop.P50Ns != wop.P50Ns || gop.P90Ns != wop.P90Ns || gop.P99Ns != wop.P99Ns ||
+					gop.P999Ns != wop.P999Ns || gop.MaxNs != wop.MaxNs {
+					t.Errorf("%s %s: latency row %+v, want %+v", id, wop.Op, gop, wop)
+				}
+				if !closeTo(gop.SumNs, wop.SumNs) {
+					t.Errorf("%s %s: SumNs %v, want %v", id, wop.Op, gop.SumNs, wop.SumNs)
+				}
+				for k, c := range gop.Components {
+					if wc := wop.Components[k]; c.Component != wc.Component || !closeTo(c.Ns, wc.Ns) {
+						t.Errorf("%s %s: component %+v, want %+v", id, wop.Op, c, wc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAttrAggregatorEmpty pins the disabled-sweep behavior: a stub
+// under the write-cause heading, and observing a result without the
+// observatory fields is a no-op, not a panic.
 func TestAttrAggregatorEmpty(t *testing.T) {
 	obs := NewObservatory()
-	if fams := obs.MetricFamilies(); fams != nil {
-		t.Fatalf("empty aggregator exposes families: %+v", fams)
-	}
 	if md := obs.Markdown(); !strings.Contains(md, "## Write-cause breakdown\n\nNo observed cells") {
 		t.Fatalf("empty markdown missing the write-cause stub:\n%s", md)
 	}

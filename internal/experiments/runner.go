@@ -144,8 +144,8 @@ func WithTrace(tr *telemetry.Trace) Option { return func(r *Runner) { r.trace = 
 // cell whose value is a *sim.Results (seed-merged cells observe the
 // merged value; failed cells are not observed). Callbacks run on
 // worker goroutines as cells complete and must be safe for concurrent
-// use — the Observatory aggregator feeding live /metrics exposition is
-// the intended consumer. The option composes: each
+// use — the Observatory aggregator behind starbench -observe is the
+// intended consumer. The option composes: each
 // registration appends an observer, and every observer sees every
 // cell in registration order.
 func WithResultObserver(fn func(Cell, *sim.Results)) Option {

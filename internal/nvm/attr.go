@@ -34,8 +34,8 @@ const (
 )
 
 // causeNames is indexed by Cause; the names are the stable labels used
-// in JSON breakdowns, trace events and the observatory's /metrics
-// labels.
+// in JSON breakdowns, trace events and the observatory's report
+// columns.
 var causeNames = [NumCauses]string{
 	"other", "data", "counter", "tree-node", "mac", "adr-flush", "bitmap", "recovery",
 }

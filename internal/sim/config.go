@@ -78,10 +78,11 @@ type Config struct {
 	//     along the critical path into components (bank wait, metadata
 	//     fetch by tree level, write-queue stalls by write cause, recovery
 	//     phases), surfacing as Results.Latency.
-	// A sweep's experiments.Observatory aggregates both and serves them
-	// on starbench -http's /metrics. Disabled (the default) the hot paths pay one nil check
-	// per hook — results and digests are bit-identical to builds without
-	// the feature.
+	// A sweep's experiments.Observatory aggregates both into the
+	// starbench -observe report tables and the -latency-out document.
+	// Disabled (the default) the hot paths pay one nil check per hook —
+	// results and digests are bit-identical to builds without the
+	// feature.
 	Observe bool
 }
 

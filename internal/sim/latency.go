@@ -37,8 +37,7 @@ const (
 )
 
 // latOpNames is indexed by latOp; the names are the stable labels used
-// in Results.Latency, trace events, reports and the observatory's
-// /metrics labels.
+// in Results.Latency, trace events, reports and latency documents.
 var latOpNames = [numLatOps]string{"read", "write", "persist", "recovery"}
 
 func (o latOp) String() string {

@@ -7,21 +7,15 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
 )
 
 // DebugServer is the live-introspection endpoint long sweeps expose
 // via -http: /debug/vars (expvar JSON, including the caller's
-// published snapshot functions), the standard /debug/pprof suite, and
-// /metrics (OpenMetrics text exposition of every attached
-// MetricsSource).
+// published snapshot functions) and the standard /debug/pprof suite.
 type DebugServer struct {
 	srv  *http.Server
 	addr string
 	vars map[string]func() any
-
-	metricsMu sync.Mutex
-	metrics   []MetricsSource
 }
 
 // NewDebugServer builds (but does not start) a debug server. vars maps
@@ -33,44 +27,17 @@ func NewDebugServer(addr string, vars map[string]func() any) *DebugServer {
 	d := &DebugServer{addr: addr, vars: vars}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", d.serveVars)
-	mux.HandleFunc("/metrics", d.serveMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "nvmstar debug server: /debug/vars, /debug/pprof/, /metrics")
+	// "/{$}" matches the root only, so unknown paths are 404s.
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "nvmstar debug server: /debug/vars, /debug/pprof/")
 	})
 	d.srv = &http.Server{Handler: mux}
 	return d
-}
-
-// AddMetricsSource attaches a source to the /metrics endpoint. Sources
-// are scraped in attachment order on every request; families with the
-// same name across sources are merged. Safe to call at any time,
-// including after Start.
-func (d *DebugServer) AddMetricsSource(src MetricsSource) {
-	if src == nil {
-		return
-	}
-	d.metricsMu.Lock()
-	d.metrics = append(d.metrics, src)
-	d.metricsMu.Unlock()
-}
-
-// serveMetrics renders the OpenMetrics text exposition of every
-// attached source.
-func (d *DebugServer) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	d.metricsMu.Lock()
-	sources := append([]MetricsSource(nil), d.metrics...)
-	d.metricsMu.Unlock()
-	var families []MetricFamily
-	for _, src := range sources {
-		families = append(families, src.MetricFamilies()...)
-	}
-	w.Header().Set("Content-Type", OpenMetricsContentType)
-	_ = WriteOpenMetrics(w, families)
 }
 
 // serveVars renders expvar-format JSON: the process-global expvar set

@@ -2,108 +2,14 @@ package telemetry
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
-func histCounts(h *Histogram) []uint64 {
+// overflow reads the count of the +Inf bucket, the last entry of the
+// bucket vector.
+func overflow(h *Histogram) uint64 {
 	_, counts := h.Buckets()
-	return counts
-}
-
-// TestHistogramMergeCommutative pins that Merge is order-independent:
-// a⊕b and b⊕a produce identical bucket vectors, counts, sums and
-// maxima, so per-seed histograms can be merged in any deterministic
-// order without changing the result.
-func TestHistogramMergeCommutative(t *testing.T) {
-	bounds := ExpBuckets(1, 2, 8)
-	mk := func(obs ...float64) *Histogram {
-		h := NewHistogram(bounds)
-		for _, v := range obs {
-			h.Observe(v)
-		}
-		return h
-	}
-	a := mk(0.5, 3, 17, 1000) // 1000 lands in overflow (top bound 128)
-	b := mk(2, 2, 64, 90)
-
-	ab := a.Clone()
-	if err := ab.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	ba := b.Clone()
-	if err := ba.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(histCounts(ab), histCounts(ba)) {
-		t.Fatalf("merge not commutative: %v vs %v", histCounts(ab), histCounts(ba))
-	}
-	if ab.Count() != ba.Count() || ab.Sum() != ba.Sum() || ab.Max() != ba.Max() {
-		t.Fatalf("merge summary not commutative: (%d,%g,%g) vs (%d,%g,%g)",
-			ab.Count(), ab.Sum(), ab.Max(), ba.Count(), ba.Sum(), ba.Max())
-	}
-	if got, want := ab.Count(), uint64(8); got != want {
-		t.Fatalf("merged count = %d, want %d", got, want)
-	}
-	if got, want := ab.Max(), 1000.0; got != want {
-		t.Fatalf("merged max = %g, want %g", got, want)
-	}
-	if got := ab.Overflow(); got != 1 {
-		t.Fatalf("merged overflow = %d, want 1", got)
-	}
-}
-
-// TestHistogramMergeAssociative pins (a⊕b)⊕c == a⊕(b⊕c): the merge
-// tree's shape cannot matter.
-func TestHistogramMergeAssociative(t *testing.T) {
-	bounds := ExpBuckets(1, 2, 6)
-	mk := func(obs ...float64) *Histogram {
-		h := NewHistogram(bounds)
-		for _, v := range obs {
-			h.Observe(v)
-		}
-		return h
-	}
-	a := mk(1, 5)
-	b := mk(9, 200)
-	c := mk(0.1, 2, 31)
-
-	left := a.Clone()
-	if err := left.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	bc := b.Clone()
-	if err := bc.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	right := a.Clone()
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(histCounts(left), histCounts(right)) {
-		t.Fatalf("merge not associative: %v vs %v", histCounts(left), histCounts(right))
-	}
-	if left.Count() != right.Count() || left.Sum() != right.Sum() || left.Max() != right.Max() {
-		t.Fatalf("merge summary not associative")
-	}
-}
-
-// TestHistogramMergeBoundsMismatch pins that merging histograms with
-// different bucket layouts is an error, not silent corruption.
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	a := NewHistogram(ExpBuckets(1, 2, 8))
-	b := NewHistogram(ExpBuckets(1, 2, 6))
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging histograms with mismatched bounds should error")
-	}
-	c := NewHistogram([]float64{1, 3, 8})
-	d := NewHistogram([]float64{1, 4, 8})
-	if err := c.Merge(d); err == nil {
-		t.Fatal("merging histograms with differing bound values should error")
-	}
+	return counts[len(counts)-1]
 }
 
 // TestHistogramCloneIndependent pins that Clone is a deep snapshot:
@@ -113,9 +19,9 @@ func TestHistogramCloneIndependent(t *testing.T) {
 	h.Observe(3)
 	c := h.Clone()
 	h.Observe(100) // overflow in original only
-	if c.Count() != 1 || c.Max() != 3 || c.Overflow() != 0 {
+	if c.Count() != 1 || c.Max() != 3 || overflow(c) != 0 {
 		t.Fatalf("clone mutated by later observe: count=%d max=%g overflow=%d",
-			c.Count(), c.Max(), c.Overflow())
+			c.Count(), c.Max(), overflow(c))
 	}
 	if h.Count() != 2 || h.Max() != 100 {
 		t.Fatalf("original lost observations: count=%d max=%g", h.Count(), h.Max())
@@ -129,9 +35,9 @@ func TestHistogramReset(t *testing.T) {
 	h.Observe(7)
 	h.Observe(99)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Overflow() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || overflow(h) != 0 {
 		t.Fatalf("reset left state: count=%d sum=%g max=%g overflow=%d",
-			h.Count(), h.Sum(), h.Max(), h.Overflow())
+			h.Count(), h.Sum(), h.Max(), overflow(h))
 	}
 	h.Observe(2)
 	if h.Max() != 2 || h.Count() != 1 {
@@ -163,4 +69,80 @@ func TestQuantileFromBuckets(t *testing.T) {
 	if got := QuantileFromBuckets(bounds, nil, 0, 0.5); !math.IsNaN(got) && got != 0 {
 		t.Fatalf("empty counts q50 = %g, want 0", got)
 	}
+}
+
+func TestHistogramQuantileEdgeCases(t *testing.T) {
+	t.Run("nil", func(t *testing.T) {
+		var h *Histogram
+		if got := h.Quantile(0.5); got != 0 {
+			t.Fatalf("nil quantile = %v, want 0", got)
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		h := NewHistogram([]float64{1, 2, 4})
+		if got := h.Quantile(0.99); got != 0 {
+			t.Fatalf("empty quantile = %v, want 0", got)
+		}
+	})
+	t.Run("q0_and_q1", func(t *testing.T) {
+		h := NewHistogram([]float64{1, 2, 4})
+		for i := 0; i < 10; i++ {
+			h.Observe(1.5) // all in bucket (1, 2]
+		}
+		q0, q1 := h.Quantile(0), h.Quantile(1)
+		if q0 < 1 || q0 > 2 {
+			t.Errorf("q=0 -> %v, want within bucket (1, 2]", q0)
+		}
+		if q1 != 2 {
+			t.Errorf("q=1 -> %v, want upper bound 2", q1)
+		}
+	})
+	t.Run("clamped", func(t *testing.T) {
+		h := NewHistogram([]float64{1, 2})
+		h.Observe(0.5)
+		if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+			t.Error("q outside [0,1] must clamp")
+		}
+	})
+	t.Run("all_mass_in_overflow", func(t *testing.T) {
+		// Overflow mass interpolates between the last finite bound and
+		// the recorded maximum — saturated histograms report finite,
+		// honest tails instead of clamping at the bound.
+		h := NewHistogram([]float64{1, 2, 4})
+		h.Observe(100)
+		h.Observe(200)
+		got := h.Quantile(0.99)
+		if got <= 4 || got > 200 {
+			t.Fatalf("overflow-only quantile = %v, want within (4, 200]", got)
+		}
+		if math.IsInf(got, 1) {
+			t.Fatal("quantile must never be +Inf")
+		}
+		if q1 := h.Quantile(1); q1 != 200 {
+			t.Fatalf("q=1 = %v, want the recorded max 200", q1)
+		}
+		// Without a recorded max (phase-delta snapshots pass max = 0)
+		// the estimate clamps at the last finite bound.
+		_, counts := h.Buckets()
+		if got := QuantileFromBuckets([]float64{1, 2, 4}, counts, 0, 0.99); got != 4 {
+			t.Fatalf("maxless overflow quantile = %v, want last finite bound 4", got)
+		}
+	})
+	t.Run("no_finite_bounds", func(t *testing.T) {
+		h := NewHistogram(nil)
+		h.Observe(7)
+		if got := h.Quantile(0.5); got != 3.5 {
+			t.Fatalf("boundless quantile = %v, want 3.5 (interpolated toward the max)", got)
+		}
+	})
+	t.Run("interpolates", func(t *testing.T) {
+		h := NewHistogram([]float64{0, 10})
+		for i := 0; i < 100; i++ {
+			h.Observe(5) // all 100 in (0, 10]
+		}
+		got := h.Quantile(0.5)
+		if got < 4.9 || got > 5.1 {
+			t.Fatalf("median = %v, want ~5 by linear interpolation", got)
+		}
+	})
 }

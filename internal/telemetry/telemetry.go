@@ -4,9 +4,8 @@
 // series into in-memory timelines (sampler.go); a structured event
 // trace emitted as Chrome trace-event JSON (trace.go); fixed-bucket
 // histograms with quantile estimates that the latency observatory and
-// the device's wear summary use; and an OpenMetrics text exposition
-// of attached MetricsSources (openmetrics.go) served by the debug
-// server's /metrics endpoint, with a strict lint for it.
+// the device's wear summary use; and the debug server behind
+// starbench -http, serving expvar and pprof (debug.go).
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may
@@ -131,18 +130,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Mean returns sum/count, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Buckets returns the bucket upper bounds and a snapshot of the
 // per-bucket counts aligned with the bounds passed to NewHistogram,
 // plus one overflow count.
@@ -164,17 +151,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.max.Load())
-}
-
-// Overflow returns the count of observations above the last finite
-// bucket bound — the explicit view of the +Inf bucket, so saturated
-// histograms (a bank wait beyond ExpBuckets' top bound) surface in
-// reports instead of silently vanishing into an unbounded bucket.
-func (h *Histogram) Overflow() uint64 {
-	if h == nil || len(h.counts) == 0 {
-		return 0
-	}
-	return atomic.LoadUint64(&h.counts[len(h.counts)-1])
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) of the observed
@@ -241,39 +217,6 @@ func QuantileFromBuckets(bounds []float64, counts []uint64, max, q float64) floa
 		return lower + frac*(max-lower)
 	}
 	return lower
-}
-
-// Merge adds o's observations into h: per-bucket counts, total count,
-// sum and max. Both histograms must share identical bucket bounds —
-// merging differently shaped histograms is a wiring bug. The merge is
-// deterministic (pure integer/float addition), so folding seed-level
-// histograms in a fixed order yields bit-identical results.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("telemetry: merging histograms with %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if o.bounds[i] != b {
-			return fmt.Errorf("telemetry: merging histograms with different bounds (%g vs %g at %d)", b, o.bounds[i], i)
-		}
-	}
-	for i := range h.counts {
-		atomic.AddUint64(&h.counts[i], atomic.LoadUint64(&o.counts[i]))
-	}
-	h.count.Add(o.count.Load())
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+o.Sum())) {
-			break
-		}
-	}
-	if om := o.Max(); om > h.Max() {
-		h.max.Store(math.Float64bits(om))
-	}
-	return nil
 }
 
 // ExpBuckets returns n exponentially growing upper bounds starting at

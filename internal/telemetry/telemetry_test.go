@@ -20,7 +20,7 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Overflow() != 0 {
+	if bounds, counts := h.Buckets(); h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || bounds != nil || counts != nil {
 		t.Fatalf("nil histogram must read as zero")
 	}
 
@@ -101,8 +101,8 @@ func TestRegistryValuesAndOrder(t *testing.T) {
 	if !reflect.DeepEqual(bounds, []float64{1, 10}) || !reflect.DeepEqual(counts, []uint64{1, 1, 1}) {
 		t.Fatalf("Buckets = %v %v", bounds, counts)
 	}
-	if h.Mean() != 105.5/3 {
-		t.Fatalf("Mean = %v", h.Mean())
+	if h.Count() != 3 || h.Sum() != 105.5 || h.Max() != 100 {
+		t.Fatalf("Count, Sum, Max = %d, %v, %v", h.Count(), h.Sum(), h.Max())
 	}
 }
 
@@ -300,12 +300,27 @@ func TestDebugServer(t *testing.T) {
 		t.Fatalf("process expvars missing from /debug/vars")
 	}
 
-	resp2, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatalf("GET /debug/pprof/: %v", err)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("pprof index status = %d", resp2.StatusCode)
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/ status = %d, want 200", code)
+	}
+	if code, _ := get("/metrics"); code != http.StatusNotFound {
+		t.Fatalf("GET /metrics status = %d, want 404", code)
+	}
+	code, help := get("/")
+	if want := "nvmstar debug server: /debug/vars, /debug/pprof/\n"; code != http.StatusOK || help != want {
+		t.Fatalf("GET / = %d %q, want 200 %q", code, help, want)
 	}
 }
