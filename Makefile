@@ -62,8 +62,9 @@ bench-gate:
 evaluation:
 	$(GO) run ./cmd/starbench -exp all -ops 20000
 
-# End-to-end observability gate: the machine-registry tests (exported
-# series set, fork isolation, timeline content), a sampled + traced
+# End-to-end observability gate: the machine-registry, sampler and
+# tracer tests (exported series set, fork isolation, sampling cadence,
+# timeline content, trace events), a sampled + traced
 # timeline run and a traced mini-sweep, with tracecheck asserting both
 # Chrome trace-event files parse and are non-empty (Perfetto-loadable)
 # and the timeline trace's event names are known, and the three
@@ -73,7 +74,7 @@ TELEMETRY_DIR = /tmp/nvmstar-telemetry
 
 verify-telemetry:
 	rm -rf $(TELEMETRY_DIR) && mkdir -p $(TELEMETRY_DIR)
-	$(GO) test -count=1 -run 'Telemetry|Timeline|Hierarchy|Fork' ./internal/sim
+	$(GO) test -count=1 -run 'Telemetry|Timeline|Sampler|Trace|Hierarchy|Fork' ./internal/sim
 	$(GO) run ./cmd/starplot -timeline -ops 3000 -sample-ns 5000 \
 		-out $(TELEMETRY_DIR)
 	$(GO) run ./cmd/starbench -exp all -ops 1500 -workloads hash,array \
@@ -94,10 +95,12 @@ verify-telemetry:
 	test -s $(TELEMETRY_DIR)/fig14b_recovery_time.svg
 
 # Observatory gate (write-cause attribution + per-op latency):
-# (1) the disabled path stays allocation-free on the engine's write hot
-# path, (2) the histogram quantile estimates, the attribution/latency
-# recording invariants (bit-identical run to run and across forks,
-# components summing to end-to-end) and the sweep aggregate's
+# (1) the engine's write hot path stays allocation-free with the
+# observatory off and on, (2) the histogram quantile estimates, the
+# observation stream's and the attribution/latency recording invariants
+# (bit-identical run to run and across forks, components summing to
+# end-to-end, breakdown merges independent of operand order) and the
+# sweep aggregate's
 # independence from cell completion order hold, (3) a mini
 # observed sweep renders both report sections and a stardiff-comparable
 # latency document whose self-compare enforces the absolute p99 SLO
@@ -110,11 +113,12 @@ OBSERVE_DIR = /tmp/nvmstar-observe
 
 verify-observe:
 	rm -rf $(OBSERVE_DIR) && mkdir -p $(OBSERVE_DIR)
-	$(GO) test -run '^$$' -bench BenchmarkEngineWriteLineObserveDisabled -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineWriteLineObserve(Disabled|Enabled)$$' -benchmem . \
 		| tee $(OBSERVE_DIR)/bench.txt
-	grep -q ' 0 allocs/op' $(OBSERVE_DIR)/bench.txt
+	grep -q 'ObserveDisabled.* 0 allocs/op' $(OBSERVE_DIR)/bench.txt
+	grep -q 'ObserveEnabled.* 0 allocs/op' $(OBSERVE_DIR)/bench.txt
 	$(GO) test -count=1 -run 'Histogram|Quantile' ./internal/telemetry
-	$(GO) test -count=1 -run 'Attr|Latency|Observ' ./internal/nvm ./internal/sim ./internal/experiments ./internal/regress
+	$(GO) test -count=1 -run 'Attr|Breakdown|Latency|Observ' ./internal/nvm ./internal/sim ./internal/experiments ./internal/regress
 	$(GO) run ./cmd/starbench -exp report -ops 1200 -workloads hash -observe -gate=false -progress=false \
 		-latency-out $(OBSERVE_DIR)/latency.json \
 		> $(OBSERVE_DIR)/report.md

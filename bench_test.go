@@ -432,18 +432,31 @@ func BenchmarkEngineWriteLine(b *testing.B) {
 
 // BenchmarkEngineWriteLineObserveDisabled pins the disabled-path
 // invariant the verify-observe gate greps for: with sim.Config.Observe
-// off (the default), the write path must report 0 allocs/op — write
-// attribution and latency recording together cost one nil check per
-// hook.
+// off (the default), the write path must report 0 allocs/op — with no
+// subscriber, every emission point of the observation stream costs
+// one length check.
 func BenchmarkEngineWriteLineObserveDisabled(b *testing.B) {
-	m, err := sim.NewMachine(benchCfg("star"))
+	benchEngineWriteLineObserved(b, false)
+}
+
+// BenchmarkEngineWriteLineObserveEnabled is the enabled side of the same
+// gate: with the observatory subscribed, the write path still reports
+// 0 allocs/op — events go to the subscribers by value.
+func BenchmarkEngineWriteLineObserveEnabled(b *testing.B) {
+	benchEngineWriteLineObserved(b, true)
+}
+
+func benchEngineWriteLineObserved(b *testing.B, observe bool) {
+	cfg := benchCfg("star")
+	cfg.Observe = observe
+	m, err := sim.NewMachine(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := m.Engine()
-	if e.Device().Breakdown() != nil || m.LatencySnapshot() != nil {
-		b.Fatal("observatory unexpectedly enabled by default")
+	if enabled := m.LatencySnapshot() != nil; enabled != observe {
+		b.Fatalf("observatory enabled = %v, want %v", enabled, observe)
 	}
+	e := m.Engine()
 	var line [64]byte
 	b.ReportAllocs()
 	b.ResetTimer()

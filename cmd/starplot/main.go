@@ -3,10 +3,11 @@
 // itself: starbench -svg DIR writes them from the rows its tables
 // print.
 //
-// The -timeline mode runs one telemetry-enabled simulation and
-// renders its sampled series over simulated time (dirty metadata
-// fraction, cache hit ratios, write amplification) plus a Perfetto
-// trace of the run's structured events:
+// The -timeline mode runs one telemetry-enabled simulation with a
+// sim.Sampler and a sim.Tracer attached and renders the sampled series
+// over simulated time (dirty metadata fraction, cache hit ratios,
+// write amplification) plus a Perfetto trace of the run's structured
+// events, with the dirty-metadata fraction as a counter track:
 //
 //	starplot -timeline -workload hash -scheme star -out ./figures
 //
@@ -25,7 +26,6 @@ import (
 
 	"nvmstar/internal/sim"
 	"nvmstar/internal/svgplot"
-	"nvmstar/internal/telemetry"
 )
 
 // main delegates to run so every error path returns an exit code
@@ -83,18 +83,28 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 	cfg.MetaCache.SizeBytes = 256 << 10
 	cfg.Scheme = scheme
 	cfg.Telemetry = true
-	cfg.SampleEveryNs = sampleNs
-	cfg.TraceEvents = true
 
-	res, m, err := sim.RunScenario(cfg, workloadName, ops)
+	m, err := sim.NewMachine(cfg)
 	if err != nil {
 		return err
 	}
-	if len(res.Timelines) == 0 {
+	sampler, err := sim.NewSampler(m.Telemetry(), sampleNs)
+	if err != nil {
+		return err
+	}
+	tracer := sim.NewTracer()
+	m.Attach(sampler)
+	m.Attach(tracer)
+	res, err := m.Run(workloadName, ops)
+	if err != nil {
+		return err
+	}
+	tls := sampler.Timelines()
+	if len(tls) == 0 || len(tls[0].TimesNs) == 0 {
 		return fmt.Errorf("run produced no samples; lower -sample-ns (simulated time was %.0f ns)", res.TimeNs)
 	}
 
-	charts, err := timelineCharts(res.Timelines, fmt.Sprintf("%s/%s (%d ops)", workloadName, scheme, ops))
+	charts, err := timelineCharts(tls, fmt.Sprintf("%s/%s (%d ops)", workloadName, scheme, ops))
 	if err != nil {
 		return err
 	}
@@ -110,20 +120,26 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 		fmt.Println("wrote", path)
 	}
 
-	if tr := m.Trace(); tr != nil && tr.Len() > 0 {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
+	tr := tracer.Trace()
+	for _, tl := range tls {
+		if tl.Name == "meta.dirty_frac" {
+			for i, t := range tl.TimesNs {
+				tr.CounterAt(tl.Name, t, tl.Values[i])
+			}
 		}
-		if err := tr.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events; load in Perfetto / chrome://tracing)\n", tracePath, tr.Len())
 	}
+	f, err := os.Create(tracePath)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d events; load in Perfetto / chrome://tracing)\n", tracePath, tr.Len())
 	return nil
 }
 
@@ -138,7 +154,7 @@ type timelineChart struct {
 // write amplification over simulated time. Every series a chart names
 // must be present — a missing one is an error, not a silently missing
 // curve.
-func timelineCharts(tls []telemetry.Timeline, title string) ([]timelineChart, error) {
+func timelineCharts(tls []sim.Timeline, title string) ([]timelineChart, error) {
 	var missing []string
 	series := func(names ...string) []svgplot.LineSeries {
 		var out []svgplot.LineSeries
@@ -254,12 +270,12 @@ func runWearmap(outDir, workloadName, scheme string, ops, cols int) error {
 	if err != nil {
 		return err
 	}
-	dev := m.Engine().Device()
-	grid := dev.WearGrid(cols)
-	stats := dev.BankWearStats()
-	if len(grid) == 0 || len(stats) != len(grid) {
-		return fmt.Errorf("wearmap: no wear data (observatory off?)")
+	dev, banks := m.Engine().Device(), m.Config().Banks
+	grid := dev.WearGrid(banks, cols)
+	if grid == nil {
+		return fmt.Errorf("wearmap: -wear-cols %d is below 1", cols)
 	}
+	stats := dev.BankWearStats(banks)
 	labels := make([]string, len(grid))
 	values := make([][]float64, len(grid))
 	for b, row := range grid {

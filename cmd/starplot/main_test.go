@@ -4,15 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"nvmstar/internal/telemetry"
+	"nvmstar/internal/sim"
 )
 
 // sampled builds one hand-made timeline per name, three samples each.
-func sampled(names ...string) []telemetry.Timeline {
-	var tls []telemetry.Timeline
+func sampled(names ...string) []sim.Timeline {
+	var tls []sim.Timeline
 	for i, name := range names {
 		v := float64(i+1) / 10
-		tls = append(tls, telemetry.Timeline{
+		tls = append(tls, sim.Timeline{
 			Name:    name,
 			TimesNs: []float64{1e6, 2e6, 3e6},
 			Values:  []float64{v, v, v},

@@ -9,6 +9,11 @@
 // stream against any scheme, so one capture supports a whole scheme
 // sweep — or traces can be synthesized by external tools in the
 // documented text format (see internal/trace).
+//
+// -trace-out attaches a sim.Tracer to the machine and writes the run's
+// structured events (forced flushes, sampled metadata evictions, and
+// with -observe the replay's lat:<op> instants) as Chrome trace-event
+// JSON.
 package main
 
 import (
@@ -40,7 +45,6 @@ func run() int {
 	cfg.DataBytes = uint64(*dataMB) << 20
 	cfg.MetaCache.SizeBytes = 256 << 10
 	cfg.Scheme = *scheme
-	cfg.TraceEvents = *traceOut != ""
 	cfg.Observe = *observe
 
 	var err error
@@ -62,15 +66,27 @@ func run() int {
 	return 0
 }
 
-// writeEventTrace flushes the machine's structured event trace (when
-// -trace-out asked for one). Close errors on this written artifact are
-// reported, not swallowed — a full disk must not leave a silently
-// truncated trace behind.
-func writeEventTrace(m *sim.Machine, path string) error {
-	tr := m.Trace()
-	if path == "" || tr == nil {
+// newMachine builds the machine, with a tracer attached when
+// -trace-out asked for one (nil otherwise).
+func newMachine(cfg sim.Config, traceOut string) (*sim.Machine, *sim.Tracer, error) {
+	m, err := sim.NewMachine(cfg)
+	if err != nil || traceOut == "" {
+		return m, nil, err
+	}
+	tracer := sim.NewTracer()
+	m.Attach(tracer)
+	return m, tracer, nil
+}
+
+// writeEventTrace writes the tracer's events (when -trace-out asked
+// for them). Close errors on this written artifact are reported, not
+// swallowed — a full disk must not leave a silently truncated trace
+// behind.
+func writeEventTrace(tracer *sim.Tracer, path string) error {
+	if tracer == nil {
 		return nil
 	}
+	tr := tracer.Trace()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -87,7 +103,7 @@ func writeEventTrace(m *sim.Machine, path string) error {
 }
 
 func doRecord(cfg sim.Config, path, wl string, ops int, traceOut string) (err error) {
-	m, merr := sim.NewMachine(cfg)
+	m, tracer, merr := newMachine(cfg, traceOut)
 	if merr != nil {
 		return merr
 	}
@@ -119,7 +135,7 @@ func doRecord(cfg sim.Config, path, wl string, ops int, traceOut string) (err er
 		return err
 	}
 	fmt.Printf("recorded %d accesses of %s (%d ops) to %s\n", tw.Count(), wl, ops, path)
-	return writeEventTrace(m, traceOut)
+	return writeEventTrace(tracer, traceOut)
 }
 
 func doReplay(cfg sim.Config, path, traceOut string) error {
@@ -133,7 +149,7 @@ func doReplay(cfg sim.Config, path, traceOut string) error {
 	if err != nil {
 		return err
 	}
-	m, err := sim.NewMachine(cfg)
+	m, tracer, err := newMachine(cfg, traceOut)
 	if err != nil {
 		return err
 	}
@@ -161,5 +177,5 @@ func doReplay(cfg sim.Config, path, traceOut string) error {
 				o.Op, o.P50Ns, o.P99Ns, o.MaxNs, o.Count)
 		}
 	}
-	return writeEventTrace(m, traceOut)
+	return writeEventTrace(tracer, traceOut)
 }

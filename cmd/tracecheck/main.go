@@ -69,8 +69,8 @@ func main() {
 }
 
 // checkNames validates event names per category against the
-// simulator's emission points (internal/sim/telemetry.go,
-// internal/sim/machine.go, internal/secmem). Categories with
+// simulator's emission points (sim.Tracer in
+// internal/sim/telemetry.go). Categories with
 // free-form names — sweep lanes (one per cell), counter series — are
 // not constrained. Returns one violation string per bad (cat, name)
 // pair, deduplicated.

@@ -230,16 +230,14 @@ func (t *Tracker) Fork(dev *nvm.Device) (*Tracker, error) {
 }
 
 // Crash performs the power-fail battery dump: every ADR-resident
-// bitmap line is flushed to the RA out of band (Poke: the flush is not
-// part of the measured run). The L3 register survives on chip.
+// bitmap line is flushed to the RA out of band (StoreOOB: the flush is
+// not part of the measured run). The L3 register survives on chip.
 func (t *Tracker) Crash() {
 	t.l1.Flush(func(id uint64, w adr.Words) {
-		t.dev.Poke(t.geo.RAL1Addr(id), encodeWords(w))
-		t.dev.RecordOOB(nvm.CauseADRFlush)
+		t.dev.StoreOOB(t.geo.RAL1Addr(id), encodeWords(w), nvm.CauseADRFlush)
 	})
 	t.l2.Flush(func(id uint64, w adr.Words) {
-		t.dev.Poke(t.geo.RAL2Addr(id), encodeWords(w))
-		t.dev.RecordOOB(nvm.CauseADRFlush)
+		t.dev.StoreOOB(t.geo.RAL2Addr(id), encodeWords(w), nvm.CauseADRFlush)
 	})
 }
 

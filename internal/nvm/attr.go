@@ -7,13 +7,11 @@ import (
 	"nvmstar/internal/telemetry"
 )
 
-// Write-cause attribution: when enabled, every counted line write
-// carries a Cause tag set at the point the engine or scheme issues it,
-// and the device accumulates per-cause × per-bank counters plus a
-// per-bank wear distribution. The disabled state is a single nil check
-// on the accounting path — no allocations, no behavioral change — and
-// all recording happens in WriteCause, at the point the write is
-// counted.
+// Write-cause attribution: every counted line write carries a Cause
+// tag set at the point the engine or scheme issues it, and the device
+// hands it to its AccessHook with the write. The device keeps no
+// counts of its own; the machine's observation stream accumulates them
+// into Breakdowns (internal/sim).
 
 // Cause classifies why a line write reached the device.
 type Cause uint8
@@ -60,92 +58,6 @@ func ValidCauseName(s string) bool {
 	return false
 }
 
-// attrState is the device's attribution accumulator.
-type attrState struct {
-	banks  int
-	counts [NumCauses][]uint64 // per cause: counted writes per bank
-	oob    [NumCauses]uint64   // uncounted out-of-band stores (Poke paths)
-
-	// Wear-summary memo: the per-bank scan is O(lines written), so the
-	// scan result is cached until the write count moves.
-	wearWrites uint64
-	wearValid  bool
-	wearStats  []BankWear
-}
-
-func (a *attrState) clone() *attrState {
-	if a == nil {
-		return nil
-	}
-	c := &attrState{banks: a.banks, oob: a.oob}
-	for i := range a.counts {
-		c.counts[i] = append([]uint64(nil), a.counts[i]...)
-	}
-	return c
-}
-
-func (a *attrState) reset() {
-	if a == nil {
-		return
-	}
-	for i := range a.counts {
-		for b := range a.counts[i] {
-			a.counts[i][b] = 0
-		}
-	}
-	a.oob = [NumCauses]uint64{}
-	a.wearValid = false
-	a.wearStats = nil
-}
-
-// EnableAttribution turns on per-cause × per-bank write accounting
-// with the given bank count (the machine passes its Banks config so
-// attribution banks match the timing model's). banks < 1 is treated
-// as 1. Counters start at zero; enabling mid-run attributes only
-// subsequent writes.
-func (d *Device) EnableAttribution(banks int) {
-	if banks < 1 {
-		banks = 1
-	}
-	a := &attrState{banks: banks}
-	for i := range a.counts {
-		a.counts[i] = make([]uint64, banks)
-	}
-	d.attr = a
-}
-
-// WriteCause is Write with a cause tag: it counts one line write —
-// statistics, energy, attribution and the access hook — then stores
-// the line and bumps its wear.
-func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
-	d.checkAddr(addr)
-	d.stats.Writes++
-	d.stats.WriteEnergy += d.cfg.Energy.WritePJ
-	if d.attr != nil {
-		d.attr.counts[cause][int(addr/memline.Size)%d.attr.banks]++
-		d.attr.wearValid = false
-	}
-	if d.hook != nil {
-		d.lastCause = cause
-		d.hook(true, addr)
-	}
-	d.store.store(addr, l)
-	if d.cfg.TrackWear {
-		d.store.bumpWear(addr)
-	}
-}
-
-// RecordOOB attributes one uncounted out-of-band line store (a Poke —
-// ADR contents flushed by the crash model, recovery-area resets).
-// These stores are deliberately excluded from Stats.Writes, so they
-// are tallied separately: the counted per-cause sums still add up
-// exactly to Stats.Writes.
-func (d *Device) RecordOOB(cause Cause) {
-	if d.attr != nil {
-		d.attr.oob[cause]++
-	}
-}
-
 // --- breakdown snapshot --------------------------------------------------
 
 // CauseCount is one cause's share of a breakdown.
@@ -165,30 +77,6 @@ type Breakdown struct {
 	Banks  int          `json:"banks"`
 	Causes []CauseCount `json:"causes"`
 	OOB    []CauseCount `json:"oob,omitempty"` // uncounted out-of-band stores, nonzero causes only
-}
-
-// Breakdown returns the current attribution snapshot, or nil when
-// attribution is disabled — callers embed the pointer with omitempty
-// so disabled runs marshal byte-identically to pre-attribution ones.
-func (d *Device) Breakdown() *Breakdown {
-	a := d.attr
-	if a == nil {
-		return nil
-	}
-	b := &Breakdown{Banks: a.banks, Causes: make([]CauseCount, NumCauses)}
-	for c := Cause(0); c < NumCauses; c++ {
-		var sum uint64
-		banks := append([]uint64(nil), a.counts[c]...)
-		for _, v := range banks {
-			sum += v
-		}
-		b.Causes[c] = CauseCount{Cause: c.String(), Writes: sum, Banks: banks}
-		b.Total += sum
-		if a.oob[c] != 0 {
-			b.OOB = append(b.OOB, CauseCount{Cause: c.String(), Writes: a.oob[c]})
-		}
-	}
-	return b
 }
 
 // CauseWrites returns the counted writes of the named cause (0 if the
@@ -216,17 +104,6 @@ func (b *Breakdown) Sub(o *Breakdown) *Breakdown {
 		cc := CauseCount{Cause: c.Cause, Writes: c.Writes, Banks: append([]uint64(nil), c.Banks...)}
 		out.Causes[i] = cc
 	}
-	oobAt := func(br *Breakdown, cause string) uint64 {
-		if br == nil {
-			return 0
-		}
-		for _, c := range br.OOB {
-			if c.Cause == cause {
-				return c.Writes
-			}
-		}
-		return 0
-	}
 	if o != nil {
 		out.Total -= o.Total
 		for i := range out.Causes {
@@ -241,7 +118,7 @@ func (b *Breakdown) Sub(o *Breakdown) *Breakdown {
 		}
 	}
 	for c := Cause(0); c < NumCauses; c++ {
-		if v := oobAt(b, c.String()) - oobAt(o, c.String()); v != 0 {
+		if v := b.oobWrites(c) - o.oobWrites(c); v != 0 {
 			out.OOB = append(out.OOB, CauseCount{Cause: c.String(), Writes: v})
 		}
 	}
@@ -266,18 +143,29 @@ func (b *Breakdown) Accumulate(o *Breakdown) {
 			}
 		}
 	}
-	for _, oc := range o.OOB {
-		found := false
-		for i := range b.OOB {
-			if b.OOB[i].Cause == oc.Cause {
-				b.OOB[i].Writes += oc.Writes
-				found = true
-			}
-		}
-		if !found {
-			b.OOB = append(b.OOB, oc)
+	// Rebuilt in ascending Cause order, as Sub emits it, so the result
+	// does not depend on the order of the operands.
+	var oob []CauseCount
+	for c := Cause(0); c < NumCauses; c++ {
+		if v := b.oobWrites(c) + o.oobWrites(c); v != 0 {
+			oob = append(oob, CauseCount{Cause: c.String(), Writes: v})
 		}
 	}
+	b.OOB = oob
+}
+
+// oobWrites returns the out-of-band stores of cause c (0 for a nil
+// breakdown or an absent cause).
+func (b *Breakdown) oobWrites(c Cause) uint64 {
+	if b == nil {
+		return 0
+	}
+	for _, cc := range b.OOB {
+		if cc.Cause == c.String() {
+			return cc.Writes
+		}
+	}
+	return 0
 }
 
 // DivideBy divides every count by n (integer truncation, mirroring
@@ -316,27 +204,21 @@ type BankWear struct {
 // simulated run — for the p99 estimate.
 var wearBuckets = telemetry.ExpBuckets(1, 2, 24)
 
-// BankWearStats returns the per-bank wear distribution (max/mean/p99
-// line wear), or nil when attribution is disabled. Requires
-// Config.TrackWear for non-zero data. The scan is memoized against the
-// device write count, so repeated calls between writes are free.
-func (d *Device) BankWearStats() []BankWear {
-	a := d.attr
-	if a == nil {
-		return nil
-	}
-	if a.wearValid && a.wearWrites == d.stats.Writes {
-		return a.wearStats
-	}
-	stats := make([]BankWear, a.banks)
-	sums := make([]uint64, a.banks)
-	hists := make([]*telemetry.Histogram, a.banks)
+// BankWearStats returns the distribution of line wear (max/mean/p99)
+// in each of banks line-interleaved banks (banks < 1 counts as 1).
+// Requires Config.TrackWear for non-zero data; each call scans every
+// worn line.
+func (d *Device) BankWearStats(banks int) []BankWear {
+	banks = max(banks, 1)
+	stats := make([]BankWear, banks)
+	sums := make([]uint64, banks)
+	hists := make([]*telemetry.Histogram, banks)
 	for b := range stats {
 		stats[b].Bank = b
 		hists[b] = telemetry.NewHistogram(wearBuckets)
 	}
 	d.store.rangeWear(func(addr, w uint64) {
-		b := int(addr/memline.Size) % a.banks
+		b := int(addr/memline.Size) % banks
 		stats[b].Lines++
 		sums[b] += w
 		if w > stats[b].MaxWear {
@@ -350,39 +232,30 @@ func (d *Device) BankWearStats() []BankWear {
 		}
 		stats[b].P99Wear = hists[b].Quantile(0.99)
 	}
-	a.wearWrites = d.stats.Writes
-	a.wearValid = true
-	a.wearStats = stats
 	return stats
 }
 
 // WearGrid buckets per-line wear into a banks × cols heat grid for
 // rendering: row b holds bank b's lines in ascending address order,
 // compressed into cols cells, each cell keeping the maximum wear of
-// the lines it covers. Returns nil when attribution is disabled or
+// the lines it covers. banks < 1 counts as 1; returns nil when
 // cols < 1.
-func (d *Device) WearGrid(cols int) [][]uint64 {
-	a := d.attr
-	if a == nil || cols < 1 {
+func (d *Device) WearGrid(banks, cols int) [][]uint64 {
+	if cols < 1 {
 		return nil
 	}
-	grid := make([][]uint64, a.banks)
+	banks = max(banks, 1)
+	grid := make([][]uint64, banks)
 	for b := range grid {
 		grid[b] = make([]uint64, cols)
 	}
 	totalLines := d.cfg.CapacityBytes / memline.Size
-	slotsPerBank := (totalLines + uint64(a.banks) - 1) / uint64(a.banks)
-	if slotsPerBank == 0 {
-		slotsPerBank = 1
-	}
+	slotsPerBank := max((totalLines+uint64(banks)-1)/uint64(banks), 1)
 	d.store.rangeWear(func(addr, w uint64) {
 		line := addr / memline.Size
-		bank := int(line) % a.banks
-		slot := line / uint64(a.banks)
-		col := int(slot * uint64(cols) / slotsPerBank)
-		if col >= cols {
-			col = cols - 1
-		}
+		bank := int(line) % banks
+		slot := line / uint64(banks)
+		col := min(int(slot*uint64(cols)/slotsPerBank), cols-1)
 		if w > grid[bank][col] {
 			grid[bank][col] = w
 		}

@@ -1,118 +1,86 @@
 package nvm
 
 import (
+	"reflect"
 	"testing"
 
 	"nvmstar/internal/memline"
 )
 
-func attrDevice(t *testing.T, banks int) *Device {
+func wornDevice(t *testing.T) *Device {
 	t.Helper()
 	d, err := New(Config{CapacityBytes: 1 << 20, TrackWear: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.EnableAttribution(banks)
 	return d
 }
 
-func TestAttributionPerCausePerBank(t *testing.T) {
-	d := attrDevice(t, 4)
-	var l memline.Line
-	d.WriteCause(0*memline.Size, l, CauseData)     // bank 0
-	d.WriteCause(1*memline.Size, l, CauseData)     // bank 1
-	d.WriteCause(5*memline.Size, l, CauseCounter)  // bank 1
-	d.WriteCause(2*memline.Size, l, CauseTreeNode) // bank 2
-	d.WriteCause(2*memline.Size, l, CauseTreeNode) // bank 2 again
-
-	b := d.Breakdown()
-	if b == nil {
-		t.Fatal("Breakdown returned nil with attribution enabled")
-	}
-	if b.Total != 5 || b.Total != d.Stats().Writes {
-		t.Fatalf("Total = %d, want 5 == Stats().Writes (%d)", b.Total, d.Stats().Writes)
-	}
-	if b.Banks != 4 || len(b.Causes) != int(NumCauses) {
-		t.Fatalf("shape: banks=%d causes=%d", b.Banks, len(b.Causes))
-	}
-	if got := b.CauseWrites("data"); got != 2 {
-		t.Errorf("data writes = %d, want 2", got)
-	}
-	if got := b.CauseWrites("counter"); got != 1 {
-		t.Errorf("counter writes = %d, want 1", got)
-	}
-	if got := b.CauseWrites("tree-node"); got != 2 {
-		t.Errorf("tree-node writes = %d, want 2", got)
-	}
-	if got := b.CauseWrites("other"); got != 0 {
-		t.Errorf("other writes = %d, want 0", got)
-	}
-	data := b.Causes[CauseData]
-	if data.Banks[0] != 1 || data.Banks[1] != 1 || data.Banks[2] != 0 {
-		t.Errorf("data per-bank = %v, want [1 1 0 0]", data.Banks)
-	}
-	tn := b.Causes[CauseTreeNode]
-	if tn.Banks[2] != 2 {
-		t.Errorf("tree-node bank 2 = %d, want 2", tn.Banks[2])
-	}
+// hookCauses records the (kind, cause) of every access the hook sees.
+func hookCauses(d *Device) *[][2]uint8 {
+	var seen [][2]uint8
+	d.SetHook(func(kind Access, _ uint64, cause Cause) {
+		seen = append(seen, [2]uint8{uint8(kind), uint8(cause)})
+	})
+	return &seen
 }
 
 func TestAttributionUntaggedWritesAreOther(t *testing.T) {
-	d := attrDevice(t, 2)
+	d := wornDevice(t)
+	seen := hookCauses(d)
 	d.Write(0, memline.Line{})
-	if got := d.Breakdown().CauseWrites("other"); got != 1 {
-		t.Fatalf("untagged Write attributed to %v, want 1 under \"other\"", got)
+	if want := [][2]uint8{{uint8(AccessWrite), uint8(CauseOther)}}; !reflect.DeepEqual(*seen, want) {
+		t.Fatalf("untagged Write reached the hook as %v, want %v", *seen, want)
 	}
 }
 
+// TestAttributionOOB pins the device side of out-of-band attribution:
+// StoreOOB stores the line like Poke — no count, no energy, no wear —
+// and reports it to the hook with its cause.
 func TestAttributionOOB(t *testing.T) {
-	d := attrDevice(t, 2)
-	d.Poke(0, memline.Line{})
-	d.RecordOOB(CauseADRFlush)
-	b := d.Breakdown()
-	if b.Total != 0 {
-		t.Fatalf("Pokes must not count as writes; Total = %d", b.Total)
+	d := wornDevice(t)
+	seen := hookCauses(d)
+	d.StoreOOB(64, memline.Line{5}, CauseADRFlush)
+	if l, ok := d.Peek(64); !ok || l[0] != 5 {
+		t.Fatalf("StoreOOB did not store the line: (%v, %v)", l, ok)
 	}
-	if len(b.OOB) != 1 || b.OOB[0].Cause != "adr-flush" || b.OOB[0].Writes != 1 {
-		t.Fatalf("OOB = %+v, want one adr-flush entry with 1 write", b.OOB)
+	if s := d.Stats(); s != (Stats{}) || d.Wear(64) != 0 {
+		t.Fatalf("StoreOOB counted: stats %+v, wear %d", s, d.Wear(64))
+	}
+	if want := [][2]uint8{{uint8(AccessOOB), uint8(CauseADRFlush)}}; !reflect.DeepEqual(*seen, want) {
+		t.Fatalf("hook saw %v, want %v", *seen, want)
 	}
 }
 
-func TestAttributionDisabledIsNil(t *testing.T) {
-	d, err := New(Config{CapacityBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
+// breakdown builds a two-bank breakdown with the given data and
+// counter writes and out-of-band stores.
+func breakdown(data, counter uint64, oob ...CauseCount) *Breakdown {
+	b := &Breakdown{Total: data + counter, Banks: 2, Causes: make([]CauseCount, NumCauses), OOB: oob}
+	for c := Cause(0); c < NumCauses; c++ {
+		b.Causes[c] = CauseCount{Cause: c.String(), Banks: make([]uint64, 2)}
 	}
-	d.Write(0, memline.Line{})
-	if d.Breakdown() != nil {
-		t.Fatal("Breakdown must be nil when attribution is disabled")
-	}
-	if d.BankWearStats() != nil || d.WearGrid(8) != nil {
-		t.Fatal("wear views must be nil when attribution is disabled")
-	}
-	d.RecordOOB(CauseADRFlush) // must not panic
+	b.Causes[CauseData].Writes, b.Causes[CauseData].Banks[0] = data, data
+	b.Causes[CauseCounter].Writes, b.Causes[CauseCounter].Banks[1] = counter, counter
+	return b
 }
 
 func TestAttributionSubAccumulateDivide(t *testing.T) {
-	d := attrDevice(t, 2)
-	var l memline.Line
-	d.WriteCause(0, l, CauseData)
-	before := d.Breakdown()
-	d.WriteCause(memline.Size, l, CauseData)
-	d.WriteCause(0, l, CauseCounter)
-	delta := d.Breakdown().Sub(before)
-	if delta.Total != 2 || delta.CauseWrites("data") != 1 || delta.CauseWrites("counter") != 1 {
+	before := breakdown(1, 0)
+	after := breakdown(2, 1, CauseCount{Cause: "adr-flush", Writes: 3})
+	delta := after.Sub(before)
+	if delta.Total != 2 || delta.CauseWrites("data") != 1 || delta.CauseWrites("counter") != 1 ||
+		!reflect.DeepEqual(delta.OOB, after.OOB) {
 		t.Fatalf("delta = %+v", delta)
 	}
 	// Accumulate two deltas, then average.
 	sum := delta.Sub(nil)
 	sum.Accumulate(delta)
-	if sum.Total != 4 || sum.CauseWrites("data") != 2 {
+	if sum.Total != 4 || sum.CauseWrites("data") != 2 || sum.OOB[0].Writes != 6 {
 		t.Fatalf("accumulated = %+v", sum)
 	}
 	sum.DivideBy(2)
-	if sum.Total != 2 || sum.CauseWrites("data") != 1 || sum.CauseWrites("counter") != 1 {
-		t.Fatalf("averaged = %+v", sum)
+	if !reflect.DeepEqual(sum, delta) {
+		t.Fatalf("averaged = %+v, want %+v", sum, delta)
 	}
 	// Accumulate must not have mutated the operand.
 	if delta.Total != 2 {
@@ -120,40 +88,26 @@ func TestAttributionSubAccumulateDivide(t *testing.T) {
 	}
 }
 
-func TestAttributionForkIndependence(t *testing.T) {
-	d := attrDevice(t, 2)
-	var l memline.Line
-	d.WriteCause(0, l, CauseData)
-	f := d.Fork()
-	if got := f.Breakdown().CauseWrites("data"); got != 1 {
-		t.Fatalf("fork did not inherit counts: data = %d", got)
+// TestBreakdownAccumulateOOBOrder pins that merging keeps the
+// out-of-band causes in ascending Cause order, whichever operand saw a
+// cause first, as Sub emits them.
+func TestBreakdownAccumulateOOBOrder(t *testing.T) {
+	a := breakdown(1, 0, CauseCount{Cause: "recovery", Writes: 2})
+	b := breakdown(0, 1, CauseCount{Cause: "adr-flush", Writes: 5})
+	ab, ba := a.Sub(nil), b.Sub(nil)
+	ab.Accumulate(b)
+	ba.Accumulate(a)
+	want := []CauseCount{{Cause: "adr-flush", Writes: 5}, {Cause: "recovery", Writes: 2}}
+	if !reflect.DeepEqual(ab.OOB, want) || !reflect.DeepEqual(ba.OOB, want) {
+		t.Fatalf("a+b OOB = %+v, b+a OOB = %+v, want both %+v", ab.OOB, ba.OOB, want)
 	}
-	f.WriteCause(memline.Size, l, CauseMAC)
-	if got := d.Breakdown().CauseWrites("mac"); got != 0 {
-		t.Fatalf("fork write leaked into parent: mac = %d", got)
-	}
-	d.WriteCause(0, l, CauseCounter)
-	if got := f.Breakdown().CauseWrites("counter"); got != 0 {
-		t.Fatalf("parent write leaked into fork: counter = %d", got)
-	}
-}
-
-func TestAttributionResetKeepsEnablement(t *testing.T) {
-	d := attrDevice(t, 2)
-	d.WriteCause(0, memline.Line{}, CauseData)
-	d.RecordOOB(CauseADRFlush)
-	d.Reset()
-	b := d.Breakdown()
-	if b == nil {
-		t.Fatal("Reset disabled attribution")
-	}
-	if b.Total != 0 || len(b.OOB) != 0 {
-		t.Fatalf("Reset left counts behind: %+v", b)
+	if !reflect.DeepEqual(ab, ba) {
+		t.Fatalf("a+b = %+v differs from b+a = %+v", ab, ba)
 	}
 }
 
 func TestBankWearStats(t *testing.T) {
-	d := attrDevice(t, 2)
+	d := wornDevice(t)
 	var l memline.Line
 	for i := 0; i < 3; i++ {
 		d.WriteCause(0, l, CauseData) // bank 0, line 0: wear 3
@@ -161,7 +115,7 @@ func TestBankWearStats(t *testing.T) {
 	d.WriteCause(2*memline.Size, l, CauseData) // bank 0, line 2: wear 1
 	d.WriteCause(1*memline.Size, l, CauseData) // bank 1, line 1: wear 1
 
-	stats := d.BankWearStats()
+	stats := d.BankWearStats(2)
 	if len(stats) != 2 {
 		t.Fatalf("len = %d, want 2", len(stats))
 	}
@@ -175,31 +129,30 @@ func TestBankWearStats(t *testing.T) {
 	if b0.P99Wear <= 0 {
 		t.Fatalf("bank 0 p99 = %v, want > 0", b0.P99Wear)
 	}
-	// Memo: same snapshot identity until the next write.
-	if &d.BankWearStats()[0] != &stats[0] {
-		t.Fatal("BankWearStats not memoized between writes")
-	}
 	d.WriteCause(0, l, CauseData)
-	if d.BankWearStats()[0].MaxWear != 4 {
+	if d.BankWearStats(2)[0].MaxWear != 4 {
 		t.Fatal("BankWearStats stale after a write")
+	}
+	if one := d.BankWearStats(0); len(one) != 1 || one[0].Lines != 3 {
+		t.Fatalf("banks < 1 must count as one bank holding every line: %+v", one)
 	}
 }
 
 func TestWearGrid(t *testing.T) {
-	d := attrDevice(t, 2)
+	d := wornDevice(t)
 	var l memline.Line
 	for i := 0; i < 5; i++ {
 		d.WriteCause(0, l, CauseData) // bank 0, first slot
 	}
 	d.WriteCause(1*memline.Size, l, CauseData) // bank 1, first slot
-	grid := d.WearGrid(4)
+	grid := d.WearGrid(2, 4)
 	if len(grid) != 2 || len(grid[0]) != 4 {
 		t.Fatalf("grid shape %dx%d, want 2x4", len(grid), len(grid[0]))
 	}
 	if grid[0][0] != 5 || grid[1][0] != 1 {
 		t.Fatalf("grid = %v", grid)
 	}
-	if d.WearGrid(0) != nil {
+	if d.WearGrid(2, 0) != nil {
 		t.Fatal("cols < 1 must return nil")
 	}
 }

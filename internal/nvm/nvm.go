@@ -98,21 +98,23 @@ type Device struct {
 	store lineStore
 	stats Stats
 	hook  AccessHook
-	// attr, when non-nil, accumulates per-cause × per-bank write counts
-	// (attr.go). Nil is the disabled state: the accounting hot path pays
-	// one nil check and nothing else.
-	attr *attrState
-	// lastCause is the cause tag of the write currently being accounted,
-	// set before the access hook fires so the hook (the machine's timing
-	// model) can classify the stall it charges. Valid only inside the
-	// hook; not part of serialized device state.
-	lastCause Cause
 }
 
-// AccessHook observes every counted device access. The machine's
-// timing model attaches one to charge latency and queueing to the
-// issuing core.
-type AccessHook func(write bool, addr uint64)
+// Access classifies a device access reported to the AccessHook.
+type Access uint8
+
+const (
+	AccessRead  Access = iota // counted line read
+	AccessWrite               // counted line write
+	AccessOOB                 // uncounted out-of-band store (StoreOOB)
+)
+
+// AccessHook observes every counted device access and every
+// out-of-band store, with the cause its issue point tagged it with
+// (CauseOther for reads, which carry none). The machine attaches one
+// to charge latency and queueing to the issuing core and to feed its
+// observation stream.
+type AccessHook func(kind Access, addr uint64, cause Cause)
 
 // SetHook installs the access observer (nil to remove).
 func (d *Device) SetHook(h AccessHook) { d.hook = h }
@@ -157,7 +159,7 @@ func (d *Device) Read(addr uint64) (memline.Line, bool) {
 	d.stats.Reads++
 	d.stats.ReadEnergy += d.cfg.Energy.ReadPJ
 	if d.hook != nil {
-		d.hook(false, addr)
+		d.hook(AccessRead, addr, CauseOther)
 	}
 	return d.store.load(addr)
 }
@@ -176,15 +178,39 @@ func (d *Device) Write(addr uint64, l memline.Line) {
 	d.WriteCause(addr, l, CauseOther)
 }
 
-// LastWriteCause returns the cause tag of the write whose access hook
-// is currently firing.
-func (d *Device) LastWriteCause() Cause { return d.lastCause }
+// WriteCause is Write with a cause tag: it counts one line write —
+// statistics, energy and the access hook — then stores the line and
+// bumps its wear.
+func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
+	d.checkAddr(addr)
+	d.stats.Writes++
+	d.stats.WriteEnergy += d.cfg.Energy.WritePJ
+	if d.hook != nil {
+		d.hook(AccessWrite, addr, cause)
+	}
+	d.store.store(addr, l)
+	if d.cfg.TrackWear {
+		d.store.bumpWear(addr)
+	}
+}
 
 // Poke stores a line without counting an access. Attack injection and
 // test setup use it to mutate device state out of band.
 func (d *Device) Poke(addr uint64, l memline.Line) {
 	d.checkAddr(addr)
 	d.store.store(addr, l)
+}
+
+// StoreOOB is a Poke that the hook sees: an uncounted out-of-band
+// store the simulated system itself performs (ADR contents flushed by
+// the crash model, recovery-area resets). It stays out of Stats.Writes
+// and wear, so the counted per-cause sums still add up exactly to
+// Stats.Writes, and it charges no time.
+func (d *Device) StoreOOB(addr uint64, l memline.Line, cause Cause) {
+	d.Poke(addr, l)
+	if d.hook != nil {
+		d.hook(AccessOOB, addr, cause)
+	}
 }
 
 // Stats returns a copy of the device counters.
@@ -201,7 +227,6 @@ func (d *Device) ResetStats() { d.stats = Stats{} }
 func (d *Device) Reset() {
 	d.store.reset()
 	d.stats = Stats{}
-	d.attr.reset()
 }
 
 // Fork returns a copy-on-write clone of the device: the clone observes
@@ -209,10 +234,9 @@ func (d *Device) Reset() {
 // subsequent writes on either side are invisible to the other. The
 // access hook is deliberately NOT carried over — it closes over the
 // parent's machine timing model; the clone's owner re-installs its
-// own. Attribution state is deep-copied: the fork observes the
-// parent's counts so far and diverges independently afterwards.
+// own.
 func (d *Device) Fork() *Device {
-	return &Device{cfg: d.cfg, store: d.store.fork(), stats: d.stats, attr: d.attr.clone()}
+	return &Device{cfg: d.cfg, store: d.store.fork(), stats: d.stats}
 }
 
 // Wear returns the write count of the line at addr. It is zero unless

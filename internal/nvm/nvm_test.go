@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"reflect"
 	"testing"
 
 	"nvmstar/internal/memline"
@@ -103,21 +104,21 @@ func TestWearTracking(t *testing.T) {
 
 func TestAccessHookFires(t *testing.T) {
 	d := newDev(t, 1<<20)
-	var events []struct {
-		write bool
+	type access struct {
+		kind  Access
 		addr  uint64
+		cause Cause
 	}
-	d.SetHook(func(write bool, addr uint64) {
-		events = append(events, struct {
-			write bool
-			addr  uint64
-		}{write, addr})
+	var events []access
+	d.SetHook(func(kind Access, addr uint64, cause Cause) {
+		events = append(events, access{kind, addr, cause})
 	})
-	d.Write(64, memline.Line{})
+	d.WriteCause(64, memline.Line{}, CauseMAC)
 	d.Read(64)
 	d.Poke(128, memline.Line{}) // must not fire
-	if len(events) != 2 || !events[0].write || events[1].write || events[0].addr != 64 {
-		t.Fatalf("hook events = %+v", events)
+	want := []access{{AccessWrite, 64, CauseMAC}, {AccessRead, 64, CauseOther}}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("hook events = %+v, want %+v", events, want)
 	}
 }
 

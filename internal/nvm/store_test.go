@@ -65,7 +65,7 @@ func TestStorePeekPokeDoNotCount(t *testing.T) {
 			t.Fatalf("Poke bumped wear to %d", w)
 		}
 		var hooked bool
-		d.SetHook(func(bool, uint64) { hooked = true })
+		d.SetHook(func(Access, uint64, Cause) { hooked = true })
 		d.Poke(192, memline.Line{1})
 		d.Peek(192)
 		if hooked {

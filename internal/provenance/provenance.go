@@ -149,8 +149,10 @@ func ConfigFingerprint(cfg sim.Config) string {
 	// mix into the suffix when non-default (as Observe does — the
 	// observatory adds WriteBreakdown and Latency to cell results, so
 	// observed runs must not compare equal to unobserved baselines) or
-	// extend the mirror with a new pinned baseline.
-	// TestConfigFingerprintPinned guards this.
+	// extend the mirror with a new pinned baseline. Fields that left
+	// sim.Config stay in the mirror pinned at zero (Shards,
+	// SampleEveryNs, TraceEvents). TestConfigFingerprintPinned guards
+	// this.
 	s := fmt.Sprintf("%+v", fingerprintConfig{
 		Cores: cfg.Cores, DataBytes: cfg.DataBytes,
 		L1: cfg.L1, L2: cfg.L2, L3: cfg.L3,
@@ -159,9 +161,7 @@ func ConfigFingerprint(cfg sim.Config) string {
 		TrackWear: cfg.TrackWear, FreqGHz: cfg.FreqGHz,
 		L1LatNs: cfg.L1LatNs, L2LatNs: cfg.L2LatNs, L3LatNs: cfg.L3LatNs,
 		MCLatNs: cfg.MCLatNs, WriteQueue: cfg.WriteQueue, Banks: cfg.Banks,
-		Seed:      cfg.Seed,
-		Telemetry: cfg.Telemetry, SampleEveryNs: cfg.SampleEveryNs,
-		TraceEvents: cfg.TraceEvents,
+		Seed: cfg.Seed, Telemetry: cfg.Telemetry,
 	})
 	if customSuite {
 		s += "+custom-suite"
@@ -202,6 +202,6 @@ type fingerprintConfig struct {
 	Seed          uint64
 	Shards        int // always zero: the option it mirrored is gone; kept only for hash stability
 	Telemetry     bool
-	SampleEveryNs float64
-	TraceEvents   bool
+	SampleEveryNs float64 // always zero, as Shards: sampling is now a subscriber a tool attaches
+	TraceEvents   bool    // always zero, as Shards: tracing is now a subscriber a tool attaches
 }

@@ -345,13 +345,11 @@ func (s *Scheme) reset(staleMetaIdx []uint64) error {
 		l1 := metaIdx / memline.Bits
 		if !cleared[l1] {
 			cleared[l1] = true
-			dev.Poke(geo.RAL1Addr(l1), memline.Line{})
-			dev.RecordOOB(nvm.CauseRecovery)
+			dev.StoreOOB(geo.RAL1Addr(l1), memline.Line{}, nvm.CauseRecovery)
 		}
 	}
 	for l2 := uint64(0); l2 < geo.RAL2Lines(); l2++ {
-		dev.Poke(geo.RAL2Addr(l2), memline.Line{})
-		dev.RecordOOB(nvm.CauseRecovery)
+		dev.StoreOOB(geo.RAL2Addr(l2), memline.Line{}, nvm.CauseRecovery)
 	}
 	s.Reset()
 	return nil

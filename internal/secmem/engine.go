@@ -39,7 +39,6 @@ import (
 	"nvmstar/internal/paged"
 	"nvmstar/internal/simcrypto"
 	"nvmstar/internal/sit"
-	"nvmstar/internal/telemetry"
 )
 
 // forcedFlushWindow is how far a counter may advance past its in-NVM
@@ -142,9 +141,8 @@ type Engine struct {
 	// is O(1) instead of a scan-decode-sort per call.
 	dirtySets [][]SetEntry
 
-	// trace is the optional event-trace sink installed by SetTrace;
-	// nil (the default) makes every emission a no-op.
-	trace *telemetry.Trace
+	// onEvent is the optional event hook installed by SetEventHook.
+	onEvent func(ev Event, addr uint64)
 
 	// macBuf is the reused input buffer for Node/DataMACField. Both
 	// inputs are exactly 80 bytes (addr + 8 counters + parent counter,
@@ -159,6 +157,19 @@ type Engine struct {
 	// write-cause breakdowns.
 	recovering bool
 }
+
+// Event is an engine-internal occurrence reported to the hook
+// installed by SetEventHook.
+type Event uint8
+
+const (
+	EventForcedFlush Event = iota // a forced MSB write-back was queued; addr is the parent node's
+	EventMetaEvict                // a clean line left the metadata cache; addr is the line's
+)
+
+// SetEventHook installs fn to observe forced MSB flushes and metadata
+// evictions (nil, the default, to remove it).
+func (e *Engine) SetEventHook(fn func(ev Event, addr uint64)) { e.onEvent = fn }
 
 // New builds an engine. Call SetScheme before issuing any operation.
 func New(cfg Config) (*Engine, error) {
@@ -384,8 +395,8 @@ func (e *Engine) insertMeta(id sit.NodeID, ml MetaLine) error {
 		if vdirty {
 			panic(fmt.Sprintf("secmem: dirty line %#x evicted without write-back", vaddr))
 		}
-		if e.trace != nil {
-			e.traceEvict(vaddr)
+		if e.onEvent != nil {
+			e.onEvent(EventMetaEvict, vaddr)
 		}
 	})
 	return nil
@@ -493,7 +504,9 @@ func (e *Engine) bumpSlot(parent sit.NodeID, slot int) (uint64, error) {
 		// still carries its old MAC.
 		e.stats.ForcedFlushes++
 		e.pendingForced = append(e.pendingForced, parent)
-		e.trace.Instant("forced_flush", "secmem")
+		if e.onEvent != nil {
+			e.onEvent(EventForcedFlush, e.geo.NodeAddr(parent))
+		}
 	}
 	return newVal, nil
 }
@@ -699,9 +712,10 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 // shares its slot arrays copy-on-write, the rest of the volatile
 // controller state — dirty lists, the root register, statistics —
 // copies deeply, and the scheme forks last, against the already-forked
-// engine. The geometry and crypto suite are shared: both are immutable and safe for concurrent use. The clone
-// carries no trace sink; install one with SetTrace if the forked run should be
-// observed. Parent and clone may then run on different goroutines.
+// engine. The geometry and crypto suite are shared: both are immutable
+// and safe for concurrent use. The clone carries no event hook; its
+// owner installs its own. Parent and clone may then run on different
+// goroutines.
 func (e *Engine) Fork() *Engine {
 	f := &Engine{
 		cfg:        e.cfg,

@@ -52,20 +52,11 @@ type Config struct {
 
 	// Telemetry enables the machine's telemetry.Registry: lazily read
 	// series over the machine's layers (dirty-metadata fraction, cache
-	// hit ratios, write amplification; see telemetry.go). Disabled (the
-	// default) costs the hot paths nothing — nothing is registered and
-	// the layers are never read.
+	// hit ratios, write amplification; see telemetry.go), which a
+	// Sampler attached with Machine.Attach turns into timelines.
+	// Disabled (the default) costs the hot paths nothing — nothing is
+	// registered and the layers are never read.
 	Telemetry bool
-	// SampleEveryNs snapshots every registered series each time
-	// simulated time crosses a multiple of this interval, building the
-	// in-memory timelines attached to Results. 0 disables sampling
-	// (the registry still reads live values). Requires
-	// Telemetry.
-	SampleEveryNs float64
-	// TraceEvents buffers structured events (crash, recovery phases,
-	// forced flushes, sampled metadata evictions) retrievable via
-	// Machine.Trace as Chrome trace-event JSON for Perfetto.
-	TraceEvents bool
 	// Observe enables the observatory, which answers why a scheme writes
 	// what it writes and where its latency goes:
 	//   - write-cause attribution: every NVM line write is tagged with
@@ -78,11 +69,13 @@ type Config struct {
 	//     along the critical path into components (bank wait, metadata
 	//     fetch by tree level, write-queue stalls by write cause, recovery
 	//     phases), surfacing as Results.Latency.
-	// A sweep's experiments.Observatory aggregates both into the
+	// Both subscribe to the machine's observation stream (observe.go),
+	// where tools attach their own subscribers (Sampler, Tracer). A
+	// sweep's experiments.Observatory aggregates both into the
 	// starbench -observe report tables and the -latency-out document.
-	// Disabled (the default) the hot paths pay one nil check per hook —
-	// results and digests are bit-identical to builds without the
-	// feature.
+	// Disabled (the default) the hot paths pay one length check per
+	// emission point — results and digests are bit-identical to builds
+	// without the feature.
 	Observe bool
 }
 

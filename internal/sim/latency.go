@@ -17,12 +17,10 @@ import (
 // controller and cache probes, bank queue wait, metadata fetch by tree
 // level, write-queue stalls by write cause, recovery phases).
 //
-// The determinism argument mirrors write-cause attribution: every
-// recording happens on the driving goroutine — in the device access
-// hook and the machine's own charge sites — so Results.Latency is a
-// pure function of the operation history, identical across
-// Fork/fresh and Reset/new machines. Disabled (the default), the hot
-// paths pay one nil check and Results marshal byte-identically to
+// The recorder is part of the built-in observatory (observe.go) and
+// reads only the observation stream: op begin/end brackets, component
+// charges and device accesses from the timing model, and recovery
+// ends. Disabled (the default), Results marshal byte-identically to
 // builds without the feature.
 
 // latOp enumerates the bracketed operation kinds.
@@ -125,6 +123,7 @@ type latFrame struct {
 // latRecorder accumulates the machine's per-op latency state. It lives
 // on the driving goroutine only.
 type latRecorder struct {
+	geo   *sit.Geometry // classifies device reads by region and tree level
 	hists [numLatOps]*telemetry.Histogram
 	comps [numLatOps][numLatComps]float64
 	// Op brackets nest (a write evicted inside a read fill, per-line
@@ -135,13 +134,57 @@ type latRecorder struct {
 	depth int
 }
 
-func newLatRecorder() *latRecorder {
-	r := &latRecorder{}
+func (r *latRecorder) init(geo *sit.Geometry) {
+	r.geo = geo
 	bounds := LatencyBuckets()
 	for i := range r.hists {
 		r.hists[i] = telemetry.NewHistogram(bounds)
 	}
-	return r
+}
+
+// observe records one event of the observation stream.
+func (r *latRecorder) observe(ev Event) {
+	switch ev.Kind {
+	case EvOpBegin:
+		r.begin(ev.Op, ev.T)
+	case EvOpEnd:
+		r.end(ev.T)
+	case EvComponent:
+		r.note(ev.Comp, ev.Ns)
+	case EvAccess:
+		if r.depth == 0 {
+			return
+		}
+		switch ev.Access {
+		case nvm.AccessRead:
+			r.note(compBankWait, ev.WaitNs)
+			r.note(r.readComp(ev.Addr), ev.ServiceNs)
+		case nvm.AccessWrite:
+			if ev.WaitNs > 0 {
+				r.note(stallCompOf(ev.Cause), ev.WaitNs)
+			}
+		}
+	case EvRecoveryEnd:
+		if ev.Report != nil {
+			r.observeRecovery(ev.Report)
+		}
+	}
+}
+
+// readComp classifies a device read's service time by the region
+// (and, for metadata, the tree level) of the address.
+func (r *latRecorder) readComp(addr uint64) latComp {
+	switch r.geo.RegionOf(addr) {
+	case sit.RegionData:
+		return compReadData
+	case sit.RegionMeta:
+		if id, ok := r.geo.NodeAt(addr); ok && id.Level == 0 {
+			return compReadCounter
+		}
+		return compReadTree
+	default:
+		return compReadOther
+	}
 }
 
 func (r *latRecorder) begin(op latOp, now float64) {
@@ -182,14 +225,9 @@ func (r *latRecorder) observeRecovery(rep *secmem.RecoveryReport) {
 	r.comps[opRecovery][compRecWriteback] += ph.WritebackNs
 }
 
-// clone deep-copies the recorder for Machine.Fork: the fork observes
-// the parent's distributions so far and diverges independently.
-// Nil-safe so Fork calls it unconditionally.
-func (r *latRecorder) clone() *latRecorder {
-	if r == nil {
-		return nil
-	}
-	c := &latRecorder{comps: r.comps, stack: r.stack, depth: r.depth}
+// clone deep-copies the recorder for Machine.Fork.
+func (r *latRecorder) clone() latRecorder {
+	c := *r
 	for i := range r.hists {
 		c.hists[i] = r.hists[i].Clone()
 	}
@@ -197,37 +235,13 @@ func (r *latRecorder) clone() *latRecorder {
 }
 
 // reset rewinds the recorder to its just-constructed state (machine
-// reuse). Nil-safe so Machine.Reset calls it unconditionally.
+// reuse).
 func (r *latRecorder) reset() {
-	if r == nil {
-		return
-	}
 	for i := range r.hists {
 		r.hists[i].Reset()
 	}
 	r.comps = [numLatOps][numLatComps]float64{}
 	r.depth = 0
-}
-
-// latSnapshot is the recorder state at a phase boundary; Measure
-// subtracts a before-snapshot so Results carry the measured phase
-// only, mirroring the attribution snapshot-and-Sub pattern.
-type latSnapshot struct {
-	counts [numLatOps][]uint64
-	count  [numLatOps]uint64
-	sum    [numLatOps]float64
-	comps  [numLatOps][numLatComps]float64
-}
-
-func (r *latRecorder) snapshot() *latSnapshot {
-	s := &latSnapshot{comps: r.comps}
-	for op := range r.hists {
-		_, counts := r.hists[op].Buckets()
-		s.counts[op] = counts
-		s.count[op] = r.hists[op].Count()
-		s.sum[op] = r.hists[op].Sum()
-	}
-	return s
 }
 
 // ComponentNs is one critical-path component's accumulated time within
@@ -302,8 +316,8 @@ func (o *OpLatency) derive() {
 }
 
 // breakdown builds the serializable view of the recorder's state since
-// before (nil = since construction).
-func (r *latRecorder) breakdown(before *latSnapshot) *LatencyBreakdown {
+// before, a clone taken earlier (nil = since construction).
+func (r *latRecorder) breakdown(before *latRecorder) *LatencyBreakdown {
 	lb := &LatencyBreakdown{Ops: make([]OpLatency, numLatOps)}
 	for op := latOp(0); op < numLatOps; op++ {
 		_, counts := r.hists[op].Buckets()
@@ -313,18 +327,19 @@ func (r *latRecorder) breakdown(before *latSnapshot) *LatencyBreakdown {
 			SumNs:     r.hists[op].Sum(),
 			BucketsNs: counts,
 		}
+		comps := r.comps[op]
 		if before != nil {
-			row.Count -= before.count[op]
-			row.SumNs -= before.sum[op]
+			_, prior := before.hists[op].Buckets()
+			row.Count -= before.hists[op].Count()
+			row.SumNs -= before.hists[op].Sum()
 			for i := range row.BucketsNs {
-				row.BucketsNs[i] -= before.counts[op][i]
+				row.BucketsNs[i] -= prior[i]
+			}
+			for comp := range comps {
+				comps[comp] -= before.comps[op][comp]
 			}
 		}
-		for comp := latComp(0); comp < numLatComps; comp++ {
-			ns := r.comps[op][comp]
-			if before != nil {
-				ns -= before.comps[op][comp]
-			}
+		for comp, ns := range comps {
 			row.Components = append(row.Components, ComponentNs{Component: latCompNames[comp], Ns: ns})
 		}
 		row.derive()
@@ -403,49 +418,6 @@ func (l *LatencyBreakdown) DivideBy(n int) {
 	}
 }
 
-// --- machine-side recording hooks ----------------------------------------
-
-// latBegin opens an op bracket at the issuing core's clock.
-func (m *Machine) latBegin(op latOp) {
-	if m.lat == nil {
-		return
-	}
-	m.lat.begin(op, m.coreNow[m.curCore])
-}
-
-// latEnd closes the innermost bracket at the issuing core's clock.
-func (m *Machine) latEnd() {
-	if m.lat == nil {
-		return
-	}
-	m.lat.end(m.coreNow[m.curCore])
-}
-
-// latNote attributes ns to comp in every active frame.
-func (m *Machine) latNote(comp latComp, ns float64) {
-	if m.lat == nil {
-		return
-	}
-	m.lat.note(comp, ns)
-}
-
-// latReadComp classifies a device read's service time by the region
-// (and, for metadata, the tree level) of the address.
-func (m *Machine) latReadComp(addr uint64) latComp {
-	geo := m.engine.Geometry()
-	switch geo.RegionOf(addr) {
-	case sit.RegionData:
-		return compReadData
-	case sit.RegionMeta:
-		if id, ok := geo.NodeAt(addr); ok && id.Level == 0 {
-			return compReadCounter
-		}
-		return compReadTree
-	default:
-		return compReadOther
-	}
-}
-
 // LatencySnapshot returns the cumulative latency breakdown since
 // machine construction (or Reset) — everything the recorder has seen,
 // setup phases and post-measure recoveries included. Nil when
@@ -453,8 +425,8 @@ func (m *Machine) latReadComp(addr uint64) latComp {
 // this is the whole-life view CLI tools print after a crash/recover
 // sequence.
 func (m *Machine) LatencySnapshot() *LatencyBreakdown {
-	if m.lat == nil {
+	if m.observed == nil {
 		return nil
 	}
-	return m.lat.breakdown(nil)
+	return m.observed.lat.breakdown(nil)
 }

@@ -60,13 +60,14 @@ type Machine struct {
 	ctxDone <-chan struct{}
 	ctxPoll uint
 
-	// Observability (nil when disabled; see telemetry.go).
-	tel     *telemetry.Registry
-	sampler *telemetry.Sampler
-	trace   *telemetry.Trace
-	// lat is the per-operation latency observatory (latency.go); nil
-	// unless Config.Observe, so the hot paths pay one nil check.
-	lat *latRecorder
+	// tel is the metrics registry (telemetry.go); nil unless
+	// Config.Telemetry.
+	tel *telemetry.Registry
+	// obs is the observation stream's subscriber list (observe.go):
+	// the built-in observatory first when Config.Observe installed
+	// one, then the attached subscribers.
+	obs      []Observer
+	observed *observatory
 
 	err error // first engine error (integrity violation = fatal)
 }
@@ -118,13 +119,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Observe {
-		// Before the scheme is installed so every write — including any a
-		// scheme constructor issues — is attributed. Banks matches the
-		// timing model's interleave.
-		m.engine.Device().EnableAttribution(cfg.Banks)
-		m.lat = newLatRecorder()
 	}
 	switch cfg.Scheme {
 	case "wb":
@@ -183,7 +177,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 
 	m.engine.Device().SetHook(m.onDeviceAccess)
+	m.engine.SetEventHook(m.onEngineEvent)
 	m.initTelemetry()
+	if cfg.Observe {
+		m.observed = newObservatory(m)
+	}
+	m.resetObservers()
 	return m, nil
 }
 
@@ -255,7 +254,7 @@ func (m *Machine) pollCtx() {
 // --- timing -------------------------------------------------------------
 
 // onDeviceAccess charges the PCM device time of one line access to the
-// issuing core.
+// issuing core and reports the access to the observation stream.
 //
 // Reads are synchronous and serialize per bank (line-interleaved
 // banks): the issuing core waits for the data.
@@ -267,40 +266,72 @@ func (m *Machine) pollCtx() {
 // write bandwidth (Banks lines per tWR). This back-pressure is exactly
 // how extra write traffic (Anubis's ST blocks, strict's branch
 // write-throughs) turns into IPC loss in the paper.
-func (m *Machine) onDeviceAccess(write bool, addr uint64) {
+//
+// Out-of-band stores are not part of the timed run and charge nothing.
+func (m *Machine) onDeviceAccess(kind nvm.Access, addr uint64, cause nvm.Cause) {
 	c := m.curCore
 	t := &m.timing
-	if !write {
+	now := m.coreNow[c]
+	var wait, service float64
+	switch kind {
+	case nvm.AccessRead:
 		bank := int(addr/memline.Size) % len(m.bankFree)
-		start := m.coreNow[c]
+		start := now
 		if m.bankFree[bank] > start {
 			start = m.bankFree[bank]
 		}
-		if m.lat != nil && m.lat.depth > 0 {
-			m.lat.note(compBankWait, start-m.coreNow[c])
-			m.lat.note(m.latReadComp(addr), t.ReadNs())
-		}
-		m.bankFree[bank] = start + t.ReadNs()
+		wait, service = start-now, t.ReadNs()
+		m.bankFree[bank] = start + service
 		m.coreNow[c] = m.bankFree[bank]
-		return
-	}
-	// Queue full? Stall until the oldest outstanding write completes.
-	oldest := m.wqDone[m.wqIdx]
-	if oldest > m.coreNow[c] {
-		if m.lat != nil && m.lat.depth > 0 {
-			m.lat.note(stallCompOf(m.engine.Device().LastWriteCause()), oldest-m.coreNow[c])
+	case nvm.AccessWrite:
+		// Queue full? Stall until the oldest outstanding write completes.
+		if oldest := m.wqDone[m.wqIdx]; oldest > now {
+			wait = oldest - now
+			m.coreNow[c] = oldest
 		}
-		m.coreNow[c] = oldest
+		// Service completion: aggregate drain rate of Banks/tWR.
+		interval := t.WriteNs() / float64(len(m.bankFree))
+		done := m.coreNow[c] + interval
+		if m.wqLastOut+interval > done {
+			done = m.wqLastOut + interval
+		}
+		m.wqLastOut = done
+		m.wqDone[m.wqIdx] = done
+		m.wqIdx = (m.wqIdx + 1) % len(m.wqDone)
 	}
-	// Service completion: aggregate drain rate of Banks/tWR.
-	interval := t.WriteNs() / float64(len(m.bankFree))
-	done := m.coreNow[c] + interval
-	if m.wqLastOut+interval > done {
-		done = m.wqLastOut + interval
+	if len(m.obs) > 0 {
+		m.emit(Event{Kind: EvAccess, Core: c, T: now, Access: kind, Addr: addr, Cause: cause,
+			WaitNs: wait, ServiceNs: service})
 	}
-	m.wqLastOut = done
-	m.wqDone[m.wqIdx] = done
-	m.wqIdx = (m.wqIdx + 1) % len(m.wqDone)
+}
+
+// opBegin opens an engine-level op bracket at the issuing core's clock.
+func (m *Machine) opBegin(op latOp) {
+	if len(m.obs) > 0 {
+		m.emitNow(Event{Kind: EvOpBegin, Op: op})
+	}
+}
+
+// opEnd closes the innermost op bracket at the issuing core's clock.
+func (m *Machine) opEnd() {
+	if len(m.obs) > 0 {
+		m.emitNow(Event{Kind: EvOpEnd})
+	}
+}
+
+// noteComp reports ns of critical-path time charged to comp.
+func (m *Machine) noteComp(comp latComp, ns float64) {
+	if len(m.obs) > 0 {
+		m.emitNow(Event{Kind: EvComponent, Comp: comp, Ns: ns})
+	}
+}
+
+// emitNow stamps ev with the issuing core and its clock and emits it.
+// It is kept apart from the callers' length checks so those inline
+// into the hot paths.
+func (m *Machine) emitNow(ev Event) {
+	ev.Core, ev.T = m.curCore, m.coreNow[m.curCore]
+	m.emit(ev)
 }
 
 func (m *Machine) charge(c int, ns float64) { m.coreNow[c] += ns }
@@ -327,14 +358,14 @@ func (m *Machine) ensureL1(c int, addr uint64) *cache.Entry {
 	case m.takeFromOtherCore(c, addr, &data, &dirty):
 		m.charge(c, m.cfg.L3LatNs) // directory + cross-core transfer
 	default:
-		m.latBegin(opRead)
+		m.opBegin(opRead)
 		m.charge(c, m.cfg.L2LatNs+m.cfg.L3LatNs+m.cfg.MCLatNs)
-		m.latNote(compMC, m.cfg.L2LatNs+m.cfg.L3LatNs+m.cfg.MCLatNs)
+		m.noteComp(compMC, m.cfg.L2LatNs+m.cfg.L3LatNs+m.cfg.MCLatNs)
 		line, err := m.engine.ReadLine(addr)
 		if err != nil {
 			m.setErr(err)
 		}
-		m.latEnd()
+		m.opEnd()
 		data, dirty = line, false
 	}
 	m.setOwner(addr, c)
@@ -406,11 +437,11 @@ func (m *Machine) demoteToL3(addr uint64, data memline.Line, dirty bool) {
 	m.deleteOwner(addr)
 	m.l3.Insert(addr, data, dirty, func(va uint64, vd memline.Line, vdirty bool) {
 		if vdirty {
-			m.latBegin(opWrite)
+			m.opBegin(opWrite)
 			if err := m.engine.WriteLine(va, vd); err != nil {
 				m.setErr(err)
 			}
-			m.latEnd()
+			m.opEnd()
 		}
 	})
 }
@@ -510,32 +541,32 @@ func (m *Machine) Persist(addr uint64, size int) {
 		end = ^uint64(0)
 	}
 	last := memline.Align(end)
-	m.latBegin(opPersist)
+	m.opBegin(opPersist)
 	for line := first; ; line += memline.Size {
 		// Large flushes run this loop far longer than one Load/Store;
 		// poll so cancellation can abort mid-walk, not only between
 		// operations.
 		m.pollCtx()
 		if m.err != nil {
-			m.latEnd()
+			m.opEnd()
 			return
 		}
 		m.instr[c] += instrPerPersist
 		if e, holder := m.locate(line); e != nil && e.Dirty {
 			m.charge(c, m.cfg.MCLatNs)
-			m.latNote(compMC, m.cfg.MCLatNs)
-			m.latBegin(opWrite)
+			m.noteComp(compMC, m.cfg.MCLatNs)
+			m.opBegin(opWrite)
 			if err := m.engine.WriteLine(line, e.Data); err != nil {
 				m.setErr(err)
 			}
-			m.latEnd()
+			m.opEnd()
 			holder.CleanEntry(e)
 		}
 		if line == last {
 			break
 		}
 	}
-	m.latEnd()
+	m.opEnd()
 }
 
 // Fence implements heap.Memory: with ADR, SFENCE waits only for
@@ -551,11 +582,11 @@ func (m *Machine) FlushCPUCaches() error {
 	flush := func(c *cache.Cache) {
 		c.FlushAll(func(addr uint64, data memline.Line, dirty bool) {
 			if dirty {
-				m.latBegin(opWrite)
+				m.opBegin(opWrite)
 				if err := m.engine.WriteLine(addr, data); err != nil {
 					m.setErr(err)
 				}
-				m.latEnd()
+				m.opEnd()
 			}
 		})
 	}
@@ -571,7 +602,9 @@ func (m *Machine) FlushCPUCaches() error {
 // controller's volatile state vanish; battery-backed and on-chip
 // state survives (handled by the engine and scheme).
 func (m *Machine) Crash() {
-	m.trace.InstantAt("crash", "sim", m.maxTimeNs(), 0)
+	if len(m.obs) > 0 {
+		m.emit(Event{Kind: EvCrash, T: m.maxTimeNs()})
+	}
 	for i := range m.l1 {
 		m.l1[i].DropAll()
 		m.l2[i].DropAll()
@@ -581,25 +614,18 @@ func (m *Machine) Crash() {
 	m.engine.Crash()
 }
 
-// Recover runs the active scheme's recovery.
+// Recover runs the active scheme's recovery. Recovery is
+// report-modeled (RecoveryLineNs per line), not core-clock-bracketed:
+// no op is open during replay, so the replay's device traffic stays
+// out of the other op kinds.
 func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
-	var attrBefore *nvm.Breakdown
-	if m.trace != nil {
-		attrBefore = m.engine.Device().Breakdown()
-	}
+	m.emit(Event{Kind: EvRecoveryBegin, T: m.maxTimeNs()})
 	rep, err := m.engine.Recover()
-	if err == nil && rep != nil {
-		// Recovery is report-modeled (RecoveryLineNs per line), not
-		// core-clock-bracketed: no frame is open during replay, so the
-		// replay's device traffic stays out of the other op kinds.
-		if m.lat != nil {
-			m.lat.observeRecovery(rep)
-		}
-		if m.trace != nil {
-			m.traceRecovery(rep)
-			m.traceRecoveryAttr(attrBefore)
-		}
+	end := Event{Kind: EvRecoveryEnd, T: m.maxTimeNs()}
+	if err == nil {
+		end.Report = rep
 	}
+	m.emit(end)
 	return rep, err
 }
 
@@ -616,9 +642,10 @@ func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
 // arrays copy-on-write, so the call is O(occupied pages), not
 // O(memory), and a fork that is crashed copies no cache. The parent
 // may keep running (or Reset and be reused) while forks run on other
-// goroutines. Telemetry is isolated: the fork starts fresh
-// per its config, never sharing the parent's sinks; the attached
-// context is not inherited.
+// goroutines. Observation is isolated: the fork's registry reads the
+// fork, its built-in observatory is a copy of the parent's, and
+// neither the parent's attached subscribers nor its context are
+// inherited.
 func (m *Machine) Fork() *Machine {
 	f := &Machine{
 		cfg:       m.cfg,
@@ -640,9 +667,11 @@ func (m *Machine) Fork() *Machine {
 		f.l2 = append(f.l2, m.l2[i].Fork())
 	}
 	f.l3 = m.l3.Fork()
-	f.lat = m.lat.clone()
 	f.engine.Device().SetHook(f.onDeviceAccess)
+	f.engine.SetEventHook(f.onEngineEvent)
 	f.initTelemetry()
+	f.observed = m.observed.clone()
+	f.resetObservers()
 	return f
 }
 
@@ -657,7 +686,7 @@ func (m *Machine) Fork() *Machine {
 //
 // for every observable output — Results, statistics, snapshots, the
 // golden corpus. TestGoldenResults and TestResetReuseInterleaved hold
-// it in place.
+// it in place. Attached observers are detached.
 func (m *Machine) Reset(seed uint64) {
 	m.cfg.Seed = seed
 	if m.autoSuite {
@@ -687,8 +716,7 @@ func (m *Machine) Reset(seed uint64) {
 	m.wqLastOut = 0
 	m.ctx, m.ctxDone = nil, nil
 	m.ctxPoll = 0
-	m.sampler.Reset()
-	m.trace.Reset()
-	m.lat.reset()
+	m.observed.reset()
+	m.resetObservers()
 	m.err = nil
 }

@@ -6,15 +6,9 @@ package sim
 // the averaged values bit-for-bit, so these methods reproduce the
 // historical sequential seed loop's accumulation exactly: the same
 // fields, in the same order, with the same integer/float division
-// semantics. Fields outside that set (Engine, Anubis, Timelines and
-// the identity fields) deliberately keep the first seed's values, as
+// semantics. Fields outside that set (Engine, Anubis and the identity
+// fields) deliberately keep the first seed's values, as
 // the legacy loop did.
-
-import (
-	"slices"
-
-	"nvmstar/internal/telemetry"
-)
 
 // Accumulate adds o's seed-averaged counters into r. It is one step of
 // the seed-averaging fold: r starts as the seed-0 Results and each
@@ -106,14 +100,6 @@ func (r *Results) Clone() *Results {
 	if r.Anubis != nil {
 		a := *r.Anubis
 		c.Anubis = &a
-	}
-	if r.Timelines != nil {
-		c.Timelines = make([]telemetry.Timeline, len(r.Timelines))
-		for i, tl := range r.Timelines {
-			tl.TimesNs = slices.Clone(tl.TimesNs)
-			tl.Values = slices.Clone(tl.Values)
-			c.Timelines[i] = tl
-		}
 	}
 	c.WriteBreakdown = r.WriteBreakdown.Sub(nil)
 	c.Latency = r.Latency.Copy()

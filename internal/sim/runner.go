@@ -10,7 +10,6 @@ import (
 	"nvmstar/internal/schemes/anubis"
 	"nvmstar/internal/schemes/star"
 	"nvmstar/internal/secmem"
-	"nvmstar/internal/telemetry"
 	"nvmstar/internal/workload"
 )
 
@@ -35,11 +34,6 @@ type Results struct {
 	DirtyMetaLines int     // dirty metadata cache lines at end of run
 	MetaCacheLines int     // metadata cache capacity
 	DirtyMetaFrac  float64 // Fig. 14a's quantity
-
-	// Timelines holds the sampled series of the measured phase when
-	// Config.Telemetry and SampleEveryNs are set; nil otherwise, so
-	// marshaled Results are byte-identical with telemetry disabled.
-	Timelines []telemetry.Timeline `json:",omitempty"`
 
 	// WriteBreakdown (per-cause × per-bank write attribution) and
 	// Latency (per-operation latency breakdown) cover the measured
@@ -160,7 +154,9 @@ func (s *Session) StepN(n int) error {
 		if err := s.w.Step(s.ctx, t); err != nil {
 			return fmt.Errorf("sim: %s step %d: %w", s.name, s.step-1, err)
 		}
-		s.m.sample(t)
+		if len(s.m.obs) > 0 {
+			s.m.emit(Event{Kind: EvStepEnd, Core: t, T: s.m.coreNow[t]})
+		}
 		if s.m.err != nil {
 			return s.m.err
 		}
@@ -180,12 +176,7 @@ func (s *Session) Verify() error {
 // Measure runs fn and captures machine-level deltas around it.
 func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
 	devBefore := m.engine.Device().Stats()
-	var attrBefore *nvm.Breakdown
-	var latBefore *latSnapshot
-	if m.cfg.Observe {
-		attrBefore = m.engine.Device().Breakdown()
-		latBefore = m.lat.snapshot()
-	}
+	obsBefore := m.observed.clone()
 	engBefore := m.engine.Stats()
 	timeBefore := make([]float64, m.cfg.Cores)
 	copy(timeBefore, m.coreNow)
@@ -238,14 +229,10 @@ func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
 	if res.MetaCacheLines > 0 {
 		res.DirtyMetaFrac = float64(res.DirtyMetaLines) / float64(res.MetaCacheLines)
 	}
-	if m.sampler != nil && m.sampler.Samples() > 0 {
-		res.Timelines = m.sampler.Timelines()
+	if m.observed != nil {
+		res.WriteBreakdown, res.Latency = m.observed.since(obsBefore)
 	}
-	if m.cfg.Observe {
-		res.WriteBreakdown = m.engine.Device().Breakdown().Sub(attrBefore)
-		res.Latency = m.lat.breakdown(latBefore)
-		m.traceLatency(res.Latency)
-	}
+	m.emit(Event{Kind: EvMeasureEnd, T: m.maxTimeNs(), Results: res})
 	return res, nil
 }
 

@@ -1,34 +1,25 @@
 package sim
 
 import (
+	"fmt"
+
 	"nvmstar/internal/cache"
 	"nvmstar/internal/nvm"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/telemetry"
 )
 
-// initTelemetry builds the machine's observability objects per the
-// configuration. With both Telemetry and TraceEvents off (the default)
-// it does nothing and the machine's sink pointers stay nil, which makes
-// every hot-path emission a nil-check no-op.
+// initTelemetry builds the machine's metrics registry when
+// Config.Telemetry is set; otherwise m.tel stays nil.
 //
 // The registry exports exactly the series a tool or test reads:
 // starplot -timeline's dirty-metadata fraction (Fig. 14a over time),
 // cache hit ratios and write amplification, plus the raw NVM write and
 // L3 probe counts the simulator tests check. Every series is a gauge
-// function over the machine's own layers, evaluated only when the
-// sampler fires; the closures go through m so a fork's registry reads
-// the fork, never its parent.
+// function over the machine's own layers, evaluated only when read
+// (by a Sampler, say); the closures go through m so a fork's registry
+// reads the fork, never its parent.
 func (m *Machine) initTelemetry() {
-	if m.cfg.TraceEvents {
-		m.trace = telemetry.NewTrace(0)
-		// Events are timestamped with the issuing core's simulated
-		// clock and laned by core.
-		m.trace.SetClock(func() (float64, int) { return m.coreNow[m.curCore], m.curCore })
-		// The engine emits sampled metadata evictions and forced MSB
-		// flushes into the same trace.
-		m.engine.SetTrace(m.trace)
-	}
 	if !m.cfg.Telemetry {
 		return
 	}
@@ -57,7 +48,6 @@ func (m *Machine) initTelemetry() {
 		return float64(m.engine.Device().Stats().Writes) / float64(user)
 	})
 	m.tel = reg
-	m.sampler = telemetry.NewSampler(reg, m.cfg.SampleEveryNs)
 }
 
 // aggregateHitRatio folds the per-core caches of one private level
@@ -91,107 +81,196 @@ func (m *Machine) maxTimeNs() float64 {
 // Config.Telemetry is off).
 func (m *Machine) Telemetry() *telemetry.Registry { return m.tel }
 
-// Sampler returns the simulated-time sampler (nil unless both
-// Config.Telemetry and SampleEveryNs are set).
-func (m *Machine) Sampler() *telemetry.Sampler { return m.sampler }
+// --- the sampler subscriber --------------------------------------------------
 
-// Trace returns the event-trace buffer (nil when Config.TraceEvents is
-// off).
-func (m *Machine) Trace() *telemetry.Trace { return m.trace }
+// Timeline is one series' trajectory over simulated time: parallel
+// slices of sample timestamps (ns) and values. It is the substrate for
+// the paper's time-resolved quantities — dirty-metadata fraction,
+// write amplification, hit ratios — which the end-of-run Stats
+// snapshots can only report as endpoints.
+type Timeline struct {
+	Name    string
+	TimesNs []float64
+	Values  []float64
+}
 
-// sample takes any telemetry samples due at core c's clock, mirroring
-// new dirty-metadata-fraction samples into the trace as Perfetto
-// counter events. Called once per workload operation; disabled
-// sampling costs one nil check.
-func (m *Machine) sample(c int) {
-	if m.sampler == nil {
+// Sampler is the subscriber that snapshots every series of a registry
+// at a fixed simulated-time cadence. It reads the clock of each step
+// end it observes; a sample fires when that clock crosses the next
+// multiple of the interval, stamped with the boundary it crossed, not
+// the (slightly later) instant the crossing was noticed. A step that
+// jumps several boundaries at once records one sample per boundary,
+// each re-reading the current values — exact for gauges, step
+// functions for counters. The first step it observes only sets the
+// cadence: the boundaries before it passed unobserved (during a
+// workload's setup, say), and stamping them all with one later value
+// would invent a history.
+type Sampler struct {
+	reg      *telemetry.Registry
+	interval float64
+	next     float64
+	started  bool
+	series   []Timeline // in the registry's sorted order
+}
+
+// NewSampler creates a sampler over reg (a machine's Telemetry())
+// firing every intervalNs of simulated time; add it with
+// Machine.Attach.
+func NewSampler(reg *telemetry.Registry, intervalNs float64) (*Sampler, error) {
+	if reg == nil {
+		return nil, fmt.Errorf("sim: sampling needs Config.Telemetry")
+	}
+	if intervalNs <= 0 {
+		return nil, fmt.Errorf("sim: sampling interval %v ns is not positive", intervalNs)
+	}
+	s := &Sampler{reg: reg, interval: intervalNs, next: intervalNs}
+	for _, name := range reg.SeriesNames() {
+		s.series = append(s.series, Timeline{Name: name})
+	}
+	return s, nil
+}
+
+// Observe implements Observer.
+func (s *Sampler) Observe(ev Event) {
+	if ev.Kind != EvStepEnd {
 		return
 	}
-	before := m.sampler.Samples()
-	m.sampler.MaybeSample(m.coreNow[c])
-	if m.trace == nil {
-		return
+	for ev.T >= s.next {
+		if s.started {
+			s.sample(s.next)
+		}
+		s.next += s.interval
 	}
-	after := m.sampler.Samples()
-	if after == before {
-		return
-	}
-	if tl := m.sampler.Timeline("meta.dirty_frac"); tl != nil {
-		for i := before; i < after; i++ {
-			m.trace.CounterAt("meta.dirty_frac", tl.TimesNs[i], tl.Values[i])
+	s.started = true
+}
+
+func (s *Sampler) sample(tsNs float64) {
+	i := 0
+	s.reg.Each(func(name string, v float64) {
+		// A registration after the sampler was built would misalign
+		// the series; the machine registers everything at construction.
+		if i >= len(s.series) || s.series[i].Name != name {
+			panic("sim: series registered after the sampler was built")
+		}
+		s.series[i].TimesNs = append(s.series[i].TimesNs, tsNs)
+		s.series[i].Values = append(s.series[i].Values, v)
+		i++
+	})
+}
+
+// Timelines returns every series' timeline in the registry's sorted
+// order. The slices are the sampler's own; treat them as read-only.
+func (s *Sampler) Timelines() []Timeline { return s.series }
+
+// --- the trace subscriber ----------------------------------------------------
+
+// evictSampleMask selects which metadata-cache evictions become trace
+// events: one in 64. Evictions are the bulk event of a metadata-bound
+// run; tracing all of them would dwarf every other track in Perfetto.
+const evictSampleMask = 63
+
+// Tracer is the subscriber that lays a machine's events into a Chrome
+// trace-event buffer for Perfetto, timestamped with simulated clocks
+// and laned by core: crash, the recovery phases with one "attr:<cause>"
+// instant per cause that wrote during recovery, forced MSB flushes,
+// every 64th metadata eviction, and at each measure end with the
+// observatory on, one "lat:<op>" instant per op kind that recorded
+// observations. cmd/tracecheck validates these names.
+type Tracer struct {
+	trace *telemetry.Trace
+	// Writes and out-of-band stores per cause since the last recovery
+	// began.
+	recWrites, recOOB [nvm.NumCauses]uint64
+}
+
+// NewTracer returns a tracer with an empty buffer; add it with
+// Machine.Attach.
+func NewTracer() *Tracer { return &Tracer{trace: telemetry.NewTrace(0)} }
+
+// Trace returns the tracer's event buffer.
+func (t *Tracer) Trace() *telemetry.Trace { return t.trace }
+
+// Observe implements Observer.
+func (t *Tracer) Observe(ev Event) {
+	switch ev.Kind {
+	case EvAccess:
+		switch ev.Access {
+		case nvm.AccessWrite:
+			t.recWrites[ev.Cause]++
+		case nvm.AccessOOB:
+			t.recOOB[ev.Cause]++
+		}
+	case EvCrash:
+		t.trace.InstantAt("crash", "sim", ev.T, 0)
+	case EvRecoveryBegin:
+		t.recWrites, t.recOOB = [nvm.NumCauses]uint64{}, [nvm.NumCauses]uint64{}
+	case EvRecoveryEnd:
+		if ev.Report != nil {
+			t.recovery(ev.Report, ev.T)
+		}
+	case EvMeasureEnd:
+		t.latency(ev.Results.Latency, ev.T)
+	case EvForcedFlush:
+		t.trace.InstantAt("forced_flush", "secmem", ev.T, ev.Core)
+	case EvMetaEvict:
+		if ev.Count&evictSampleMask == 0 {
+			t.trace.InstantAt("meta_evict", "secmem", ev.T, ev.Core)
+			t.trace.WithArgs(map[string]float64{"addr": float64(ev.Addr), "evictions": float64(ev.Count)})
 		}
 	}
 }
 
-// traceRecovery lays the recovery phases into the trace as consecutive
+// recovery lays the recovery phases into the trace as consecutive
 // duration events derived from the report's line-access counts and the
-// paper's 100 ns/line model: index scan, node restoration (reads),
-// node write-back.
-func (m *Machine) traceRecovery(rep *secmem.RecoveryReport) {
-	start := m.maxTimeNs()
+// paper's 100 ns/line model — index scan, node restoration (reads),
+// node write-back — then one instant per cause that wrote NVM lines
+// during the recovery, out-of-band causes included: schemes whose
+// replay resets lines out of band (star's bitmap-driven reset) surface
+// as out-of-band stores, not counted writes.
+func (t *Tracer) recovery(rep *secmem.RecoveryReport, start float64) {
 	ph := rep.PhaseTimes()
 	scan, restore, writeback := ph.ScanNs, ph.RestoreNs, ph.WritebackNs
 	verified := 0.0
 	if rep.Verified {
 		verified = 1
 	}
-	m.trace.CompleteAt("recovery:"+rep.Scheme, "sim", start, scan+restore+writeback, 0)
-	m.trace.WithArgs(map[string]float64{
+	t.trace.CompleteAt("recovery:"+rep.Scheme, "sim", start, scan+restore+writeback, 0)
+	t.trace.WithArgs(map[string]float64{
 		"stale_nodes": float64(rep.StaleNodes),
 		"verified":    verified,
 	})
-	m.trace.CompleteAt("scan_index", "recovery", start, scan, 1)
-	m.trace.CompleteAt("restore_nodes", "recovery", start+scan, restore, 1)
-	m.trace.CompleteAt("write_back", "recovery", start+scan+restore, writeback, 1)
+	t.trace.CompleteAt("scan_index", "recovery", start, scan, 1)
+	t.trace.CompleteAt("restore_nodes", "recovery", start+scan, restore, 1)
+	t.trace.CompleteAt("write_back", "recovery", start+scan+restore, writeback, 1)
+	for _, tally := range []struct {
+		counts *[nvm.NumCauses]uint64
+		arg    string
+	}{{&t.recWrites, "writes"}, {&t.recOOB, "oob_stores"}} {
+		for c, n := range tally.counts {
+			if n == 0 {
+				continue
+			}
+			t.trace.InstantAt("attr:"+nvm.Cause(c).String(), "recovery", start, 0)
+			t.trace.WithArgs(map[string]float64{tally.arg: float64(n)})
+		}
+	}
 }
 
-// traceLatency emits one op-tagged instant event per operation kind
-// that recorded observations over the just-measured phase, carrying the
-// observation count and the derived tail. Event names are "lat:<op>"
-// with <op> from latOpNames — cmd/tracecheck validates them against
-// ValidLatOpName. No-op unless both tracing and the latency observatory
-// are enabled.
-func (m *Machine) traceLatency(lb *LatencyBreakdown) {
-	if m.trace == nil || lb == nil {
+// latency emits one instant per operation kind that recorded
+// observations over the just-measured phase, carrying the observation
+// count and the derived tail. No-op without the observatory.
+func (t *Tracer) latency(lb *LatencyBreakdown, ts float64) {
+	if lb == nil {
 		return
 	}
-	ts := m.maxTimeNs()
 	for _, o := range lb.Ops {
 		if o.Count == 0 {
 			continue
 		}
-		m.trace.InstantAt("lat:"+o.Op, "sim", ts, 0)
-		m.trace.WithArgs(map[string]float64{
+		t.trace.InstantAt("lat:"+o.Op, "sim", ts, 0)
+		t.trace.WithArgs(map[string]float64{
 			"count":  float64(o.Count),
 			"p99_ns": o.P99Ns,
 		})
-	}
-}
-
-// traceRecoveryAttr emits one cause-tagged instant event per cause
-// that wrote NVM lines during the just-finished recovery (delta
-// against the pre-recovery attribution snapshot), including the
-// out-of-band causes — schemes whose replay restores lines via Poke
-// (star's bitmap-driven reset) surface as OOB stores, not counted
-// writes. No-op unless both tracing and attribution are enabled.
-func (m *Machine) traceRecoveryAttr(before *nvm.Breakdown) {
-	delta := m.engine.Device().Breakdown().Sub(before)
-	if delta == nil {
-		return
-	}
-	ts := m.maxTimeNs()
-	for _, c := range delta.Causes {
-		if c.Writes == 0 {
-			continue
-		}
-		m.trace.InstantAt("attr:"+c.Cause, "recovery", ts, 0)
-		m.trace.WithArgs(map[string]float64{"writes": float64(c.Writes)})
-	}
-	for _, c := range delta.OOB {
-		if c.Writes == 0 {
-			continue
-		}
-		m.trace.InstantAt("attr:"+c.Cause, "recovery", ts, 0)
-		m.trace.WithArgs(map[string]float64{"oob_stores": float64(c.Writes)})
 	}
 }

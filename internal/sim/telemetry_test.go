@@ -52,16 +52,39 @@ func TestEngineWriteLineZeroAllocsWithTelemetryDisabled(t *testing.T) {
 	}
 }
 
+// instrument attaches a sampler (every intervalNs) and a tracer to a
+// telemetry-enabled machine.
+func instrument(t *testing.T, m *Machine, intervalNs float64) (*Sampler, *Tracer) {
+	t.Helper()
+	s, err := NewSampler(m.Telemetry(), intervalNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer()
+	m.Attach(s)
+	m.Attach(tr)
+	return s, tr
+}
+
+// timeline returns the named series of s (nil if absent).
+func timeline(s *Sampler, name string) *Timeline {
+	for i, tl := range s.Timelines() {
+		if tl.Name == name {
+			return &s.Timelines()[i]
+		}
+	}
+	return nil
+}
+
 // TestResultsIdenticalWithTelemetryEnabled holds the observability
-// layer to its read-only contract: enabling the registry, the sampler
-// and the event trace must not change a single measured quantity.
-// Results from a telemetry-enabled run, with the Timelines attachment
-// stripped, marshal to exactly the bytes of the plain run's Results.
+// layer to its read-only contract: enabling the registry and attaching
+// a sampler and a tracer must not change a single measured quantity.
+// Results from the instrumented run marshal to exactly the bytes of
+// the plain run's Results.
 func TestResultsIdenticalWithTelemetryEnabled(t *testing.T) {
 	const ops = 800
 	for _, scheme := range []string{"wb", "star", "anubis"} {
-		plainCfg := telemetryTestConfig(scheme)
-		m1, err := NewMachine(plainCfg)
+		m1, err := NewMachine(telemetryTestConfig(scheme))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,27 +95,24 @@ func TestResultsIdenticalWithTelemetryEnabled(t *testing.T) {
 
 		telCfg := telemetryTestConfig(scheme)
 		telCfg.Telemetry = true
-		telCfg.SampleEveryNs = 20000
-		telCfg.TraceEvents = true
 		m2, err := NewMachine(telCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sampler, _ := instrument(t, m2, 20000)
 		instrumented, err := m2.Run("hash", ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(instrumented.Timelines) == 0 {
-			t.Fatalf("%s: telemetry-enabled run attached no timelines", scheme)
+		if len(sampler.Timelines()[0].TimesNs) == 0 {
+			t.Fatalf("%s: the attached sampler took no samples", scheme)
 		}
 
-		stripped := *instrumented
-		stripped.Timelines = nil
 		a, err := json.Marshal(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(&stripped)
+		b, err := json.Marshal(instrumented)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,40 +128,29 @@ func TestResultsIdenticalWithTelemetryEnabled(t *testing.T) {
 // of the monotone NVM write counter agrees with the device statistics
 // at sample time (i.e. values are real, not placeholders).
 func TestTimelineContent(t *testing.T) {
+	const interval = 10000
 	cfg := telemetryTestConfig("star")
 	cfg.Telemetry = true
-	cfg.SampleEveryNs = 10000
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run("hash", 800)
-	if err != nil {
+	sampler, _ := instrument(t, m, interval)
+	if _, err := m.Run("hash", 800); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]telemetry.Timeline{}
-	for _, tl := range res.Timelines {
-		byName[tl.Name] = tl
-	}
-	dirty, ok := byName["meta.dirty_frac"]
-	if !ok {
-		t.Fatalf("meta.dirty_frac series missing; have %d series", len(res.Timelines))
+	dirty := timeline(sampler, "meta.dirty_frac")
+	if dirty == nil {
+		t.Fatalf("meta.dirty_frac series missing; have %d series", len(sampler.Timelines()))
 	}
 	for i, v := range dirty.Values {
 		if v < 0 || v > 1 {
 			t.Fatalf("meta.dirty_frac[%d] = %v outside [0,1]", i, v)
 		}
 	}
-	for i, ts := range dirty.TimesNs {
-		if rem := ts / cfg.SampleEveryNs; rem != float64(int(rem)) {
-			t.Fatalf("sample %d at %v ns is not on a %v ns boundary", i, ts, cfg.SampleEveryNs)
-		}
-		if i > 0 && ts <= dirty.TimesNs[i-1] {
-			t.Fatalf("timestamps not ascending at %d: %v after %v", i, ts, dirty.TimesNs[i-1])
-		}
-	}
-	writes, ok := byName["nvm.writes"]
-	if !ok {
+	checkBoundaries(t, dirty.TimesNs, interval)
+	writes := timeline(sampler, "nvm.writes")
+	if writes == nil {
 		t.Fatal("nvm.writes series missing")
 	}
 	for i := 1; i < len(writes.Values); i++ {
@@ -149,9 +158,119 @@ func TestTimelineContent(t *testing.T) {
 			t.Fatalf("nvm.writes not monotone at sample %d", i)
 		}
 	}
-	if last := writes.Last(); last <= 0 || last > float64(m.Engine().Device().Stats().Writes) {
-		t.Fatalf("nvm.writes final sample %v vs device total %d", last, m.Engine().Device().Stats().Writes)
+	n := len(writes.Values)
+	if n == 0 || writes.Values[n-1] <= 0 || writes.Values[n-1] > float64(m.Engine().Device().Stats().Writes) {
+		t.Fatalf("nvm.writes samples %v vs device total %d", writes.Values, m.Engine().Device().Stats().Writes)
 	}
+}
+
+// checkBoundaries requires ascending timestamps on interval multiples.
+func checkBoundaries(t *testing.T, times []float64, interval float64) {
+	t.Helper()
+	for i, ts := range times {
+		if rem := ts / interval; rem != float64(int(rem)) {
+			t.Fatalf("sample %d at %v ns is not on a %v ns boundary", i, ts, interval)
+		}
+		if i > 0 && ts <= times[i-1] {
+			t.Fatalf("timestamps not ascending at %d: %v after %v", i, ts, times[i-1])
+		}
+	}
+}
+
+// TestTimelineSkipsSetup pins that a sampler attached before a
+// workload's setup stamps no sample at or before the machine's clock at
+// the end of setup: the boundaries setup crossed were never observed,
+// and back-filling them with one post-setup value would fake a history.
+func TestTimelineSkipsSetup(t *testing.T) {
+	const interval = 10000
+	cfg := telemetryTestConfig("star")
+	cfg.Telemetry = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, _ := instrument(t, m, interval)
+	s, err := m.NewSession("hash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupEnd := m.maxTimeNs()
+	if setupEnd < 2*interval {
+		t.Fatalf("setup ended at %v ns, before the boundaries this test needs", setupEnd)
+	}
+	if _, err := m.Measure("hash", func() error { return s.StepN(800) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, tl := range sampler.Timelines() {
+		if len(tl.TimesNs) == 0 {
+			t.Fatalf("%s: no samples over the measured phase", tl.Name)
+		}
+		if tl.TimesNs[0] <= setupEnd {
+			t.Fatalf("%s: sample stamped %v ns, at or before the end of setup (%v ns)", tl.Name, tl.TimesNs[0], setupEnd)
+		}
+		checkBoundaries(t, tl.TimesNs, interval)
+	}
+}
+
+// TestSamplerCadence pins the sampler's clock arithmetic over a
+// hand-fed registry: one sample per crossed boundary, stamped with the
+// boundary, and nothing for the boundaries before the first step.
+func TestSamplerCadence(t *testing.T) {
+	r := telemetry.NewRegistry()
+	ops := 0.0
+	r.GaugeFunc("ops", func() float64 { return ops })
+	s, err := NewSampler(r, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(t float64) { s.Observe(Event{Kind: EvStepEnd, T: t}) }
+
+	ops++
+	step(50) // first step, before the first boundary: nothing
+	s.Observe(Event{Kind: EvAccess, T: 500})
+	if n := len(s.Timelines()[0].TimesNs); n != 0 {
+		t.Fatalf("sampled %d times before a boundary step", n)
+	}
+	step(100) // exactly at a boundary
+	ops += 9
+	step(350) // jumps boundaries 200 and 300 in one burst
+	want := []Timeline{{Name: "ops", TimesNs: []float64{100, 200, 300}, Values: []float64{1, 10, 10}}}
+	if got := s.Timelines(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Timelines = %+v, want %+v", got, want)
+	}
+
+	// A sampler whose first step comes late starts its cadence there.
+	late, _ := NewSampler(r, 100)
+	late.Observe(Event{Kind: EvStepEnd, T: 350})
+	late.Observe(Event{Kind: EvStepEnd, T: 420})
+	if got := late.Timelines()[0].TimesNs; !reflect.DeepEqual(got, []float64{400}) {
+		t.Fatalf("late sampler TimesNs = %v, want [400]", got)
+	}
+
+	if _, err := NewSampler(nil, 100); err == nil {
+		t.Fatal("a sampler without a registry must be refused")
+	}
+	if _, err := NewSampler(r, 0); err == nil {
+		t.Fatal("a non-positive interval must be refused")
+	}
+}
+
+func TestSamplerLateRegistrationPanics(t *testing.T) {
+	r := telemetry.NewRegistry()
+	r.GaugeFunc("a", func() float64 { return 0 })
+	s, err := NewSampler(r, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(Event{Kind: EvStepEnd, T: 5})
+	s.Observe(Event{Kind: EvStepEnd, T: 10})
+	r.GaugeFunc("b", func() float64 { return 0 })
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("late registration must panic at next sample")
+		}
+	}()
+	s.Observe(Event{Kind: EvStepEnd, T: 20})
 }
 
 // TestHierarchyHitRatios checks that the exclusive hierarchy's demand
@@ -181,15 +300,15 @@ func TestHierarchyHitRatios(t *testing.T) {
 
 // TestMachineTraceJSON drives the full event-trace path — run, crash,
 // recover — and requires the serialized buffer to parse back as
-// Chrome trace-event JSON containing the crash marker and the named
-// recovery phases.
+// Chrome trace-event JSON containing the crash marker, the named
+// recovery phases and the recovery's write causes.
 func TestMachineTraceJSON(t *testing.T) {
-	cfg := telemetryTestConfig("star")
-	cfg.TraceEvents = true
-	m, err := NewMachine(cfg)
+	m, err := NewMachine(telemetryTestConfig("star"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tracer := NewTracer()
+	m.Attach(tracer)
 	if _, err := m.RunUnverified("hash", 800); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +317,7 @@ func TestMachineTraceJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.Trace().WriteJSON(&buf); err != nil {
+	if err := tracer.Trace().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	events, err := telemetry.ParseTraceJSON(buf.Bytes())
@@ -208,7 +327,8 @@ func TestMachineTraceJSON(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("trace is empty")
 	}
-	want := map[string]bool{"crash": false, "scan_index": false, "restore_nodes": false, "write_back": false}
+	want := map[string]bool{"crash": false, "scan_index": false, "restore_nodes": false, "write_back": false,
+		"attr:recovery": false}
 	for _, e := range events {
 		if _, ok := want[e.Name]; ok {
 			want[e.Name] = true
@@ -222,37 +342,53 @@ func TestMachineTraceJSON(t *testing.T) {
 }
 
 // TestTelemetryResetInvariant extends the machine-reuse invariant to
-// the instrumented configuration: a Reset telemetry-enabled machine
-// must reproduce the fresh machine's Results, timelines included.
+// the instrumented configuration: Reset detaches the sampler and the
+// tracer, and freshly attached ones on the reset machine record exactly
+// what they record on a fresh machine, as do its Results.
 func TestTelemetryResetInvariant(t *testing.T) {
 	cfg := telemetryTestConfig("star")
 	cfg.Telemetry = true
-	cfg.SampleEveryNs = 20000
-	cfg.TraceEvents = true
+	run := func(m *Machine) (*Results, *Sampler, *Tracer) {
+		t.Helper()
+		s, tr := instrument(t, m, 20000)
+		res, err := m.Run("hash", 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s, tr
+	}
 
 	fresh, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run("hash", 600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantS, wantTr := run(fresh)
 
 	reused, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	staleS, _ := instrument(t, reused, 20000)
 	if _, err := reused.Run("queue", 600); err != nil {
 		t.Fatal(err)
 	}
 	reused.Reset(cfg.Seed)
-	got, err := reused.Run("hash", 600)
-	if err != nil {
-		t.Fatal(err)
+	if len(reused.obs) != 0 {
+		t.Fatalf("Reset kept %d attached observers", len(reused.obs))
+	}
+	staleSamples := len(staleS.Timelines()[0].TimesNs)
+	got, gotS, gotTr := run(reused)
+	if len(staleS.Timelines()[0].TimesNs) != staleSamples {
+		t.Error("a sampler detached by Reset kept sampling")
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("reused instrumented machine diverged:\nfresh  %+v\nreused %+v", want, got)
+	}
+	if !reflect.DeepEqual(wantS.Timelines(), gotS.Timelines()) {
+		t.Error("reused machine's timelines diverge from the fresh machine's")
+	}
+	if !reflect.DeepEqual(wantTr.Trace().Events(), gotTr.Trace().Events()) {
+		t.Error("reused machine's trace diverges from the fresh machine's")
 	}
 }
 
@@ -293,15 +429,17 @@ func TestTelemetrySeriesSet(t *testing.T) {
 
 // TestForkTelemetryIsolated checks that a fork's registry reads the
 // fork's own layers and the parent's registry keeps reading the
-// parent's, after the parent runs on past the fork point.
+// parent's, after the parent runs on past the fork point; the fork does
+// not inherit the parent's sampler, and one attached to it samples the
+// fork.
 func TestForkTelemetryIsolated(t *testing.T) {
 	cfg := telemetryTestConfig("star")
 	cfg.Telemetry = true
-	cfg.SampleEveryNs = 10000
 	parent, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	instrument(t, parent, 10000)
 	s, err := parent.NewSession("hash")
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +451,11 @@ func TestForkTelemetryIsolated(t *testing.T) {
 	if err := s.StepN(400); err != nil {
 		t.Fatal(err)
 	}
-	if fork.Telemetry() == parent.Telemetry() || fork.Sampler() == parent.Sampler() {
-		t.Fatal("fork shares the parent's registry or sampler")
+	if fork.Telemetry() == parent.Telemetry() {
+		t.Fatal("fork shares the parent's registry")
+	}
+	if len(fork.obs) != 0 {
+		t.Fatalf("fork inherited %d attached observers", len(fork.obs))
 	}
 	if parent.Engine().Device().Stats().Writes == fork.Engine().Device().Stats().Writes {
 		t.Fatal("parent wrote nothing after the fork; the test cannot tell the machines apart")
@@ -343,13 +484,16 @@ func TestForkTelemetryIsolated(t *testing.T) {
 		}
 	}
 
-	// The fork's sampler starts fresh and samples the fork's registry.
-	fork.sample(fork.CurrentCore())
-	tl := fork.Sampler().Timeline("nvm.writes")
-	if tl == nil {
-		t.Fatal("fork sampler has no nvm.writes timeline")
+	// A sampler attached to the fork samples the fork's registry.
+	fs, _ := instrument(t, fork, 10000)
+	now := fork.maxTimeNs()
+	fork.emit(Event{Kind: EvStepEnd, T: now})
+	fork.emit(Event{Kind: EvStepEnd, T: now + 10000})
+	tl := timeline(fs, "nvm.writes")
+	if len(tl.Values) != 1 {
+		t.Fatalf("fork sampler took %d samples, want 1", len(tl.Values))
 	}
-	if got, want := tl.Last(), own(fork)["nvm.writes"]; got != want {
-		t.Errorf("fork sampler's last nvm.writes sample = %v, want %v", got, want)
+	if got, want := tl.Values[0], own(fork)["nvm.writes"]; got != want {
+		t.Errorf("fork sampler's nvm.writes sample = %v, want %v", got, want)
 	}
 }

@@ -1,17 +1,16 @@
 // Package telemetry is the simulator's observability layer: a
 // registry of lazily evaluated series that the machine populates
-// (telemetry.go); a simulated-time sampler that turns the registered
-// series into in-memory timelines (sampler.go); a structured event
-// trace emitted as Chrome trace-event JSON (trace.go); fixed-bucket
-// histograms with quantile estimates that the latency observatory and
-// the device's wear summary use; and the debug server behind
-// starbench -http, serving expvar and pprof (debug.go).
+// (telemetry.go) and a sim.Sampler turns into timelines; a structured
+// event trace emitted as Chrome trace-event JSON (trace.go);
+// fixed-bucket histograms with quantile estimates that the latency
+// observatory and the device's wear summary use; and the debug server
+// behind starbench -http, serving expvar and pprof (debug.go).
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may
 // not regress when nobody is watching. The sinks are therefore
 // pointers whose methods are nil-safe no-ops — a nil *Histogram's
-// Observe and a nil *Trace's Instant compile to a nil check and a
+// Observe and a nil *Trace's InstantAt compile to a nil check and a
 // return. No interface values, no indirect calls, no allocation on
 // either path.
 //

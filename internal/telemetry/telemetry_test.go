@@ -24,20 +24,12 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 		t.Fatalf("nil histogram must read as zero")
 	}
 
-	var s *Sampler
-	s.MaybeSample(1e9)
-	if s.Samples() != 0 || s.Timelines() != nil || s.Timeline("x") != nil || s.IntervalNs() != 0 {
-		t.Fatalf("nil sampler must be inert")
-	}
-	s.Reset()
-
 	var tr *Trace
-	tr.Instant("a", "b")
-	tr.Complete("a", "b", 10)
+	tr.InstantAt("a", "b", 0, 0)
+	tr.CompleteAt("a", "b", 0, 10, 0)
 	tr.CounterAt("a", 0, 1)
 	tr.WithArgs(map[string]float64{"x": 1})
-	tr.Reset()
-	if tr.Enabled() || tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatalf("nil trace must be inert")
 	}
 	if err := tr.WriteJSON(io.Discard); err == nil {
@@ -47,12 +39,10 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 
 func TestNilInstrumentsAllocFree(t *testing.T) {
 	var h *Histogram
-	var s *Sampler
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(3)
-		s.MaybeSample(1e12)
-		tr.Instant("x", "y")
+		tr.InstantAt("x", "y", 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocates %.1f allocs/op, want 0", allocs)
@@ -126,90 +116,10 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestSamplerCadence(t *testing.T) {
-	r := NewRegistry()
-	ops := 0.0
-	r.GaugeFunc("ops", func() float64 { return ops })
-	s := NewSampler(r, 100)
-	if s.IntervalNs() != 100 {
-		t.Fatalf("IntervalNs = %v", s.IntervalNs())
-	}
-
-	ops++
-	s.MaybeSample(50) // before first boundary: nothing
-	if s.Samples() != 0 {
-		t.Fatalf("sampled before boundary")
-	}
-	s.MaybeSample(100) // exactly at boundary
-	ops += 9
-	s.MaybeSample(350) // jumps boundaries 200 and 300 in one burst
-	if s.Samples() != 3 {
-		t.Fatalf("Samples = %d, want 3", s.Samples())
-	}
-	tl := s.Timeline("ops")
-	if tl == nil {
-		t.Fatalf("missing timeline")
-	}
-	if !reflect.DeepEqual(tl.TimesNs, []float64{100, 200, 300}) {
-		t.Fatalf("TimesNs = %v", tl.TimesNs)
-	}
-	if !reflect.DeepEqual(tl.Values, []float64{1, 10, 10}) {
-		t.Fatalf("Values = %v", tl.Values)
-	}
-	if tl.Last() != 10 {
-		t.Fatalf("Last = %v", tl.Last())
-	}
-	if (&Timeline{}).Last() != 0 {
-		t.Fatalf("empty Last must be 0")
-	}
-
-	all := s.Timelines()
-	if len(all) != 1 || all[0].Name != "ops" {
-		t.Fatalf("Timelines = %+v", all)
-	}
-
-	// Reset rewinds the cadence and drops samples; a fresh run over the
-	// same registry starts from the first boundary again.
-	s.Reset()
-	if s.Samples() != 0 {
-		t.Fatalf("Samples after Reset = %d", s.Samples())
-	}
-	ops = 2
-	s.MaybeSample(100)
-	tl = s.Timeline("ops")
-	if !reflect.DeepEqual(tl.TimesNs, []float64{100}) || !reflect.DeepEqual(tl.Values, []float64{2}) {
-		t.Fatalf("post-Reset timeline = %+v", tl)
-	}
-
-	if NewSampler(nil, 100) != nil || NewSampler(r, 0) != nil {
-		t.Fatalf("degenerate samplers must be nil")
-	}
-}
-
-func TestSamplerLateRegistrationPanics(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("a", func() float64 { return 0 })
-	s := NewSampler(r, 10)
-	s.MaybeSample(10)
-	r.GaugeFunc("b", func() float64 { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("late registration must panic at next sample")
-		}
-	}()
-	s.MaybeSample(20)
-}
-
 func TestTraceEventsAndJSON(t *testing.T) {
 	tr := NewTrace(7)
-	if !tr.Enabled() {
-		t.Fatalf("live trace must report enabled")
-	}
-	now := 1000.0
-	tr.SetClock(func() (float64, int) { return now, 3 })
-
-	tr.Instant("crash", "sim")
-	tr.Complete("recovery", "sim", 400)
+	tr.InstantAt("crash", "sim", 1000, 3)
+	tr.CompleteAt("recovery", "sim", 600, 400, 3)
 	tr.WithArgs(map[string]float64{"lines": 12})
 	tr.InstantAt("persist", "epoch", 2500, 1)
 	tr.CompleteAt("cell", "sweep", 0, 5000, 2)
@@ -260,12 +170,8 @@ func TestTraceEventsAndJSON(t *testing.T) {
 		t.Fatalf("garbage must not parse")
 	}
 
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("Reset must drop events")
-	}
 	buf.Reset()
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := NewTrace(7).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON empty: %v", err)
 	}
 	parsed, err = ParseTraceJSON(buf.Bytes())

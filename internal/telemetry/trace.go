@@ -38,10 +38,6 @@ type Event struct {
 type Trace struct {
 	events []Event
 	pid    int
-	// clock supplies (simulated ns, lane) for the convenience emitters
-	// used inside the machine; emitters with explicit timestamps
-	// (InstantAt/CompleteAt) ignore it.
-	clock func() (tsNs float64, tid int)
 }
 
 // NewTrace returns an empty trace buffer with process id pid (sweep
@@ -49,17 +45,6 @@ type Trace struct {
 func NewTrace(pid int) *Trace {
 	return &Trace{pid: pid}
 }
-
-// SetClock installs the timestamp source used by Instant and Complete.
-// The machine points it at the issuing core's clock.
-func (t *Trace) SetClock(fn func() (tsNs float64, tid int)) {
-	if t != nil {
-		t.clock = fn
-	}
-}
-
-// Enabled reports whether events are being collected (false for nil).
-func (t *Trace) Enabled() bool { return t != nil }
 
 // Len returns the number of buffered events.
 func (t *Trace) Len() int {
@@ -77,22 +62,6 @@ func (t *Trace) Events() []Event {
 	return t.events
 }
 
-func (t *Trace) now() (float64, int) {
-	if t.clock != nil {
-		return t.clock()
-	}
-	return 0, 0
-}
-
-// Instant emits an instant event at the clock's current time.
-func (t *Trace) Instant(name, cat string) {
-	if t == nil {
-		return
-	}
-	ts, tid := t.now()
-	t.InstantAt(name, cat, ts, tid)
-}
-
 // InstantAt emits an instant event at an explicit simulated time.
 func (t *Trace) InstantAt(name, cat string, tsNs float64, tid int) {
 	if t == nil {
@@ -101,16 +70,6 @@ func (t *Trace) InstantAt(name, cat string, tsNs float64, tid int) {
 	t.events = append(t.events, Event{
 		Name: name, Cat: cat, Ph: "i", Ts: tsNs / 1e3, Pid: t.pid, Tid: tid, S: "t",
 	})
-}
-
-// Complete emits a duration ("X") event ending at the clock's current
-// time and starting durNs earlier.
-func (t *Trace) Complete(name, cat string, durNs float64) {
-	if t == nil {
-		return
-	}
-	ts, tid := t.now()
-	t.CompleteAt(name, cat, ts-durNs, durNs, tid)
 }
 
 // CompleteAt emits a duration ("X") event with explicit start and
@@ -143,14 +102,6 @@ func (t *Trace) CounterAt(name string, tsNs float64, value float64) {
 		Name: name, Ph: "C", Ts: tsNs / 1e3, Pid: t.pid,
 		Args: map[string]float64{"value": value},
 	})
-}
-
-// Reset discards buffered events (capacity kept), for machine reuse.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.events = t.events[:0]
 }
 
 // traceFile is the JSON object format ({"traceEvents": [...]}), which
