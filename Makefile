@@ -21,11 +21,12 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# Determinism lint: forbids ranging over maps in the packages whose
-# outputs must be bit-identical run-to-run (map iteration order is
-# randomized in Go; see cmd/detlint for the suppression syntax).
+# Determinism lint: forbids ranging over maps in every package of the
+# module, whose outputs must be bit-identical run-to-run (map iteration
+# order is randomized in Go; see cmd/detlint for the suppression
+# syntax).
 lint:
-	$(GO) run ./cmd/detlint ./internal/sim ./internal/secmem ./internal/nvm ./internal/schemes ./internal/cachetree
+	$(GO) run ./cmd/detlint ./...
 
 # Full suite, including the ~90 s paper-shape gate.
 test:

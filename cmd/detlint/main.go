@@ -5,7 +5,7 @@
 // identical runs diverge (the secmem engine's former per-node free
 // list, refilled in map range order, was exactly this bug).
 //
-//	go run ./cmd/detlint ./internal/sim ./internal/secmem ...
+//	go run ./cmd/detlint ./...
 //
 // Every `for range` whose operand is map-typed is reported unless the
 // line carries a suppression comment naming the reason the order
@@ -17,7 +17,9 @@
 // whose map iteration leaks into an assertion fails visibly on its
 // own. The checker is pure stdlib (go/parser + go/types with the
 // source importer) so `make verify` needs no tools beyond the
-// toolchain.
+// toolchain. One importer serves every package, so each dependency is
+// type-checked once; directories with their own go.mod (nested modules
+// such as bench/) are skipped.
 package main
 
 import (
@@ -49,9 +51,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		return 2
 	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
 	var findings []string
 	for _, dir := range pkgDirs {
-		f, err := lintDir(dir)
+		f, err := lintDir(fset, imp, dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "detlint:", err)
 			return 2
@@ -70,7 +74,7 @@ func run() int {
 }
 
 // expandDirs resolves the argument list to every directory under it
-// that contains non-test Go files.
+// that contains non-test Go files, outside nested modules.
 func expandDirs(args []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -90,8 +94,13 @@ func expandDirs(args []string) ([]string, error) {
 				}
 				return nil
 			}
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+			if name := d.Name(); name == "testdata" || (strings.HasPrefix(name, ".") && name != ".") {
 				return filepath.SkipDir
+			}
+			if path != arg {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		})
@@ -103,10 +112,9 @@ func expandDirs(args []string) ([]string, error) {
 	return out, nil
 }
 
-// lintDir typechecks one package directory and reports unsuppressed
-// map ranges.
-func lintDir(dir string) ([]string, error) {
-	fset := token.NewFileSet()
+// lintDir typechecks one package directory, resolving imports through
+// imp, and reports unsuppressed map ranges.
+func lintDir(fset *token.FileSet, imp types.Importer, dir string) ([]string, error) {
 	var files []*ast.File
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -129,7 +137,7 @@ func lintDir(dir string) ([]string, error) {
 
 	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: imp,
 		// Type errors degrade detection, they must not block the lint:
 		// expressions the checker cannot type simply go unflagged.
 		Error: func(error) {},

@@ -23,14 +23,17 @@ func main() {
 	// counter's 10 LSBs in its MAC field — that is counter-MAC
 	// synergization: the counter block's modification rides along for
 	// free.
-	records := map[uint64]string{
-		0 * nvmstar.LineSize: "alpha",
-		1 * nvmstar.LineSize: "bravo",
-		9 * nvmstar.LineSize: "charlie",
+	records := []struct {
+		addr uint64
+		val  string
+	}{
+		{0 * nvmstar.LineSize, "alpha"},
+		{1 * nvmstar.LineSize, "bravo"},
+		{9 * nvmstar.LineSize, "charlie"},
 	}
-	for addr, val := range records {
-		sys.Store(addr, []byte(val))
-		sys.PersistRange(addr, len(val))
+	for _, r := range records {
+		sys.Store(r.addr, []byte(r.val))
+		sys.PersistRange(r.addr, len(r.val))
 	}
 	if err := sys.Err(); err != nil {
 		log.Fatal(err)
@@ -55,14 +58,14 @@ func main() {
 		rep.StaleNodes, rep.TimeSeconds(), rep.Verified)
 
 	// The data is intact and verifiable.
-	for addr, want := range records {
-		got := sys.Load(addr, len(want))
+	for _, r := range records {
+		got := sys.Load(r.addr, len(r.val))
 		if err := sys.Err(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %#04x: %q\n", addr, got)
-		if string(got) != want {
-			log.Fatalf("data mismatch at %#x", addr)
+		fmt.Printf("  %#04x: %q\n", r.addr, got)
+		if string(got) != r.val {
+			log.Fatalf("data mismatch at %#x", r.addr)
 		}
 	}
 	fmt.Println("all records verified after recovery")

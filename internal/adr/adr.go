@@ -168,18 +168,6 @@ func (p *Pool) Access(id uint64) *Words {
 	return &victim.words
 }
 
-// Reset restores the pool to its just-constructed state — every slot
-// invalid, LRU clock and statistics zeroed — without spilling resident
-// lines (the caller is discarding the whole simulated machine state,
-// backing store included). Load and spill functions are kept.
-func (p *Pool) Reset() {
-	for i := range p.slots {
-		p.slots[i] = slot{}
-	}
-	p.clock = 0
-	p.stats = Stats{}
-}
-
 // Fork returns a deep copy of the pool — same resident lines, LRU
 // order and statistics — wired to the given load and spill functions.
 // The caller supplies fresh functions because the originals close over

@@ -193,18 +193,6 @@ func (t *Tracker) Stats() Stats {
 	return Stats{L1: t.l1.Stats(), L2: t.l2.Stats(), SetOps: t.setOps, ClearOps: t.clearOps}
 }
 
-// Reset restores the tracker to its just-constructed state: both ADR
-// pools emptied (without spilling — the whole machine is being
-// discarded), the on-chip L3 register and the transition counters
-// zeroed. The RA lines previously spilled to NVM are not the tracker's
-// to clean up; the machine reset clears the whole device store.
-func (t *Tracker) Reset() {
-	t.l1.Reset()
-	t.l2.Reset()
-	t.l3 = adr.Words{}
-	t.setOps, t.clearOps = 0, 0
-}
-
 // Fork returns a deep copy of the tracker wired to the given (already
 // forked) device: ADR pool contents, LRU order, the on-chip L3 register
 // and all counters carry over, while the pool load/spill closures are

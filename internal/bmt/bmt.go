@@ -294,9 +294,6 @@ func (e *Engine) Device() *nvm.Device { return e.dev }
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// PolicyName returns the active policy's name.
-func (e *Engine) PolicyName() string { return e.policy.policyName() }
-
 // Root returns the on-chip root register.
 func (e *Engine) Root() uint64 { return e.root }
 

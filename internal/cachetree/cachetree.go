@@ -81,17 +81,6 @@ func New(suite simcrypto.Suite, numSets int) (*Tree, error) {
 	return t, nil
 }
 
-// Reset restores the tree to its just-constructed state over suite,
-// reusing the level storage. Machine reuse re-derives the per-seed
-// crypto suite, so the new suite is taken here rather than kept. As
-// in New, the empty state's interior nodes wait for the next Root.
-func (t *Tree) Reset(suite simcrypto.Suite) {
-	t.suite = suite
-	t.stats = Stats{}
-	clear(t.levels[0])
-	t.markAllStale()
-}
-
 // NumSets returns the leaf count.
 func (t *Tree) NumSets() int { return t.numSets }
 

@@ -156,7 +156,7 @@ func TestBranchUpdateCost(t *testing.T) {
 
 func TestLazyRootMatchesBuild(t *testing.T) {
 	// Property: under any interleaving of UpdateSet, Root, Fork and
-	// Reset, Root equals BuildRoot over the current leaves, and a
+	// a fresh New, Root equals BuildRoot over the current leaves, and a
 	// second Root hashes nothing. Forks are checked against their own
 	// copy of the leaves.
 	const sets = 100 // a partial last node at every interior level
@@ -203,7 +203,7 @@ func TestLazyRootMatchesBuild(t *testing.T) {
 					live[0] = tree{cur.tr.Fork(), leaves}
 				}
 			case 7:
-				cur.tr.Reset(suite())
+				cur.tr, _ = New(suite(), sets)
 				cur.leaves = map[int][]SetEntry{}
 			}
 		}

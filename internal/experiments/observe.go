@@ -79,7 +79,7 @@ func (o *Observatory) Rows() []ObservatoryRow {
 	}
 	o.mu.Lock()
 	rows := make([]ObservatoryRow, 0, len(o.entries))
-	for _, e := range o.entries {
+	for _, e := range o.entries { //detlint:ok rows are sorted by sortObservatoryRows below
 		rows = append(rows, ObservatoryRow{
 			Workload: e.Workload, Scheme: e.Scheme, Cells: e.Cells,
 			Breakdown: e.Breakdown.Sub(nil), Latency: e.Latency.Copy(),

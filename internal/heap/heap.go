@@ -57,9 +57,6 @@ func New(mem Memory, base, size uint64) (*Heap, error) {
 	return &Heap{mem: mem, base: base, limit: base + size, brk: base, free: make(map[int][]uint64)}, nil
 }
 
-// Mem returns the underlying memory.
-func (h *Heap) Mem() Memory { return h.mem }
-
 // Base returns the heap's base address.
 func (h *Heap) Base() uint64 { return h.base }
 

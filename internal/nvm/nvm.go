@@ -216,9 +216,6 @@ func (d *Device) StoreOOB(addr uint64, l memline.Line, cause Cause) {
 // Stats returns a copy of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the counters (e.g. after a warm-up phase).
-func (d *Device) ResetStats() { d.stats = Stats{} }
-
 // Reset restores the device to its just-constructed state: the line
 // store and wear counters are emptied (the paged store retains its
 // pages for reuse) and the statistics zeroed. The access hook and

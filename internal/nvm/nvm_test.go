@@ -63,10 +63,6 @@ func TestStatsAndEnergy(t *testing.T) {
 	if s.TotalEnergyPJ() != wantW+wantR {
 		t.Fatal("total energy mismatch")
 	}
-	d.ResetStats()
-	if d.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
-	}
 }
 
 func TestPeekAndPokeDoNotCount(t *testing.T) {

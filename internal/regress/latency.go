@@ -100,7 +100,7 @@ func CompareLatency(old, new *LatencyDoc, tol Tolerance) *Verdict {
 	}
 
 	keys := make([]string, 0, len(tol.LatencyP99CeilingsNs))
-	for k := range tol.LatencyP99CeilingsNs {
+	for k := range tol.LatencyP99CeilingsNs { //detlint:ok keys are sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

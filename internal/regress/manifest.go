@@ -68,7 +68,7 @@ func CompareManifests(old, new *provenance.Manifest, tol Tolerance) (*Verdict, e
 		}
 	}
 	var added []string
-	for key := range newIdx {
+	for key := range newIdx { //detlint:ok added keys are sorted below
 		if !seen[key] {
 			added = append(added, key)
 		}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -69,10 +70,15 @@ func LoadTolerance(path string) (Tolerance, error) {
 	if tol.ValueFrac < 0 || tol.LatencyFrac < 0 {
 		return tol, fmt.Errorf("regress: %s: negative drift fraction", path)
 	}
-	for pair, ns := range tol.LatencyP99CeilingsNs {
+	var negative []string
+	for pair, ns := range tol.LatencyP99CeilingsNs { //detlint:ok offending pairs are sorted below
 		if ns < 0 {
-			return tol, fmt.Errorf("regress: %s: negative p99 ceiling for %s", path, pair)
+			negative = append(negative, pair)
 		}
+	}
+	if len(negative) > 0 {
+		sort.Strings(negative)
+		return tol, fmt.Errorf("regress: %s: negative p99 ceiling for %s", path, strings.Join(negative, ", "))
 	}
 	return tol, nil
 }

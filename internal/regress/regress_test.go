@@ -158,6 +158,23 @@ func TestLoadToleranceRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestLoadToleranceNamesNegativeCeilingsInOrder: with several negative
+// ceilings the error names all of them, sorted, so it reads the same
+// on every run.
+func TestLoadToleranceNamesNegativeCeilingsInOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tol.json")
+	body := `{"latency_p99_ceilings_ns": {"wb/read": -1, "anubis/write": 5, "star/write": -2, "phoenix/read": -3}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := LoadTolerance(path)
+		if err == nil || !strings.HasSuffix(err.Error(), "negative p99 ceiling for phoenix/read, star/write, wb/read") {
+			t.Fatalf("error %v, want every negative pair named in sorted order", err)
+		}
+	}
+}
+
 func TestReadDocSniffsKinds(t *testing.T) {
 	dir := t.TempDir()
 

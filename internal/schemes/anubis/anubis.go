@@ -148,15 +148,6 @@ func (s *Scheme) OnChildPersisted(parent sit.NodeID) error {
 // the on-chip root register survives (it was maintained all along).
 func (s *Scheme) OnCrash() { s.stRoot = s.stTree.Root() }
 
-// Reset implements secmem.Scheme: restore just-constructed state for
-// machine reuse. The ST region itself lives in NVM and is cleared by
-// the engine's device reset; the volatile tree over it rewinds here.
-func (s *Scheme) Reset() {
-	s.stTree.Reset(s.e.Suite())
-	s.stRoot = 0
-	s.stats = Stats{}
-}
-
 // Fork implements secmem.Scheme: rebind to the forked engine with a
 // deep copy of the ST merkle tree, the root register snapshot and the
 // counters. The reused encode buffers are scratch, valid only within

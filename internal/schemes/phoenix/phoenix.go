@@ -123,16 +123,6 @@ func (s *Scheme) OnChildPersisted(parent sit.NodeID) error {
 // OnCrash implements secmem.Scheme.
 func (s *Scheme) OnCrash() { s.stRoot = s.stTree.Root() }
 
-// Reset implements secmem.Scheme: restore just-constructed state for
-// machine reuse (see anubis; the stride and its per-block update
-// counts rewind along with the ST tree).
-func (s *Scheme) Reset() {
-	s.stTree.Reset(s.e.Suite())
-	s.stRoot = 0
-	clear(s.updates)
-	s.stats = Stats{}
-}
-
 // Fork implements secmem.Scheme: rebind to the forked engine with deep
 // copies of the ST tree, the per-block update windows, the root
 // register snapshot and the counters. The reused encode buffers are

@@ -87,9 +87,6 @@ func (*Scheme) Synergize() bool { return true }
 // Fig. 10 measurements).
 func (s *Scheme) Tracker() *bitmap.Tracker { return s.tracker }
 
-// CacheTree exposes the cache-tree (for ablation measurements).
-func (s *Scheme) CacheTree() *cachetree.Tree { return s.tree }
-
 // CacheTreeRoot returns the on-chip root register value.
 func (s *Scheme) CacheTreeRoot() uint64 {
 	if s.crashed {
@@ -129,19 +126,6 @@ func (s *Scheme) updateSet(set int) {
 // OnChildPersisted implements secmem.Scheme: the parent's modification
 // already travelled inside the child's MAC field; nothing extra to do.
 func (*Scheme) OnChildPersisted(sit.NodeID) error { return nil }
-
-// Reset implements secmem.Scheme: restore just-constructed state for
-// machine reuse, reusing the tracker and cache-tree storage. The RA
-// bitmap lines in NVM are already gone — the engine resets the device
-// before the scheme — and the cache-tree re-derives from the engine's
-// (possibly new) per-seed suite.
-func (s *Scheme) Reset() {
-	s.tracker.Reset()
-	s.tree.Reset(s.e.Suite())
-	s.treeRoot = 0
-	s.crashed = false
-	s.conv = s.conv[:0]
-}
 
 // Fork implements secmem.Scheme: rebind to the forked engine with deep
 // copies of the bitmap tracker (its ADR load/spill closures rebuilt
@@ -276,12 +260,9 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 	}
 	rep.Verified = true
 
-	// Reset volatile tracking structures for continued execution: all
-	// metadata in NVM is fresh now.
-	if err := s.reset(scan.StaleMetaIdx); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	// Start the volatile tracking structures afresh for continued
+	// execution: all metadata in NVM is fresh now.
+	return rep, s.reset(scan.StaleMetaIdx)
 }
 
 // childLSB reads the 10-bit LSB slot persisted in the MAC field of the
@@ -331,12 +312,12 @@ func (s *Scheme) parentCounter(id sit.NodeID, restored map[sit.NodeID]counter.No
 	return n.Counters[slot]
 }
 
-// reset rewinds the tracker and cache-tree after a successful recovery
-// so the engine can keep executing. The recovery-area bitmap lines
-// consumed by the scan are zeroed (the restored metadata is fresh);
-// this cleanup happens once, after the timed recovery, so it is
-// applied out of band. The in-controller structures then rewind in
-// place through the same reset paths machine reuse takes.
+// reset starts the tracker and cache-tree afresh after a successful
+// recovery so the engine can keep executing. The recovery-area bitmap
+// lines consumed by the scan are zeroed (the restored metadata is
+// fresh); this cleanup happens once, after the timed recovery, so it
+// is applied out of band. The in-controller structures are then built
+// anew by their constructors, as New builds them.
 func (s *Scheme) reset(staleMetaIdx []uint64) error {
 	geo := s.e.Geometry()
 	dev := s.e.Device()
@@ -351,6 +332,10 @@ func (s *Scheme) reset(staleMetaIdx []uint64) error {
 	for l2 := uint64(0); l2 < geo.RAL2Lines(); l2++ {
 		dev.StoreOOB(geo.RAL2Addr(l2), memline.Line{}, nvm.CauseRecovery)
 	}
-	s.Reset()
+	fresh, err := New(s.e, s.bitmapCfg)
+	if err != nil {
+		return err
+	}
+	*s = *fresh
 	return nil
 }

@@ -17,8 +17,6 @@ type Scheme struct {
 	// flushing suppresses re-entry while the branch flush itself
 	// produces OnChildPersisted events.
 	flushing bool
-	// branchFlushes counts triggered branch write-throughs.
-	branchFlushes uint64
 }
 
 // New returns a strict-persistence scheme bound to the engine.
@@ -48,7 +46,6 @@ func (s *Scheme) OnChildPersisted(parent sit.NodeID) error {
 	}
 	s.flushing = true
 	defer func() { s.flushing = false }()
-	s.branchFlushes++
 	if err := s.e.FlushBranch(parent); err != nil {
 		return err
 	}
@@ -60,26 +57,13 @@ func (s *Scheme) OnChildPersisted(parent sit.NodeID) error {
 	return nil
 }
 
-// BranchFlushes returns how many branch write-throughs ran.
-func (s *Scheme) BranchFlushes() uint64 { return s.branchFlushes }
-
 // OnCrash implements secmem.Scheme: nothing is volatile-only, nothing
 // to do.
 func (*Scheme) OnCrash() {}
 
-// Reset implements secmem.Scheme: restore just-constructed state for
-// machine reuse.
-func (s *Scheme) Reset() {
-	s.flushing = false
-	s.branchFlushes = 0
-}
-
-// Fork implements secmem.Scheme: rebind to the forked engine and carry
-// the flush counter over. flushing is never true between operations, so
-// it need not be copied.
-func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme {
-	return &Scheme{e: e, branchFlushes: s.branchFlushes}
-}
+// Fork implements secmem.Scheme: rebind to the forked engine.
+// flushing is never true between operations, so it need not be copied.
+func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme { return New(e) }
 
 // Recover implements secmem.Scheme: strict persistence leaves no
 // stale metadata, so recovery is a (successful) no-op.

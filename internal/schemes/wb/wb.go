@@ -40,9 +40,6 @@ func (*Scheme) OnChildPersisted(sit.NodeID) error { return nil }
 // lost.
 func (*Scheme) OnCrash() {}
 
-// Reset implements secmem.Scheme: WB holds no state to rewind.
-func (*Scheme) Reset() {}
-
 // Fork implements secmem.Scheme: WB holds no state, so a fresh
 // instance is a complete copy.
 func (*Scheme) Fork(*secmem.Engine) secmem.Scheme { return New() }

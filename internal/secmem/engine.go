@@ -117,7 +117,6 @@ type MetaLine struct {
 // concurrent use: the simulator is single-goroutine so runs are
 // reproducible.
 type Engine struct {
-	cfg   Config
 	geo   *sit.Geometry
 	dev   *nvm.Device
 	suite simcrypto.Suite
@@ -171,7 +170,7 @@ const (
 // evictions (nil, the default, to remove it).
 func (e *Engine) SetEventHook(fn func(ev Event, addr uint64)) { e.onEvent = fn }
 
-// New builds an engine. Call SetScheme before issuing any operation.
+// New builds an engine. Call SetScheme once before any operation.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Suite == nil {
 		return nil, fmt.Errorf("secmem: a crypto suite is required")
@@ -203,7 +202,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		cfg:       cfg,
 		geo:       geo,
 		dev:       dev,
 		suite:     cfg.Suite,
@@ -214,10 +212,10 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // SetScheme installs the persistence scheme. It must be called exactly
-// once, before any memory operation.
+// once after New or Reset, before any memory operation.
 func (e *Engine) SetScheme(s Scheme) {
 	if e.scheme != nil {
-		panic("secmem: scheme already set")
+		panic("secmem: scheme already set; SetScheme is called once after New or Reset")
 	}
 	e.scheme = s
 }
@@ -313,10 +311,6 @@ func (e *Engine) dataCause() nvm.Cause {
 	}
 	return nvm.CauseData
 }
-
-// Recovering reports whether a Recover call is in progress; schemes
-// use it to attribute their own device writes to recovery replay.
-func (e *Engine) Recovering() bool { return e.recovering }
 
 // ReadMetaRaw reads a metadata node straight from NVM (counting the
 // access); recovery paths use it.
@@ -687,23 +681,19 @@ func (e *Engine) Crash() {
 // same configuration with the given crypto suite, reusing every
 // allocation: the metadata cache (with the per-node bookkeeping it
 // holds), the paged NVM store and data-MAC table and the per-set dirty
-// lists are all rewound in place. The scheme resets last, after the
-// engine state it derives from (device, suite) is fresh. Machine reuse
-// across experiment cells is built on this.
+// lists are all rewound in place. The scheme is dropped: as after New,
+// the caller installs a new one with SetScheme. Machine reuse across
+// experiment cells is built on this.
 func (e *Engine) Reset(suite simcrypto.Suite) {
-	e.cfg.Suite = suite
 	e.suite = suite
 	e.meta.Reset()
 	e.root = counter.Node{}
 	e.dataMAC.Clear()
 	e.dev.Reset()
 	e.stats = Stats{}
-	e.recovering = false
 	e.pendingForced = e.pendingForced[:0]
 	e.clearDirtySets()
-	if e.scheme != nil {
-		e.scheme.Reset()
-	}
+	e.scheme = nil
 }
 
 // Fork returns a copy-on-write clone of the engine: device contents
@@ -718,7 +708,6 @@ func (e *Engine) Reset(suite simcrypto.Suite) {
 // goroutines.
 func (e *Engine) Fork() *Engine {
 	f := &Engine{
-		cfg:        e.cfg,
 		geo:        e.geo,
 		dev:        e.dev.Fork(),
 		suite:      e.suite,

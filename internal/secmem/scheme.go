@@ -8,6 +8,9 @@ import "nvmstar/internal/sit"
 // machinery (counter-mode encryption, SIT lazy updates, the metadata
 // cache); a Scheme observes the events that matter for persistence and
 // implements crash recovery.
+//
+// A scheme has no Reset: Engine.Reset drops it, and its owner builds
+// a new one with the scheme's constructor.
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
@@ -49,13 +52,6 @@ type Scheme interface {
 	// the result. Schemes without recovery support return a report
 	// with Supported == false.
 	Recover() (*RecoveryReport, error)
-
-	// Reset restores the scheme to its just-constructed state, for
-	// machine reuse across experiment cells. It runs as the last step
-	// of Engine.Reset — the device, caches and crypto suite are already
-	// rewound — so implementations may re-derive suite-dependent state
-	// through the engine.
-	Reset()
 
 	// Fork returns a deep copy of the scheme attached to e, an
 	// already-forked engine whose device, caches and tables carry the

@@ -103,8 +103,8 @@ func TestRunCtxUncanceledMatchesRun(t *testing.T) {
 	}
 }
 
-func TestRunScenarioCtx(t *testing.T) {
-	res, m, err := RunScenarioCtx(context.Background(), ctxTestConfig(), "array", 400)
+func TestRunScenario(t *testing.T) {
+	res, m, err := RunScenario(ctxTestConfig(), "array", 400)
 	if err != nil {
 		t.Fatal(err)
 	}

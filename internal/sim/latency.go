@@ -134,12 +134,13 @@ type latRecorder struct {
 	depth int
 }
 
-func (r *latRecorder) init(geo *sit.Geometry) {
-	r.geo = geo
+func newLatRecorder(geo *sit.Geometry) latRecorder {
+	r := latRecorder{geo: geo}
 	bounds := LatencyBuckets()
 	for i := range r.hists {
 		r.hists[i] = telemetry.NewHistogram(bounds)
 	}
+	return r
 }
 
 // observe records one event of the observation stream.
@@ -232,16 +233,6 @@ func (r *latRecorder) clone() latRecorder {
 		c.hists[i] = r.hists[i].Clone()
 	}
 	return c
-}
-
-// reset rewinds the recorder to its just-constructed state (machine
-// reuse).
-func (r *latRecorder) reset() {
-	for i := range r.hists {
-		r.hists[i].Reset()
-	}
-	r.comps = [numLatOps][numLatComps]float64{}
-	r.depth = 0
 }
 
 // ComponentNs is one critical-path component's accumulated time within

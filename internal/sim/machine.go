@@ -100,10 +100,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		autoSuite: autoSuite,
 		timing:    cfg.Timing,
 		owner:     paged.New[int32](cfg.DataBytes / memline.Size),
-		coreNow:   make([]float64, cfg.Cores),
-		instr:     make([]uint64, cfg.Cores),
-		wqDone:    make([]float64, cfg.WriteQueue),
-		bankFree:  make([]float64, cfg.Banks),
 	}
 	if m.timing == (nvm.Timing{}) {
 		m.timing = nvm.DefaultTiming()
@@ -120,44 +116,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Scheme {
-	case "wb":
-		m.engine.SetScheme(wb.New())
-	case "strict":
-		m.engine.SetScheme(strict.New(m.engine))
-	case "anubis":
-		s, err := anubis.New(m.engine)
-		if err != nil {
-			return nil, err
-		}
-		m.engine.SetScheme(s)
-	case "phoenix":
-		s, err := phoenix.New(m.engine, phoenix.DefaultStride)
-		if err != nil {
-			return nil, err
-		}
-		m.engine.SetScheme(s)
-	case "star":
-		// An all-zero Bitmap config means "use the paper's default". A
-		// partially specified one is a caller mistake — silently
-		// replacing it would run with sizes the caller never asked for.
-		bm := cfg.Bitmap
-		if bm == (bitmap.Config{}) {
-			bm = bitmap.DefaultConfig()
-		} else if bm.ADRL1Lines <= 0 || bm.ADRL2Lines <= 0 {
-			return nil, fmt.Errorf(
-				"sim: partial Bitmap config %+v: set both ADRL1Lines and ADRL2Lines, or leave both zero for the default %+v",
-				cfg.Bitmap, bitmap.DefaultConfig())
-		}
-		s, err := star.New(m.engine, bm)
-		if err != nil {
-			return nil, err
-		}
-		m.engine.SetScheme(s)
-	default:
-		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
-	}
-
 	for c := 0; c < cfg.Cores; c++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -170,20 +128,65 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.l1 = append(m.l1, l1)
 		m.l2 = append(m.l2, l2)
 	}
-	var err3 error
-	m.l3, err3 = cache.New(cfg.L3)
-	if err3 != nil {
-		return nil, fmt.Errorf("sim: L3: %w", err3)
+	if m.l3, err = cache.New(cfg.L3); err != nil {
+		return nil, fmt.Errorf("sim: L3: %w", err)
 	}
 
 	m.engine.Device().SetHook(m.onDeviceAccess)
 	m.engine.SetEventHook(m.onEngineEvent)
 	m.initTelemetry()
-	if cfg.Observe {
+	if err := m.start(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// start builds what NewMachine and Reset both build afresh: the
+// scheme, the timing state and the built-in observatory, with every
+// attached subscriber detached.
+func (m *Machine) start() error {
+	s, err := newScheme(m.cfg, m.engine)
+	if err != nil {
+		return err
+	}
+	m.engine.SetScheme(s)
+	m.coreNow, m.instr = make([]float64, m.cfg.Cores), make([]uint64, m.cfg.Cores)
+	m.bankFree, m.wqDone = make([]float64, m.cfg.Banks), make([]float64, m.cfg.WriteQueue)
+	m.curCore, m.wqIdx, m.wqLastOut = 0, 0, 0
+	if m.cfg.Observe {
 		m.observed = newObservatory(m)
 	}
 	m.resetObservers()
-	return m, nil
+	return nil
+}
+
+// newScheme builds cfg's persistence scheme over e.
+func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
+	switch cfg.Scheme {
+	case "wb":
+		return wb.New(), nil
+	case "strict":
+		return strict.New(e), nil
+	case "anubis":
+		return anubis.New(e)
+	case "phoenix":
+		return phoenix.New(e, phoenix.DefaultStride)
+	case "star":
+		// An all-zero Bitmap config means "use the paper's default". A
+		// partially specified one is a caller mistake — silently
+		// replacing it would run with sizes the caller never asked for.
+		bm := cfg.Bitmap
+		if bm == (bitmap.Config{}) {
+			bm = bitmap.DefaultConfig()
+		} else if bm.ADRL1Lines <= 0 || bm.ADRL2Lines <= 0 {
+			return nil, fmt.Errorf(
+				"sim: partial Bitmap config %+v: set both ADRL1Lines and ADRL2Lines, or leave both zero for the default %+v",
+				cfg.Bitmap, bitmap.DefaultConfig())
+		}
+		return star.New(e, bm)
+	default:
+		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
+	}
 }
 
 // Engine exposes the secure-memory engine (recovery, stats, attack
@@ -676,11 +679,13 @@ func (m *Machine) Fork() *Machine {
 }
 
 // Reset restores the machine to the state NewMachine would produce for
-// the same configuration with Seed = seed, without reallocating:
-// caches, owner table, timing state, engine and scheme all rewind in
-// place, and when the original configuration left Suite nil the
-// per-seed suite is re-derived exactly as NewMachine derives it. The
-// invariant the experiment runner's machine reuse is built on:
+// the same configuration with Seed = seed. Only the stores that are
+// expensive to allocate rewind in place: the CPU caches and owner table
+// here, the metadata cache, NVM line store and data-MAC table in the
+// engine. The rest is built by start, as NewMachine builds it, and when
+// the original configuration left Suite nil the per-seed suite is
+// re-derived exactly as NewMachine derives it. The invariant the
+// experiment runner's machine reuse is built on:
 //
 //	m.Reset(seed) ≡ NewMachine(cfg with Seed = seed)
 //
@@ -699,24 +704,10 @@ func (m *Machine) Reset(seed uint64) {
 	}
 	m.l3.Reset()
 	m.owner.Clear()
-	for i := range m.coreNow {
-		m.coreNow[i] = 0
-	}
-	for i := range m.instr {
-		m.instr[i] = 0
-	}
-	m.curCore = 0
-	for i := range m.bankFree {
-		m.bankFree[i] = 0
-	}
-	for i := range m.wqDone {
-		m.wqDone[i] = 0
-	}
-	m.wqIdx = 0
-	m.wqLastOut = 0
-	m.ctx, m.ctxDone = nil, nil
-	m.ctxPoll = 0
-	m.observed.reset()
-	m.resetObservers()
+	m.ctx, m.ctxDone, m.ctxPoll = nil, nil, 0
 	m.err = nil
+	if err := m.start(); err != nil {
+		// NewMachine built a scheme from this configuration already.
+		panic(fmt.Sprintf("sim: Reset: %v", err))
+	}
 }

@@ -20,9 +20,9 @@ import (
 //
 // Subscribers come in two kinds. Config.Observe installs the built-in
 // observatory (attribution and latency), which feeds Results: it is
-// configuration, so it forks with the machine and rewinds on Reset.
-// Tools add others with Attach: Fork does not inherit them and Reset
-// detaches them.
+// configuration, so it forks with the machine and Reset builds a new
+// one, as NewMachine does. Tools add others with Attach: Fork does not
+// inherit them and Reset detaches them.
 
 // EventKind names what an Event reports.
 type EventKind uint8
@@ -120,9 +120,7 @@ type observatory struct {
 }
 
 func newObservatory(m *Machine) *observatory {
-	o := &observatory{attr: newAttribution(m.cfg.Banks)}
-	o.lat.init(m.engine.Geometry())
-	return o
+	return &observatory{attr: newAttribution(m.cfg.Banks), lat: newLatRecorder(m.engine.Geometry())}
 }
 
 func (o *observatory) Observe(ev Event) {
@@ -138,15 +136,6 @@ func (o *observatory) clone() *observatory {
 		return nil
 	}
 	return &observatory{attr: o.attr.clone(), lat: o.lat.clone()}
-}
-
-// reset rewinds the observatory to its just-constructed state.
-func (o *observatory) reset() {
-	if o == nil {
-		return
-	}
-	o.attr.reset()
-	o.lat.reset()
 }
 
 // since returns the write breakdown and latency breakdown accumulated
@@ -188,11 +177,6 @@ func (a *attribution) clone() attribution {
 	c := *a
 	c.counts = append([]uint64(nil), a.counts...)
 	return c
-}
-
-func (a *attribution) reset() {
-	clear(a.counts)
-	a.oob = [nvm.NumCauses]uint64{}
 }
 
 // breakdown returns the counts so far as an nvm.Breakdown: every cause

@@ -239,17 +239,11 @@ func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
 // RunScenario builds a machine and runs one workload — the one-call
 // entry point used by the benchmark harness and the CLI.
 func RunScenario(cfg Config, workloadName string, ops int) (*Results, *Machine, error) {
-	return RunScenarioCtx(context.Background(), cfg, workloadName, ops)
-}
-
-// RunScenarioCtx is RunScenario under a context; the experiment
-// runner's worker pool uses it so a canceled sweep aborts mid-cell.
-func RunScenarioCtx(ctx context.Context, cfg Config, workloadName string, ops int) (*Results, *Machine, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := m.RunCtx(ctx, workloadName, ops)
+	res, err := m.Run(workloadName, ops)
 	if err != nil {
 		return nil, nil, err
 	}

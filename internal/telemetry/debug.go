@@ -54,7 +54,7 @@ func (d *DebugServer) serveVars(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "%q: %s", name, value)
 	}
 	names := make([]string, 0, len(d.vars))
-	for name := range d.vars {
+	for name := range d.vars { //detlint:ok names are sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -28,23 +28,6 @@ func TestHistogramCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestHistogramReset pins that Reset zeroes counts, sum and the
-// tracked max so a machine Reset starts the observatory cold.
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 2, 4))
-	h.Observe(7)
-	h.Observe(99)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || overflow(h) != 0 {
-		t.Fatalf("reset left state: count=%d sum=%g max=%g overflow=%d",
-			h.Count(), h.Sum(), h.Max(), overflow(h))
-	}
-	h.Observe(2)
-	if h.Max() != 2 || h.Count() != 1 {
-		t.Fatalf("observe after reset broken: count=%d max=%g", h.Count(), h.Max())
-	}
-}
-
 // TestQuantileFromBuckets pins the exported phase-delta quantile
 // helper the latency observatory uses: interpolation inside finite
 // buckets, clamping of maxless overflow mass, and interpolation toward

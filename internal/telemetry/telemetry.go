@@ -64,21 +64,6 @@ func (h *Histogram) Clone() *Histogram {
 	return c
 }
 
-// Reset zeroes the histogram's counts, sum and max while keeping its
-// bounds — a Reset machine's histograms then read exactly as a fresh
-// machine's would.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.counts {
-		atomic.StoreUint64(&h.counts[i], 0)
-	}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

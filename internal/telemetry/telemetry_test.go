@@ -19,7 +19,6 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 
 	var h *Histogram
 	h.Observe(1)
-	h.Reset()
 	if bounds, counts := h.Buckets(); h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || bounds != nil || counts != nil {
 		t.Fatalf("nil histogram must read as zero")
 	}

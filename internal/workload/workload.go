@@ -90,7 +90,7 @@ func New(name string) (Workload, error) {
 	f, ok := factories[name]
 	if !ok {
 		known := make([]string, 0, len(factories))
-		for k := range factories {
+		for k := range factories { //detlint:ok names are sorted below
 			known = append(known, k)
 		}
 		sort.Strings(known)
