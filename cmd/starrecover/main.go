@@ -28,7 +28,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	wl := flag.String("workload", "btree", "workload to run before the crash")
-	scheme := flag.String("scheme", "star", "scheme: wb|strict|anubis|star")
+	scheme := flag.String("scheme", "star", "scheme: wb|strict|anubis|star|phoenix")
 	ops := flag.Int("ops", 10000, "operations before the crash")
 	atk := flag.String("attack", "none", "attack during recovery: none|replay|bitmap|st")
 	flag.Parse()

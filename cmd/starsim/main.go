@@ -7,7 +7,8 @@
 // Available workloads: array, btree, hash, queue, rbtree, tpcc, ycsb.
 // Available schemes: wb (write-back baseline, no recovery), strict
 // (write-through persistence), anubis (shadow table), star (the
-// paper's scheme).
+// paper's scheme), phoenix (Anubis's shadow table for tree nodes plus
+// Osiris-style counter blocks, an extension).
 package main
 
 import (

@@ -56,10 +56,6 @@ type Scheme struct {
 	treeRoot  uint64
 	bitmapCfg bitmap.Config
 	crashed   bool
-	// conv is the reused secmem→cachetree entry conversion buffer;
-	// updateSet runs on every metadata modification and must not
-	// allocate steady-state.
-	conv []cachetree.SetEntry
 }
 
 // New returns a STAR scheme bound to the engine, with cfg sizing the
@@ -104,23 +100,14 @@ func (s *Scheme) OnMetaDirty(_ sit.NodeID, metaIdx uint64, _ int) {
 // OnMetaModified implements secmem.Scheme: refresh the set-MAC of the
 // modified line's cache set; the branch to the root follows lazily.
 func (s *Scheme) OnMetaModified(_ sit.NodeID, set int) {
-	s.updateSet(set)
+	s.tree.UpdateSet(set, s.e.DirtySetEntries(set))
 }
 
 // OnMetaClean implements secmem.Scheme: the NVM copy is fresh again —
 // clear the bitmap bit and drop the line from its set-MAC.
 func (s *Scheme) OnMetaClean(_ sit.NodeID, metaIdx uint64, set int, _ bool) {
 	s.tracker.MarkFresh(metaIdx)
-	s.updateSet(set)
-}
-
-func (s *Scheme) updateSet(set int) {
-	entries := s.e.DirtySetEntries(set)
-	s.conv = s.conv[:0]
-	for _, en := range entries {
-		s.conv = append(s.conv, cachetree.SetEntry{Addr: en.Addr, MAC: en.MAC})
-	}
-	s.tree.UpdateSet(set, s.conv)
+	s.tree.UpdateSet(set, s.e.DirtySetEntries(set))
 }
 
 // OnChildPersisted implements secmem.Scheme: the parent's modification
@@ -130,8 +117,7 @@ func (*Scheme) OnChildPersisted(sit.NodeID) error { return nil }
 // Fork implements secmem.Scheme: rebind to the forked engine with deep
 // copies of the bitmap tracker (its ADR load/spill closures rebuilt
 // against the forked device), the cache-tree, the root register and the
-// crash flag. The conversion buffer is per-operation scratch and starts
-// empty.
+// crash flag.
 func (s *Scheme) Fork(e *secmem.Engine) secmem.Scheme {
 	tracker, err := s.tracker.Fork(e.Device())
 	if err != nil {

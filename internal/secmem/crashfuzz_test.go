@@ -5,21 +5,7 @@ import (
 	"testing"
 
 	"nvmstar/internal/memline"
-	"nvmstar/internal/schemes/phoenix"
-	"nvmstar/internal/secmem"
 )
-
-// newPhoenixEngine mirrors newEngine for the phoenix extension scheme.
-func newPhoenixEngine(t testing.TB, dataBytes uint64, cacheBytes int) *secmem.Engine {
-	t.Helper()
-	e := newEngineBare(t, dataBytes, cacheBytes)
-	s, err := phoenix.New(e, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetScheme(s)
-	return e
-}
 
 // TestRandomCrashPoints is the crash-consistency fuzz: random write
 // streams interrupted by crashes at random points. Every write
@@ -32,12 +18,7 @@ func TestRandomCrashPoints(t *testing.T) {
 	for _, scheme := range schemes {
 		for seed := uint64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", scheme, seed), func(t *testing.T) {
-				var e *secmem.Engine
-				if scheme == "phoenix" {
-					e = newPhoenixEngine(t, 1<<20, 16<<10)
-				} else {
-					e = newEngine(t, scheme, 1<<20, 16<<10)
-				}
+				e := newEngine(t, scheme, 1<<20, 16<<10)
 				r := lcg(seed * 1315423911)
 				lines := e.Geometry().DataBytes() / memline.Size
 				persisted := make(map[uint64]memline.Line)

@@ -33,6 +33,7 @@ import (
 	"fmt"
 
 	"nvmstar/internal/cache"
+	"nvmstar/internal/cachetree"
 	"nvmstar/internal/counter"
 	"nvmstar/internal/memline"
 	"nvmstar/internal/nvm"
@@ -792,12 +793,9 @@ func (e *Engine) clearDirtySets() {
 	}
 }
 
-// SetEntry mirrors cachetree.SetEntry without importing it (schemes
-// convert); it keeps secmem free of scheme-side dependencies.
-type SetEntry struct {
-	Addr uint64
-	MAC  uint64
-}
+// SetEntry is the cache-tree's set-MAC input, so a set's dirty list
+// goes to cachetree.Tree.UpdateSet as it is.
+type SetEntry = cachetree.SetEntry
 
 // CachedNode returns a cached node's content and cache slot. Anubis
 // keys its shadow-table writes by the slot.

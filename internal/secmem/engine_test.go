@@ -8,6 +8,7 @@ import (
 	"nvmstar/internal/cache"
 	"nvmstar/internal/memline"
 	"nvmstar/internal/schemes/anubis"
+	"nvmstar/internal/schemes/phoenix"
 	"nvmstar/internal/schemes/star"
 	"nvmstar/internal/schemes/strict"
 	"nvmstar/internal/schemes/wb"
@@ -45,6 +46,12 @@ func withScheme(t testing.TB, e *secmem.Engine, scheme string) *secmem.Engine {
 		e.SetScheme(strict.New(e))
 	case "anubis":
 		s, err := anubis.New(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetScheme(s)
+	case "phoenix":
+		s, err := phoenix.New(e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func snapshotCycle(t *testing.T, e *secmem.Engine, scheme string) *secmem.Engine
 }
 
 func TestSnapshotRestoreAcrossEngines(t *testing.T) {
-	for _, scheme := range []string{"star", "anubis"} {
+	for _, scheme := range []string{"star", "anubis", "phoenix"} {
 		t.Run(scheme, func(t *testing.T) {
 			e := newEngine(t, scheme, 1<<20, 16<<10)
 			expect := runWorkload(t, e, 3000, 909)

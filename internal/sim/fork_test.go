@@ -357,14 +357,21 @@ func TestForkCrashStateMatchesFresh(t *testing.T) {
 // TestForkConcurrentSmoke runs the parent and N forks concurrently —
 // forks crash and recover on their own goroutines while the parent
 // keeps stepping its workload. Shared COW pages are only ever read, so
-// this must be clean under the race detector (make race covers it).
+// this must be clean under the race detector (make race covers it). It
+// runs STAR and both users of the Anubis shadow table.
 func TestForkConcurrentSmoke(t *testing.T) {
+	for _, scheme := range []string{"star", "anubis", "phoenix"} {
+		t.Run(scheme, func(t *testing.T) { forkConcurrentSmoke(t, scheme) })
+	}
+}
+
+func forkConcurrentSmoke(t *testing.T, scheme string) {
 	const (
 		baseOps  = 600
 		extraOps = 300
 		nForks   = 4
 	)
-	cfg := goldenConfig("star")
+	cfg := goldenConfig(scheme)
 	parent, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)

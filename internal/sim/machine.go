@@ -170,7 +170,7 @@ func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
 	case "anubis":
 		return anubis.New(e)
 	case "phoenix":
-		return phoenix.New(e, phoenix.DefaultStride)
+		return phoenix.New(e)
 	case "star":
 		// An all-zero Bitmap config means "use the paper's default". A
 		// partially specified one is a caller mistake — silently
