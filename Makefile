@@ -133,8 +133,8 @@ verify-observe:
 	test -s $(OBSERVE_DIR)/cdf_read_latency.svg
 	test -s $(OBSERVE_DIR)/cdf_write_latency.svg
 	$(GO) run ./cmd/tracecheck -min 1 -names cmd/tracecheck/testdata/golden_trace.json
-	$(GO) run ./cmd/startrace -record $(OBSERVE_DIR)/hash.trc -workload hash -ops 800 > /dev/null
-	$(GO) run ./cmd/startrace -replay $(OBSERVE_DIR)/hash.trc -scheme star -observe \
+	$(GO) run ./cmd/starsim -record $(OBSERVE_DIR)/hash.trc -workload hash -ops 800 > /dev/null
+	$(GO) run ./cmd/starsim -replay $(OBSERVE_DIR)/hash.trc -scheme star -observe \
 		-trace-out $(OBSERVE_DIR)/lat_trace.json > /dev/null
 	$(GO) run ./cmd/tracecheck -min 1 -names $(OBSERVE_DIR)/lat_trace.json
 

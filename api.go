@@ -116,16 +116,11 @@ func New(opts Options) (*System, error) {
 		cfg.Cores = opts.Cores
 	}
 	if opts.ADRBitmapLines != 0 {
-		if opts.ADRBitmapLines < 2 {
-			return nil, fmt.Errorf(
-				"nvmstar: ADRBitmapLines = %d: minimum is 2 (the split reserves at least one L2 index line plus at least one L1 line)",
-				opts.ADRBitmapLines)
+		split, err := bitmap.SplitADR(opts.ADRBitmapLines)
+		if err != nil {
+			return nil, fmt.Errorf("nvmstar: ADRBitmapLines: %w", err)
 		}
-		l2 := opts.ADRBitmapLines / 8
-		if l2 == 0 {
-			l2 = 1
-		}
-		cfg.Bitmap = bitmap.Config{ADRL1Lines: opts.ADRBitmapLines - l2, ADRL2Lines: l2}
+		cfg.Bitmap = split
 	}
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed

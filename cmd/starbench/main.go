@@ -224,10 +224,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		sweepTrace = telemetry.NewTrace(0)
 		ropts = append(ropts, experiments.WithTrace(sweepTrace))
+		// Flushed on exit, unless no cell ever completed (e.g. an
+		// immediate flag error).
 		defer func() {
-			if err := writeTrace(*traceOut, sweepTrace, logf); err != nil {
-				logf("-trace-out: %v", err)
+			if sweepTrace.Len() == 0 {
+				return
 			}
+			if err := sweepTrace.WriteFile(*traceOut); err != nil {
+				logf("-trace-out: %v", err)
+				return
+			}
+			logf("wrote sweep trace to %s (%d events)", *traceOut, sweepTrace.Len())
 		}()
 	}
 	s.r = experiments.NewRunner(ropts...)
@@ -372,27 +379,6 @@ func writeMemProfile(path string, logf func(string, ...any)) {
 	if err := f.Close(); err != nil {
 		logf("-memprofile: close: %v", err)
 	}
-}
-
-// writeTrace flushes a sweep trace to path (skipped when no cell ever
-// completed, e.g. an immediate flag error).
-func writeTrace(path string, tr *telemetry.Trace, logf func(string, ...any)) error {
-	if tr.Len() == 0 {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	logf("wrote sweep trace to %s (%d events)", path, tr.Len())
-	return nil
 }
 
 // printProgress returns a Progress callback rendering one completed

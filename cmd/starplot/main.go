@@ -128,15 +128,7 @@ func runTimeline(outDir, tracePath, workloadName, scheme string, ops int, sample
 			}
 		}
 	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WriteFile(tracePath); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d events; load in Perfetto / chrome://tracing)\n", tracePath, tr.Len())

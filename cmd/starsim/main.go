@@ -1,131 +1,363 @@
-// Command starsim runs one benchmark workload on the simulated secure
-// NVM machine under a chosen metadata persistence scheme and prints
-// detailed statistics:
+// Command starsim is the one single-machine command. It runs one
+// workload (or replays one recorded trace) on the simulated secure NVM
+// machine under one metadata persistence scheme, prints the
+// measured-phase statistics and, with -crash, pulls the plug and
+// recovers:
 //
-//	starsim -workload hash -scheme star -ops 20000
+//	starsim -workload hash -scheme star -ops 20000 -crash -audit
+//	starsim -workload btree -attack replay      # recovery REJECTED, exit 0
+//	starsim -workload btree -scheme anubis -attack st
+//	starsim -record /tmp/hash.trc -workload hash -ops 10000
+//	starsim -replay /tmp/hash.trc -scheme anubis -observe
 //
-// Available workloads: array, btree, hash, queue, rbtree, tpcc, ycsb.
-// Available schemes: wb (write-back baseline, no recovery), strict
-// (write-through persistence), anubis (shadow table), star (the
-// paper's scheme), phoenix (Anubis's shadow table for tree nodes plus
-// Osiris-style counter blocks, an extension).
+// Schemes: wb (write-back baseline, no recovery), strict (write-through
+// persistence), anubis (shadow table), star (the paper's scheme),
+// phoenix (Anubis's shadow table for tree nodes plus Osiris-style
+// counter blocks, an extension).
+//
+// -attack implies -crash: the victim line is written and snapshotted
+// before the run and rewritten after it, then the crashed image is
+// attacked before recovery. A detected attack exits 0.
+//
+// -record captures every access the workload issues, set-up included,
+// NVMain-style; -replay drives such a trace (or one synthesized in the
+// internal/trace format) as the measured phase. -observe prints per-op
+// tail latencies, and -trace-out writes the run's structured events as
+// Chrome trace-event JSON.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"nvmstar/internal/attack"
+	"nvmstar/internal/memline"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sim"
+	"nvmstar/internal/trace"
 	"nvmstar/internal/workload"
 )
 
-// main delegates to run so deferred cleanup in future growth (and the
-// startrace/starplot exit-code convention) holds here too: error paths
-// return an exit code instead of calling os.Exit mid-function.
-func main() { os.Exit(run()) }
+// main delegates to run so deferred file closes execute on every exit
+// path; os.Exit would skip them and truncate written artifacts.
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	wl := flag.String("workload", "hash", "workload: "+strings.Join(workload.Names(), "|"))
-	scheme := flag.String("scheme", "star", "scheme: wb|strict|anubis|star|phoenix")
-	ops := flag.Int("ops", 20000, "measured operations")
-	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
-	metaKB := flag.Int("meta-kb", 256, "metadata cache size in KiB")
-	cores := flag.Int("cores", 8, "cores / workload threads")
-	seed := flag.Uint64("seed", 1, "workload PRNG seed")
-	crash := flag.Bool("crash", false, "crash after the run and attempt recovery")
-	audit := flag.Bool("audit", false, "audit the full metadata tree after the run (and after recovery)")
-	flag.Parse()
+// attackSchemes maps each -attack to the schemes whose recovery area
+// it reaches: only STAR keeps bitmap lines, only Anubis and Phoenix a
+// shadow table, and wb cannot recover at all.
+var attackSchemes = map[string][]string{
+	"replay": {"star", "anubis", "phoenix", "strict"},
+	"bitmap": {"star"},
+	"st":     {"anubis", "phoenix"},
+}
+
+// victimAddr is the data line the attacks' victim write, snapshot and
+// rewrite use.
+const victimAddr = 42 * memline.Size
+
+type options struct {
+	workload, scheme, attack   string
+	record, replay, traceOut   string
+	ops, dataMB, metaKB, cores int
+	seed                       uint64
+	crash, audit, observe      bool
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("starsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.workload, "workload", "hash", "workload: "+strings.Join(workload.Names(), "|"))
+	fs.StringVar(&o.scheme, "scheme", "star", "scheme: wb|strict|anubis|star|phoenix")
+	fs.IntVar(&o.ops, "ops", 20000, "measured operations")
+	fs.IntVar(&o.dataMB, "data-mb", 64, "protected data size in MiB")
+	fs.IntVar(&o.metaKB, "meta-kb", 256, "metadata cache size in KiB")
+	fs.IntVar(&o.cores, "cores", 8, "cores / workload threads")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload PRNG seed")
+	fs.BoolVar(&o.crash, "crash", false, "crash after the run and attempt recovery")
+	fs.BoolVar(&o.audit, "audit", false, "audit the full metadata tree after the run (and after recovery)")
+	fs.StringVar(&o.attack, "attack", "", "attack the crashed image before recovery (implies -crash): replay|bitmap|st")
+	fs.StringVar(&o.record, "record", "", "record the workload's access trace to this file")
+	fs.StringVar(&o.replay, "replay", "", "replay the access trace in this file as the measured phase")
+	fs.BoolVar(&o.observe, "observe", false, "enable the observatory: print per-op tail latencies and add lat:<op> instants to -trace-out")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's structured events as Chrome trace-event JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "starsim: "+format+"\n", a...)
+		return 2
+	}
+	if o.record != "" && o.replay != "" {
+		return usage("choose -record or -replay, not both")
+	}
+	if o.attack != "" {
+		schemes, ok := attackSchemes[o.attack]
+		if !ok {
+			return usage("unknown attack %q (replay|bitmap|st)", o.attack)
+		}
+		if !slices.Contains(schemes, o.scheme) {
+			return usage("-attack %s applies to schemes %s, not %s", o.attack, strings.Join(schemes, ", "), o.scheme)
+		}
+		o.crash = true
+	}
 
 	cfg := sim.Default()
-	cfg.DataBytes = uint64(*dataMB) << 20
-	cfg.MetaCache.SizeBytes = *metaKB << 10
-	cfg.Cores = *cores
-	cfg.Scheme = *scheme
-	cfg.Seed = *seed
+	cfg.DataBytes = uint64(o.dataMB) << 20
+	cfg.MetaCache.SizeBytes = o.metaKB << 10
+	cfg.Cores = o.cores
+	cfg.Scheme = o.scheme
+	cfg.Seed = o.seed
+	cfg.Observe = o.observe
+	code, err := simulate(cfg, &o, stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "starsim:", err)
+		return 1
+	}
+	return code
+}
 
+// simulate builds the machine and runs the measured phase and, with
+// -crash, the power failure, the attack and recovery; it returns the
+// exit code.
+func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 	m, err := sim.NewMachine(cfg)
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
-	var res *sim.Results
-	if *crash {
-		res, err = m.RunUnverified(*wl, *ops)
-	} else {
-		res, err = m.Run(*wl, *ops)
+	if o.traceOut != "" {
+		tracer := sim.NewTracer()
+		m.Attach(tracer)
+		defer func() {
+			if err != nil {
+				return
+			}
+			tr := tracer.Trace()
+			if err = tr.WriteFile(o.traceOut); err == nil {
+				fmt.Fprintf(w, "wrote %d trace events to %s (load in Perfetto)\n", tr.Len(), o.traceOut)
+			}
+		}()
 	}
+	engine := m.Engine()
+	var snap attack.DataSnapshot
+	if o.attack != "" {
+		if err := engine.WriteLine(victimAddr, memline.Line{1}); err != nil {
+			return 0, err
+		}
+		snap = attack.SnapshotData(engine, victimAddr)
+	}
+	res, err := measure(m, o, w)
 	if err != nil {
-		return fail(err)
+		return 0, err
+	}
+	printResults(w, o, res)
+	if o.audit {
+		reportAudit(w, m)
+	}
+	if !o.crash {
+		return 0, nil
+	}
+	if o.attack != "" {
+		if err := engine.WriteLine(victimAddr, memline.Line{2}); err != nil {
+			return 0, err
+		}
 	}
 
-	fmt.Printf("workload          %s (%d threads, %d ops, seed %d)\n", *wl, *cores, *ops, *seed)
-	fmt.Printf("scheme            %s\n", res.Scheme)
-	fmt.Printf("instructions      %d\n", res.Instructions)
-	fmt.Printf("time              %.3f ms\n", res.TimeNs/1e6)
-	fmt.Printf("IPC               %.4f\n", res.IPC)
-	fmt.Printf("NVM reads         %d (%.2f/op)\n", res.Dev.Reads, float64(res.Dev.Reads)/float64(*ops))
-	fmt.Printf("NVM writes        %d (%.2f/op)\n", res.Dev.Writes, float64(res.Dev.Writes)/float64(*ops))
-	fmt.Printf("  user data       %d\n", res.Engine.DataNVMWrites)
-	fmt.Printf("  metadata        %d\n", res.Engine.MetaNVMWrites)
-	fmt.Printf("  forced flushes  %d\n", res.Engine.ForcedFlushes)
+	fmt.Fprintln(w, "\n-- power failure --")
+	m.Crash()
+	if err := tamper(engine, o.attack, snap, w); err != nil {
+		return 0, err
+	}
+	rep, err := m.Recover()
+	if err != nil {
+		if o.attack != "" && errors.Is(err, secmem.ErrRecoveryVerification) {
+			fmt.Fprintf(w, "recovery REJECTED: %v\n", err)
+			fmt.Fprintln(w, "the attack was detected; the system refuses the corrupted state")
+			return 0, nil
+		}
+		fmt.Fprintf(w, "recovery FAILED: %v\n", err)
+		return 1, nil
+	}
+	fmt.Fprintf(w, "recovery          %s, verified=%v\n", rep.Scheme, rep.Verified)
+	fmt.Fprintf(w, "stale nodes       %d\n", rep.StaleNodes)
+	fmt.Fprintf(w, "line accesses     %d index + %d node reads + %d writes\n",
+		rep.IndexReads, rep.NodeReads, rep.NodeWrites)
+	ph := rep.PhaseTimes()
+	fmt.Fprintf(w, "recovery time     %.4f s (at %.0f ns/line: %.0f us scan + %.0f us restore + %.0f us write-back)\n",
+		rep.TimeSeconds(), secmem.RecoveryLineNs, ph.ScanNs/1e3, ph.RestoreNs/1e3, ph.WritebackNs/1e3)
+	if o.audit {
+		reportAudit(w, m)
+	}
+	if o.attack == "" {
+		return 0, nil
+	}
+
+	// An attack that slipped past recovery because it hit
+	// recovery-unrelated metadata must be caught at first use (paper
+	// §III-F: such attacks "will be detected by SIT root or other
+	// verified nodes in the cache during running time").
+	got, err := engine.ReadLine(victimAddr)
+	var ierr *secmem.IntegrityError
+	if errors.As(err, &ierr) {
+		fmt.Fprintf(w, "attack detected at first use: %v\n", err)
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	fmt.Fprintf(w, "attack NOT detected: post-recovery read of the victim line returned %d (want 2)\n", got[0])
+	return 1, nil
+}
+
+// measure runs the measured phase: the workload, recorded or not, or
+// the replayed trace.
+func measure(m *sim.Machine, o *options, w io.Writer) (*sim.Results, error) {
+	switch {
+	case o.replay != "":
+		return replayTrace(m, o.replay, w)
+	case o.record != "":
+		return recordTrace(m, o, w)
+	}
+	fmt.Fprintf(w, "workload          %s (%d threads, %d ops, seed %d)\n", o.workload, o.cores, o.ops, o.seed)
+	if o.crash {
+		return m.RunUnverified(o.workload, o.ops)
+	}
+	return m.Run(o.workload, o.ops)
+}
+
+// recordTrace runs the workload through a trace.Recorder, so the file
+// holds the set-up phase's accesses as well as the measured ones.
+func recordTrace(m *sim.Machine, o *options, w io.Writer) (*sim.Results, error) {
+	f, err := os.Create(o.record)
+	if err != nil {
+		return nil, err
+	}
+	tw := trace.NewWriter(f)
+	rec := &trace.Recorder{Inner: m, CoreFn: m.CurrentCore, W: tw}
+	s, err := m.NewSessionOn(o.workload, rec)
+	var res *sim.Results
+	if err == nil {
+		res, err = m.Measure(o.workload, func() error { return s.StepN(o.ops) })
+	}
+	// The trace file is a written artifact: its flush and Close errors
+	// count as much as the run's.
+	if err := errors.Join(err, rec.Err, tw.Flush(), f.Close()); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "recorded %d accesses of %s (%d ops) to %s\n", tw.Count(), o.workload, o.ops, o.record)
+	return res, nil
+}
+
+func replayTrace(m *sim.Machine, path string, w io.Writer) (*sim.Results, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	// Read-only file: the Close result cannot lose data.
+	defer f.Close()
+	entries, err := trace.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	res, err := m.Measure("trace", func() error {
+		return trace.Replay(m, m, entries, m.Config().Cores)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "replayed %d accesses from %s\n", len(entries), path)
+	return res, nil
+}
+
+// tamper applies the -attack (none when atk is empty) to the crashed
+// image.
+func tamper(engine *secmem.Engine, atk string, snap attack.DataSnapshot, w io.Writer) error {
+	switch atk {
+	case "replay":
+		fmt.Fprintln(w, "attacker replays an old (data, MAC, LSB) tuple...")
+		snap.Replay(engine)
+	case "bitmap":
+		fmt.Fprintln(w, "attacker flips bits in a recovery-area bitmap line...")
+		for bit := uint(0); bit < 64; bit++ {
+			if err := attack.TamperBitmapLine(engine, 0, bit); err != nil {
+				return err
+			}
+		}
+	case "st":
+		fmt.Fprintln(w, "attacker tampers with a shadow-table block...")
+		geo := engine.Geometry()
+		for slot := uint64(0); slot < geo.STLines(); slot++ {
+			if _, present := engine.Device().Peek(geo.STAddr(slot)); present {
+				return attack.TamperST(engine, slot, 7)
+			}
+		}
+		return fmt.Errorf("no shadow-table block was written to tamper with")
+	}
+	return nil
+}
+
+func printResults(w io.Writer, o *options, res *sim.Results) {
+	// A replayed trace has no operation count to normalize by.
+	perOp := func(n uint64) string {
+		if o.replay != "" {
+			return ""
+		}
+		return fmt.Sprintf(" (%.2f/op)", float64(n)/float64(o.ops))
+	}
+	fmt.Fprintf(w, "scheme            %s\n", res.Scheme)
+	fmt.Fprintf(w, "instructions      %d\n", res.Instructions)
+	fmt.Fprintf(w, "time              %.3f ms\n", res.TimeNs/1e6)
+	fmt.Fprintf(w, "IPC               %.4f\n", res.IPC)
+	fmt.Fprintf(w, "NVM reads         %d%s\n", res.Dev.Reads, perOp(res.Dev.Reads))
+	fmt.Fprintf(w, "NVM writes        %d%s\n", res.Dev.Writes, perOp(res.Dev.Writes))
+	fmt.Fprintf(w, "  user data       %d\n", res.Engine.DataNVMWrites)
+	fmt.Fprintf(w, "  metadata        %d\n", res.Engine.MetaNVMWrites)
+	fmt.Fprintf(w, "  forced flushes  %d\n", res.Engine.ForcedFlushes)
 	if res.Bitmap != nil {
-		fmt.Printf("  bitmap lines    %d written, %d read (ADR hit ratio %.2f%%)\n",
+		fmt.Fprintf(w, "  bitmap lines    %d written, %d read (ADR hit ratio %.2f%%)\n",
 			res.Bitmap.NVMWrites(), res.Bitmap.NVMReads(), 100*res.Bitmap.HitRatio())
 	}
 	if res.Anubis != nil {
-		fmt.Printf("  shadow table    %d written\n", res.Anubis.STWrites)
+		fmt.Fprintf(w, "  shadow table    %d written\n", res.Anubis.STWrites)
 	}
-	fmt.Printf("energy            %.2f uJ\n", res.EnergyPJ()/1e6)
-	fmt.Printf("dirty metadata    %d/%d lines (%.1f%%)\n",
+	fmt.Fprintf(w, "energy            %.2f uJ\n", res.EnergyPJ()/1e6)
+	fmt.Fprintf(w, "dirty metadata    %d/%d lines (%.1f%%)\n",
 		res.DirtyMetaLines, res.MetaCacheLines, 100*res.DirtyMetaFrac)
-
-	if *audit {
-		reportAudit(m)
+	if res.Latency == nil {
+		return
 	}
-
-	if *crash {
-		fmt.Println("\n-- power failure --")
-		m.Crash()
-		rep, err := m.Recover()
-		if err != nil {
-			fmt.Printf("recovery FAILED: %v\n", err)
-			return 1
-		}
-		fmt.Printf("recovery          %s, verified=%v\n", rep.Scheme, rep.Verified)
-		fmt.Printf("stale nodes       %d\n", rep.StaleNodes)
-		fmt.Printf("line accesses     %d index + %d node reads + %d writes\n",
-			rep.IndexReads, rep.NodeReads, rep.NodeWrites)
-		ph := rep.PhaseTimes()
-		fmt.Printf("recovery time     %.4f s (at %.0f ns/line: %.0f us scan + %.0f us restore + %.0f us write-back)\n",
-			rep.TimeSeconds(), secmem.RecoveryLineNs, ph.ScanNs/1e3, ph.RestoreNs/1e3, ph.WritebackNs/1e3)
-		if *audit {
-			reportAudit(m)
+	for _, op := range res.Latency.Ops {
+		if op.Count > 0 {
+			fmt.Fprintf(w, "%-18s p50 %.0f ns, p99 %.0f ns, max %.0f ns (%d observed)\n",
+				op.Op+" latency", op.P50Ns, op.P99Ns, op.MaxNs, op.Count)
 		}
 	}
-	return 0
 }
 
-func reportAudit(m *sim.Machine) {
+func reportAudit(w io.Writer, m *sim.Machine) {
 	violations := m.Engine().AuditTree()
 	badData := m.Engine().AuditData()
 	if len(violations) == 0 && len(badData) == 0 {
-		fmt.Println("audit             clean (every NVM metadata block and data line consistent)")
+		fmt.Fprintln(w, "audit             clean (every NVM metadata block and data line consistent)")
 		return
 	}
-	fmt.Printf("audit             %d metadata violations, %d bad data lines\n", len(violations), len(badData))
+	fmt.Fprintf(w, "audit             %d metadata violations, %d bad data lines\n", len(violations), len(badData))
 	for i, v := range violations {
 		if i == 8 {
-			fmt.Println("                  ...")
+			fmt.Fprintln(w, "                  ...")
 			break
 		}
-		fmt.Printf("                  %s\n", v)
+		fmt.Fprintf(w, "                  %s\n", v)
 	}
-}
-
-// fail reports err and returns the exit code for run to propagate.
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "starsim:", err)
-	return 1
 }

@@ -1,5 +1,5 @@
 // Command tracecheck validates a Chrome trace-event JSON file as
-// produced by -trace-out (starplot -timeline, startrace, starbench):
+// produced by -trace-out (starplot -timeline, starsim, starbench):
 // it must parse in either the object or bare-array form Perfetto
 // accepts and contain at least -min events. The CI verify-telemetry target uses it
 // as the machine check that tracing produced a loadable, non-empty

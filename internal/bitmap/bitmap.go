@@ -29,6 +29,18 @@ type Config struct {
 // DefaultConfig returns the paper's 16-line ADR split.
 func DefaultConfig() Config { return Config{ADRL1Lines: 14, ADRL2Lines: 2} }
 
+// SplitADR divides an ADR allocation of lines bitmap lines between the
+// L1 bitmap and its L2 index as the paper does: one eighth to L2, at
+// least one. SplitADR(16) is DefaultConfig.
+func SplitADR(lines int) (Config, error) {
+	if lines < 2 {
+		return Config{}, fmt.Errorf(
+			"bitmap: %d ADR lines: minimum is 2 (the split reserves at least one L2 index line plus at least one L1 line)", lines)
+	}
+	l2 := max(lines/8, 1)
+	return Config{ADRL1Lines: lines - l2, ADRL2Lines: l2}, nil
+}
+
 // Stats aggregates tracking-side traffic.
 type Stats struct {
 	L1 adr.Stats

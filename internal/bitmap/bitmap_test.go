@@ -36,6 +36,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestSplitADR(t *testing.T) {
+	// The run memo's Table II adr=16 cell reuses the default-config
+	// run, which holds only while the two configs are equal.
+	if got, err := SplitADR(16); err != nil || got != DefaultConfig() {
+		t.Fatalf("SplitADR(16) = %+v, %v; want DefaultConfig %+v", got, err, DefaultConfig())
+	}
+	if got, err := SplitADR(2); err != nil || got != (Config{ADRL1Lines: 1, ADRL2Lines: 1}) {
+		t.Fatalf("SplitADR(2) = %+v, %v; want {1 1}", got, err)
+	}
+	if _, err := SplitADR(1); err == nil {
+		t.Fatal("SplitADR(1) accepted")
+	}
+}
+
 func TestMarkAndScanRoundTrip(t *testing.T) {
 	tr, _, _ := setup(t, 1<<20, DefaultConfig())
 	marked := []uint64{0, 5, 511, 512, 1000}

@@ -942,18 +942,14 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 		lineCounts = []int{2, 4, 8, 16, 32}
 	}
 	workloads := r.workloadList()
-	type point struct {
-		lines int
-		l2    int
-	}
-	points := make([]point, len(lineCounts))
+	splits := make([]bitmap.Config, len(lineCounts))
 	var cells []Cell
 	for i, lines := range lineCounts {
-		l2 := lines / 8
-		if l2 == 0 {
-			l2 = 1
+		split, err := bitmap.SplitADR(lines)
+		if err != nil {
+			return nil, err
 		}
-		points[i] = point{lines: lines, l2: l2}
+		splits[i] = split
 		for _, name := range workloads {
 			cells = append(cells, Cell{Workload: name, Scheme: "star", Label: fmt.Sprintf("adr=%d", lines)})
 		}
@@ -961,10 +957,9 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 	ratios := make([]float64, len(cells))
 	err := r.forEach(ctx, cells, func(ctx context.Context, mp *machinePool, i int) error {
 		start := time.Now()
-		p := points[i/len(workloads)]
 		cfg := r.cfg()
 		cfg.Scheme = "star"
-		cfg.Bitmap = bitmap.Config{ADRL1Lines: p.lines - p.l2, ADRL2Lines: p.l2}
+		cfg.Bitmap = splits[i/len(workloads)]
 		res, err := r.run(ctx, mp, cfg, cells[i].Workload, r.opsFor("star"))
 		if err != nil {
 			r.record("table2", cells[i], time.Since(start), nil, err)
@@ -978,8 +973,8 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 		return nil, err
 	}
 	var rows []Table2Row
-	for pi, p := range points {
-		row := Table2Row{ADRLines: p.lines, PerWorkload: make(map[string]float64)}
+	for pi, lines := range lineCounts {
+		row := Table2Row{ADRLines: lines, PerWorkload: make(map[string]float64)}
 		var sum float64
 		for wi, name := range workloads {
 			hr := ratios[pi*len(workloads)+wi]

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -176,6 +178,30 @@ func TestTraceEventsAndJSON(t *testing.T) {
 	parsed, err = ParseTraceJSON(buf.Bytes())
 	if err != nil || len(parsed) != 0 {
 		t.Fatalf("empty trace must be a valid empty document: %v %v", parsed, err)
+	}
+}
+
+func TestTraceWriteFile(t *testing.T) {
+	tr := NewTrace(1)
+	tr.InstantAt("crash", "sim", 1000, 0)
+	tr.CompleteAt("recovery", "sim", 1000, 500, 0)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseTraceJSON(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parsed, tr.Events()) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", parsed, tr.Events())
+	}
+	if err := tr.WriteFile(filepath.Join(t.TempDir(), "missing", "trace.json")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }
 

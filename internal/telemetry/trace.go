@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Event is one Chrome trace-event, the JSON schema Perfetto and
@@ -32,9 +33,10 @@ type Event struct {
 
 // Trace is an in-memory buffer of trace events. All methods are
 // nil-safe no-ops, so an un-traced run pays one nil check per
-// would-be event. Like the Registry it is single-goroutine; the
-// experiment runner serializes its cross-worker emissions under the
-// progress lock.
+// would-be event. Unlike the mutex-guarded Registry it is not safe for
+// concurrent use: the experiment runner emits a sweep's events from
+// its one reporter goroutine, and a machine's tracer from the
+// goroutine driving that machine.
 type Trace struct {
 	events []Event
 	pid    int
@@ -126,6 +128,21 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ns"})
+}
+
+// WriteFile writes the buffer to path as WriteJSON does. The file's
+// Close error is returned too: a full disk must not leave a silently
+// truncated trace behind.
+func (t *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ParseTraceJSON validates and decodes a trace-event JSON document in

@@ -98,53 +98,26 @@ func (w *Writer) Count() uint64 { return w.count }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader streams entries from an io.Reader.
-type Reader struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
+// ReadAll parses a whole trace, skipping blank lines and # comments.
+func ReadAll(r io.Reader) ([]Entry, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	return &Reader{sc: sc}
-}
-
-// Next returns the next entry, or io.EOF.
-func (r *Reader) Next() (Entry, error) {
-	for r.sc.Scan() {
-		r.line++
-		text := strings.TrimSpace(r.sc.Text())
+	var out []Entry
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		e, err := parse(text)
 		if err != nil {
-			return Entry{}, fmt.Errorf("trace: line %d: %w", r.line, err)
-		}
-		return e, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		return Entry{}, err
-	}
-	return Entry{}, io.EOF
-}
-
-// ReadAll consumes the stream.
-func ReadAll(r io.Reader) ([]Entry, error) {
-	tr := NewReader(r)
-	var out []Entry
-	for {
-		e, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		out = append(out, e)
 	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func parse(text string) (Entry, error) {

@@ -134,7 +134,7 @@ func TestRecordReplayTrafficMatches(t *testing.T) {
 }
 
 // TestReplayAcrossSchemes replays one trace under every scheme — the
-// startrace sweep use case — and checks the paper's write ordering.
+// starsim -replay sweep use case — and checks the paper's write ordering.
 func TestReplayAcrossSchemes(t *testing.T) {
 	cfg := machineCfg("wb")
 	m, err := sim.NewMachine(cfg)
