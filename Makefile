@@ -65,19 +65,19 @@ evaluation:
 
 # End-to-end observability gate: the machine-registry, sampler and
 # tracer tests (exported series set, fork isolation, sampling cadence,
-# timeline content, trace events), a sampled + traced
-# timeline run and a traced mini-sweep, with tracecheck asserting both
-# Chrome trace-event files parse and are non-empty (Perfetto-loadable)
-# and the timeline trace's event names are known, and the three
-# timeline charts and the mini-sweep's six evaluation figures rendering
-# non-empty.
+# timeline content, trace events), a sampled + traced single run
+# (starsim -svg -trace-out) and a traced mini-sweep, with tracecheck
+# asserting both Chrome trace-event files parse and are non-empty
+# (Perfetto-loadable) and the timeline trace's event names are known,
+# and the three timeline charts and the mini-sweep's six evaluation
+# figures rendering non-empty.
 TELEMETRY_DIR = /tmp/nvmstar-telemetry
 
 verify-telemetry:
 	rm -rf $(TELEMETRY_DIR) && mkdir -p $(TELEMETRY_DIR)
 	$(GO) test -count=1 -run 'Telemetry|Timeline|Sampler|Trace|Hierarchy|Fork' ./internal/sim
-	$(GO) run ./cmd/starplot -timeline -ops 3000 -sample-ns 5000 \
-		-out $(TELEMETRY_DIR)
+	$(GO) run ./cmd/starsim -ops 3000 -svg $(TELEMETRY_DIR) \
+		-trace-out $(TELEMETRY_DIR)/timeline_trace.json
 	$(GO) run ./cmd/starbench -exp all -ops 1500 -workloads hash,array \
 		-progress=false -trace-out $(TELEMETRY_DIR)/sweep_trace.json \
 		-svg $(TELEMETRY_DIR) > /dev/null
@@ -107,8 +107,9 @@ verify-telemetry:
 # latency document whose self-compare enforces the absolute p99 SLO
 # ceilings of regress.latency.tolerance.json (the document is
 # deterministic — config + seed only — so the ceilings bind identically
-# on every host), (4) the wear heatmap and per-scheme CDF charts render
-# non-empty, and (5) the golden trace fixture's event names (including
+# on every host), (4) the same sweep's per-scheme latency CDFs
+# (starbench -observe -svg) and a single run's wear heatmap (starsim
+# -svg -observe) render non-empty, and (5) the golden trace fixture's event names (including
 # attr:<cause>) and a live traced replay's lat:<op> instants validate.
 OBSERVE_DIR = /tmp/nvmstar-observe
 
@@ -121,17 +122,16 @@ verify-observe:
 	$(GO) test -count=1 -run 'Histogram|Quantile' ./internal/telemetry
 	$(GO) test -count=1 -run 'Attr|Breakdown|Latency|Observ' ./internal/nvm ./internal/sim ./internal/experiments ./internal/regress
 	$(GO) run ./cmd/starbench -exp report -ops 1200 -workloads hash -observe -gate=false -progress=false \
-		-latency-out $(OBSERVE_DIR)/latency.json \
+		-latency-out $(OBSERVE_DIR)/latency.json -svg $(OBSERVE_DIR) \
 		> $(OBSERVE_DIR)/report.md
 	grep -q 'Write-cause breakdown' $(OBSERVE_DIR)/report.md
 	grep -q 'Tail latency' $(OBSERVE_DIR)/report.md
 	$(GO) run ./cmd/stardiff -tol regress.latency.tolerance.json -q \
 		$(OBSERVE_DIR)/latency.json $(OBSERVE_DIR)/latency.json
-	$(GO) run ./cmd/starplot -wearmap -ops 1200 -out $(OBSERVE_DIR)
+	$(GO) run ./cmd/starsim -ops 1200 -svg $(OBSERVE_DIR) -observe
 	test -s $(OBSERVE_DIR)/wearmap.svg
-	$(GO) run ./cmd/starplot -cdf -ops 1200 -out $(OBSERVE_DIR)
-	test -s $(OBSERVE_DIR)/cdf_read_latency.svg
-	test -s $(OBSERVE_DIR)/cdf_write_latency.svg
+	test -s $(OBSERVE_DIR)/cdf_read_latency_hash.svg
+	test -s $(OBSERVE_DIR)/cdf_write_latency_hash.svg
 	$(GO) run ./cmd/tracecheck -min 1 -names cmd/tracecheck/testdata/golden_trace.json
 	$(GO) run ./cmd/starsim -record $(OBSERVE_DIR)/hash.trc -workload hash -ops 800 > /dev/null
 	$(GO) run ./cmd/starsim -replay $(OBSERVE_DIR)/hash.trc -scheme star -observe \

@@ -6,26 +6,30 @@ import (
 	"path/filepath"
 
 	"nvmstar/internal/experiments"
+	"nvmstar/internal/sim"
 	"nvmstar/internal/svgplot"
 )
 
 // figureRows holds the rows a run computed that have an SVG figure;
-// a nil field means its experiment did not run and its figures are
-// skipped.
+// a nil field means its experiment did not run (or, for latency, that
+// the observatory was off) and its figures are skipped.
 type figureRows struct {
-	fig10  []experiments.Fig10Row
-	scheme []experiments.SchemeRow
-	fig14a []experiments.Fig14aRow
-	fig14b []experiments.Fig14bRow
+	fig10   []experiments.Fig10Row
+	scheme  []experiments.SchemeRow
+	fig14a  []experiments.Fig14aRow
+	fig14b  []experiments.Fig14bRow
+	latency []experiments.ObservatoryRow
+}
+
+// figure is one SVG file and the chart drawn into it.
+type figure struct {
+	name  string
+	chart interface{ SVG() (string, error) }
 }
 
 // write renders every figure with rows into dir and returns the paths
 // written. ops scales Fig. 10's write counts to per-operation values.
 func (f *figureRows) write(dir string, ops int) ([]string, error) {
-	type figure struct {
-		name  string
-		chart *svgplot.BarChart
-	}
 	var charts []figure
 	add := func(name string, c *svgplot.BarChart) { charts = append(charts, figure{name, c}) }
 
@@ -81,6 +85,7 @@ func (f *figureRows) write(dir string, ops int) ([]string, error) {
 		}
 		add("fig14b_recovery_time.svg", c)
 	}
+	charts = append(charts, latencyCDFs(f.latency, ops)...)
 	if len(charts) == 0 {
 		return nil, nil
 	}
@@ -101,6 +106,33 @@ func (f *figureRows) write(dir string, ops int) ([]string, error) {
 		paths = append(paths, path)
 	}
 	return paths, nil
+}
+
+// latencyCDFs draws the read- and write-latency distributions of each
+// workload the observatory saw as paper-style CDFs (log-x, cumulative
+// %), one curve per scheme from its row's merged latency buckets —
+// where the write-friendliness claims of the schemes become visible as
+// tail separation. An op no scheme of a workload issued gets no chart.
+func latencyCDFs(rows []experiments.ObservatoryRow, ops int) []figure {
+	bounds := sim.LatencyBuckets()
+	var charts []figure
+	for _, op := range []string{"read", "write"} {
+		byWorkload := map[string]*svgplot.CDF{}
+		for _, row := range rows {
+			o := row.Latency.Op(op)
+			if o == nil || o.Count == 0 {
+				continue
+			}
+			c := byWorkload[row.Workload]
+			if c == nil {
+				c = &svgplot.CDF{Title: fmt.Sprintf("%s latency CDF: %s (%d ops)", op, row.Workload, ops)}
+				byWorkload[row.Workload] = c
+				charts = append(charts, figure{fmt.Sprintf("cdf_%s_latency_%s.svg", op, row.Workload), c})
+			}
+			c.Series = append(c.Series, svgplot.CDFSeries{Label: row.Scheme, BoundsNs: bounds, Counts: o.BucketsNs})
+		}
+	}
+	return charts
 }
 
 // schemeChart draws one of Figs. 11-13: per workload, the metric of

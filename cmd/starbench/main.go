@@ -18,8 +18,8 @@
 // writes the report as JSON for stardiff). -observe enables the
 // observatory: the output gains per-(workload, scheme) write-cause and
 // tail-latency tables, and -latency-out writes the tails as a
-// stardiff-comparable latency document. -http serves live sweep stats
-// (expvar) and pprof while the sweep runs.
+// stardiff-comparable latency document; with -svg DIR it also draws
+// each workload's read and write latency CDFs, one curve per scheme.
 //
 // The -workloads flag restricts the workload set, e.g.
 // -workloads array,hash. Per-cell completion, wall time and ETA are
@@ -107,11 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
-	httpAddr := fs.String("http", "", "serve live sweep stats (expvar) and pprof on this address, e.g. :6060")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the sweep's cells to this file")
 	manifestOut := fs.String("manifest-out", "", "write a run provenance manifest (per-cell result digests) to this file")
 	gitRev := fs.String("git-rev", "", "git revision recorded in the manifest (default: ask git)")
-	svgDir := fs.String("svg", "", "also write each SVG figure whose rows the run computed to this directory")
+	svgDir := fs.String("svg", "", "also write each SVG figure whose rows the run computed to this directory (with -observe, per-workload latency CDFs too)")
 	observe := fs.Bool("observe", false, "enable the observatory: append per-(workload, scheme) write-cause breakdown and tail-latency tables to the output (and to -latency-out)")
 	latencyOut := fs.String("latency-out", "", "write the tail-latency aggregate as a latency document (stardiff-comparable, SLO-gateable) to this file; requires -observe")
 	shapesOut := fs.String("shapes-out", "", "write the shape report as JSON to this file (-exp report)")
@@ -162,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiments.WithSeeds(*seeds),
 		experiments.WithParallelism(*parallel),
 		experiments.WithConfig(func() sim.Config {
-			cfg := sim.Default()
+			cfg := sim.Evaluation()
 			cfg.DataBytes = uint64(*dataMB) << 20
 			cfg.MetaCache.SizeBytes = *metaKB << 10
 			cfg.Observe = *observe
@@ -239,18 +238,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	s.r = experiments.NewRunner(ropts...)
 
-	if *httpAddr != "" {
-		srv := telemetry.NewDebugServer(*httpAddr, map[string]func() any{
-			"sweep": func() any { return s.r.Snapshot() },
-		})
-		addr, err := srv.Start()
-		if err != nil {
-			logf("-http: %v", err)
-			return 2
-		}
-		logf("live stats on http://%s/debug/vars (pprof under /debug/pprof/)", addr)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -306,6 +293,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logf("wrote latency document to %s (%d rows)", *latencyOut, len(rows))
 	}
 	if *svgDir != "" {
+		s.figs.latency = obs.Rows()
 		paths, err := s.figs.write(*svgDir, *ops)
 		for _, p := range paths {
 			logf("wrote %s", p)
@@ -346,7 +334,7 @@ func latencyRows(obs *experiments.Observatory) []regress.LatencyRow {
 }
 
 // printFinalStats summarizes the whole run on stderr once every sweep
-// is done — the headless counterpart of the -http expvar endpoint.
+// is done.
 func printFinalStats(w io.Writer, r *experiments.Runner) {
 	s := r.Snapshot()
 	wall := r.WallTime().Seconds()

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"nvmstar/internal/shapes"
+	"nvmstar/internal/sim"
+	"nvmstar/internal/svgplot"
 )
 
 // tiny is the smallest sweep that still reaches every experiment.
@@ -103,5 +105,62 @@ func TestSVGWritesEveryFigure(t *testing.T) {
 	}
 	if len(entries) != 6 {
 		t.Fatalf("wrote %d files, want the six figures", len(entries))
+	}
+}
+
+// TestObserveSVGWritesLatencyCDFs runs Figs. 11-13 observed with -svg:
+// besides the three figures, each workload gets a read and a write
+// latency CDF, and each curve is its scheme's own run — the CDF drawn
+// from solo runs' buckets renders byte for byte what the sweep wrote.
+func TestObserveSVGWritesLatencyCDFs(t *testing.T) {
+	dir := t.TempDir()
+	code, _, errOut := runCLI(t, "-exp", "fig11", "-observe", "-svg", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 5 {
+		t.Fatalf("wrote %d files, want Figs. 11-13 and two CDFs", len(entries))
+	}
+
+	const ops = 300 // tiny's -ops
+	want := map[string]*svgplot.CDF{}
+	for _, op := range []string{"read", "write"} {
+		want[op] = &svgplot.CDF{Title: op + " latency CDF: hash (300 ops)"}
+	}
+	for _, scheme := range []string{"wb", "star", "anubis", "strict"} {
+		cfg := sim.Evaluation()
+		cfg.Scheme = scheme
+		cfg.Observe = true
+		n := ops
+		if scheme == "strict" {
+			n = ops / 4
+		}
+		res, _, err := sim.RunScenario(cfg, "hash", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, c := range want {
+			if o := res.Latency.Op(op); o.Count > 0 {
+				c.Series = append(c.Series, svgplot.CDFSeries{Label: scheme, BoundsNs: sim.LatencyBuckets(), Counts: o.BucketsNs})
+			}
+		}
+	}
+	for op, c := range want {
+		name := "cdf_" + op + "_latency_hash.svg"
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svg, err := c.SVG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != svg {
+			t.Errorf("%s differs from the CDF of the solo runs' buckets", name)
+		}
 	}
 }

@@ -23,7 +23,14 @@
 // NVMain-style; -replay drives such a trace (or one synthesized in the
 // internal/trace format) as the measured phase. -observe prints per-op
 // tail latencies, and -trace-out writes the run's structured events as
-// Chrome trace-event JSON.
+// Chrome trace-event JSON. -svg DIR samples the run's telemetry and
+// draws the single-run figures: the dirty metadata fraction, cache hit
+// ratios and write amplification over simulated time, and the per-bank
+// NVM wear heatmap; with -trace-out the dirty fraction also becomes a
+// counter track of the trace, and with -observe the run's write causes
+// are printed:
+//
+//	starsim -workload hash -ops 8000 -svg figures -trace-out figures/timeline_trace.json
 package main
 
 import (
@@ -63,6 +70,7 @@ const victimAddr = 42 * memline.Size
 type options struct {
 	workload, scheme, attack   string
 	record, replay, traceOut   string
+	svg                        string
 	ops, dataMB, metaKB, cores int
 	seed                       uint64
 	crash, audit, observe      bool
@@ -86,6 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.replay, "replay", "", "replay the access trace in this file as the measured phase")
 	fs.BoolVar(&o.observe, "observe", false, "enable the observatory: print per-op tail latencies and add lat:<op> instants to -trace-out")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's structured events as Chrome trace-event JSON to this file")
+	fs.StringVar(&o.svg, "svg", "", "write the run's timeline and wear-heatmap SVG figures to this directory")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -110,13 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.crash = true
 	}
 
-	cfg := sim.Default()
+	cfg := sim.Evaluation()
 	cfg.DataBytes = uint64(o.dataMB) << 20
 	cfg.MetaCache.SizeBytes = o.metaKB << 10
 	cfg.Cores = o.cores
 	cfg.Scheme = o.scheme
 	cfg.Seed = o.seed
 	cfg.Observe = o.observe
+	cfg.Telemetry = o.svg != ""
+	cfg.TrackWear = o.svg != ""
 	code, err := simulate(cfg, &o, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "starsim:", err)
@@ -133,6 +144,13 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	var sampler *sim.Sampler
+	if o.svg != "" {
+		if sampler, err = sim.NewSampler(m.Telemetry(), sampleNs); err != nil {
+			return 0, err
+		}
+		m.Attach(sampler)
+	}
 	if o.traceOut != "" {
 		tracer := sim.NewTracer()
 		m.Attach(tracer)
@@ -141,6 +159,15 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 				return
 			}
 			tr := tracer.Trace()
+			if sampler != nil {
+				for _, tl := range sampler.Timelines() {
+					if tl.Name == "meta.dirty_frac" {
+						for i, t := range tl.TimesNs {
+							tr.CounterAt(tl.Name, t, tl.Values[i])
+						}
+					}
+				}
+			}
 			if err = tr.WriteFile(o.traceOut); err == nil {
 				fmt.Fprintf(w, "wrote %d trace events to %s (load in Perfetto)\n", tr.Len(), o.traceOut)
 			}
@@ -159,6 +186,11 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 		return 0, err
 	}
 	printResults(w, o, res)
+	if o.svg != "" {
+		if err := writeFigures(w, o.svg, m, res, sampler.Timelines()); err != nil {
+			return 0, err
+		}
+	}
 	if o.audit {
 		reportAudit(w, m)
 	}

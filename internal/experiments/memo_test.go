@@ -254,7 +254,4 @@ func TestBuildManifestCellsPerSecSpansSweeps(t *testing.T) {
 	if got := m.Stats.CellsPerSec; got != want {
 		t.Fatalf("manifest cells/s = %v, want %v (22 cells over %v)", got, want, r.WallTime())
 	}
-	if last := r.Snapshot().CellsPerSec; last <= want {
-		t.Fatalf("test premise: the last sweep (%v cells/s) should be faster than the run (%v)", last, want)
-	}
 }

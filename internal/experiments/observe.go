@@ -17,13 +17,15 @@ import (
 // from the merged buckets. It is the WithResultObserver consumer behind
 // starbench -observe: cells whose runs carried sim.Config.Observe
 // contribute their WriteBreakdown and Latency as they complete; cells
-// without them are ignored. The aggregate reaches readers through
-// Markdown (the report's observatory sections) and Rows (starbench's
-// -latency-out document). All methods are safe for concurrent use —
-// Observe runs on pool workers as cells complete.
+// without them are ignored. Each run counts once: see Observe. The
+// aggregate reaches readers through Markdown (the report's observatory
+// sections) and Rows (starbench's -latency-out document and latency
+// CDFs). All methods are safe for concurrent use — Observe runs on
+// pool workers as cells complete.
 type Observatory struct {
 	mu      sync.Mutex
 	entries map[obsKey]*ObservatoryRow
+	seen    map[Cell]bool
 }
 
 type obsKey struct {
@@ -32,7 +34,7 @@ type obsKey struct {
 }
 
 // ObservatoryRow is one (workload, scheme) aggregate over the Cells
-// observed for that pair.
+// observed for that pair: one per seed.
 type ObservatoryRow struct {
 	Workload  string
 	Scheme    string
@@ -43,19 +45,27 @@ type ObservatoryRow struct {
 
 // NewObservatory returns an empty aggregator.
 func NewObservatory() *Observatory {
-	return &Observatory{entries: make(map[obsKey]*ObservatoryRow)}
+	return &Observatory{entries: make(map[obsKey]*ObservatoryRow), seen: make(map[Cell]bool)}
 }
 
 // Observe folds one completed cell into the aggregate. Its signature
 // matches WithResultObserver, so wiring is
 // WithResultObserver(obs.Observe). Results without the observatory
-// fields are skipped.
+// fields are skipped, and so is every cell that is not the runner's
+// own run of its (workload, scheme, seed): a labelled cell (Table
+// II's adr=N points) runs another configuration, and an unlabelled
+// cell already observed is the same run reported by another sweep —
+// Fig. 10, Figs. 11-13 and Fig. 14a all report the default star run.
 func (o *Observatory) Observe(c Cell, res *sim.Results) {
-	if o == nil || res == nil || res.WriteBreakdown == nil || res.Latency == nil {
+	if o == nil || res == nil || res.WriteBreakdown == nil || res.Latency == nil || c.Label != "" {
 		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.seen[c] {
+		return
+	}
+	o.seen[c] = true
 	k := obsKey{c.Workload, c.Scheme}
 	e := o.entries[k]
 	if e == nil {

@@ -270,3 +270,70 @@ func TestResultObserverSeedMerged(t *testing.T) {
 		}
 	}
 }
+
+// TestObservatoryCountsEachRunOnce runs the sweeps that share the
+// default wb and star runs — Fig. 10, Figs. 11-13, Table II (whose
+// adr=N points run other bitmap splits under the star key) and
+// Fig. 14a — on one observed runner. Every row must hold exactly one
+// run, with the breakdown and per-op counts of that run made alone.
+func TestObservatoryCountsEachRunOnce(t *testing.T) {
+	cfgFn := func() sim.Config {
+		cfg := sim.Default()
+		cfg.Cores = 2
+		cfg.DataBytes = 16 << 20
+		cfg.MetaCache = cache.Config{SizeBytes: 64 << 10, Ways: 8}
+		cfg.Observe = true
+		return cfg
+	}
+	const ops = 600
+	obs := NewObservatory()
+	r := NewRunner(
+		WithOps(ops),
+		WithWorkloads("array"),
+		WithConfig(cfgFn),
+		WithParallelism(2),
+		WithResultObserver(obs.Observe),
+	)
+	ctx := context.Background()
+	if _, err := r.Fig10(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SchemeComparison(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Table2(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Fig14a(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := obs.Rows()
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4 (array x wb, star, anubis, strict): %+v", len(rows), rows)
+	}
+	for _, row := range rows {
+		id := row.Workload + "/" + row.Scheme
+		if row.Cells != 1 {
+			t.Errorf("%s aggregates %d cells, want 1", id, row.Cells)
+		}
+		cfg := cfgFn()
+		cfg.Scheme = row.Scheme
+		n := ops
+		if row.Scheme == "strict" {
+			n = ops / 4
+		}
+		solo, _, err := sim.RunScenario(cfg, row.Workload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Breakdown.Total != solo.WriteBreakdown.Total {
+			t.Errorf("%s: %d writes, want %d as in a solo run", id, row.Breakdown.Total, solo.WriteBreakdown.Total)
+		}
+		for _, want := range solo.Latency.Ops {
+			if got := row.Latency.Op(want.Op).Count; got != want.Count {
+				t.Errorf("%s %s: %d ops observed, want %d as in a solo run", id, want.Op, got, want.Count)
+			}
+		}
+	}
+}

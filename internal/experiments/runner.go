@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nvmstar/internal/bitmap"
-	"nvmstar/internal/cache"
 	"nvmstar/internal/provenance"
 	"nvmstar/internal/sim"
 	"nvmstar/internal/telemetry"
@@ -57,22 +56,18 @@ type Runner struct {
 	// memo holds every run this runner has completed, across sweeps.
 	memo runMemo
 
-	// Live sweep introspection, cumulative across this runner's sweeps
-	// and read lock-free by Snapshot (expvar handlers poll it from
-	// other goroutines while a sweep runs).
+	// Sweep accounting, cumulative across this runner's sweeps and
+	// read lock-free by Snapshot.
 	cellsDone      atomic.Int64
 	cellsTotal     atomic.Int64
 	machinesBuilt  atomic.Int64
 	machinesReused atomic.Int64
 	runsShared     atomic.Int64
-	sweepDone      atomic.Int64 // units completed in the active sweep
-	sweepStart     atomic.Int64 // UnixNano of the active sweep's start
-	sweepEnd       atomic.Int64 // UnixNano of the active sweep's completion (0 while running)
 	wallNs         atomic.Int64 // total sweep wall time across this runner's sweeps
 
 	// Per-worker busy/idle accounting (index = worker lane), cumulative
 	// across sweeps; Snapshot exposes it so pool imbalance is visible
-	// in starbench -http.
+	// in starbench's final stats.
 	workerBusyNs []atomic.Int64
 	workerIdleNs []atomic.Int64
 	workerUnits  []atomic.Int64
@@ -102,10 +97,9 @@ func WithWorkloads(names ...string) Option {
 }
 
 // WithConfig supplies a fresh machine configuration per cell; nil uses
-// the evaluation default (64 MiB data, 1 MiB L3, 256 KiB metadata
-// cache). The function is called from worker goroutines and must be
-// safe for concurrent use (returning a fresh value each call is
-// enough).
+// sim.Evaluation(). The function is called from worker goroutines and
+// must be safe for concurrent use (returning a fresh value each call
+// is enough).
 func WithConfig(fn func() sim.Config) Option { return func(r *Runner) { r.config = fn } }
 
 // WithParallelism bounds the worker pool to n concurrent units;
@@ -234,25 +228,20 @@ type WorkerStat struct {
 	IdleNs int64 `json:"idle_ns"`
 }
 
-// Stats is a point-in-time snapshot of a Runner's live counters,
+// Stats is a point-in-time snapshot of a Runner's counters,
 // cumulative across its sweeps. Safe to call from any goroutine while
-// a sweep runs; the -http expvar endpoint of starbench publishes it.
+// a sweep runs.
 type Stats struct {
 	CellsDone      int64        // units completed (all sweeps on this runner)
 	CellsTotal     int64        // units enqueued
 	MachinesBuilt  int64        // simulator machines constructed from scratch
 	MachinesReused int64        // units served by Reset-ing a pooled machine
 	RunsShared     int64        // units served by the run memo, with no machine at all
-	CellsPerSec    float64      // completion rate of the active/last sweep
 	Workers        []WorkerStat // per-lane busy/idle accounting (empty before any sweep)
 }
 
-// Snapshot returns the runner's live counters. While a sweep runs,
-// CellsPerSec is the live completion rate; once the sweep finishes it
-// freezes at the final rate (elapsed measured to the sweep's end, not
-// to whenever Snapshot is called), so headless consumers — manifests
-// and -progress summaries — read stable final Stats without the -http
-// expvar server.
+// Snapshot returns the runner's counters; the completion rate is
+// CellsDone over WallTime.
 func (r *Runner) Snapshot() Stats {
 	s := Stats{
 		CellsDone:      r.cellsDone.Load(),
@@ -260,17 +249,6 @@ func (r *Runner) Snapshot() Stats {
 		MachinesBuilt:  r.machinesBuilt.Load(),
 		MachinesReused: r.machinesReused.Load(),
 		RunsShared:     r.runsShared.Load(),
-	}
-	if start := r.sweepStart.Load(); start != 0 {
-		if done := r.sweepDone.Load(); done > 0 {
-			el := time.Since(time.Unix(0, start)).Seconds()
-			if end := r.sweepEnd.Load(); end > start {
-				el = time.Duration(end - start).Seconds()
-			}
-			if el > 0 {
-				s.CellsPerSec = float64(done) / el
-			}
-		}
 	}
 	for w := range r.workerUnits {
 		if n := r.workerUnits[w].Load(); n > 0 {
@@ -509,9 +487,6 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 
 	start := time.Now()
 	r.cellsTotal.Add(int64(len(units)))
-	r.sweepDone.Store(0)
-	r.sweepEnd.Store(0)
-	r.sweepStart.Store(start.UnixNano())
 
 	keys := make([]string, len(units))
 	static := make([]float64, len(units))
@@ -589,7 +564,6 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 					r.costs.observe(keys[i], static[i], wall)
 				}
 				r.cellsDone.Add(1)
-				r.sweepDone.Add(1)
 				if err != nil {
 					fail(err)
 				}
@@ -604,10 +578,6 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 	wg.Wait()
 	close(events)
 	reporter.Wait()
-	// Freeze the sweep clock so Snapshot's CellsPerSec stops decaying
-	// once the sweep is over, and fold this sweep into the runner's
-	// total wall time.
-	r.sweepEnd.Store(time.Now().UnixNano())
 	r.wallNs.Add(time.Since(start).Nanoseconds())
 	errMu.Lock()
 	defer errMu.Unlock()
@@ -665,11 +635,7 @@ func (r *Runner) cfg() sim.Config {
 	if r.config != nil {
 		return r.config()
 	}
-	cfg := sim.Default()
-	cfg.DataBytes = 64 << 20
-	cfg.L3 = cache.Config{SizeBytes: 1 << 20, Ways: 8}
-	cfg.MetaCache = cache.Config{SizeBytes: 256 << 10, Ways: 8}
-	return cfg
+	return sim.Evaluation()
 }
 
 func (r *Runner) workloadList() []string {

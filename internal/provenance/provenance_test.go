@@ -82,9 +82,7 @@ func TestConfigFingerprintIsSeedless(t *testing.T) {
 // mirror instead of mixing it into the suffix — which would silently
 // orphan every sealed manifest.
 func TestConfigFingerprintPinned(t *testing.T) {
-	cfg := sim.Default()
-	cfg.DataBytes = 64 << 20
-	cfg.MetaCache.SizeBytes = 256 << 10
+	cfg := sim.Evaluation()
 	const sealed = "af95daf385fd0bdc2400319d8089f6caf145ee4f445bcf91cbe69e34a93d8add"
 	if got := ConfigFingerprint(cfg); got != sealed {
 		t.Fatalf("baseline config fingerprint drifted:\n got %s\nwant %s", got, sealed)
@@ -109,9 +107,7 @@ func TestConfigFingerprintAttrDistinct(t *testing.T) {
 // distinct from the write-cause-only and latency-only configs that
 // earlier manifests also carry.
 func TestConfigFingerprintLatencyDistinct(t *testing.T) {
-	cfg := sim.Default()
-	cfg.DataBytes = 64 << 20
-	cfg.MetaCache.SizeBytes = 256 << 10
+	cfg := sim.Evaluation()
 	cfg.Observe = true
 	const sealed = "48aaa453742f7b1aee738ba51957b9b043adcb7a0381f67702e31c034cc009cd"
 	if got := ConfigFingerprint(cfg); got != sealed {

@@ -18,12 +18,7 @@ func TestPaperShapes(t *testing.T) {
 	}
 	r := experiments.NewRunner(
 		experiments.WithOps(5000),
-		experiments.WithConfig(func() sim.Config {
-			cfg := sim.Default()
-			cfg.DataBytes = 64 << 20
-			cfg.MetaCache.SizeBytes = 256 << 10
-			return cfg
-		}))
+		experiments.WithConfig(sim.Evaluation))
 	rep, err := EvaluateCtx(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)

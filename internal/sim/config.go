@@ -103,6 +103,18 @@ func Default() Config {
 	}
 }
 
+// Evaluation returns the machine the evaluation runs on: Default with
+// 64 MiB of protected data and a 256 KiB metadata cache, so the
+// metadata working set still dwarfs the metadata cache. It is the
+// experiments.Runner's default, starbench's and starsim's, and the
+// configuration the committed regression baseline was sealed with.
+func Evaluation() Config {
+	cfg := Default()
+	cfg.DataBytes = 64 << 20
+	cfg.MetaCache.SizeBytes = 256 << 10
+	return cfg
+}
+
 // instruction-charge model: relative IPC is what the paper reports, so
 // the constants only need to be identical across schemes.
 const (

@@ -423,10 +423,7 @@ func TestMachineForkAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sets up a 64 MiB workload")
 	}
-	cfg := Default()
-	cfg.DataBytes = 64 << 20
-	cfg.MetaCache.SizeBytes = 256 << 10
-	m, err := NewMachine(cfg)
+	m, err := NewMachine(Evaluation())
 	if err != nil {
 		t.Fatal(err)
 	}

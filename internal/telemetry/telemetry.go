@@ -3,8 +3,7 @@
 // (telemetry.go) and a sim.Sampler turns into timelines; a structured
 // event trace emitted as Chrome trace-event JSON (trace.go);
 // fixed-bucket histograms with quantile estimates that the latency
-// observatory and the device's wear summary use; and the debug server
-// behind starbench -http, serving expvar and pprof (debug.go).
+// observatory and the device's wear summary use.
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may

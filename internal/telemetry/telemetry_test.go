@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,56 +201,5 @@ func TestTraceWriteFile(t *testing.T) {
 	}
 	if err := tr.WriteFile(filepath.Join(t.TempDir(), "missing", "trace.json")); err == nil {
 		t.Fatal("WriteFile into a missing directory succeeded")
-	}
-}
-
-func TestDebugServer(t *testing.T) {
-	d := NewDebugServer("127.0.0.1:0", map[string]func() any{
-		"sweep": func() any { return map[string]int{"done": 3, "total": 9} },
-	})
-	addr, err := d.Start()
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("vars not JSON: %v\n%s", err, body)
-	}
-	var sweep map[string]int
-	if err := json.Unmarshal(vars["sweep"], &sweep); err != nil || sweep["done"] != 3 {
-		t.Fatalf("sweep var = %s (err %v)", vars["sweep"], err)
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Fatalf("process expvars missing from /debug/vars")
-	}
-
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
-	}
-	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
-		t.Fatalf("GET /debug/pprof/ status = %d, want 200", code)
-	}
-	if code, _ := get("/metrics"); code != http.StatusNotFound {
-		t.Fatalf("GET /metrics status = %d, want 404", code)
-	}
-	code, help := get("/")
-	if want := "nvmstar debug server: /debug/vars, /debug/pprof/\n"; code != http.StatusOK || help != want {
-		t.Fatalf("GET / = %d %q, want 200 %q", code, help, want)
 	}
 }
