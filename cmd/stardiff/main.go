@@ -14,54 +14,61 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nvmstar/internal/regress"
 )
 
-func main() {
-	tolPath := flag.String("tol", "", "tolerance config JSON (default: built-in thresholds)")
-	quiet := flag.Bool("q", false, "suppress the markdown report; exit code only")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: stardiff [-tol file] [-q] old.json new.json\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams, returning
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stardiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tolPath := fs.String("tol", "", "tolerance config JSON (default: built-in thresholds)")
+	quiet := fs.Bool("q", false, "suppress the markdown report; exit code only")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: stardiff [-tol file] [-q] old.json new.json\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "stardiff:", err)
+		return 2
 	}
 
 	tol := regress.DefaultTolerance()
 	if *tolPath != "" {
 		var err error
 		if tol, err = regress.LoadTolerance(*tolPath); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-
-	old, err := regress.ReadDoc(flag.Arg(0))
+	old, err := regress.ReadDoc(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	new, err := regress.ReadDoc(flag.Arg(1))
+	new, err := regress.ReadDoc(fs.Arg(1))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
 	v, err := regress.CompareDocs(old, new, tol)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if !*quiet {
-		fmt.Printf("# stardiff: %s\n\n%s vs %s\n\n%s", v.Kind, flag.Arg(0), flag.Arg(1), v.Markdown())
+		fmt.Fprintf(stdout, "# stardiff: %s\n\n%s vs %s\n\n%s", v.Kind, fs.Arg(0), fs.Arg(1), v.Markdown())
 	}
 	if v.Regressed() {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stardiff:", err)
-	os.Exit(2)
+	return 0
 }

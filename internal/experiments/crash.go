@@ -10,7 +10,11 @@ package experiments
 // clone at every crash point, and crashes only the forks. Each fork
 // then becomes its own schedulable recovery unit, so a family costs
 // O(run + K·recover) instead of O(K·run) — a win that holds even on a
-// single CPU, because it removes work rather than overlapping it.
+// single CPU, because it removes work rather than overlapping it. A
+// family whose variants differ only below the memory controller
+// (Fig. 14b's cache sizes) runs its base as a lock-step group, one
+// back end per configuration, and Machine.ForkMember forks each
+// variant's member out as a solo machine.
 //
 // Dispatch is two-phase through the ordinary LPT dispatcher: phase 1
 // runs one base unit per family (producing the crashed forks), phase 2
@@ -21,9 +25,10 @@ package experiments
 // fixed output slot and records under the same sweep/cell keys the
 // monolithic path used, so rows, manifests and cell digests are
 // bit-identical to running each variant on a fresh machine — the Fork
-// invariant (sim.Machine.Fork) plus the session-stepping equivalence
-// (StepN to N ops ≡ one N-op run) carry the proof obligation, and
-// TestFig14bForkDecompositionMatchesDirect pins it end to end.
+// and group invariants (sim.Machine.Fork, sim.NewGroup) plus the
+// session-stepping equivalence (StepN to N ops ≡ one N-op run) carry
+// the proof obligation, and TestFig14bForkDecompositionMatchesDirect
+// pins it end to end.
 
 import (
 	"context"
@@ -38,18 +43,21 @@ import (
 )
 
 // crashVariant is one recovery experiment riding on a shared base run:
-// the cell identity it records under, the operation count at which its
-// fork is taken and crashed, and the recovery to drive on the fork.
+// the cell identity it records under, the base-run member it forks,
+// the operation count at which its fork is taken and crashed, and the
+// recovery to drive on the fork.
 type crashVariant struct {
 	cell    Cell
+	member  int // index into the family's cfgs
 	point   int // ops executed before the fork is crashed
 	recover func(*sim.Machine) (*secmem.RecoveryReport, error)
 }
 
-// crashFamily is one base run — a fully resolved configuration and
-// workload — with the recovery variants forked from it.
+// crashFamily is one base run — fully resolved configurations (one, or
+// a lock-step group's members) and a workload — with the recovery
+// variants forked from it.
 type crashFamily struct {
-	cfg      sim.Config
+	cfgs     []sim.Config
 	workload string
 	variants []crashVariant
 }
@@ -58,8 +66,9 @@ type crashFamily struct {
 // recovery reports in variant order (families in order, each family's
 // variants in order); a slot is nil if its variant failed or was
 // canceled. Phase 1 steps each family's base machine through the
-// workload in a session, forking and crashing at every variant's point
-// (ascending); the base machine itself is never crashed, so it returns
+// workload in a session, forking its variant's member out as a solo
+// machine and crashing it at every variant's point (ascending); the
+// base machine itself is never crashed, so it returns
 // to the worker's pool like any other machine — Reset on the next
 // checkout rewinds it, and the copy-on-write forks stay valid
 // regardless (TestMachinePoolPoisonedCheckout pins the pool side).
@@ -84,18 +93,24 @@ func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []
 	forks := make([]*sim.Machine, total)
 	baseWall := make([]time.Duration, len(families))
 
-	// Phase 1: one base unit per family. The unit's cell is labeled
-	// "base ..." so the cost model prices full runs separately from the
-	// (much cheaper) recovery units of phase 2.
+	// Phase 1: one base unit per family, with one cell per member
+	// labeled "base ..." (after the member's first variant) so the cost
+	// model prices full runs separately from the (much cheaper)
+	// recovery units of phase 2.
 	baseUnits := make([]workUnit, len(families))
 	for fi, f := range families {
-		label := "base"
-		if l := f.variants[0].cell.Label; l != "" {
-			label = "base " + l
-		}
-		baseUnits[fi] = workUnit{
-			cell: Cell{Workload: f.workload, Scheme: f.cfg.Scheme, Label: label},
-			slot: fi,
+		baseUnits[fi].slot = fi
+		for i, cfg := range f.cfgs {
+			label := "base"
+			for _, v := range f.variants {
+				if v.member == i {
+					if v.cell.Label != "" {
+						label = "base " + v.cell.Label
+					}
+					break
+				}
+			}
+			baseUnits[fi].cells = append(baseUnits[fi].cells, Cell{Workload: f.workload, Scheme: cfg.Scheme, Label: label})
 		}
 	}
 	err := r.dispatch(ctx, baseUnits, func(ctx context.Context, mp *machinePool, u workUnit) error {
@@ -109,7 +124,7 @@ func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []
 			}
 			return err
 		}
-		m, err := mp.machine(f.cfg)
+		m, err := mp.machine(f.cfgs...)
 		if err != nil {
 			return fail(err)
 		}
@@ -137,7 +152,7 @@ func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []
 				}
 				prev = p
 			}
-			fk := m.Fork()
+			fk := m.ForkMember(f.variants[vi].member)
 			fk.Crash()
 			forks[slots[fi][vi]] = fk
 		}
@@ -157,7 +172,7 @@ func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []
 			slot := slots[fi][vi]
 			varFamily[slot] = fi
 			varIdx[slot] = vi
-			varUnits = append(varUnits, workUnit{cell: f.variants[vi].cell, slot: slot})
+			varUnits = append(varUnits, workUnit{cells: []Cell{f.variants[vi].cell}, slot: slot})
 		}
 	}
 	reports := make([]*secmem.RecoveryReport, total)
@@ -244,7 +259,7 @@ func (r *Runner) CrashPoints(ctx context.Context, schemes []string) ([]CrashPoin
 			points := r.crashPointsFor(r.opsFor(scheme))
 			cfg := r.cfg()
 			cfg.Scheme = scheme
-			f := crashFamily{cfg: cfg, workload: name}
+			f := crashFamily{cfgs: []sim.Config{cfg}, workload: name}
 			for _, p := range points {
 				f.variants = append(f.variants, crashVariant{
 					cell:    Cell{Workload: name, Scheme: scheme, Label: fmt.Sprintf("crash@%d", p)},
@@ -274,32 +289,31 @@ func (r *Runner) CrashPoints(ctx context.Context, schemes []string) ([]CrashPoin
 }
 
 // Fig14b sweeps the metadata cache size and measures modeled recovery
-// time for STAR and Anubis after a crash at the end of a hash run.
-// Every (size, scheme) point is its own crash family (the cache size
-// changes the machine configuration, so base runs cannot be shared
-// across sizes), decomposed into a base run plus a forked recovery
-// unit.
+// time for STAR and Anubis after a crash at the end of a hash run. The
+// cache size changes only the memory controller, so each scheme is
+// one crash family: a lock-step group with one back end per size,
+// whose members are forked out and crashed at the end of the run, one
+// recovery unit each.
 func (r *Runner) Fig14b(ctx context.Context, cacheSizes []int) ([]Fig14bRow, error) {
 	if len(cacheSizes) == 0 {
 		cacheSizes = []int{128 << 10, 256 << 10, 512 << 10, 1 << 20}
 	}
-	schemes := []string{"star", "anubis"}
 	var families []crashFamily
-	for _, size := range cacheSizes {
-		for _, scheme := range schemes {
+	for _, scheme := range []string{"star", "anubis"} {
+		f := crashFamily{workload: "hash"}
+		for i, size := range cacheSizes {
 			cfg := r.cfg()
 			cfg.Scheme = scheme
 			cfg.MetaCache = cache.Config{SizeBytes: size, Ways: 8}
-			families = append(families, crashFamily{
-				cfg:      cfg,
-				workload: "hash",
-				variants: []crashVariant{{
-					cell:    Cell{Workload: "hash", Scheme: scheme, Label: fmt.Sprintf("meta-kb=%d", size>>10)},
-					point:   r.opsFor(scheme),
-					recover: (*sim.Machine).Recover,
-				}},
+			f.cfgs = append(f.cfgs, cfg)
+			f.variants = append(f.variants, crashVariant{
+				cell:    Cell{Workload: "hash", Scheme: scheme, Label: fmt.Sprintf("meta-kb=%d", size>>10)},
+				member:  i,
+				point:   r.opsFor(scheme),
+				recover: (*sim.Machine).Recover,
 			})
 		}
+		families = append(families, f)
 	}
 	reports, err := r.runCrashFamilies(ctx, "fig14b", families)
 	if err != nil {
@@ -307,11 +321,13 @@ func (r *Runner) Fig14b(ctx context.Context, cacheSizes []int) ([]Fig14bRow, err
 	}
 	var rows []Fig14bRow
 	for si, size := range cacheSizes {
-		row := Fig14bRow{MetaCacheBytes: size}
-		row.StarSeconds = reports[si*2].TimeSeconds()
-		row.StaleNodes = reports[si*2].StaleNodes
-		row.AnubisSeconds = reports[si*2+1].TimeSeconds()
-		rows = append(rows, row)
+		star, anubis := reports[si], reports[len(cacheSizes)+si]
+		rows = append(rows, Fig14bRow{
+			MetaCacheBytes: size,
+			StarSeconds:    star.TimeSeconds(),
+			StaleNodes:     star.StaleNodes,
+			AnubisSeconds:  anubis.TimeSeconds(),
+		})
 	}
 	return rows, nil
 }
@@ -338,7 +354,7 @@ func (r *Runner) AblationIndex(ctx context.Context) ([]AblationIndexRow, error) 
 		cfg.Scheme = "star"
 		point := r.opsFor("star")
 		families = append(families, crashFamily{
-			cfg:      cfg,
+			cfgs:     []sim.Config{cfg},
 			workload: name,
 			variants: []crashVariant{
 				{cell: Cell{Workload: name, Scheme: "star", Label: "indexed"}, point: point, recover: recoverVia(false)},

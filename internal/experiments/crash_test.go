@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nvmstar/internal/bitmap"
 	"nvmstar/internal/cache"
 	"nvmstar/internal/provenance"
 	"nvmstar/internal/sim"
@@ -135,6 +136,60 @@ func TestFig14bForkDecompositionMatchesDirect(t *testing.T) {
 				t.Errorf("%s meta=%d: forked cell digest %q != direct digest %q", scheme, size, got, want)
 			}
 		}
+	}
+}
+
+// TestTable2LockStepMatchesDirect pins Table II's lock-step units at
+// the manifest layer: the rows and every recorded cell digest must
+// equal those of one sim.RunScenario per (workload, ADR point).
+func TestTable2LockStepMatchesDirect(t *testing.T) {
+	points := []int{2, 4, 16, 32}
+	collector := provenance.NewCollector()
+	r := fastRunner(2, WithCollector(collector))
+	rows, err := r.Table2(context.Background(), points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Snapshot(); s.MachinesBuilt+s.MachinesReused != int64(len(r.workloadList())) {
+		t.Errorf("Table II used %d machine checkouts, want one lock-step group per workload", s.MachinesBuilt+s.MachinesReused)
+	}
+	digests := map[string]string{}
+	for _, rec := range collector.Cells() {
+		digests[rec.Key()] = rec.Digest
+	}
+	var want []Table2Row
+	for _, lines := range points {
+		row := Table2Row{ADRLines: lines, PerWorkload: map[string]float64{}}
+		var sum float64
+		for _, name := range r.workloadList() {
+			cfg := r.cfg()
+			cfg.Scheme = "star"
+			if cfg.Bitmap, err = bitmap.SplitADR(lines); err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := sim.RunScenario(cfg, name, r.opsFor("star"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.PerWorkload[name] = res.Bitmap.HitRatio()
+			sum += res.Bitmap.HitRatio()
+			d, err := provenance.Digest(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := provenance.CellRecord{Sweep: "table2", Workload: name,
+				Scheme: "star", Label: fmt.Sprintf("adr=%d", lines)}.Key()
+			if got, ok := digests[key]; !ok {
+				t.Errorf("no recorded cell for %s", key)
+			} else if got != d {
+				t.Errorf("%s: lock-step cell digest %.16s != direct digest %.16s", key, got, d)
+			}
+		}
+		row.HitRatio = sum / float64(len(r.workloadList()))
+		want = append(want, row)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("Table II rows differ from direct runs:\nlock-step %+v\ndirect    %+v", rows, want)
 	}
 }
 

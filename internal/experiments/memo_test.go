@@ -47,9 +47,11 @@ func freshDigest(t *testing.T, r *Runner, rec provenance.CellRecord) string {
 // TestRunMemoFigureSequence runs the figure sweeps that repeat each
 // other's runs on one runner. Fig. 10 runs wb and star; the scheme
 // comparison repeats both (4 hits over two workloads), Table II's
-// adr=16 point is the default star run (2 hits) and Fig. 14a is star
-// again (2 hits). Every recorded cell, hit or not, must carry the
-// digest of a fresh machine running exactly that cell.
+// adr=16 point is the default star run (2 hits, each a unit of its
+// own, beside one lock-step unit of the other four points per
+// workload) and Fig. 14a is star again (2 hits). Every recorded cell,
+// hit or not, must carry the digest of a fresh machine running exactly
+// that cell.
 func TestRunMemoFigureSequence(t *testing.T) {
 	ctx := context.Background()
 	coll := provenance.NewCollector()
@@ -67,16 +69,21 @@ func TestRunMemoFigureSequence(t *testing.T) {
 	if _, err := r.Fig14a(ctx); err != nil {
 		t.Fatal(err)
 	}
-	const units = 4 + 8 + 10 + 2
+	const cells = 4 + 8 + 10 + 2
+	const units = 4 + 8 + 4 + 2
 	s := r.Snapshot()
 	if s.RunsShared != 8 {
 		t.Fatalf("RunsShared = %d, want 8", s.RunsShared)
 	}
-	if s.MachinesBuilt+s.MachinesReused+s.RunsShared != units || s.CellsDone != units {
+	var ran int64
+	for _, w := range s.Workers {
+		ran += w.Units
+	}
+	if s.MachinesBuilt+s.MachinesReused+s.RunsShared != units || ran != units || s.CellsDone != cells {
 		t.Fatalf("stats do not cover every unit: %+v", s)
 	}
-	if reported != units || coll.Len() != units {
-		t.Fatalf("progress reported %d units and the collector recorded %d, want %d each", reported, coll.Len(), units)
+	if reported != cells || coll.Len() != cells {
+		t.Fatalf("progress reported %d cells and the collector recorded %d, want %d each", reported, coll.Len(), cells)
 	}
 	for _, rec := range coll.Cells() {
 		if rec.Err != "" {

@@ -21,17 +21,22 @@ import (
 // simulator run (a workUnit — for seed-averaged sweeps that is one
 // cell × seed, not the whole cell), dispatched longest-expected-first
 // so a heavy strict-scheme cell cannot strand the sweep's tail on one
-// worker. Every worker keeps a private pool of machines (one per
-// distinct configuration, Reset between units), preserving the
+// worker. A run may drive a lock-step group (sim.NewGroup): one
+// simulated CPU side feeding several back ends that differ only below
+// the CPU caches, so Table II's ADR points of one workload are one
+// unit, and Fig. 14b's cache sizes of one scheme one crash-family base
+// unit. Every worker keeps a private pool of machines (one per
+// distinct configuration list, Reset between units), preserving the
 // simulator's single-goroutine invariant per run, and every result
 // lands in a slot fixed by its unit index with seed merges folding
 // slots in ascending seed order — output is bit-identical to a
-// sequential fresh-machine sweep regardless of pool width or dispatch
-// order, because Machine.Reset(seed) is equivalent to building a new
-// machine with that seed. A run the runner has already computed — same
-// seeded configuration, workload and operation count — is not
-// simulated again: the run memo hands later units a copy of the first
-// unit's Results.
+// sequential fresh-machine sweep regardless of pool width, dispatch
+// order or grouping, because Machine.Reset(seed) is equivalent to
+// building a new machine with that seed and back end i of a group is
+// equivalent to a solo machine of its configuration. A run the runner
+// has already computed — same seeded configuration, workload and
+// operation count — is not simulated again: the run memo hands later
+// units a copy of the first unit's Results, member by member.
 type Runner struct {
 	ops       int
 	seeds     int
@@ -198,6 +203,15 @@ type Cell struct {
 	Label string
 }
 
+// name is the cell's progress and trace label.
+func (c Cell) name() string {
+	name := c.Workload + "/" + c.Scheme
+	if c.Label != "" {
+		name += " " + c.Label
+	}
+	return name
+}
+
 // CellResult is one completed cell: its identity, the measured
 // results (nil if the cell failed or never ran) and the error if any.
 type CellResult struct {
@@ -207,17 +221,19 @@ type CellResult struct {
 	Wall    time.Duration // wall-clock time this cell took
 }
 
-// Progress reports one completed unit of a sweep.
+// Progress reports one completed cell of a sweep. A unit that runs a
+// lock-step group completes all of its cells at once: each gets its
+// own event, with an even share of the unit's wall time.
 type Progress struct {
-	Done  int  // units completed so far, including this one
-	Total int  // units in the sweep
-	Cell  Cell // the unit that just completed
+	Done  int  // cells completed so far, including this one
+	Total int  // cells in the sweep
+	Cell  Cell // the cell that just completed
 	Err   error
 
-	CellWall    time.Duration // wall time of this unit
-	Elapsed     time.Duration // wall time from sweep start to this unit's completion
+	CellWall    time.Duration // wall time of this cell
+	Elapsed     time.Duration // wall time from sweep start to this cell's completion
 	ETA         time.Duration // estimated time to sweep completion (0 when done)
-	CellsPerSec float64       // completed units per wall-clock second so far
+	CellsPerSec float64       // completed cells per wall-clock second so far
 }
 
 // WorkerStat is one pool lane's cumulative busy/idle accounting.
@@ -232,9 +248,9 @@ type WorkerStat struct {
 // cumulative across its sweeps. Safe to call from any goroutine while
 // a sweep runs.
 type Stats struct {
-	CellsDone      int64        // units completed (all sweeps on this runner)
-	CellsTotal     int64        // units enqueued
-	MachinesBuilt  int64        // simulator machines constructed from scratch
+	CellsDone      int64        // cells completed (all sweeps on this runner)
+	CellsTotal     int64        // cells enqueued
+	MachinesBuilt  int64        // simulator machines (solo or lock-step groups) constructed from scratch
 	MachinesReused int64        // units served by Reset-ing a pooled machine
 	RunsShared     int64        // units served by the run memo, with no machine at all
 	Workers        []WorkerStat // per-lane busy/idle accounting (empty before any sweep)
@@ -388,11 +404,12 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 
 // --- pool ----------------------------------------------------------------
 
-// machinePool caches one sim.Machine per distinct configuration for a
-// single pool worker. Rebuilding a machine per cell dominated sweep
-// cost (the NVM paged store, caches and engine are re-allocated from
-// scratch, hammering the allocator shared by every worker); recycling
-// via Machine.Reset makes the steady-state sweep allocation-light.
+// machinePool caches one sim.Machine per distinct configuration list
+// (one config, or a lock-step group's) for a single pool worker.
+// Rebuilding a machine per cell dominated sweep cost (the NVM paged
+// store, caches and engine are re-allocated from scratch, hammering
+// the allocator shared by every worker); recycling via Machine.Reset
+// makes the steady-state sweep allocation-light.
 // Each worker goroutine owns exactly one pool, so machines never cross
 // goroutines and the simulator's single-goroutine invariant holds.
 type machinePool struct {
@@ -412,11 +429,13 @@ func bump(c *atomic.Int64) {
 	}
 }
 
-// machine returns a machine for cfg, reusing (and Resetting) a cached
-// one when the configuration — everything except the seed, which Reset
-// re-derives — has been seen before. A caller-supplied crypto suite
-// may be stateful and is not fingerprintable, so that rare case falls
-// back to a fresh machine per cell.
+// machine returns a machine for cfgs — a solo machine for one config,
+// a lock-step group for several — reusing (and Resetting) a cached one
+// when the configuration list — everything except the seed, which
+// Reset re-derives and which group members share — has been seen
+// before. A caller-supplied crypto suite may be stateful and is not
+// fingerprintable, so that rare case falls back to a fresh machine per
+// cell.
 //
 // Reset runs on EVERY reuse checkout, unconditionally — that is the
 // pool's whole safety argument, so do not "optimize" it away. A unit
@@ -425,21 +444,23 @@ func bump(c *atomic.Int64) {
 // exactly that dirty state; the next checkout's Reset rewinds all of
 // it (the Reset invariant covers crashed and forked machines alike).
 // TestMachinePoolPoisonedCheckout pins this.
-func (p *machinePool) machine(cfg sim.Config) (*sim.Machine, error) {
-	if cfg.Suite != nil {
+func (p *machinePool) machine(cfgs ...sim.Config) (*sim.Machine, error) {
+	if cfgs[0].Suite != nil {
 		bump(p.built)
-		return sim.NewMachine(cfg)
+		return sim.NewGroup(cfgs...)
 	}
-	seed := cfg.Seed
-	cfg.Seed = 0
-	key := fmt.Sprintf("%+v", cfg)
+	seed := cfgs[0].Seed
+	var key string
+	for _, cfg := range cfgs {
+		cfg.Seed = 0
+		key += fmt.Sprintf("%+v\n", cfg)
+	}
 	if m, ok := p.machines[key]; ok {
 		m.Reset(seed)
 		bump(p.reused)
 		return m, nil
 	}
-	cfg.Seed = seed
-	m, err := sim.NewMachine(cfg)
+	m, err := sim.NewGroup(cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -451,14 +472,14 @@ func (p *machinePool) machine(cfg sim.Config) (*sim.Machine, error) {
 	return m, nil
 }
 
-// completion is one finished unit on its way to the reporter.
+// completion is one finished cell on its way to the reporter.
 type completion struct {
-	unit   workUnit
+	cell   Cell
 	err    error
 	done   int           // completion number, 1-based
-	worker int           // pool lane that ran the unit
-	start  time.Duration // offset of the unit's start from the sweep's start
-	wall   time.Duration
+	worker int           // pool lane that ran the cell's unit
+	start  time.Duration // offset of the cell's share of its unit from the sweep's start
+	wall   time.Duration // the cell's share of its unit's wall time
 }
 
 // dispatch runs job over every unit on at most r.parallel workers,
@@ -466,10 +487,12 @@ type completion struct {
 // longest-expected-first via the runner's cost model; each job owns
 // its unit's output slot, which keeps assembled output deterministic
 // regardless of dispatch order. Progress callbacks and trace events
-// are emitted by a dedicated reporter goroutine in completion-number
-// order, so workers never serialize on user callbacks. The first
-// non-nil job error cancels the remaining units and is returned;
-// otherwise the (possibly canceled) context's error is.
+// are emitted per cell by a dedicated reporter goroutine in
+// completion-number order, so workers never serialize on user
+// callbacks; a unit's cells complete together, each with an even share
+// of the unit's wall time. The first non-nil job error cancels the
+// remaining units and is returned; otherwise the (possibly canceled)
+// context's error is.
 func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx context.Context, mp *machinePool, u workUnit) error) error {
 	if parent == nil {
 		parent = context.Background()
@@ -486,14 +509,17 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 	}
 
 	start := time.Now()
-	r.cellsTotal.Add(int64(len(units)))
-
+	cells := 0
 	keys := make([]string, len(units))
 	static := make([]float64, len(units))
 	for i, u := range units {
-		keys[i] = costKey(u.cell)
-		static[i] = r.staticCost(u.cell)
+		cells += len(u.cells)
+		keys[i] = u.costKey()
+		for _, c := range u.cells {
+			static[i] += r.staticCost(c)
+		}
 	}
+	r.cellsTotal.Add(int64(cells))
 	d := newDispatcher(len(units), func(i int) float64 {
 		return r.costs.estimate(keys[i], static[i])
 	})
@@ -515,7 +541,7 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 	// possible completion, and the reporter reorders out-of-order
 	// arrivals by completion number so Done is contiguous.
 	var doneCount atomic.Int64
-	events := make(chan completion, len(units))
+	events := make(chan completion, cells)
 	var reporter sync.WaitGroup
 	reporter.Add(1)
 	go func() {
@@ -530,7 +556,7 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 					break
 				}
 				delete(pending, next)
-				r.report(e, len(units))
+				r.report(e, cells)
 				next++
 			}
 		}
@@ -563,13 +589,18 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 				} else {
 					r.costs.observe(keys[i], static[i], wall)
 				}
-				r.cellsDone.Add(1)
+				n := len(units[i].cells)
+				r.cellsDone.Add(int64(n))
 				if err != nil {
 					fail(err)
 				}
-				events <- completion{
-					unit: units[i], err: err, done: int(doneCount.Add(1)),
-					worker: worker, start: unitStart.Sub(start), wall: wall,
+				share := wall / time.Duration(n)
+				first := int(doneCount.Add(int64(n))) - n + 1
+				for k, c := range units[i].cells {
+					events <- completion{
+						cell: c, err: err, done: first + k, worker: worker,
+						start: unitStart.Sub(start) + time.Duration(k)*share, wall: share,
+					}
 				}
 			}
 			r.workerIdleNs[worker].Add(time.Since(idleSince).Nanoseconds())
@@ -591,17 +622,12 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 // Runs only on the reporter goroutine, in completion-number order.
 func (r *Runner) report(ev completion, total int) {
 	if r.trace != nil {
-		c := ev.unit.cell
-		name := c.Workload + "/" + c.Scheme
-		if c.Label != "" {
-			name += " " + c.Label
-		}
-		r.trace.CompleteAt(name, "sweep",
+		r.trace.CompleteAt(ev.cell.name(), "sweep",
 			float64(ev.start.Nanoseconds()), float64(ev.wall.Nanoseconds()), ev.worker)
 	}
 	if r.progress != nil {
 		p := Progress{
-			Done: ev.done, Total: total, Cell: ev.unit.cell, Err: ev.err,
+			Done: ev.done, Total: total, Cell: ev.cell, Err: ev.err,
 			CellWall: ev.wall, Elapsed: ev.start + ev.wall,
 		}
 		if ev.done < total {
@@ -622,7 +648,7 @@ func (r *Runner) report(ev completion, total int) {
 func (r *Runner) forEach(parent context.Context, cells []Cell, job func(ctx context.Context, mp *machinePool, i int) error) error {
 	units := make([]workUnit, len(cells))
 	for i, c := range cells {
-		units[i] = workUnit{cell: c, slot: i}
+		units[i] = workUnit{cells: []Cell{c}, slot: i}
 	}
 	return r.dispatch(parent, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
 		return job(ctx, mp, u.slot)
@@ -686,52 +712,113 @@ type memoRun struct {
 }
 
 // run returns the Results of running workload for ops operations on a
-// machine configured by cfg. The first unit with a key simulates it on
-// a pooled machine; a unit arriving while that run is in flight waits
-// for it (or for ctx); later units get a copy of the stored Results.
-// Every caller gets Results it owns — seed merges mutate them in place
-// — so the stored value is never handed out. A caller-supplied crypto
-// suite is not fingerprintable, so such configs bypass the memo as
-// they bypass the machine pool.
+// solo machine configured by cfg, through the run memo (runGroup).
 func (r *Runner) run(ctx context.Context, mp *machinePool, cfg sim.Config, workload string, ops int) (*sim.Results, error) {
-	if cfg.Suite != nil {
-		return simulate(ctx, mp, cfg, workload, ops)
+	rs, err := r.runGroup(ctx, mp, []sim.Config{cfg}, workload, ops)
+	if err != nil {
+		return nil, err
 	}
-	key := memoKey(cfg, workload, ops)
+	return rs[0], nil
+}
+
+// runGroup returns, for each of cfgs, the Results of running workload
+// for ops operations on a machine configured by it. Each member is a
+// memo entry of its own: the members no unit has claimed yet are
+// claimed and simulated together on one pooled machine — a lock-step
+// group when there are several — and the rest are waited for (or for
+// ctx) and copied out. A member whose claiming run failed is claimed
+// again. Every caller gets Results it owns — seed merges mutate them
+// in place — so a stored value is never handed out. A caller-supplied
+// crypto suite is not fingerprintable, so such configs bypass the memo
+// as they bypass the machine pool.
+func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, error) {
+	if cfgs[0].Suite != nil {
+		return simulate(ctx, mp, cfgs, workload, ops)
+	}
+	out := make([]*sim.Results, len(cfgs))
+	entries := make([]*memoRun, len(cfgs))
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = memoKey(cfg, workload, ops)
+	}
+	simulated := false
 	for {
+		var mine []int
 		r.memo.mu.Lock()
-		e, found := r.memo.runs[key]
-		if !found {
-			e = &memoRun{done: make(chan struct{})}
-			if r.memo.runs == nil {
-				r.memo.runs = make(map[string]*memoRun)
+		for i, key := range keys {
+			if out[i] != nil {
+				continue
 			}
-			r.memo.runs[key] = e
+			e, found := r.memo.runs[key]
+			if !found {
+				e = &memoRun{done: make(chan struct{})}
+				if r.memo.runs == nil {
+					r.memo.runs = make(map[string]*memoRun)
+				}
+				r.memo.runs[key] = e
+				mine = append(mine, i)
+			}
+			entries[i] = e
 		}
 		r.memo.mu.Unlock()
-		if !found {
-			res, err := simulate(ctx, mp, cfg, workload, ops)
+		if len(mine) > 0 {
+			simulated = true
+			sub := make([]sim.Config, len(mine))
+			for k, i := range mine {
+				sub[k] = cfgs[i]
+			}
+			rs, err := simulate(ctx, mp, sub, workload, ops)
 			r.memo.mu.Lock()
-			if err != nil {
-				delete(r.memo.runs, key)
-			} else {
-				e.res = res.Clone()
+			for k, i := range mine {
+				if err != nil {
+					delete(r.memo.runs, keys[i])
+				} else {
+					entries[i].res = rs[k].Clone()
+					out[i] = rs[k]
+				}
 			}
 			r.memo.mu.Unlock()
-			close(e.done)
-			return res, err
+			for _, i := range mine {
+				close(entries[i].done)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		retry := false
+		for i, e := range entries {
+			if out[i] != nil {
+				continue
+			}
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if e.res == nil {
+				// The claiming run failed; claim it again under this
+				// unit's own context.
+				retry = true
+				continue
+			}
+			out[i] = e.res.Clone()
 		}
-		if e.res != nil {
-			mp.shared = true
-			return e.res.Clone(), nil
+		if !retry {
+			break
 		}
-		// The run failed; run it again under this unit's own context.
 	}
+	if !simulated {
+		mp.shared = true
+	}
+	return out, nil
+}
+
+// completed reports whether the memo holds a completed run of key.
+func (m *runMemo) completed(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.runs[key]
+	return ok && e.res != nil
 }
 
 // memoKey identifies a run: the full seeded configuration, printed as
@@ -740,13 +827,14 @@ func memoKey(cfg sim.Config, workload string, ops int) string {
 	return fmt.Sprintf("%+v %s %d", cfg, workload, ops)
 }
 
-// simulate runs workload for ops operations on a pooled machine.
-func simulate(ctx context.Context, mp *machinePool, cfg sim.Config, workload string, ops int) (*sim.Results, error) {
-	m, err := mp.machine(cfg)
+// simulate runs workload for ops operations on a pooled machine for
+// cfgs and returns each member's Results.
+func simulate(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, error) {
+	m, err := mp.machine(cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	return m.RunCtx(ctx, workload, ops)
+	return m.RunEach(ctx, workload, ops)
 }
 
 // runCellsAveraged executes seed-averaged cells at seed-unit grain:
@@ -768,7 +856,7 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 		for s := 0; s < r.seeds; s++ {
 			u := c
 			u.Seed = s
-			units = append(units, workUnit{cell: u, slot: ci*r.seeds + s})
+			units = append(units, workUnit{cells: []Cell{u}, slot: ci*r.seeds + s})
 		}
 	}
 	perSeed := make([]*sim.Results, len(units))
@@ -776,7 +864,7 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 	errs := make([]error, len(units))
 	dispatchErr := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
 		start := time.Now()
-		res, err := r.runSeed(ctx, mp, u.cell)
+		res, err := r.runSeed(ctx, mp, u.cells[0])
 		perSeed[u.slot] = res
 		walls[u.slot] = time.Since(start)
 		errs[u.slot] = err
@@ -901,39 +989,76 @@ func (r *Runner) SchemeComparison(ctx context.Context, schemes []string) ([]Sche
 }
 
 // Table2 sweeps the number of bitmap lines held in ADR and reports the
-// average hit ratio, as in Table II; every (lines, workload) point is
-// one pool cell.
+// average hit ratio, as in Table II. The ADR points change only STAR's
+// back end, so the points of one workload are one unit: a lock-step
+// group of star back ends, one per point, under one simulated CPU side.
+// A point already in the run memo (the default split, which Fig. 10
+// ran) is its own unit, served from the memo.
 func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, error) {
 	if len(lineCounts) == 0 {
 		lineCounts = []int{2, 4, 8, 16, 32}
 	}
 	workloads := r.workloadList()
-	splits := make([]bitmap.Config, len(lineCounts))
-	var cells []Cell
-	for i, lines := range lineCounts {
+	ops := r.opsFor("star")
+	cells := make([]Cell, len(lineCounts)*len(workloads))
+	cfgs := make([]sim.Config, len(cells))
+	for pi, lines := range lineCounts {
 		split, err := bitmap.SplitADR(lines)
 		if err != nil {
 			return nil, err
 		}
-		splits[i] = split
-		for _, name := range workloads {
-			cells = append(cells, Cell{Workload: name, Scheme: "star", Label: fmt.Sprintf("adr=%d", lines)})
+		for wi, name := range workloads {
+			i := pi*len(workloads) + wi
+			cells[i] = Cell{Workload: name, Scheme: "star", Label: fmt.Sprintf("adr=%d", lines)}
+			cfgs[i] = r.cfg()
+			cfgs[i].Scheme = "star"
+			cfgs[i].Bitmap = split
+		}
+	}
+	// members[u] lists the cell indices of unit u.
+	var members [][]int
+	var units []workUnit
+	addUnit := func(idx []int) {
+		u := workUnit{slot: len(members)}
+		for _, i := range idx {
+			u.cells = append(u.cells, cells[i])
+		}
+		members = append(members, idx)
+		units = append(units, u)
+	}
+	for wi, name := range workloads {
+		var group []int
+		for pi := range lineCounts {
+			i := pi*len(workloads) + wi
+			if cfgs[i].Suite == nil && r.memo.completed(memoKey(cfgs[i], name, ops)) {
+				addUnit([]int{i})
+			} else {
+				group = append(group, i)
+			}
+		}
+		if len(group) > 0 {
+			addUnit(group)
 		}
 	}
 	ratios := make([]float64, len(cells))
-	err := r.forEach(ctx, cells, func(ctx context.Context, mp *machinePool, i int) error {
+	err := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
 		start := time.Now()
-		cfg := r.cfg()
-		cfg.Scheme = "star"
-		cfg.Bitmap = splits[i/len(workloads)]
-		res, err := r.run(ctx, mp, cfg, cells[i].Workload, r.opsFor("star"))
-		if err != nil {
-			r.record("table2", cells[i], time.Since(start), nil, err)
-			return err
+		idx := members[u.slot]
+		group := make([]sim.Config, len(idx))
+		for k, i := range idx {
+			group[k] = cfgs[i]
 		}
-		r.record("table2", cells[i], time.Since(start), res, nil)
-		ratios[i] = res.Bitmap.HitRatio()
-		return nil
+		rs, err := r.runGroup(ctx, mp, group, cells[idx[0]].Workload, ops)
+		wall := time.Since(start) / time.Duration(len(idx))
+		for k, i := range idx {
+			if err != nil {
+				r.record("table2", cells[i], wall, nil, err)
+				continue
+			}
+			r.record("table2", cells[i], wall, rs[k], nil)
+			ratios[i] = rs[k].Bitmap.HitRatio()
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -25,14 +25,24 @@ import (
 // values are bit-identical to the sequential path at any pool width
 // and any dispatch order.
 
-// workUnit is one schedulable simulator run.
+// workUnit is one schedulable simulator run: of one cell, or of a
+// lock-step group's cells.
 type workUnit struct {
-	cell Cell // identity: workload/scheme/seed and optional label
-	slot int  // caller-owned output slot
+	cells []Cell // identity: workload/scheme/seed and optional label
+	slot  int    // caller-owned output slot
 }
 
 // costKey groups units expected to cost alike.
-func costKey(c Cell) string { return c.Workload + "|" + c.Scheme + "|" + c.Label }
+func (u workUnit) costKey() string {
+	var k string
+	for i, c := range u.cells {
+		if i > 0 {
+			k += ","
+		}
+		k += c.Workload + "|" + c.Scheme + "|" + c.Label
+	}
+	return k
+}
 
 // schemeWeight is the static relative per-op cost of each scheme,
 // used before any unit of a key has been observed. The values only

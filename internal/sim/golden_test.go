@@ -2,13 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"nvmstar/internal/bitmap"
 	"nvmstar/internal/cache"
 )
 
@@ -40,6 +43,27 @@ func goldenConfig(scheme string) Config {
 	return cfg
 }
 
+// goldenSchemes are the golden matrix's schemes, in row order.
+var goldenSchemes = []string{"wb", "strict", "anubis", "phoenix", "star"}
+
+// lockStepConfigs are the members of the golden lock-step group: every
+// golden scheme, then star on a non-default ADR split and star on a
+// smaller metadata cache.
+func lockStepConfigs(t *testing.T) []Config {
+	var cfgs []Config
+	for _, scheme := range goldenSchemes {
+		cfgs = append(cfgs, goldenConfig(scheme))
+	}
+	adr := goldenConfig("star")
+	var err error
+	if adr.Bitmap, err = bitmap.SplitADR(4); err != nil {
+		t.Fatal(err)
+	}
+	small := goldenConfig("star")
+	small.MetaCache.SizeBytes = 32 << 10
+	return append(cfgs, adr, small)
+}
+
 // TestGoldenResults locks every figure/table quantity to the values the
 // pre-optimization implementation produced: the paged NVM store, the
 // incremental set-MAC maintenance, the cache fast paths and machine
@@ -51,15 +75,43 @@ func goldenConfig(scheme string) Config {
 // match the fresh machine exactly — Results and the post-crash
 // non-volatile snapshot — pinning the Reset invariant the experiment
 // runner's machine pool depends on.
+//
+// Each workload also runs once on a lock-step group of every golden
+// scheme plus two star members on other ADR and metadata-cache sizes,
+// pinning the group invariant: every member's Results equal its solo
+// machine's (for the golden schemes, the golden row), and every member
+// forked out and crashed saves the same non-volatile bytes as its
+// crashed solo machine.
 func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix runs ten full cells")
 	}
 	const ops = 1200
-	var cells []goldenCell
+	var cells, groupCells []goldenCell
 	reused := make(map[string]*Machine)
+	groupCfgs := lockStepConfigs(t)
 	for _, workload := range []string{"hash", "queue"} {
-		for _, scheme := range []string{"wb", "strict", "anubis", "phoenix", "star"} {
+		group, err := NewGroup(groupCfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupRes, err := group.RunEach(context.Background(), workload, ops)
+		if err != nil {
+			t.Fatalf("%s: group: %v", workload, err)
+		}
+		checkMember := func(i int, res *Results, solo *Machine) {
+			t.Helper()
+			label := fmt.Sprintf("%s/member %d (%s)", workload, i, memberName(groupCfgs[i]))
+			if !reflect.DeepEqual(groupRes[i], res) {
+				t.Errorf("%s: group results diverged from the solo machine's:\nsolo  %+v\ngroup %+v", label, res, groupRes[i])
+			}
+			fk := group.ForkMember(i)
+			fk.Crash()
+			if !bytes.Equal(snapshotOf(t, fk, label), snapshotOf(t, solo, label+" solo")) {
+				t.Errorf("%s: forked-out member's post-crash snapshot differs from the solo machine's", label)
+			}
+		}
+		for si, scheme := range goldenSchemes {
 			cfg := goldenConfig(scheme)
 			m, err := NewMachine(cfg)
 			if err != nil {
@@ -104,6 +156,20 @@ func TestGoldenResults(t *testing.T) {
 				t.Errorf("%s/%s: post-crash snapshot differs between fresh and reused machines (%d vs %d bytes)",
 					workload, scheme, fresh.Len(), recyc.Len())
 			}
+			groupCells = append(groupCells, goldenCell{Workload: workload, Scheme: scheme, Results: groupRes[si]})
+			checkMember(si, res, m)
+		}
+		for i := len(goldenSchemes); i < len(groupCfgs); i++ {
+			solo, err := NewMachine(groupCfgs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := solo.Run(workload, ops)
+			if err != nil {
+				t.Fatalf("%s: member %d solo: %v", workload, i, err)
+			}
+			solo.Crash()
+			checkMember(i, res, solo)
 		}
 	}
 
@@ -127,6 +193,11 @@ func TestGoldenResults(t *testing.T) {
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
+	}
+	if groupGot, err := json.MarshalIndent(groupCells, "", "  "); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(append(groupGot, '\n'), want) {
+		t.Errorf("lock-step group's golden-scheme rows differ from the golden file")
 	}
 	if bytes.Equal(got, want) {
 		return

@@ -409,15 +409,15 @@ func (l *LatencyBreakdown) DivideBy(n int) {
 	}
 }
 
-// LatencySnapshot returns the cumulative latency breakdown since
+// LatencySnapshot returns member 0's cumulative latency breakdown since
 // machine construction (or Reset) — everything the recorder has seen,
 // setup phases and post-measure recoveries included. Nil when
 // Config.Observe is off. Results.Latency is the measured-phase delta;
 // this is the whole-life view CLI tools print after a crash/recover
 // sequence.
 func (m *Machine) LatencySnapshot() *LatencyBreakdown {
-	if m.observed == nil {
+	if m.be[0].observed == nil {
 		return nil
 	}
-	return m.observed.lat.breakdown(nil)
+	return m.be[0].observed.lat.breakdown(nil)
 }

@@ -3,27 +3,48 @@ package sim
 import (
 	"context"
 	"fmt"
+	"reflect"
 
-	"nvmstar/internal/bitmap"
 	"nvmstar/internal/cache"
 	"nvmstar/internal/memline"
-	"nvmstar/internal/nvm"
 	"nvmstar/internal/paged"
-	"nvmstar/internal/schemes/anubis"
-	"nvmstar/internal/schemes/phoenix"
-	"nvmstar/internal/schemes/star"
-	"nvmstar/internal/schemes/strict"
-	"nvmstar/internal/schemes/wb"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/simcrypto"
 	"nvmstar/internal/telemetry"
 )
 
-// Machine is the simulated system. It is single-goroutine by design —
-// cores interleave deterministically, so every run is reproducible.
+// Machine is the simulated system: one front end — the CPU side — that
+// drives one or more back ends. The front end holds the cores' caches
+// (L1/L2 per core, the shared L3), the owner directory, the retired
+// instruction counts, the current core and the context. Each back end
+// (backend.go) is a memory controller with its engine, scheme and NVM
+// device, its own core clocks and device timing state, its observation
+// stream and its first error. NewMachine builds the group of one;
+// NewGroup builds a group whose members differ only below the memory
+// controller. A machine is single-goroutine by design — cores
+// interleave deterministically, so every run is reproducible.
+//
+// A scheme changes nothing above the engine: the cache contents, the
+// owner table, instruction counts and the order of engine calls are
+// the same under every member, and none of them reads a clock. So the
+// front end runs the CPU side once, charges every CPU-side latency to
+// every back end's clock in the same order, and makes every engine
+// call on every back end. The group invariant (see DESIGN.md):
+//
+//	back end i of NewGroup(cfgs...)  ≡  NewMachine(cfgs[i])
+//
+// for every observable output — Results, statistics, post-crash
+// snapshots. Every ReadLine must return the same line (or the same
+// error) on every back end; the first that does not fails the run with
+// a divergence error naming the members, the step and the address.
+//
+// Methods that report one member — Config, Engine, Telemetry, Attach,
+// LatencySnapshot, Measure, Run — report member 0; MeasureEach and
+// RunEach report every member, and ForkMember forks one out as a solo
+// machine.
 type Machine struct {
-	cfg    Config
-	engine *secmem.Engine
+	cfg Config // member 0's configuration; the front end reads only shared fields
+	be  []*backEnd
 	// autoSuite records that the caller left cfg.Suite nil, so Reset
 	// re-derives the per-seed suite the same way NewMachine did.
 	autoSuite bool
@@ -38,19 +59,11 @@ type Machine struct {
 	// paged table so the per-access directory lookup allocates nothing.
 	owner *paged.Table[int32]
 
-	coreNow []float64 // per-core clock, ns
-	instr   []uint64  // per-core retired instructions
+	instr   []uint64 // per-core retired instructions
 	curCore int
-
-	// timing is cfg.Timing with the zero value resolved to the
-	// default once, here rather than on every device access; cfg keeps
-	// the caller's value because it feeds config fingerprints.
-	timing nvm.Timing
-
-	bankFree  []float64 // per-bank busy-until for reads, ns
-	wqDone    []float64 // completion times of outstanding writes (ring)
-	wqIdx     int
-	wqLastOut float64 // completion time of the most recent write
+	// step is the workload session's position, for divergence errors:
+	// the step index while stepping, stepSetup or stepVerify otherwise.
+	step int
 
 	// ctx cancels long simulations: Load/Store poll ctxDone every
 	// ctxPollMask+1 memory operations and record ctx.Err() as the
@@ -60,16 +73,11 @@ type Machine struct {
 	ctxDone <-chan struct{}
 	ctxPoll uint
 
-	// tel is the metrics registry (telemetry.go); nil unless
-	// Config.Telemetry.
+	// tel is the metrics registry (telemetry.go) over member 0; nil
+	// unless Config.Telemetry.
 	tel *telemetry.Registry
-	// obs is the observation stream's subscriber list (observe.go):
-	// the built-in observatory first when Config.Observe installed
-	// one, then the attached subscribers.
-	obs      []Observer
-	observed *observatory
 
-	err error // first engine error (integrity violation = fatal)
+	err error // first error of any member (integrity violation = fatal)
 }
 
 // ctxPollMask throttles context polling to one check per 256 memory
@@ -77,45 +85,49 @@ type Machine struct {
 // prompt enough that cancellation lands mid-cell, not at its end.
 const ctxPollMask = 0xff
 
-// NewMachine builds a machine per cfg.
-func NewMachine(cfg Config) (*Machine, error) {
+// Session positions outside the measured steps (Machine.step).
+const (
+	stepSetup  = -1
+	stepVerify = -2
+)
+
+// NewMachine builds a machine per cfg: the group of one.
+func NewMachine(cfg Config) (*Machine, error) { return NewGroup(cfg) }
+
+// NewGroup builds one front end driving one back end per config. The
+// configs may differ only in Scheme, Bitmap and MetaCache — the state
+// below the CPU caches; any other difference is an error naming the
+// field.
+func NewGroup(cfgs ...Config) (*Machine, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sim: a group needs at least one config")
+	}
+	cfgs = append([]Config(nil), cfgs...)
+	for i := range cfgs {
+		resolveDefaults(&cfgs[i])
+		if err := sameFrontEnd(cfgs[0], cfgs[i]); err != nil {
+			return nil, fmt.Errorf("sim: group member %d: %w", i, err)
+		}
+	}
+	cfg := cfgs[0]
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sim: need at least one core")
 	}
-	autoSuite := cfg.Suite == nil
-	if autoSuite {
-		cfg.Suite = simcrypto.NewFast(0x57a7 + cfg.Seed)
-	}
-	if cfg.WriteQueue <= 0 {
-		cfg.WriteQueue = 64
-	}
-	if cfg.FreqGHz == 0 {
-		cfg.FreqGHz = 2
-	}
-	if cfg.Banks <= 0 {
-		cfg.Banks = 8
-	}
 	m := &Machine{
-		cfg:       cfg,
-		autoSuite: autoSuite,
-		timing:    cfg.Timing,
+		autoSuite: cfg.Suite == nil,
 		owner:     paged.New[int32](cfg.DataBytes / memline.Size),
 	}
-	if m.timing == (nvm.Timing{}) {
-		m.timing = nvm.DefaultTiming()
+	for _, c := range cfgs {
+		if m.autoSuite {
+			c.Suite = simcrypto.NewFast(0x57a7 + c.Seed)
+		}
+		b, err := newBackEnd(m, c)
+		if err != nil {
+			return nil, err
+		}
+		m.be = append(m.be, b)
 	}
-	var err error
-	m.engine, err = secmem.New(secmem.Config{
-		DataBytes: cfg.DataBytes,
-		MetaCache: cfg.MetaCache,
-		Suite:     cfg.Suite,
-		Timing:    cfg.Timing,
-		Energy:    cfg.Energy,
-		TrackWear: cfg.TrackWear,
-	})
-	if err != nil {
-		return nil, err
-	}
+	m.cfg = m.be[0].cfg
 	for c := 0; c < cfg.Cores; c++ {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
@@ -128,12 +140,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.l1 = append(m.l1, l1)
 		m.l2 = append(m.l2, l2)
 	}
+	var err error
 	if m.l3, err = cache.New(cfg.L3); err != nil {
 		return nil, fmt.Errorf("sim: L3: %w", err)
 	}
-
-	m.engine.Device().SetHook(m.onDeviceAccess)
-	m.engine.SetEventHook(m.onEngineEvent)
 	m.initTelemetry()
 	if err := m.start(); err != nil {
 		return nil, err
@@ -141,57 +151,53 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// start builds what NewMachine and Reset both build afresh: the
-// scheme, the timing state and the built-in observatory, with every
-// attached subscriber detached.
-func (m *Machine) start() error {
-	s, err := newScheme(m.cfg, m.engine)
-	if err != nil {
-		return err
+// resolveDefaults fills the zero-valued sizing fields NewMachine
+// defaults (the suite is per member and resolved by NewGroup).
+func resolveDefaults(cfg *Config) {
+	if cfg.WriteQueue <= 0 {
+		cfg.WriteQueue = 64
 	}
-	m.engine.SetScheme(s)
-	m.coreNow, m.instr = make([]float64, m.cfg.Cores), make([]uint64, m.cfg.Cores)
-	m.bankFree, m.wqDone = make([]float64, m.cfg.Banks), make([]float64, m.cfg.WriteQueue)
-	m.curCore, m.wqIdx, m.wqLastOut = 0, 0, 0
-	if m.cfg.Observe {
-		m.observed = newObservatory(m)
+	if cfg.FreqGHz == 0 {
+		cfg.FreqGHz = 2
 	}
-	m.resetObservers()
+	if cfg.Banks <= 0 {
+		cfg.Banks = 8
+	}
+}
+
+// sameFrontEnd reports the first field, other than Scheme, Bitmap and
+// MetaCache, in which b differs from a.
+func sameFrontEnd(a, b Config) error {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		switch name := va.Type().Field(i).Name; name {
+		case "Scheme", "Bitmap", "MetaCache":
+		default:
+			if va.Field(i).Interface() != vb.Field(i).Interface() {
+				return fmt.Errorf("config differs from member 0 in %s; members may differ only in Scheme, Bitmap and MetaCache", name)
+			}
+		}
+	}
 	return nil
 }
 
-// newScheme builds cfg's persistence scheme over e.
-func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
-	switch cfg.Scheme {
-	case "wb":
-		return wb.New(), nil
-	case "strict":
-		return strict.New(e), nil
-	case "anubis":
-		return anubis.New(e)
-	case "phoenix":
-		return phoenix.New(e)
-	case "star":
-		// An all-zero Bitmap config means "use the paper's default". A
-		// partially specified one is a caller mistake — silently
-		// replacing it would run with sizes the caller never asked for.
-		bm := cfg.Bitmap
-		if bm == (bitmap.Config{}) {
-			bm = bitmap.DefaultConfig()
-		} else if bm.ADRL1Lines <= 0 || bm.ADRL2Lines <= 0 {
-			return nil, fmt.Errorf(
-				"sim: partial Bitmap config %+v: set both ADRL1Lines and ADRL2Lines, or leave both zero for the default %+v",
-				cfg.Bitmap, bitmap.DefaultConfig())
+// start builds what NewMachine and Reset both build afresh: every
+// member's scheme, timing state and built-in observatory, and the
+// front end's instruction counts and current core.
+func (m *Machine) start() error {
+	for _, b := range m.be {
+		if err := b.start(); err != nil {
+			return err
 		}
-		return star.New(e, bm)
-	default:
-		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
 	}
+	m.instr = make([]uint64, m.cfg.Cores)
+	m.curCore, m.step = 0, stepSetup
+	return nil
 }
 
-// Engine exposes the secure-memory engine (recovery, stats, attack
-// injection).
-func (m *Machine) Engine() *secmem.Engine { return m.engine }
+// Engine exposes member 0's secure-memory engine (recovery, stats,
+// attack injection).
+func (m *Machine) Engine() *secmem.Engine { return m.be[0].engine }
 
 // SetCore selects the core that issues subsequent Load/Store/Persist
 // calls (heap.Memory has no thread parameter; the single-goroutine
@@ -210,17 +216,18 @@ func (m *Machine) SetCore(core int) {
 // sample it per access).
 func (m *Machine) CurrentCore() int { return m.curCore }
 
-// Config returns the machine configuration.
+// Config returns member 0's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Err returns the first engine error encountered (an integrity
+// Err returns the first error encountered by any member (an integrity
 // violation surfacing through the cache hierarchy is fatal for a run).
 func (m *Machine) Err() error { return m.err }
 
-// setErr records the first error.
+// setErr records the first error of the front end, which every member
+// shares.
 func (m *Machine) setErr(err error) {
-	if m.err == nil && err != nil {
-		m.err = err
+	for _, b := range m.be {
+		b.setErr(err)
 	}
 }
 
@@ -254,90 +261,113 @@ func (m *Machine) pollCtx() {
 	}
 }
 
-// --- timing -------------------------------------------------------------
+// --- the front end's calls into every back end ---------------------------
 
-// onDeviceAccess charges the PCM device time of one line access to the
-// issuing core and reports the access to the observation stream.
-//
-// Reads are synchronous and serialize per bank (line-interleaved
-// banks): the issuing core waits for the data.
-//
-// Writes are posted: with ADR, a write is "persistent" once the
-// write-pending queue accepts it, so the core continues immediately —
-// UNLESS the queue is full, in which case the core stalls until the
-// oldest write drains. The queue drains at the device's aggregate
-// write bandwidth (Banks lines per tWR). This back-pressure is exactly
-// how extra write traffic (Anubis's ST blocks, strict's branch
-// write-throughs) turns into IPC loss in the paper.
-//
-// Out-of-band stores are not part of the timed run and charge nothing.
-func (m *Machine) onDeviceAccess(kind nvm.Access, addr uint64, cause nvm.Cause) {
-	c := m.curCore
-	t := &m.timing
-	now := m.coreNow[c]
-	var wait, service float64
-	switch kind {
-	case nvm.AccessRead:
-		bank := int(addr/memline.Size) % len(m.bankFree)
-		start := now
-		if m.bankFree[bank] > start {
-			start = m.bankFree[bank]
-		}
-		wait, service = start-now, t.ReadNs()
-		m.bankFree[bank] = start + service
-		m.coreNow[c] = m.bankFree[bank]
-	case nvm.AccessWrite:
-		// Queue full? Stall until the oldest outstanding write completes.
-		if oldest := m.wqDone[m.wqIdx]; oldest > now {
-			wait = oldest - now
-			m.coreNow[c] = oldest
-		}
-		// Service completion: aggregate drain rate of Banks/tWR.
-		interval := t.WriteNs() / float64(len(m.bankFree))
-		done := m.coreNow[c] + interval
-		if m.wqLastOut+interval > done {
-			done = m.wqLastOut + interval
-		}
-		m.wqLastOut = done
-		m.wqDone[m.wqIdx] = done
-		m.wqIdx = (m.wqIdx + 1) % len(m.wqDone)
-	}
-	if len(m.obs) > 0 {
-		m.emit(Event{Kind: EvAccess, Core: c, T: now, Access: kind, Addr: addr, Cause: cause,
-			WaitNs: wait, ServiceNs: service})
+// charge advances core c's clock on every member by ns of CPU-side
+// latency. Each member adds the same charges in the same order as a
+// solo machine would, so its clock sums are bit-identical to one.
+func (m *Machine) charge(c int, ns float64) {
+	for _, b := range m.be {
+		b.coreNow[c] += ns
 	}
 }
 
-// opBegin opens an engine-level op bracket at the issuing core's clock.
-func (m *Machine) opBegin(op latOp) {
-	if len(m.obs) > 0 {
-		m.emitNow(Event{Kind: EvOpBegin, Op: op})
-	}
-}
-
-// opEnd closes the innermost op bracket at the issuing core's clock.
-func (m *Machine) opEnd() {
-	if len(m.obs) > 0 {
-		m.emitNow(Event{Kind: EvOpEnd})
-	}
-}
-
-// noteComp reports ns of critical-path time charged to comp.
+// noteComp reports ns of critical-path time charged to comp on every
+// member's stream.
 func (m *Machine) noteComp(comp latComp, ns float64) {
-	if len(m.obs) > 0 {
-		m.emitNow(Event{Kind: EvComponent, Comp: comp, Ns: ns})
+	for _, b := range m.be {
+		b.noteComp(comp, ns)
 	}
 }
 
-// emitNow stamps ev with the issuing core and its clock and emits it.
-// It is kept apart from the callers' length checks so those inline
-// into the hot paths.
-func (m *Machine) emitNow(ev Event) {
-	ev.Core, ev.T = m.curCore, m.coreNow[m.curCore]
-	m.emit(ev)
+func (m *Machine) opBegin(op latOp) {
+	for _, b := range m.be {
+		b.opBegin(op)
+	}
 }
 
-func (m *Machine) charge(c int, ns float64) { m.coreNow[c] += ns }
+func (m *Machine) opEnd() {
+	for _, b := range m.be {
+		b.opEnd()
+	}
+}
+
+// readLine fills a cache miss: each member charges the memory
+// controller path and reads addr through its engine inside a read op
+// bracket. The line is member 0's; a member whose line or error
+// differs from it fails the run with a divergence error.
+func (m *Machine) readLine(c int, addr uint64) memline.Line {
+	lat := m.cfg.L2LatNs + m.cfg.L3LatNs + m.cfg.MCLatNs
+	var line memline.Line
+	var err0, div error
+	for i, b := range m.be {
+		b.opBegin(opRead)
+		b.coreNow[c] += lat
+		b.noteComp(compMC, lat)
+		l, err := b.engine.ReadLine(addr)
+		if err != nil && b.err == nil {
+			b.err = err
+		}
+		b.opEnd()
+		if i == 0 {
+			line, err0 = l, err
+		} else if div == nil && (l != line || errText(err) != errText(err0)) {
+			div = m.divergence(i, addr, l, err, line, err0)
+		}
+	}
+	if div != nil {
+		err0 = div
+	}
+	if err0 != nil && m.err == nil {
+		m.err = err0
+	}
+	return line
+}
+
+// writeLine writes addr through every member's engine inside a write
+// op bracket.
+func (m *Machine) writeLine(addr uint64, data memline.Line) {
+	for _, b := range m.be {
+		b.opBegin(opWrite)
+		if err := b.engine.WriteLine(addr, data); err != nil {
+			b.setErr(err)
+		}
+		b.opEnd()
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// divergence describes the first ReadLine on which member i disagreed
+// with member 0.
+func (m *Machine) divergence(i int, addr uint64, l memline.Line, err error, l0 memline.Line, err0 error) error {
+	read := func(l memline.Line, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("line %x", l[:8])
+	}
+	at := fmt.Sprintf("step %d", m.step)
+	switch m.step {
+	case stepSetup:
+		at = "set-up"
+	case stepVerify:
+		at = "verify"
+	}
+	return fmt.Errorf("sim: lock-step divergence at %s, line %#x: member %d (%s) read %s; member 0 (%s) read %s",
+		at, addr, i, memberName(m.be[i].cfg), read(l, err), memberName(m.be[0].cfg), read(l0, err0))
+}
+
+// memberName identifies a member by the fields members may differ in.
+func memberName(cfg Config) string {
+	return fmt.Sprintf("scheme=%s bitmap=%d+%d meta-cache=%dKiB/%d-way", cfg.Scheme,
+		cfg.Bitmap.ADRL1Lines, cfg.Bitmap.ADRL2Lines, cfg.MetaCache.SizeBytes>>10, cfg.MetaCache.Ways)
+}
 
 // --- cache hierarchy ------------------------------------------------------
 
@@ -361,15 +391,7 @@ func (m *Machine) ensureL1(c int, addr uint64) *cache.Entry {
 	case m.takeFromOtherCore(c, addr, &data, &dirty):
 		m.charge(c, m.cfg.L3LatNs) // directory + cross-core transfer
 	default:
-		m.opBegin(opRead)
-		m.charge(c, m.cfg.L2LatNs+m.cfg.L3LatNs+m.cfg.MCLatNs)
-		m.noteComp(compMC, m.cfg.L2LatNs+m.cfg.L3LatNs+m.cfg.MCLatNs)
-		line, err := m.engine.ReadLine(addr)
-		if err != nil {
-			m.setErr(err)
-		}
-		m.opEnd()
-		data, dirty = line, false
+		data, dirty = m.readLine(c, addr), false
 	}
 	m.setOwner(addr, c)
 	return m.l1[c].Insert(addr, data, dirty, func(va uint64, vd memline.Line, vdirty bool) {
@@ -440,11 +462,7 @@ func (m *Machine) demoteToL3(addr uint64, data memline.Line, dirty bool) {
 	m.deleteOwner(addr)
 	m.l3.Insert(addr, data, dirty, func(va uint64, vd memline.Line, vdirty bool) {
 		if vdirty {
-			m.opBegin(opWrite)
-			if err := m.engine.WriteLine(va, vd); err != nil {
-				m.setErr(err)
-			}
-			m.opEnd()
+			m.writeLine(va, vd)
 		}
 	})
 }
@@ -558,11 +576,7 @@ func (m *Machine) Persist(addr uint64, size int) {
 		if e, holder := m.locate(line); e != nil && e.Dirty {
 			m.charge(c, m.cfg.MCLatNs)
 			m.noteComp(compMC, m.cfg.MCLatNs)
-			m.opBegin(opWrite)
-			if err := m.engine.WriteLine(line, e.Data); err != nil {
-				m.setErr(err)
-			}
-			m.opEnd()
+			m.writeLine(line, e.Data)
 			holder.CleanEntry(e)
 		}
 		if line == last {
@@ -585,11 +599,7 @@ func (m *Machine) FlushCPUCaches() error {
 	flush := func(c *cache.Cache) {
 		c.FlushAll(func(addr uint64, data memline.Line, dirty bool) {
 			if dirty {
-				m.opBegin(opWrite)
-				if err := m.engine.WriteLine(addr, data); err != nil {
-					m.setErr(err)
-				}
-				m.opEnd()
+				m.writeLine(addr, data)
 			}
 		})
 	}
@@ -605,8 +615,10 @@ func (m *Machine) FlushCPUCaches() error {
 // controller's volatile state vanish; battery-backed and on-chip
 // state survives (handled by the engine and scheme).
 func (m *Machine) Crash() {
-	if len(m.obs) > 0 {
-		m.emit(Event{Kind: EvCrash, T: m.maxTimeNs()})
+	for _, b := range m.be {
+		if len(b.obs) > 0 {
+			b.emit(Event{Kind: EvCrash, T: b.maxTimeNs()})
+		}
 	}
 	for i := range m.l1 {
 		m.l1[i].DropAll()
@@ -614,28 +626,41 @@ func (m *Machine) Crash() {
 	}
 	m.l3.DropAll()
 	m.owner.Clear()
-	m.engine.Crash()
-}
-
-// Recover runs the active scheme's recovery. Recovery is
-// report-modeled (RecoveryLineNs per line), not core-clock-bracketed:
-// no op is open during replay, so the replay's device traffic stays
-// out of the other op kinds.
-func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
-	m.emit(Event{Kind: EvRecoveryBegin, T: m.maxTimeNs()})
-	rep, err := m.engine.Recover()
-	end := Event{Kind: EvRecoveryEnd, T: m.maxTimeNs()}
-	if err == nil {
-		end.Report = rep
+	for _, b := range m.be {
+		b.engine.Crash()
 	}
-	m.emit(end)
-	return rep, err
 }
 
-// Fork returns a copy-on-write clone of the machine — engine, device
-// contents, CPU caches, ownership directory, timing state and error —
-// that behaves exactly as a fresh machine run to the same point: the
-// Fork invariant (see DESIGN.md),
+// Recover runs every member's recovery and returns member 0's report
+// and the first error any member returned. Recovery is report-modeled
+// (RecoveryLineNs per line), not core-clock-bracketed: no op is open
+// during replay, so the replay's device traffic stays out of the other
+// op kinds.
+func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
+	var rep0 *secmem.RecoveryReport
+	var err0 error
+	for i, b := range m.be {
+		b.emit(Event{Kind: EvRecoveryBegin, T: b.maxTimeNs()})
+		rep, err := b.engine.Recover()
+		end := Event{Kind: EvRecoveryEnd, T: b.maxTimeNs()}
+		if err == nil {
+			end.Report = rep
+		}
+		b.emit(end)
+		if i == 0 {
+			rep0 = rep
+		}
+		if err0 == nil {
+			err0 = err
+		}
+	}
+	return rep0, err0
+}
+
+// Fork returns a copy-on-write clone of the machine — every member's
+// engine, device contents and timing state, the CPU caches, ownership
+// directory and error — that behaves exactly as a fresh machine run to
+// the same point: the Fork invariant (see DESIGN.md),
 //
 //	m.Fork() then X  ≡  fresh machine, same workload to the same point, then X
 //
@@ -646,58 +671,69 @@ func (m *Machine) Recover() (*secmem.RecoveryReport, error) {
 // O(memory), and a fork that is crashed copies no cache. The parent
 // may keep running (or Reset and be reused) while forks run on other
 // goroutines. Observation is isolated: the fork's registry reads the
-// fork, its built-in observatory is a copy of the parent's, and
+// fork, its built-in observatories are copies of the parent's, and
 // neither the parent's attached subscribers nor its context are
 // inherited.
 func (m *Machine) Fork() *Machine {
+	f := m.forkFront(m.be[0].cfg, m.err)
+	for _, b := range m.be {
+		f.be = append(f.be, b.fork(f))
+	}
+	f.initTelemetry()
+	return f
+}
+
+// ForkMember forks member i out of the group as a solo machine: the
+// front end and member i's back end, copied as Fork copies them, with
+// member i's configuration and error. By the group invariant it
+// behaves as NewMachine(cfg_i) run to the same point.
+func (m *Machine) ForkMember(i int) *Machine {
+	b := m.be[i]
+	f := m.forkFront(b.cfg, b.err)
+	f.be = []*backEnd{b.fork(f)}
+	f.initTelemetry()
+	return f
+}
+
+// forkFront copies the front end for Fork and ForkMember.
+func (m *Machine) forkFront(cfg Config, err error) *Machine {
 	f := &Machine{
-		cfg:       m.cfg,
-		engine:    m.engine.Fork(),
+		cfg:       cfg,
 		autoSuite: m.autoSuite,
-		timing:    m.timing,
 		owner:     m.owner.Fork(),
-		coreNow:   append([]float64(nil), m.coreNow...),
 		instr:     append([]uint64(nil), m.instr...),
 		curCore:   m.curCore,
-		bankFree:  append([]float64(nil), m.bankFree...),
-		wqDone:    append([]float64(nil), m.wqDone...),
-		wqIdx:     m.wqIdx,
-		wqLastOut: m.wqLastOut,
-		err:       m.err,
+		step:      m.step,
+		err:       err,
 	}
 	for i := range m.l1 {
 		f.l1 = append(f.l1, m.l1[i].Fork())
 		f.l2 = append(f.l2, m.l2[i].Fork())
 	}
 	f.l3 = m.l3.Fork()
-	f.engine.Device().SetHook(f.onDeviceAccess)
-	f.engine.SetEventHook(f.onEngineEvent)
-	f.initTelemetry()
-	f.observed = m.observed.clone()
-	f.resetObservers()
 	return f
 }
 
-// Reset restores the machine to the state NewMachine would produce for
-// the same configuration with Seed = seed. Only the stores that are
-// expensive to allocate rewind in place: the CPU caches and owner table
-// here, the metadata cache, NVM line store and data-MAC table in the
-// engine. The rest is built by start, as NewMachine builds it, and when
-// the original configuration left Suite nil the per-seed suite is
-// re-derived exactly as NewMachine derives it. The invariant the
-// experiment runner's machine reuse is built on:
+// Reset restores the machine to the state NewMachine (or NewGroup)
+// would produce for the same configurations with Seed = seed. Only the
+// stores that are expensive to allocate rewind in place: the CPU
+// caches and owner table here, the metadata cache, NVM line store and
+// data-MAC table in each engine. The rest is built by start, as
+// NewGroup builds it, and when the original configurations left Suite
+// nil each member's per-seed suite is re-derived exactly as NewGroup
+// derives it. The invariant the experiment runner's machine reuse is
+// built on:
 //
-//	m.Reset(seed) ≡ NewMachine(cfg with Seed = seed)
+//	m.Reset(seed) ≡ NewGroup(cfgs with Seed = seed)
 //
 // for every observable output — Results, statistics, snapshots, the
 // golden corpus. TestGoldenResults and TestResetReuseInterleaved hold
 // it in place. Attached observers are detached.
 func (m *Machine) Reset(seed uint64) {
-	m.cfg.Seed = seed
-	if m.autoSuite {
-		m.cfg.Suite = simcrypto.NewFast(0x57a7 + seed)
+	for _, b := range m.be {
+		b.reset(seed, m.autoSuite)
 	}
-	m.engine.Reset(m.cfg.Suite)
+	m.cfg = m.be[0].cfg
 	for i := range m.l1 {
 		m.l1[i].Reset()
 		m.l2[i].Reset()
@@ -707,7 +743,7 @@ func (m *Machine) Reset(seed uint64) {
 	m.ctx, m.ctxDone, m.ctxPoll = nil, nil, 0
 	m.err = nil
 	if err := m.start(); err != nil {
-		// NewMachine built a scheme from this configuration already.
+		// NewGroup built every scheme from these configurations already.
 		panic(fmt.Sprintf("sim: Reset: %v", err))
 	}
 }

@@ -75,38 +75,39 @@ type Observer interface {
 }
 
 // Attach adds o to the machine's observation stream until the next
-// Reset. Forks do not inherit it.
-func (m *Machine) Attach(o Observer) { m.obs = append(m.obs, o) }
+// Reset. Forks do not inherit it. On a group the stream is member 0's;
+// ForkMember forks another member out to observe it.
+func (m *Machine) Attach(o Observer) { m.be[0].obs = append(m.be[0].obs, o) }
 
 // resetObservers detaches every attached subscriber, keeping the
 // built-in observatory.
-func (m *Machine) resetObservers() {
-	clear(m.obs)
-	m.obs = m.obs[:0]
-	if m.observed != nil {
-		m.obs = append(m.obs, m.observed)
+func (b *backEnd) resetObservers() {
+	clear(b.obs)
+	b.obs = b.obs[:0]
+	if b.observed != nil {
+		b.obs = append(b.obs, b.observed)
 	}
 }
 
 // emit hands ev to every subscriber in order.
-func (m *Machine) emit(ev Event) {
-	for _, o := range m.obs {
+func (b *backEnd) emit(ev Event) {
+	for _, o := range b.obs {
 		o.Observe(ev)
 	}
 }
 
 // onEngineEvent forwards the engine's forced flushes and metadata
 // evictions into the stream.
-func (m *Machine) onEngineEvent(ev secmem.Event, addr uint64) {
-	if len(m.obs) == 0 {
+func (b *backEnd) onEngineEvent(ev secmem.Event, addr uint64) {
+	if len(b.obs) == 0 {
 		return
 	}
 	e := Event{Kind: EvForcedFlush, Addr: addr}
 	if ev == secmem.EventMetaEvict {
 		e.Kind = EvMetaEvict
-		e.Count = m.engine.MetaCache().Stats().Evictions
+		e.Count = b.engine.MetaCache().Stats().Evictions
 	}
-	m.emitNow(e)
+	b.emitNow(e)
 }
 
 // --- the built-in observatory ----------------------------------------------
@@ -119,8 +120,8 @@ type observatory struct {
 	lat  latRecorder
 }
 
-func newObservatory(m *Machine) *observatory {
-	return &observatory{attr: newAttribution(m.cfg.Banks), lat: newLatRecorder(m.engine.Geometry())}
+func newObservatory(b *backEnd) *observatory {
+	return &observatory{attr: newAttribution(b.cfg.Banks), lat: newLatRecorder(b.engine.Geometry())}
 }
 
 func (o *observatory) Observe(ev Event) {

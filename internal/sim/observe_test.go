@@ -247,8 +247,8 @@ func TestAttrForkVsFresh(t *testing.T) {
 			forkRes.WriteBreakdown, freshRes.WriteBreakdown)
 	}
 	// The fork's writes must not have leaked into the parent.
-	parentAfter := parent.observed.attr.breakdown()
-	forkAfter := fork.observed.attr.breakdown()
+	parentAfter := parent.be[0].observed.attr.breakdown()
+	forkAfter := fork.be[0].observed.attr.breakdown()
 	if parentAfter.Total >= forkAfter.Total {
 		t.Errorf("parent total %d should be below fork total %d after the fork ran",
 			parentAfter.Total, forkAfter.Total)
@@ -306,13 +306,13 @@ func TestAttrRecoveryCause(t *testing.T) {
 	if _, err := m.Run("hash", 400); err != nil {
 		t.Fatal(err)
 	}
-	before := m.observed.attr.breakdown()
+	before := m.be[0].observed.attr.breakdown()
 	m.Crash()
 	rep, err := m.Recover()
 	if err != nil || !rep.Verified {
 		t.Fatalf("recovery: %v (%+v)", err, rep)
 	}
-	delta := m.observed.attr.breakdown().Sub(before)
+	delta := m.be[0].observed.attr.breakdown().Sub(before)
 	if rep.NodeWrites > 0 && delta.CauseWrites("recovery") == 0 {
 		t.Errorf("recovery wrote %d nodes but no writes carry the recovery cause (delta %+v)",
 			rep.NodeWrites, delta)

@@ -55,17 +55,22 @@ func (r *Results) String() string {
 }
 
 // Run executes ops operations of the named workload (after its setup
-// phase) and returns measured-phase results. The workload's own
-// consistency check runs after measurement; a failure is returned as
-// an error.
+// phase) and returns member 0's measured-phase results. The workload's
+// own consistency check runs after measurement; a failure is returned
+// as an error.
 func (m *Machine) Run(name string, ops int) (*Results, error) {
-	return m.run(context.Background(), name, ops, true)
+	return first(m.run(context.Background(), name, ops, true))
 }
 
 // RunCtx is Run under a context: cancellation or timeout aborts the
 // run mid-workload (setup, measured steps and verification all poll
 // the context) and returns ctx.Err().
 func (m *Machine) RunCtx(ctx context.Context, name string, ops int) (*Results, error) {
+	return first(m.run(ctx, name, ops, true))
+}
+
+// RunEach is RunCtx returning every member's results, in member order.
+func (m *Machine) RunEach(ctx context.Context, name string, ops int) ([]*Results, error) {
 	return m.run(ctx, name, ops, true)
 }
 
@@ -74,10 +79,18 @@ func (m *Machine) RunCtx(ctx context.Context, name string, ops int) (*Results, e
 // persist) every dirty metadata line, which would leave nothing stale
 // for recovery to restore.
 func (m *Machine) RunUnverified(name string, ops int) (*Results, error) {
-	return m.run(context.Background(), name, ops, false)
+	return first(m.run(context.Background(), name, ops, false))
 }
 
-func (m *Machine) run(ctx context.Context, name string, ops int, verify bool) (*Results, error) {
+// first passes on member 0's results of a group call.
+func first(rs []*Results, err error) (*Results, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+func (m *Machine) run(ctx context.Context, name string, ops int, verify bool) ([]*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -92,17 +105,19 @@ func (m *Machine) run(ctx context.Context, name string, ops int, verify bool) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Measure(name, func() error { return s.StepN(ops) })
+	rs, err := m.MeasureEach(name, func() error { return s.StepN(ops) })
 	if err != nil {
 		return nil, err
 	}
-	res.Ops = ops
+	for _, res := range rs {
+		res.Ops = ops
+	}
 	if verify {
 		if err := s.Verify(); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
+	return rs, nil
 }
 
 // Session is a workload instance set up on a machine, ready to step.
@@ -135,7 +150,7 @@ func (m *Machine) NewSessionOn(name string, mem heap.Memory) (*Session, error) {
 		return nil, err
 	}
 	ctx := workload.NewCtx(h, m.cfg.Cores, m.cfg.Seed)
-	m.curCore = 0
+	m.curCore, m.step = 0, stepSetup
 	if err := w.Setup(ctx); err != nil {
 		return nil, fmt.Errorf("sim: %s setup: %w", name, err)
 	}
@@ -147,18 +162,22 @@ func (m *Machine) NewSessionOn(name string, mem heap.Memory) (*Session, error) {
 
 // StepN runs n operations, round-robin across cores.
 func (s *Session) StepN(n int) error {
+	m := s.m
 	for i := 0; i < n; i++ {
-		t := s.step % s.m.cfg.Cores
+		t := s.step % m.cfg.Cores
+		m.step = s.step
 		s.step++
-		s.m.curCore = t
+		m.curCore = t
 		if err := s.w.Step(s.ctx, t); err != nil {
 			return fmt.Errorf("sim: %s step %d: %w", s.name, s.step-1, err)
 		}
-		if len(s.m.obs) > 0 {
-			s.m.emit(Event{Kind: EvStepEnd, Core: t, T: s.m.coreNow[t]})
+		for _, b := range m.be {
+			if len(b.obs) > 0 {
+				b.emit(Event{Kind: EvStepEnd, Core: t, T: b.coreNow[t]})
+			}
 		}
-		if s.m.err != nil {
-			return s.m.err
+		if m.err != nil {
+			return m.err
 		}
 	}
 	return nil
@@ -166,74 +185,108 @@ func (s *Session) StepN(n int) error {
 
 // Verify runs the workload's consistency check through the machine.
 func (s *Session) Verify() error {
-	s.m.curCore = 0
+	s.m.curCore, s.m.step = 0, stepVerify
 	if err := s.w.Verify(s.ctx); err != nil {
 		return fmt.Errorf("sim: %s verify: %w", s.name, err)
 	}
 	return s.m.err
 }
 
-// Measure runs fn and captures machine-level deltas around it.
+// Measure runs fn and returns member 0's machine-level deltas around
+// it.
 func (m *Machine) Measure(name string, fn func() error) (*Results, error) {
-	devBefore := m.engine.Device().Stats()
-	obsBefore := m.observed.clone()
-	engBefore := m.engine.Stats()
-	timeBefore := make([]float64, m.cfg.Cores)
-	copy(timeBefore, m.coreNow)
-	instrBefore := make([]uint64, m.cfg.Cores)
-	copy(instrBefore, m.instr)
-	var bmBefore bitmap.Stats
-	var anBefore anubis.Stats
-	scheme := m.engine.Scheme()
-	if s, ok := scheme.(*star.Scheme); ok {
-		bmBefore = s.Tracker().Stats()
-	}
-	if s, ok := scheme.(*anubis.Scheme); ok {
-		anBefore = s.Stats()
-	}
+	return first(m.MeasureEach(name, fn))
+}
 
+// MeasureEach runs fn and returns every member's machine-level deltas
+// around it, in member order.
+func (m *Machine) MeasureEach(name string, fn func() error) ([]*Results, error) {
+	instrBefore := append([]uint64(nil), m.instr...)
+	marks := make([]mark, len(m.be))
+	for i, b := range m.be {
+		marks[i] = b.mark()
+	}
 	if err := fn(); err != nil {
 		return nil, err
 	}
+	var instr uint64
+	for c := range m.instr {
+		instr += m.instr[c] - instrBefore[c]
+	}
+	rs := make([]*Results, len(m.be))
+	for i, b := range m.be {
+		rs[i] = b.results(name, instr, &marks[i])
+	}
+	return rs, nil
+}
 
+// mark is a back end's state at the start of a measured phase.
+type mark struct {
+	dev      nvm.Stats
+	engine   secmem.Stats
+	observed *observatory
+	coreNow  []float64
+	bitmap   bitmap.Stats
+	anubis   anubis.Stats
+}
+
+func (b *backEnd) mark() mark {
+	k := mark{
+		dev:      b.engine.Device().Stats(),
+		observed: b.observed.clone(),
+		engine:   b.engine.Stats(),
+		coreNow:  append([]float64(nil), b.coreNow...),
+	}
+	switch s := b.engine.Scheme().(type) {
+	case *star.Scheme:
+		k.bitmap = s.Tracker().Stats()
+	case *anubis.Scheme:
+		k.anubis = s.Stats()
+	}
+	return k
+}
+
+// results returns b's measured-phase Results since k, given the
+// front end's retired instructions over the phase, and emits them as
+// the phase's measure-end event.
+func (b *backEnd) results(name string, instr uint64, k *mark) *Results {
+	scheme := b.engine.Scheme()
 	res := &Results{
 		Workload: name,
 		Scheme:   scheme.Name(),
-		Dev:      m.engine.Device().Stats().Sub(devBefore),
-		Engine:   m.engine.Stats().Sub(engBefore),
+		Dev:      b.engine.Device().Stats().Sub(k.dev),
+		Engine:   b.engine.Stats().Sub(k.engine),
 	}
-	var instr uint64
 	var maxTime float64
-	for c := 0; c < m.cfg.Cores; c++ {
-		instr += m.instr[c] - instrBefore[c]
-		if dt := m.coreNow[c] - timeBefore[c]; dt > maxTime {
+	for c, now := range b.coreNow {
+		if dt := now - k.coreNow[c]; dt > maxTime {
 			maxTime = dt
 		}
 	}
 	res.Instructions = instr
 	res.TimeNs = maxTime
-	res.Cycles = maxTime * m.cfg.FreqGHz
+	res.Cycles = maxTime * b.cfg.FreqGHz
 	if res.Cycles > 0 {
 		res.IPC = float64(instr) / res.Cycles
 	}
-	if s, ok := scheme.(*star.Scheme); ok {
-		d := s.Tracker().Stats().Sub(bmBefore)
+	switch s := scheme.(type) {
+	case *star.Scheme:
+		d := s.Tracker().Stats().Sub(k.bitmap)
 		res.Bitmap = &d
-	}
-	if s, ok := scheme.(*anubis.Scheme); ok {
-		d := s.Stats().Sub(anBefore)
+	case *anubis.Scheme:
+		d := s.Stats().Sub(k.anubis)
 		res.Anubis = &d
 	}
-	res.DirtyMetaLines = m.engine.MetaCache().DirtyCount()
-	res.MetaCacheLines = m.engine.MetaCache().Lines()
+	res.DirtyMetaLines = b.engine.MetaCache().DirtyCount()
+	res.MetaCacheLines = b.engine.MetaCache().Lines()
 	if res.MetaCacheLines > 0 {
 		res.DirtyMetaFrac = float64(res.DirtyMetaLines) / float64(res.MetaCacheLines)
 	}
-	if m.observed != nil {
-		res.WriteBreakdown, res.Latency = m.observed.since(obsBefore)
+	if b.observed != nil {
+		res.WriteBreakdown, res.Latency = b.observed.since(k.observed)
 	}
-	m.emit(Event{Kind: EvMeasureEnd, T: m.maxTimeNs(), Results: res})
-	return res, nil
+	b.emit(Event{Kind: EvMeasureEnd, T: b.maxTimeNs(), Results: res})
+	return res
 }
 
 // RunScenario builds a machine and runs one workload — the one-call

@@ -68,10 +68,10 @@ func TestObserverStreamInvariants(t *testing.T) {
 			}
 
 			f := m.Fork()
-			if len(f.obs) != 1 || f.obs[0] != f.observed || f.observed == m.observed {
-				t.Fatalf("fork subscribers = %v, want only its own observatory", f.obs)
+			if len(f.be[0].obs) != 1 || f.be[0].obs[0] != f.be[0].observed || f.be[0].observed == m.be[0].observed {
+				t.Fatalf("fork subscribers = %v, want only its own observatory", f.be[0].obs)
 			}
-			if !reflect.DeepEqual(f.observed.attr.breakdown(), m.observed.attr.breakdown()) {
+			if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), m.be[0].observed.attr.breakdown()) {
 				t.Error("fork's attribution differs from the parent's at the fork point")
 			}
 			if !reflect.DeepEqual(f.LatencySnapshot(), m.LatencySnapshot()) {
@@ -131,10 +131,10 @@ func TestAttributionOOBTallies(t *testing.T) {
 	if _, err := m.RunUnverified("hash", 400); err != nil {
 		t.Fatal(err)
 	}
-	before := m.observed.attr.breakdown()
+	before := m.be[0].observed.attr.breakdown()
 	writes := m.Engine().Device().Stats().Writes
 	m.Crash()
-	delta := m.observed.attr.breakdown().Sub(before)
+	delta := m.be[0].observed.attr.breakdown().Sub(before)
 	if delta.Total != 0 || m.Engine().Device().Stats().Writes != writes {
 		t.Fatalf("the crash flush counted writes: %+v", delta)
 	}
@@ -155,9 +155,9 @@ func TestAttributionDisabledIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.observed != nil || len(m.obs) != 0 || res.WriteBreakdown != nil || res.Latency != nil {
+	if m.be[0].observed != nil || len(m.be[0].obs) != 0 || res.WriteBreakdown != nil || res.Latency != nil {
 		t.Fatalf("observe-off machine observes: observatory %v, %d subscribers, results %+v",
-			m.observed, len(m.obs), res)
+			m.be[0].observed, len(m.be[0].obs), res)
 	}
 }
 
@@ -172,19 +172,19 @@ func TestAttributionForkIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atFork := m.observed.attr.breakdown()
+	atFork := m.be[0].observed.attr.breakdown()
 	f := m.Fork()
 	if _, err := f.Run("hash", 200); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.observed.attr.breakdown(), atFork) {
+	if !reflect.DeepEqual(m.be[0].observed.attr.breakdown(), atFork) {
 		t.Fatal("fork writes leaked into the parent")
 	}
-	forkNow := f.observed.attr.breakdown()
+	forkNow := f.be[0].observed.attr.breakdown()
 	if err := s.StepN(200); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(f.observed.attr.breakdown(), forkNow) {
+	if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), forkNow) {
 		t.Fatal("parent writes leaked into the fork")
 	}
 	if forkNow.Total <= atFork.Total || forkNow.CauseWrites("data") < atFork.CauseWrites("data") {
@@ -204,10 +204,10 @@ func TestAttributionResetKeepsEnablement(t *testing.T) {
 	}
 	m.Crash() // out-of-band stores too
 	m.Reset(1)
-	if m.observed == nil || len(m.obs) != 1 {
+	if m.be[0].observed == nil || len(m.be[0].obs) != 1 {
 		t.Fatal("Reset disabled the observatory")
 	}
-	if b := m.observed.attr.breakdown(); b.Total != 0 || len(b.OOB) != 0 {
+	if b := m.be[0].observed.attr.breakdown(); b.Total != 0 || len(b.OOB) != 0 {
 		t.Fatalf("Reset left counts behind: %+v", b)
 	}
 }

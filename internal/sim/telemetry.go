@@ -9,11 +9,11 @@ import (
 	"nvmstar/internal/telemetry"
 )
 
-// initTelemetry builds the machine's metrics registry when
+// initTelemetry builds the machine's metrics registry over member 0 when
 // Config.Telemetry is set; otherwise m.tel stays nil.
 //
 // The registry exports exactly the series a tool or test reads:
-// starplot -timeline's dirty-metadata fraction (Fig. 14a over time),
+// starsim -svg's dirty-metadata fraction (Fig. 14a over time),
 // cache hit ratios and write amplification, plus the raw NVM write and
 // L3 probe counts the simulator tests check. Every series is a gauge
 // function over the machine's own layers, evaluated only when read
@@ -25,10 +25,10 @@ func (m *Machine) initTelemetry() {
 	}
 	reg := telemetry.NewRegistry()
 	reg.GaugeFunc("meta.dirty_frac", func() float64 {
-		mc := m.engine.MetaCache()
+		mc := m.Engine().MetaCache()
 		return float64(mc.DirtyCount()) / float64(mc.Lines())
 	})
-	reg.GaugeFunc("meta.hit_ratio", func() float64 { return m.engine.MetaCache().Stats().HitRatio() })
+	reg.GaugeFunc("meta.hit_ratio", func() float64 { return m.Engine().MetaCache().Stats().HitRatio() })
 	// The per-core private levels export one aggregate each (per-core
 	// series would multiply the timeline count without changing any
 	// figure); the shared L3 exports its probe counts too.
@@ -37,15 +37,15 @@ func (m *Machine) initTelemetry() {
 	reg.GaugeFunc("l3.hit_ratio", func() float64 { return m.l3.Stats().HitRatio() })
 	reg.GaugeFunc("l3.hits", func() float64 { return float64(m.l3.Stats().Hits) })
 	reg.GaugeFunc("l3.misses", func() float64 { return float64(m.l3.Stats().Misses) })
-	reg.GaugeFunc("nvm.writes", func() float64 { return float64(m.engine.Device().Stats().Writes) })
+	reg.GaugeFunc("nvm.writes", func() float64 { return float64(m.Engine().Device().Stats().Writes) })
 	// Write amplification: total NVM line writes (data, metadata and
 	// scheme-side extras all reach the device) per user write.
 	reg.GaugeFunc("engine.write_amp", func() float64 {
-		user := m.engine.Stats().UserWrites
+		user := m.Engine().Stats().UserWrites
 		if user == 0 {
 			return 0
 		}
-		return float64(m.engine.Device().Stats().Writes) / float64(user)
+		return float64(m.Engine().Device().Stats().Writes) / float64(user)
 	})
 	m.tel = reg
 }
@@ -63,18 +63,6 @@ func aggregateHitRatio(caches []*cache.Cache) float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// maxTimeNs returns the slowest core's clock — the machine's notion of
-// elapsed simulated wall time.
-func (m *Machine) maxTimeNs() float64 {
-	var t float64
-	for _, v := range m.coreNow {
-		if v > t {
-			t = v
-		}
-	}
-	return t
 }
 
 // Telemetry returns the machine's metrics registry (nil when

@@ -194,7 +194,7 @@ func TestTimelineSkipsSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setupEnd := m.maxTimeNs()
+	setupEnd := m.be[0].maxTimeNs()
 	if setupEnd < 2*interval {
 		t.Fatalf("setup ended at %v ns, before the boundaries this test needs", setupEnd)
 	}
@@ -373,8 +373,8 @@ func TestTelemetryResetInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	reused.Reset(cfg.Seed)
-	if len(reused.obs) != 0 {
-		t.Fatalf("Reset kept %d attached observers", len(reused.obs))
+	if len(reused.be[0].obs) != 0 {
+		t.Fatalf("Reset kept %d attached observers", len(reused.be[0].obs))
 	}
 	staleSamples := len(staleS.Timelines()[0].TimesNs)
 	got, gotS, gotTr := run(reused)
@@ -454,8 +454,8 @@ func TestForkTelemetryIsolated(t *testing.T) {
 	if fork.Telemetry() == parent.Telemetry() {
 		t.Fatal("fork shares the parent's registry")
 	}
-	if len(fork.obs) != 0 {
-		t.Fatalf("fork inherited %d attached observers", len(fork.obs))
+	if len(fork.be[0].obs) != 0 {
+		t.Fatalf("fork inherited %d attached observers", len(fork.be[0].obs))
 	}
 	if parent.Engine().Device().Stats().Writes == fork.Engine().Device().Stats().Writes {
 		t.Fatal("parent wrote nothing after the fork; the test cannot tell the machines apart")
@@ -486,9 +486,9 @@ func TestForkTelemetryIsolated(t *testing.T) {
 
 	// A sampler attached to the fork samples the fork's registry.
 	fs, _ := instrument(t, fork, 10000)
-	now := fork.maxTimeNs()
-	fork.emit(Event{Kind: EvStepEnd, T: now})
-	fork.emit(Event{Kind: EvStepEnd, T: now + 10000})
+	now := fork.be[0].maxTimeNs()
+	fork.be[0].emit(Event{Kind: EvStepEnd, T: now})
+	fork.be[0].emit(Event{Kind: EvStepEnd, T: now + 10000})
 	tl := timeline(fs, "nvm.writes")
 	if len(tl.Values) != 1 {
 		t.Fatalf("fork sampler took %d samples, want 1", len(tl.Values))
