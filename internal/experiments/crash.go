@@ -7,28 +7,22 @@ package experiments
 // multi-crash-point sweep) cost K full workload runs. Machine.Fork
 // makes the base run shareable: one pooled machine executes the
 // workload once per family, forks an O(occupied-pages) copy-on-write
-// clone at every crash point, and crashes only the forks. Each fork
-// then becomes its own schedulable recovery unit, so a family costs
-// O(run + K·recover) instead of O(K·run) — a win that holds even on a
-// single CPU, because it removes work rather than overlapping it. A
-// family whose variants differ only below the memory controller
-// (Fig. 14b's cache sizes) runs its base as a lock-step group, one
-// back end per configuration, and Machine.ForkMember forks each
-// variant's member out as a solo machine.
+// clone at every crash point, and crashes and recovers only the forks,
+// so a family costs O(run + K·recover) instead of O(K·run) — a win
+// that holds even on a single CPU, because it removes work rather than
+// overlapping it. A family whose variants differ only below the memory
+// controller (Fig. 14b's cache sizes) runs its base as a lock-step
+// group, one back end per configuration, and Machine.ForkMember forks
+// each variant's member out as a solo machine.
 //
-// Dispatch is two-phase through the ordinary LPT dispatcher: phase 1
-// runs one base unit per family (producing the crashed forks), phase 2
-// runs one unit per variant (driving recovery on its pre-made fork).
-// Running the phases back-to-back rather than interleaved keeps the
-// pool deadlock-free at WithParallelism(1): a variant unit never waits
-// on a base unit that has no worker to run on. Every variant owns a
-// fixed output slot and records under the same sweep/cell keys the
-// monolithic path used, so rows, manifests and cell digests are
-// bit-identical to running each variant on a fresh machine — the Fork
-// and group invariants (sim.Machine.Fork, sim.NewGroup) plus the
-// session-stepping equivalence (StepN to N ops ≡ one N-op run) carry
-// the proof obligation, and TestFig14bForkDecompositionMatchesDirect
-// pins it end to end.
+// A family is one unit of the ordinary LPT dispatch, and its cells are
+// exactly its variants. Every variant records under the same
+// sweep/cell keys the monolithic path used, so rows, manifests and
+// cell digests are bit-identical to running each variant on a fresh
+// machine — the Fork and group invariants (sim.Machine.Fork,
+// sim.NewGroup) plus the session-stepping equivalence (StepN to N ops
+// ≡ one N-op run) carry the proof obligation, and
+// TestFig14bForkDecompositionMatchesDirect pins it end to end.
 
 import (
 	"context"
@@ -62,76 +56,36 @@ type crashFamily struct {
 	variants []crashVariant
 }
 
-// runCrashFamilies executes the families over the pool and returns the
-// recovery reports in variant order (families in order, each family's
-// variants in order); a slot is nil if its variant failed or was
-// canceled. Phase 1 steps each family's base machine through the
-// workload in a session, forking its variant's member out as a solo
-// machine and crashing it at every variant's point (ascending); the
-// base machine itself is never crashed, so it returns
-// to the worker's pool like any other machine — Reset on the next
-// checkout rewinds it, and the copy-on-write forks stay valid
-// regardless (TestMachinePoolPoisonedCheckout pins the pool side).
-// Phase 2 recovers each fork on its own unit; forks cross goroutines
-// between the phases, which is safe because a fork is used by exactly
-// one goroutine after creation and shared COW pages are only ever read.
+// runCrashFamilies executes the families over the pool, one unit per
+// family, and returns the recovery reports in variant order (families
+// in order, each family's variants in order). A unit steps its base
+// machine through the workload in a session; at each variant's point
+// (ascending) it forks the variant's member out as a solo machine,
+// crashes the fork, recovers it at once and records it. The base
+// machine itself is never crashed, so it returns to the worker's pool
+// like any other machine — Reset on the next checkout rewinds it
+// (TestMachinePoolPoisonedCheckout pins the pool side).
 //
-// Each variant's recorded wall time is its recovery wall plus an even
-// share of its family's base run — wall is diagnostic, not part of the
-// sealed digest identity.
+// A variant's wall is its own fork, crash and recovery; the base run
+// the family shares is in no variant's wall, as in the crash-recover
+// benchmark's per-crash timing. If the unit fails, its unrecorded
+// variants record the error.
 func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []crashFamily) ([]*secmem.RecoveryReport, error) {
-	// Global variant slots, family-major.
-	slots := make([][]int, len(families))
+	units := make([]workUnit, len(families))
+	first := make([]int, len(families)) // families[fi]'s first report slot
 	total := 0
 	for fi, f := range families {
-		slots[fi] = make([]int, len(f.variants))
-		for vi := range f.variants {
-			slots[fi][vi] = total
-			total++
+		units[fi].slot = fi
+		for _, v := range f.variants {
+			units[fi].cells = append(units[fi].cells, v.cell)
 		}
+		first[fi] = total
+		total += len(f.variants)
 	}
-	forks := make([]*sim.Machine, total)
-	baseWall := make([]time.Duration, len(families))
-
-	// Phase 1: one base unit per family, with one cell per member
-	// labeled "base ..." (after the member's first variant) so the cost
-	// model prices full runs separately from the (much cheaper)
-	// recovery units of phase 2.
-	baseUnits := make([]workUnit, len(families))
-	for fi, f := range families {
-		baseUnits[fi].slot = fi
-		for i, cfg := range f.cfgs {
-			label := "base"
-			for _, v := range f.variants {
-				if v.member == i {
-					if v.cell.Label != "" {
-						label = "base " + v.cell.Label
-					}
-					break
-				}
-			}
-			baseUnits[fi].cells = append(baseUnits[fi].cells, Cell{Workload: f.workload, Scheme: cfg.Scheme, Label: label})
-		}
-	}
-	err := r.dispatch(ctx, baseUnits, func(ctx context.Context, mp *machinePool, u workUnit) error {
-		fi := u.slot
-		f := families[fi]
-		start := time.Now()
-		fail := func(err error) error {
-			wall := time.Since(start)
-			for _, v := range f.variants {
-				r.record(sweep, v.cell, wall/time.Duration(len(f.variants)), nil, err)
-			}
-			return err
-		}
-		m, err := mp.machine(f.cfgs...)
-		if err != nil {
-			return fail(err)
-		}
-		s, err := m.NewSession(f.workload)
-		if err != nil {
-			return fail(err)
-		}
+	reports := make([]*secmem.RecoveryReport, total)
+	err := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
+		f := families[u.slot]
+		walls := make([]time.Duration, len(f.variants))
 		// Fork order: ascending crash point, so the base steps each
 		// segment exactly once; ties share the stepped-to state.
 		order := make([]int, len(f.variants))
@@ -141,55 +95,46 @@ func (r *Runner) runCrashFamilies(ctx context.Context, sweep string, families []
 		sort.SliceStable(order, func(a, b int) bool {
 			return f.variants[order[a]].point < f.variants[order[b]].point
 		})
+		done := 0
+		fail := func(err error) ([]time.Duration, error) {
+			for _, vi := range order[done:] {
+				r.record(sweep, f.variants[vi].cell, walls[vi], nil, err)
+			}
+			return walls, err
+		}
+		m, err := mp.machine(f.cfgs...)
+		if err != nil {
+			return fail(err)
+		}
+		s, err := m.NewSession(f.workload)
+		if err != nil {
+			return fail(err)
+		}
 		prev := 0
 		for _, vi := range order {
+			v := f.variants[vi]
 			if err := ctx.Err(); err != nil {
 				return fail(err)
 			}
-			if p := f.variants[vi].point; p > prev {
-				if err := s.StepN(p - prev); err != nil {
+			if v.point > prev {
+				if err := s.StepN(v.point - prev); err != nil {
 					return fail(err)
 				}
-				prev = p
+				prev = v.point
 			}
-			fk := m.ForkMember(f.variants[vi].member)
+			start := time.Now()
+			fk := m.ForkMember(v.member)
 			fk.Crash()
-			forks[slots[fi][vi]] = fk
+			rep, err := v.recover(fk)
+			walls[vi] = time.Since(start)
+			if err != nil {
+				return fail(err)
+			}
+			r.record(sweep, v.cell, walls[vi], rep, nil)
+			reports[first[u.slot]+vi] = rep
+			done++
 		}
-		baseWall[fi] = time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: one recovery unit per variant, on its pre-made fork.
-	varUnits := make([]workUnit, 0, total)
-	varFamily := make([]int, total)
-	varIdx := make([]int, total)
-	for fi, f := range families {
-		for vi := range f.variants {
-			slot := slots[fi][vi]
-			varFamily[slot] = fi
-			varIdx[slot] = vi
-			varUnits = append(varUnits, workUnit{cells: []Cell{f.variants[vi].cell}, slot: slot})
-		}
-	}
-	reports := make([]*secmem.RecoveryReport, total)
-	err = r.dispatch(ctx, varUnits, func(ctx context.Context, _ *machinePool, u workUnit) error {
-		f := families[varFamily[u.slot]]
-		v := f.variants[varIdx[u.slot]]
-		share := baseWall[varFamily[u.slot]] / time.Duration(len(f.variants))
-		start := time.Now()
-		rep, err := v.recover(forks[u.slot])
-		wall := share + time.Since(start)
-		if err != nil {
-			r.record(sweep, v.cell, wall, nil, err)
-			return err
-		}
-		r.record(sweep, v.cell, wall, rep, nil)
-		reports[u.slot] = rep
-		return nil
+		return walls, nil
 	})
 	if err != nil {
 		return nil, err
@@ -292,8 +237,8 @@ func (r *Runner) CrashPoints(ctx context.Context, schemes []string) ([]CrashPoin
 // time for STAR and Anubis after a crash at the end of a hash run. The
 // cache size changes only the memory controller, so each scheme is
 // one crash family: a lock-step group with one back end per size,
-// whose members are forked out and crashed at the end of the run, one
-// recovery unit each.
+// whose members are forked out, crashed and recovered at the end of
+// the run.
 func (r *Runner) Fig14b(ctx context.Context, cacheSizes []int) ([]Fig14bRow, error) {
 	if len(cacheSizes) == 0 {
 		cacheSizes = []int{128 << 10, 256 << 10, 512 << 10, 1 << 20}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,96 +142,86 @@ func TestRunMemoSeedMergeAfterHit(t *testing.T) {
 	}
 }
 
-// TestRunMemoRepeatedCellSingleFlight runs one cell eight times on a
-// 4-wide pool: one unit simulates it on one machine checkout, the rest
-// wait for or reuse that run, and every unit still reports, records
-// and returns its own equal copy.
-func TestRunMemoRepeatedCellSingleFlight(t *testing.T) {
-	coll := provenance.NewCollector()
-	var observed atomic.Int64 // observers run on worker goroutines
-	r := fastRunner(4, WithCollector(coll), WithResultObserver(func(Cell, *sim.Results) { observed.Add(1) }))
-	cells := make([]Cell, 8)
-	for i := range cells {
-		cells[i] = Cell{Workload: "queue", Scheme: "star"}
-	}
-	got, err := r.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.Snapshot()
-	if s.MachinesBuilt+s.MachinesReused != 1 || s.RunsShared != 7 {
-		t.Fatalf("want one machine checkout and 7 shared runs, got %+v", s)
-	}
-	if observed.Load() != int64(len(cells)) || coll.Len() != len(cells) {
-		t.Fatalf("observed %d and recorded %d cells, want %d each", observed.Load(), coll.Len(), len(cells))
-	}
-	for i, cr := range got {
-		if cr.Err != nil {
-			t.Fatalf("cell %d: %v", i, cr.Err)
-		}
-		if i > 0 && cr.Results == got[0].Results {
-			t.Fatalf("cells 0 and %d share one *sim.Results", i)
-		}
-		if !reflect.DeepEqual(cr.Results, got[0].Results) {
-			t.Fatalf("cell %d differs from cell 0", i)
-		}
-	}
-	recs := coll.Cells()
-	for _, rec := range recs {
-		if rec.Digest != recs[0].Digest {
-			t.Fatalf("digests differ across repeats: %s vs %s", rec.Digest, recs[0].Digest)
-		}
-	}
-	if want := freshDigest(t, r, recs[0]); recs[0].Digest != want {
-		t.Fatalf("digest %.16s, fresh machine %.16s", recs[0].Digest, want)
-	}
-}
-
 // TestRunMemoSkipsFailuresAndCustomSuites checks what the memo must
-// not store: a failed run is retried by the next unit with its key,
-// and a caller-supplied crypto suite (not fingerprintable) always runs.
+// not store: a failed run is simulated again by the next sweep that
+// needs it, and a caller-supplied crypto suite (not fingerprintable)
+// always runs.
 func TestRunMemoSkipsFailuresAndCustomSuites(t *testing.T) {
-	r := fastRunner(1)
-	bad := []Cell{{Workload: "no-such-workload", Scheme: "star"}, {Workload: "no-such-workload", Scheme: "star"}}
-	got, err := r.Run(context.Background(), bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cr := range got {
-		if cr.Err == nil {
-			t.Fatalf("cell %d of an unknown workload did not fail", i)
+	ctx := context.Background()
+	r := fastRunner(1, WithWorkloads("no-such-workload"))
+	for i := 0; i < 2; i++ {
+		_, err := r.Fig10(ctx)
+		if err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep %d over an unknown workload: err = %v, want the workload's error", i, err)
 		}
 	}
-	if s := r.Snapshot(); s.RunsShared != 0 {
-		t.Fatalf("a failed run was shared: %+v", s)
+	if s := r.Snapshot(); s.RunsShared != 0 || s.MachinesBuilt+s.MachinesReused != 2 {
+		t.Fatalf("a failed run was shared instead of simulated again: %+v", s)
+	}
+	if len(r.memo.runs) != 0 {
+		t.Fatalf("the memo stored %d failed runs", len(r.memo.runs))
 	}
 
 	base := fastRunner(1).cfg
-	suite := fastRunner(1, WithConfig(func() sim.Config {
+	suite := fastRunner(1, WithWorkloads("queue"), WithConfig(func() sim.Config {
 		cfg := base()
 		cfg.Suite = simcrypto.NewFast(1)
 		return cfg
 	}))
-	cells := []Cell{{Workload: "queue", Scheme: "wb"}, {Workload: "queue", Scheme: "wb"}}
-	if _, err := suite.Run(context.Background(), cells); err != nil {
+	if _, err := suite.Fig10(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if s := suite.Snapshot(); s.RunsShared != 0 || s.MachinesBuilt != 2 {
+	if _, err := suite.Fig14a(ctx); err != nil { // Fig. 10's star run again
+		t.Fatal(err)
+	}
+	if s := suite.Snapshot(); s.RunsShared != 0 || s.MachinesBuilt != 3 {
 		t.Fatalf("a custom-suite config went through the memo: %+v", s)
 	}
 }
 
-// TestRunMemoWaiterHonoursContext parks a unit behind a run that never
-// finishes: it must give up when its context ends.
-func TestRunMemoWaiterHonoursContext(t *testing.T) {
-	r := fastRunner(1)
-	cfg := r.cfg()
-	r.memo.runs = map[string]*memoRun{memoKey(cfg, "queue", 100): {done: make(chan struct{})}}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, err := r.run(ctx, &machinePool{}, cfg, "queue", 100)
-	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
-		t.Fatalf("waiter returned (%v, %v), want context.DeadlineExceeded", res, err)
+// TestRunMemoConcurrentSweeps runs two sweeps that share every star run
+// — Fig. 10 and Fig. 14a — at once on one 2-wide runner. Whichever
+// sweep simulates a shared run first, every recorded cell must carry
+// the digest a fresh runner records for it.
+func TestRunMemoConcurrentSweeps(t *testing.T) {
+	ctx := context.Background()
+	coll := provenance.NewCollector()
+	r := fastRunner(2, WithCollector(coll))
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = r.Fig10(ctx)
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[1] = r.Fig14a(ctx)
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	freshColl := provenance.NewCollector()
+	if _, err := fastRunner(2, WithCollector(freshColl)).Fig10(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fastRunner(2, WithCollector(freshColl)).Fig14a(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, rec := range freshColl.Cells() {
+		want[rec.Key()] = rec.Digest
+	}
+	if coll.Len() != len(want) {
+		t.Fatalf("recorded %d cells, a fresh runner %d", coll.Len(), len(want))
+	}
+	for _, rec := range coll.Cells() {
+		if d, ok := want[rec.Key()]; !ok || d != rec.Digest {
+			t.Errorf("%s: digest %.16s, fresh runner %.16s", rec.Key(), rec.Digest, d)
+		}
 	}
 }
 
@@ -243,9 +233,9 @@ func TestBuildManifestCellsPerSecSpansSweeps(t *testing.T) {
 	r := fastRunner(1, WithCollector(provenance.NewCollector()))
 	sleepy := func(d time.Duration, n int) {
 		t.Helper()
-		err := r.forEach(context.Background(), make([]Cell, n), func(context.Context, *machinePool, int) error {
+		err := r.dispatch(context.Background(), oneCellUnits(make([]Cell, n)), func(context.Context, *machinePool, workUnit) ([]time.Duration, error) {
 			time.Sleep(d)
-			return nil
+			return nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)

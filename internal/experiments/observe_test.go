@@ -6,8 +6,8 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"nvmstar/internal/cache"
 	"nvmstar/internal/sim"
@@ -20,10 +20,10 @@ import (
 // rides along to pin WithResultObserver's compose-don't-replace
 // contract: both observers must see every cell. It returns the cell
 // results, the aggregate rows and the report.
-func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, md string) {
+func observedSweep(t *testing.T) (res map[Cell]*sim.Results, rows []ObservatoryRow, md string) {
 	t.Helper()
 	obs := NewObservatory()
-	var seen atomic.Int64
+	var log cellLog
 	r := NewRunner(
 		WithOps(1200),
 		WithWorkloads("array", "queue"),
@@ -40,23 +40,18 @@ func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, md st
 		}),
 		WithParallelism(4),
 		WithResultObserver(obs.Observe),
-		WithResultObserver(func(Cell, *sim.Results) { seen.Add(1) }),
+		WithResultObserver(log.observe),
 	)
-	cells := r.Matrix(nil, []string{"wb", "star"})
-	res, err := r.Run(context.Background(), cells)
-	if err != nil {
+	if _, err := r.SchemeComparison(context.Background(), []string{"wb", "star"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, cr := range res {
-		if cr.Err != nil {
-			t.Fatalf("cell %v: %v", cr.Cell, cr.Err)
-		}
-		if cr.Results.WriteBreakdown == nil || cr.Results.Latency == nil {
-			t.Fatalf("cell %v missing an observatory field with Observe enabled", cr.Cell)
-		}
+	if got := len(log.res); got != 4 {
+		t.Fatalf("co-registered observer saw %d cells, want 4", got)
 	}
-	if got := seen.Load(); got != int64(len(cells)) {
-		t.Fatalf("co-registered observer saw %d cells, want %d", got, len(cells))
+	for c, res := range log.res {
+		if res.WriteBreakdown == nil || res.Latency == nil {
+			t.Fatalf("cell %v missing an observatory field with Observe enabled", c)
+		}
 	}
 
 	rows = obs.Rows()
@@ -72,7 +67,7 @@ func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, md st
 	if rows[0].Scheme != "wb" || rows[1].Scheme != "star" || rows[0].Workload != rows[1].Workload {
 		t.Errorf("row order wrong: %+v", rows)
 	}
-	return res, rows, obs.Markdown()
+	return log.res, rows, obs.Markdown()
 }
 
 // TestAttrAggregatorSweep checks the write-cause half of an observed
@@ -82,8 +77,8 @@ func observedSweep(t *testing.T) (res []CellResult, rows []ObservatoryRow, md st
 func TestAttrAggregatorSweep(t *testing.T) {
 	res, rows, md := observedSweep(t)
 	want := map[obsKey]uint64{}
-	for _, cr := range res {
-		want[obsKey{cr.Workload, cr.Scheme}] += cr.Results.WriteBreakdown.Total
+	for c, r := range res {
+		want[obsKey{c.Workload, c.Scheme}] += r.WriteBreakdown.Total
 	}
 	for _, row := range rows {
 		if w := want[obsKey{row.Workload, row.Scheme}]; row.Breakdown.Total != w {
@@ -106,8 +101,8 @@ func TestAttrAggregatorSweep(t *testing.T) {
 func TestLatencyAggregatorSweep(t *testing.T) {
 	res, rows, md := observedSweep(t)
 	want := map[obsKey]uint64{}
-	for _, cr := range res {
-		want[obsKey{cr.Workload, cr.Scheme}] += cr.Results.Latency.Op("write").Count
+	for c, r := range res {
+		want[obsKey{c.Workload, c.Scheme}] += r.Latency.Op("write").Count
 	}
 	for _, row := range rows {
 		if got, w := row.Latency.Op("write").Count, want[obsKey{row.Workload, row.Scheme}]; got != w {
@@ -129,7 +124,9 @@ func TestLatencyAggregatorSweep(t *testing.T) {
 // reverse. The report, the write breakdowns and every latency row's
 // count, buckets and derived percentiles (what -latency-out writes)
 // must be identical. SumNs and the component times are float sums, so
-// they only agree within rounding.
+// they only agree within rounding. The per-seed cells run as one-cell
+// units straight through the dispatcher, since the seed-averaged sweeps
+// observe only merged cells.
 func TestObservatoryOrderIndependent(t *testing.T) {
 	live := NewObservatory()
 	r := NewRunner(
@@ -147,18 +144,30 @@ func TestObservatoryOrderIndependent(t *testing.T) {
 		WithParallelism(4),
 		WithResultObserver(live.Observe),
 	)
-	res, err := r.Run(context.Background(), r.Matrix(nil, []string{"wb", "star"}))
+	var cells []Cell
+	for _, w := range []string{"array", "queue"} {
+		for _, scheme := range []string{"wb", "star"} {
+			for seed := 0; seed < 3; seed++ {
+				cells = append(cells, Cell{Workload: w, Scheme: scheme, Seed: seed})
+			}
+		}
+	}
+	res := make([]*sim.Results, len(cells))
+	err := r.dispatch(context.Background(), oneCellUnits(cells), func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
+		c := u.cells[0]
+		out, err := r.runSeed(ctx, mp, c)
+		r.record("observe-test", c, 0, out, err)
+		res[u.slot] = out
+		return nil, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	forward, reverse := NewObservatory(), NewObservatory()
 	for i := range res {
-		if res[i].Err != nil {
-			t.Fatalf("cell %v: %v", res[i].Cell, res[i].Err)
-		}
-		forward.Observe(res[i].Cell, res[i].Results)
-		back := res[len(res)-1-i]
-		reverse.Observe(back.Cell, back.Results)
+		forward.Observe(cells[i], res[i])
+		back := len(res) - 1 - i
+		reverse.Observe(cells[back], res[back])
 	}
 
 	want := forward.Rows()

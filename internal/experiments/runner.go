@@ -19,24 +19,25 @@ import (
 // Runner executes the evaluation's (workload, scheme, seed) cell
 // matrix over a bounded worker pool. The schedulable grain is one
 // simulator run (a workUnit — for seed-averaged sweeps that is one
-// cell × seed, not the whole cell), dispatched longest-expected-first
-// so a heavy strict-scheme cell cannot strand the sweep's tail on one
-// worker. A run may drive a lock-step group (sim.NewGroup): one
-// simulated CPU side feeding several back ends that differ only below
-// the CPU caches, so Table II's ADR points of one workload are one
-// unit, and Fig. 14b's cache sizes of one scheme one crash-family base
-// unit. Every worker keeps a private pool of machines (one per
-// distinct configuration list, Reset between units), preserving the
-// simulator's single-goroutine invariant per run, and every result
-// lands in a slot fixed by its unit index with seed merges folding
-// slots in ascending seed order — output is bit-identical to a
-// sequential fresh-machine sweep regardless of pool width, dispatch
-// order or grouping, because Machine.Reset(seed) is equivalent to
-// building a new machine with that seed and back end i of a group is
-// equivalent to a solo machine of its configuration. A run the runner
-// has already computed — same seeded configuration, workload and
-// operation count — is not simulated again: the run memo hands later
-// units a copy of the first unit's Results, member by member.
+// cell × seed, not the whole cell); units are ranked once by static
+// cost and handed out longest-expected-first, so a heavy strict-scheme
+// cell cannot strand the sweep's tail on one worker. A run may drive a
+// lock-step group (sim.NewGroup): one simulated CPU side feeding
+// several back ends that differ only below the CPU caches, so Table
+// II's ADR points of one workload are one unit, and Fig. 14b's cache
+// sizes of one scheme one crash-family unit. Every worker keeps a
+// private pool of machines (one per distinct configuration list, Reset
+// between units), preserving the simulator's single-goroutine
+// invariant per run, and every result lands in a slot fixed by its
+// unit index with seed merges folding slots in ascending seed order —
+// output is bit-identical to a sequential fresh-machine sweep
+// regardless of pool width, dispatch order or grouping, because
+// Machine.Reset(seed) is equivalent to building a new machine with
+// that seed and back end i of a group is equivalent to a solo machine
+// of its configuration. A run the runner has already completed — same
+// seeded configuration, workload and operation count — is not
+// simulated again: the run memo hands later units a copy of the stored
+// Results, member by member.
 type Runner struct {
 	ops       int
 	seeds     int
@@ -52,11 +53,6 @@ type Runner struct {
 	// counts at which crash-family sweeps fork and crash their base
 	// runs. Empty means one crash at the end of the run.
 	crashPoints []int
-
-	// costs prices units for longest-expected-first dispatch; it
-	// persists across this runner's sweeps so observed wall times from
-	// one sweep refine the next one's schedule.
-	costs *costModel
 
 	// memo holds every run this runner has completed, across sweeps.
 	memo runMemo
@@ -181,7 +177,6 @@ func NewRunner(opts ...Option) *Runner {
 	if r.parallel <= 0 {
 		r.parallel = runtime.GOMAXPROCS(0)
 	}
-	r.costs = newCostModel()
 	r.workerBusyNs = make([]atomic.Int64, r.parallel)
 	r.workerIdleNs = make([]atomic.Int64, r.parallel)
 	r.workerUnits = make([]atomic.Int64, r.parallel)
@@ -212,18 +207,11 @@ func (c Cell) name() string {
 	return name
 }
 
-// CellResult is one completed cell: its identity, the measured
-// results (nil if the cell failed or never ran) and the error if any.
-type CellResult struct {
-	Cell
-	Results *sim.Results
-	Err     error
-	Wall    time.Duration // wall-clock time this cell took
-}
-
 // Progress reports one completed cell of a sweep. A unit that runs a
 // lock-step group completes all of its cells at once: each gets its
-// own event, with an even share of the unit's wall time.
+// own event, with an even share of the unit's wall time. A crash-family
+// unit's cells are its forked recoveries: each cell's wall is its own
+// fork, crash and recovery, and the base run they share is in none.
 type Progress struct {
 	Done  int  // cells completed so far, including this one
 	Total int  // cells in the sweep
@@ -352,56 +340,6 @@ func (r *Runner) BuildManifest(gitRev string) (*provenance.Manifest, error) {
 	return m, nil
 }
 
-// Matrix expands workloads x schemes x the runner's seed count into
-// cells in deterministic (workload-major) order. Empty workloads means
-// the runner's workload set; empty schemes defaults to the paper's
-// four-scheme evaluation set.
-func (r *Runner) Matrix(workloads, schemes []string) []Cell {
-	if len(workloads) == 0 {
-		workloads = r.workloadList()
-	}
-	if len(schemes) == 0 {
-		schemes = []string{"wb", "star", "anubis", "strict"}
-	}
-	var cells []Cell
-	for _, w := range workloads {
-		for _, s := range schemes {
-			for seed := 0; seed < r.seeds; seed++ {
-				cells = append(cells, Cell{Workload: w, Scheme: s, Seed: seed})
-			}
-		}
-	}
-	return cells
-}
-
-// Run executes every cell over the worker pool and returns results in
-// cell order (slot i belongs to cells[i]). A cell's simulation error
-// is recorded in its CellResult and does not abort the sweep; only
-// context cancellation does, in which case the returned error is
-// ctx.Err() and unreached cells have nil Results and a nil Err.
-func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]CellResult, len(cells))
-	err := r.forEach(ctx, cells, func(ctx context.Context, mp *machinePool, i int) error {
-		start := time.Now()
-		res, runErr := r.runSeed(ctx, mp, cells[i])
-		wall := time.Since(start)
-		out[i] = CellResult{Cell: cells[i], Results: res, Err: runErr, Wall: wall}
-		if runErr != nil {
-			r.record("matrix", cells[i], wall, nil, runErr)
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return nil
-		}
-		r.record("matrix", cells[i], wall, res, nil)
-		return nil
-	})
-	return out, err
-}
-
 // --- pool ----------------------------------------------------------------
 
 // machinePool caches one sim.Machine per distinct configuration list
@@ -478,22 +416,27 @@ type completion struct {
 	err    error
 	done   int           // completion number, 1-based
 	worker int           // pool lane that ran the cell's unit
-	start  time.Duration // offset of the cell's share of its unit from the sweep's start
-	wall   time.Duration // the cell's share of its unit's wall time
+	start  time.Duration // offset of the cell's start from the sweep's start
+	wall   time.Duration // the cell's wall time
 }
+
+// unitJob runs one unit on a worker's machine pool. It returns the wall
+// time of each of the unit's cells, or nil when the cells completed
+// together and share the unit's wall evenly. The cells are reported
+// back to back, ending when the unit ends.
+type unitJob func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error)
 
 // dispatch runs job over every unit on at most r.parallel workers,
 // handing each worker its own machinePool. Units are handed out
-// longest-expected-first via the runner's cost model; each job owns
-// its unit's output slot, which keeps assembled output deterministic
-// regardless of dispatch order. Progress callbacks and trace events
-// are emitted per cell by a dedicated reporter goroutine in
-// completion-number order, so workers never serialize on user
-// callbacks; a unit's cells complete together, each with an even share
-// of the unit's wall time. The first non-nil job error cancels the
-// remaining units and is returned; otherwise the (possibly canceled)
-// context's error is.
-func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx context.Context, mp *machinePool, u workUnit) error) error {
+// longest-expected-first (lptOrder over each unit's summed staticCost);
+// each job owns its unit's output slot, which keeps assembled output
+// deterministic regardless of dispatch order. Progress callbacks and
+// trace events are emitted per cell by a dedicated reporter goroutine
+// in completion-number order, so workers never serialize on user
+// callbacks. The first non-nil job error cancels the remaining units
+// and is returned; otherwise the (possibly canceled) context's error
+// is.
+func (r *Runner) dispatch(parent context.Context, units []workUnit, job unitJob) error {
 	if parent == nil {
 		parent = context.Background()
 	}
@@ -510,19 +453,19 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 
 	start := time.Now()
 	cells := 0
-	keys := make([]string, len(units))
-	static := make([]float64, len(units))
+	costs := make([]float64, len(units))
 	for i, u := range units {
 		cells += len(u.cells)
-		keys[i] = u.costKey()
 		for _, c := range u.cells {
-			static[i] += r.staticCost(c)
+			costs[i] += r.staticCost(c)
 		}
 	}
 	r.cellsTotal.Add(int64(cells))
-	d := newDispatcher(len(units), func(i int) float64 {
-		return r.costs.estimate(keys[i], static[i])
-	})
+	queue := make(chan int, len(units))
+	for _, i := range lptOrder(costs) {
+		queue <- i
+	}
+	close(queue)
 
 	var (
 		errMu    sync.Mutex
@@ -569,38 +512,43 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job func(ctx
 			defer wg.Done()
 			mp := &machinePool{built: &r.machinesBuilt, reused: &r.machinesReused}
 			idleSince := time.Now()
-			for ctx.Err() == nil {
-				i, ok := d.next()
-				if !ok {
+			for i := range queue {
+				if ctx.Err() != nil {
 					break
 				}
 				unitStart := time.Now()
 				r.workerIdleNs[worker].Add(unitStart.Sub(idleSince).Nanoseconds())
 				mp.shared = false
-				err := job(ctx, mp, units[i])
+				walls, err := job(ctx, mp, units[i])
 				wall := time.Since(unitStart)
 				idleSince = time.Now()
 				r.workerBusyNs[worker].Add(wall.Nanoseconds())
 				r.workerUnits[worker].Add(1)
-				// A memo hit's near-zero wall says nothing about what
-				// its cost key takes to simulate.
 				if mp.shared {
 					r.runsShared.Add(1)
-				} else {
-					r.costs.observe(keys[i], static[i], wall)
 				}
 				n := len(units[i].cells)
 				r.cellsDone.Add(int64(n))
 				if err != nil {
 					fail(err)
 				}
-				share := wall / time.Duration(n)
+				if walls == nil {
+					walls = make([]time.Duration, n)
+					for k := range walls {
+						walls[k] = wall / time.Duration(n)
+					}
+				}
+				offset := unitStart.Sub(start) + wall
+				for _, w := range walls {
+					offset -= w
+				}
 				first := int(doneCount.Add(int64(n))) - n + 1
 				for k, c := range units[i].cells {
 					events <- completion{
 						cell: c, err: err, done: first + k, worker: worker,
-						start: unitStart.Sub(start) + time.Duration(k)*share, wall: share,
+						start: offset, wall: walls[k],
 					}
+					offset += walls[k]
 				}
 			}
 			r.workerIdleNs[worker].Add(time.Since(idleSince).Nanoseconds())
@@ -640,21 +588,6 @@ func (r *Runner) report(ev completion, total int) {
 	}
 }
 
-// forEach runs job(i) over the pool with one unit per cell (slot i).
-// Sweeps whose cells are single simulator runs use it directly;
-// seed-averaged sweeps go through runCellsAveraged, which expands
-// cells into per-seed units first so the schedulable grain stays one
-// run.
-func (r *Runner) forEach(parent context.Context, cells []Cell, job func(ctx context.Context, mp *machinePool, i int) error) error {
-	units := make([]workUnit, len(cells))
-	for i, c := range cells {
-		units[i] = workUnit{cells: []Cell{c}, slot: i}
-	}
-	return r.dispatch(parent, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
-		return job(ctx, mp, u.slot)
-	})
-}
-
 // --- cell execution ------------------------------------------------------
 
 func (r *Runner) cfg() sim.Config {
@@ -691,24 +624,17 @@ func (r *Runner) runSeed(ctx context.Context, mp *machinePool, c Cell) (*sim.Res
 
 // --- run memo ------------------------------------------------------------
 
-// runMemo is a Runner's single-flight memo of completed simulator runs.
-// The simulator is deterministic, so a run is a function of its seeded
+// runMemo is a Runner's memo of completed simulator runs. The
+// simulator is deterministic, so a run is a function of its seeded
 // configuration, workload and operation count: an equal key means an
 // equal run. The paper's sweeps repeat many runs — Fig. 10, Figs.
 // 11–13, Fig. 14a and Table II's default ADR point all simulate the
 // same default wb and star runs — and the memo computes each once per
-// Runner. It is always on; there is nothing to tune.
+// Runner, as long as the sweeps that repeat it run one after another.
+// It is always on; there is nothing to tune.
 type runMemo struct {
 	mu   sync.Mutex
-	runs map[string]*memoRun
-}
-
-// memoRun is one run, in flight or completed. done closes when the
-// unit running it finishes; res is then the stored result, or nil if
-// the run failed (failed runs are dropped from the memo, not stored).
-type memoRun struct {
-	done chan struct{}
-	res  *sim.Results
+	runs map[string]*sim.Results
 }
 
 // run returns the Results of running workload for ops operations on a
@@ -723,93 +649,49 @@ func (r *Runner) run(ctx context.Context, mp *machinePool, cfg sim.Config, workl
 
 // runGroup returns, for each of cfgs, the Results of running workload
 // for ops operations on a machine configured by it. Each member is a
-// memo entry of its own: the members no unit has claimed yet are
-// claimed and simulated together on one pooled machine — a lock-step
-// group when there are several — and the rest are waited for (or for
-// ctx) and copied out. A member whose claiming run failed is claimed
-// again. Every caller gets Results it owns — seed merges mutate them
-// in place — so a stored value is never handed out. A caller-supplied
-// crypto suite is not fingerprintable, so such configs bypass the memo
-// as they bypass the machine pool.
+// memo entry of its own: stored members are copied out, and the rest
+// are simulated together on one pooled machine — a lock-step group
+// when there are several — and stored. Every caller gets Results it
+// owns — seed merges mutate them in place — so a stored value is never
+// handed out. Failed runs are not stored. A caller-supplied crypto
+// suite is not fingerprintable, so such configs bypass the memo as
+// they bypass the machine pool.
 func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, error) {
 	if cfgs[0].Suite != nil {
 		return simulate(ctx, mp, cfgs, workload, ops)
 	}
 	out := make([]*sim.Results, len(cfgs))
-	entries := make([]*memoRun, len(cfgs))
 	keys := make([]string, len(cfgs))
+	var missing []int
+	var sub []sim.Config
+	r.memo.mu.Lock()
 	for i, cfg := range cfgs {
 		keys[i] = memoKey(cfg, workload, ops)
-	}
-	simulated := false
-	for {
-		var mine []int
-		r.memo.mu.Lock()
-		for i, key := range keys {
-			if out[i] != nil {
-				continue
-			}
-			e, found := r.memo.runs[key]
-			if !found {
-				e = &memoRun{done: make(chan struct{})}
-				if r.memo.runs == nil {
-					r.memo.runs = make(map[string]*memoRun)
-				}
-				r.memo.runs[key] = e
-				mine = append(mine, i)
-			}
-			entries[i] = e
-		}
-		r.memo.mu.Unlock()
-		if len(mine) > 0 {
-			simulated = true
-			sub := make([]sim.Config, len(mine))
-			for k, i := range mine {
-				sub[k] = cfgs[i]
-			}
-			rs, err := simulate(ctx, mp, sub, workload, ops)
-			r.memo.mu.Lock()
-			for k, i := range mine {
-				if err != nil {
-					delete(r.memo.runs, keys[i])
-				} else {
-					entries[i].res = rs[k].Clone()
-					out[i] = rs[k]
-				}
-			}
-			r.memo.mu.Unlock()
-			for _, i := range mine {
-				close(entries[i].done)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		retry := false
-		for i, e := range entries {
-			if out[i] != nil {
-				continue
-			}
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.res == nil {
-				// The claiming run failed; claim it again under this
-				// unit's own context.
-				retry = true
-				continue
-			}
-			out[i] = e.res.Clone()
-		}
-		if !retry {
-			break
+		if res, ok := r.memo.runs[keys[i]]; ok {
+			out[i] = res.Clone()
+		} else {
+			missing = append(missing, i)
+			sub = append(sub, cfg)
 		}
 	}
-	if !simulated {
+	r.memo.mu.Unlock()
+	if len(missing) == 0 {
 		mp.shared = true
+		return out, nil
 	}
+	rs, err := simulate(ctx, mp, sub, workload, ops)
+	if err != nil {
+		return nil, err
+	}
+	r.memo.mu.Lock()
+	if r.memo.runs == nil {
+		r.memo.runs = make(map[string]*sim.Results)
+	}
+	for k, i := range missing {
+		r.memo.runs[keys[i]] = rs[k].Clone()
+		out[i] = rs[k]
+	}
+	r.memo.mu.Unlock()
 	return out, nil
 }
 
@@ -817,8 +699,8 @@ func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Confi
 func (m *runMemo) completed(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.runs[key]
-	return ok && e.res != nil
+	_, ok := m.runs[key]
+	return ok
 }
 
 // memoKey identifies a run: the full seeded configuration, printed as
@@ -862,13 +744,13 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 	perSeed := make([]*sim.Results, len(units))
 	walls := make([]time.Duration, len(units))
 	errs := make([]error, len(units))
-	dispatchErr := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
+	dispatchErr := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
 		start := time.Now()
 		res, err := r.runSeed(ctx, mp, u.cells[0])
 		perSeed[u.slot] = res
 		walls[u.slot] = time.Since(start)
 		errs[u.slot] = err
-		return err
+		return nil, err
 	})
 	out := make([]*sim.Results, len(cells))
 	for ci, c := range cells {
@@ -1041,7 +923,7 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 		}
 	}
 	ratios := make([]float64, len(cells))
-	err := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) error {
+	err := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
 		start := time.Now()
 		idx := members[u.slot]
 		group := make([]sim.Config, len(idx))
@@ -1058,7 +940,7 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 			r.record("table2", cells[i], wall, rs[k], nil)
 			ratios[i] = rs[k].Bitmap.HitRatio()
 		}
-		return err
+		return nil, err
 	})
 	if err != nil {
 		return nil, err
@@ -1097,6 +979,6 @@ func (r *Runner) Fig14a(ctx context.Context) ([]Fig14aRow, error) {
 	return rows, nil
 }
 
-// Fig14b and AblationIndex — the crash-family sweeps — live in
-// crash.go, decomposed into shared base runs plus forked recovery
-// units.
+// Fig14b, AblationIndex and CrashPoints — the crash-family sweeps —
+// live in crash.go, one unit per shared base run with its forked
+// recoveries.

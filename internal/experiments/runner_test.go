@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,34 +36,54 @@ func fastRunner(parallel int, extra ...Option) *Runner {
 	return NewRunner(opts...)
 }
 
+// cellLog is a result observer that keeps every observed cell's
+// Results, keyed by cell.
+type cellLog struct {
+	mu  sync.Mutex
+	res map[Cell]*sim.Results
+}
+
+func (l *cellLog) observe(c Cell, res *sim.Results) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.res == nil {
+		l.res = map[Cell]*sim.Results{}
+	}
+	l.res[c] = res
+}
+
+// oneCellUnits wraps each cell in a unit of its own, slot = index.
+func oneCellUnits(cells []Cell) []workUnit {
+	units := make([]workUnit, len(cells))
+	for i, c := range cells {
+		units[i] = workUnit{cells: []Cell{c}, slot: i}
+	}
+	return units
+}
+
 // TestRunnerDeterminism is the golden test of the machine-isolation
 // invariant: a 4-worker sweep must produce bit-identical per-cell
-// sim.Results to the sequential path, both for the raw cell stream and
+// sim.Results to the sequential path, both for every observed cell and
 // for every assembled figure.
 func TestRunnerDeterminism(t *testing.T) {
 	ctx := context.Background()
-	seq := fastRunner(1)
-	par := fastRunner(4)
+	var seqLog, parLog cellLog
+	seq := fastRunner(1, WithResultObserver(seqLog.observe))
+	par := fastRunner(4, WithResultObserver(parLog.observe))
 
-	cells := seq.Matrix(nil, []string{"wb", "star", "anubis"})
-	if len(cells) != 6 {
-		t.Fatalf("matrix = %d cells", len(cells))
-	}
-	seqRes, err := seq.Run(ctx, cells)
-	if err != nil {
+	schemes := []string{"wb", "star", "anubis"}
+	if _, err := seq.SchemeComparison(ctx, schemes); err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := par.Run(ctx, cells)
-	if err != nil {
+	if _, err := par.SchemeComparison(ctx, schemes); err != nil {
 		t.Fatal(err)
 	}
-	for i := range cells {
-		if seqRes[i].Err != nil || parRes[i].Err != nil {
-			t.Fatalf("cell %v error: %v / %v", cells[i], seqRes[i].Err, parRes[i].Err)
-		}
-		if !reflect.DeepEqual(seqRes[i].Results, parRes[i].Results) {
-			t.Errorf("cell %v: parallel results differ from sequential:\nseq: %+v\npar: %+v",
-				cells[i], seqRes[i].Results, parRes[i].Results)
+	if len(seqLog.res) != 6 || len(parLog.res) != 6 {
+		t.Fatalf("observed %d sequential and %d parallel cells, want 6 each", len(seqLog.res), len(parLog.res))
+	}
+	for c, want := range seqLog.res {
+		if got := parLog.res[c]; !reflect.DeepEqual(want, got) {
+			t.Errorf("cell %v: parallel results differ from sequential:\nseq: %+v\npar: %+v", c, want, got)
 		}
 	}
 
@@ -112,66 +134,64 @@ func TestRunnerDeterminism(t *testing.T) {
 func TestRunnerMachineReuseMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	collector := provenance.NewCollector()
-	r := fastRunner(2, WithCollector(collector))
-	cells := r.Matrix([]string{"array", "queue"}, []string{"wb", "star", "strict"})
-	got, err := r.Run(ctx, cells)
-	if err != nil {
+	var log cellLog
+	r := fastRunner(2, WithCollector(collector), WithResultObserver(log.observe))
+	if _, err := r.SchemeComparison(ctx, []string{"wb", "star", "strict"}); err != nil {
 		t.Fatal(err)
+	}
+	if len(log.res) != 6 {
+		t.Fatalf("observed %d cells, want 6", len(log.res))
 	}
 	digests := map[string]string{}
 	for _, rec := range collector.Cells() {
 		digests[rec.Key()] = rec.Digest
 	}
-	for i, cr := range got {
-		if cr.Err != nil {
-			t.Fatalf("cell %v: %v", cells[i], cr.Err)
-		}
+	for c, pooled := range log.res {
 		cfg := fastRunner(1).cfg()
-		cfg.Scheme = cells[i].Scheme
-		cfg.Seed += uint64(cells[i].Seed) * 7919
+		cfg.Scheme = c.Scheme
+		cfg.Seed += uint64(c.Seed) * 7919
 		m, err := sim.NewMachine(cfg)
 		if err != nil {
-			t.Fatalf("cell %v: fresh machine: %v", cells[i], err)
+			t.Fatalf("cell %v: fresh machine: %v", c, err)
 		}
-		ops := r.opsFor(cells[i].Scheme)
-		want, err := m.Run(cells[i].Workload, ops)
+		want, err := m.Run(c.Workload, r.opsFor(c.Scheme))
 		if err != nil {
-			t.Fatalf("cell %v: fresh run: %v", cells[i], err)
+			t.Fatalf("cell %v: fresh run: %v", c, err)
 		}
-		if !reflect.DeepEqual(want, cr.Results) {
+		if !reflect.DeepEqual(want, pooled) {
 			t.Errorf("cell %v: pooled results differ from a fresh machine:\nfresh  %+v\npooled %+v",
-				cells[i], want, cr.Results)
+				c, want, pooled)
 		}
 		freshDigest, err := provenance.Digest(want)
 		if err != nil {
-			t.Fatalf("cell %v: digest: %v", cells[i], err)
+			t.Fatalf("cell %v: digest: %v", c, err)
 		}
-		key := provenance.CellRecord{Sweep: "matrix", Workload: cells[i].Workload,
-			Scheme: cells[i].Scheme, Seed: cells[i].Seed, Label: cells[i].Label}.Key()
-		if pooled, ok := digests[key]; !ok || pooled != freshDigest {
+		key := provenance.CellRecord{Sweep: "scheme-comparison", Workload: c.Workload,
+			Scheme: c.Scheme, Seed: c.Seed, Label: c.Label}.Key()
+		if got, ok := digests[key]; !ok || got != freshDigest {
 			t.Errorf("cell %v: pooled digest %q != fresh digest %q (reuse leaks into provenance)",
-				cells[i], pooled, freshDigest)
+				c, got, freshDigest)
 		}
 	}
 }
 
 // TestRunSweepFinalStats checks the Stats path: after a completed
-// Run, Snapshot must report the sweep's accounting.
+// sweep, Snapshot must report the sweep's accounting.
 func TestRunSweepFinalStats(t *testing.T) {
-	r := fastRunner(2)
-	cells := r.Matrix([]string{"array"}, []string{"wb", "star"})
-	res, err := r.Run(context.Background(), cells)
+	r := fastRunner(2, WithWorkloads("array"))
+	rows, err := r.Fig10(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(cells) {
-		t.Fatalf("results = %d, want %d", len(res), len(cells))
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
 	}
+	const cells = 2 // array under wb and star
 	s := r.Snapshot()
-	if s.CellsDone != int64(len(cells)) || s.CellsTotal != int64(len(cells)) {
+	if s.CellsDone != cells || s.CellsTotal != cells {
 		t.Fatalf("final stats miscount cells: %+v", s)
 	}
-	if s.MachinesBuilt+s.MachinesReused != int64(len(cells)) {
+	if s.MachinesBuilt+s.MachinesReused != cells {
 		t.Fatalf("pool accounting does not cover every cell: %+v", s)
 	}
 	if r.WallTime() <= 0 {
@@ -188,7 +208,7 @@ func TestRunnerManifestDeterministic(t *testing.T) {
 	build := func(parallel int) *provenance.Manifest {
 		c := provenance.NewCollector()
 		r := fastRunner(parallel, WithCollector(c))
-		if _, err := r.Run(ctx, r.Matrix(nil, []string{"wb", "star"})); err != nil {
+		if _, err := r.Fig10(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Fig14a(ctx); err != nil {
@@ -234,42 +254,33 @@ func TestBuildManifestRequiresCollector(t *testing.T) {
 func TestRunnerCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := fastRunner(2, WithProgress(func(p Progress) {
+	var log cellLog
+	r := fastRunner(2, WithResultObserver(log.observe), WithProgress(func(p Progress) {
 		if p.Done == 1 {
 			cancel() // abort as soon as the first cell lands
 		}
 	}))
-	cells := r.Matrix(nil, []string{"wb", "star", "anubis", "strict"})
+	const cells = 8 // 2 workloads x 4 schemes
 	start := time.Now()
-	results, err := r.Run(ctx, cells)
-	if !errors.Is(err, context.Canceled) {
+	if _, err := r.SchemeComparison(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(results) != len(cells) {
-		t.Fatalf("results = %d, want %d slots", len(results), len(cells))
-	}
-	completed := 0
-	for _, cr := range results {
-		if cr.Results != nil {
-			completed++
-		}
-	}
-	if completed == len(cells) {
+	completed := len(log.res)
+	if completed == cells {
 		t.Fatal("cancellation did not stop the sweep: every cell completed")
 	}
-	t.Logf("canceled after %d/%d cells in %v", completed, len(cells), time.Since(start))
+	t.Logf("canceled after %d/%d cells in %v", completed, cells, time.Since(start))
 
 	// A pre-canceled context runs nothing.
 	dead, deadCancel := context.WithCancel(context.Background())
 	deadCancel()
-	results, err = fastRunner(2).Run(dead, cells)
-	if !errors.Is(err, context.Canceled) {
+	var deadLog cellLog
+	r = fastRunner(2, WithResultObserver(deadLog.observe))
+	if _, err := r.SchemeComparison(dead, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled err = %v", err)
 	}
-	for _, cr := range results {
-		if cr.Results != nil {
-			t.Fatalf("pre-canceled context still ran cell %v", cr.Cell)
-		}
+	if len(deadLog.res) != 0 || r.Snapshot().CellsDone != 0 {
+		t.Fatalf("pre-canceled context still ran cells: %v", deadLog.res)
 	}
 }
 
@@ -290,9 +301,8 @@ func TestRunnerCancellationAbortsFigures(t *testing.T) {
 func TestRunnerPoolBounding(t *testing.T) {
 	const width = 4
 	r := NewRunner(WithParallelism(width))
-	cells := make([]Cell, 32)
 	var cur, peak int64
-	err := r.forEach(context.Background(), cells, func(ctx context.Context, _ *machinePool, i int) error {
+	err := r.dispatch(context.Background(), oneCellUnits(make([]Cell, 32)), func(context.Context, *machinePool, workUnit) ([]time.Duration, error) {
 		n := atomic.AddInt64(&cur, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -302,7 +312,7 @@ func TestRunnerPoolBounding(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		atomic.AddInt64(&cur, -1)
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,17 +326,17 @@ func TestRunnerPoolBounding(t *testing.T) {
 
 func TestRunnerProgress(t *testing.T) {
 	var events []Progress
-	r := fastRunner(2, WithProgress(func(p Progress) { events = append(events, p) }))
-	cells := r.Matrix([]string{"array"}, []string{"wb", "star"})
-	if _, err := r.Run(context.Background(), cells); err != nil {
+	r := fastRunner(2, WithWorkloads("array"), WithProgress(func(p Progress) { events = append(events, p) }))
+	if _, err := r.Fig10(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(cells) {
-		t.Fatalf("progress events = %d, want %d", len(events), len(cells))
+	const cells = 2 // array under wb and star
+	if len(events) != cells {
+		t.Fatalf("progress events = %d, want %d", len(events), cells)
 	}
 	for i, p := range events {
-		if p.Done != i+1 || p.Total != len(cells) {
-			t.Fatalf("event %d = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, len(cells))
+		if p.Done != i+1 || p.Total != cells {
+			t.Fatalf("event %d = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, cells)
 		}
 		if p.CellWall <= 0 || p.Elapsed <= 0 {
 			t.Fatalf("event %d has zero timing: %+v", i, p)
@@ -361,5 +371,54 @@ func TestRunnerSpeedup(t *testing.T) {
 		seq, par, float64(seq)/float64(par))
 	if par > seq*3 {
 		t.Errorf("parallel sweep pathologically slower: seq %v, par %v", seq, par)
+	}
+}
+
+// TestProgressCountsRecordedCells runs every figure sweep and a
+// two-point crash-point sweep on one small runner. Each sweep's
+// progress stream must be exactly the cells it records: as many events
+// as collector records and completed cells, a final Total equal to
+// both, and no cell that stands for anything but a recorded result.
+func TestProgressCountsRecordedCells(t *testing.T) {
+	ctx := context.Background()
+	coll := provenance.NewCollector()
+	var events []Progress
+	r := fastRunner(2, WithWorkloads("queue"), WithCrashPoints(400, 800), WithCollector(coll),
+		WithProgress(func(p Progress) { events = append(events, p) }))
+	sweeps := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig10", func() error { _, err := r.Fig10(ctx); return err }},
+		{"scheme-comparison", func() error { _, err := r.SchemeComparison(ctx, nil); return err }},
+		{"table2", func() error { _, err := r.Table2(ctx, []int{2, 16}); return err }},
+		{"fig14a", func() error { _, err := r.Fig14a(ctx); return err }},
+		{"fig14b", func() error { _, err := r.Fig14b(ctx, []int{32 << 10, 128 << 10}); return err }},
+		{"ablation-index", func() error { _, err := r.AblationIndex(ctx); return err }},
+		{"crash-points", func() error { _, err := r.CrashPoints(ctx, nil); return err }},
+	}
+	for _, sw := range sweeps {
+		events = events[:0]
+		recorded, done := coll.Len(), r.Snapshot().CellsDone
+		if err := sw.run(); err != nil {
+			t.Fatalf("%s: %v", sw.name, err)
+		}
+		recorded, done = coll.Len()-recorded, r.Snapshot().CellsDone-done
+		total := 0
+		if len(events) > 0 {
+			total = events[len(events)-1].Total
+		}
+		if recorded == 0 || len(events) != recorded || int64(recorded) != done || total != recorded {
+			t.Errorf("%s: %d progress events, %d recorded cells, %d cells done, final Total %d; want all equal",
+				sw.name, len(events), recorded, done, total)
+		}
+		for _, p := range events {
+			if strings.HasPrefix(p.Cell.Label, "base") {
+				t.Errorf("%s: progress reports pseudo-cell %q", sw.name, p.Cell.name())
+			}
+		}
+	}
+	if s := r.Snapshot(); s.CellsDone != int64(coll.Len()) || s.CellsTotal != s.CellsDone {
+		t.Errorf("runner completed %d of %d cells and recorded %d", s.CellsDone, s.CellsTotal, coll.Len())
 	}
 }

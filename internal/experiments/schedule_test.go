@@ -12,44 +12,13 @@ import (
 	"nvmstar/internal/sim"
 )
 
-// TestDispatcherLPTOrder pins the dispatch policy: units pop in
-// descending cost-estimate order, ties resolved to the
-// earliest-queued unit.
+// TestDispatcherLPTOrder pins the dispatch policy: units go out in
+// descending cost order, ties resolved to the earliest-queued unit.
 func TestDispatcherLPTOrder(t *testing.T) {
-	est := []float64{3, 9, 1, 9, 5}
-	d := newDispatcher(len(est), func(i int) float64 { return est[i] })
-	var got []int
-	for {
-		i, ok := d.next()
-		if !ok {
-			break
-		}
-		got = append(got, i)
-	}
+	got := lptOrder([]float64{3, 9, 1, 9, 5})
 	want := []int{1, 3, 4, 0, 2} // 9 (idx 1 beats idx 3), 9, 5, 3, 1
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("dispatch order = %v, want %v", got, want)
-	}
-}
-
-// TestCostModelRefinement checks the estimate ladder: raw static
-// weights before any observation, global ns-per-weight scaling for
-// unobserved keys once anything has been observed, and the observed
-// per-key mean once the key itself has completed units.
-func TestCostModelRefinement(t *testing.T) {
-	m := newCostModel()
-	if got := m.estimate("a", 100); got != 100 {
-		t.Fatalf("unobserved model: estimate = %v, want the static weight", got)
-	}
-	m.observe("a", 100, 200*time.Nanosecond)
-	m.observe("a", 100, 400*time.Nanosecond)
-	if got := m.estimate("a", 100); got != 300 {
-		t.Fatalf("observed key: estimate = %v, want the 300ns mean", got)
-	}
-	// Key b has no observations: scale its static weight (50) by the
-	// global rate (600ns over weight 200 = 3 ns/weight).
-	if got := m.estimate("b", 50); got != 150 {
-		t.Fatalf("unobserved key with global rate: estimate = %v, want 150", got)
 	}
 }
 
@@ -181,9 +150,9 @@ func TestRunnerSkewSpeedup(t *testing.T) {
 	// dispatcher handed strict out first.)
 	var order []string
 	probe := NewRunner(WithParallelism(1))
-	err := probe.forEach(context.Background(), cells, func(_ context.Context, _ *machinePool, i int) error {
-		order = append(order, cells[i].Scheme)
-		return nil
+	err := probe.dispatch(context.Background(), oneCellUnits(cells), func(_ context.Context, _ *machinePool, u workUnit) ([]time.Duration, error) {
+		order = append(order, u.cells[0].Scheme)
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,13 +163,13 @@ func TestRunnerSkewSpeedup(t *testing.T) {
 
 	r := NewRunner(WithParallelism(4))
 	start := time.Now()
-	err = r.forEach(context.Background(), cells, func(_ context.Context, _ *machinePool, i int) error {
-		if cells[i].Scheme == "strict" {
+	err = r.dispatch(context.Background(), oneCellUnits(cells), func(_ context.Context, _ *machinePool, u workUnit) ([]time.Duration, error) {
+		if u.cells[0].Scheme == "strict" {
 			time.Sleep(heavy)
 		} else {
 			time.Sleep(light)
 		}
-		return nil
+		return nil, nil
 	})
 	wall := time.Since(start)
 	if err != nil {
@@ -235,12 +204,12 @@ func TestRunnerSlowProgressCallbackDoesNotBlockWorkers(t *testing.T) {
 		callbacks++ // reporter goroutine only; no lock needed
 		time.Sleep(callbackSleep)
 	}))
-	err := r.forEach(context.Background(), cells, func(context.Context, *machinePool, int) error {
+	err := r.dispatch(context.Background(), oneCellUnits(cells), func(context.Context, *machinePool, workUnit) ([]time.Duration, error) {
 		time.Sleep(jobSleep)
 		if jobsDone.Add(1) == int64(len(cells)) {
 			jobsEnd.Store(time.Since(start).Nanoseconds())
 		}
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,24 +233,24 @@ func TestRunnerSlowProgressCallbackDoesNotBlockWorkers(t *testing.T) {
 // lanes report busy time.
 func TestRunnerWorkerTelemetry(t *testing.T) {
 	r := fastRunner(2)
-	cells := r.Matrix([]string{"array", "queue"}, []string{"wb", "star"})
-	if _, err := r.Run(context.Background(), cells); err != nil {
+	if _, err := r.SchemeComparison(context.Background(), []string{"wb", "star"}); err != nil {
 		t.Fatal(err)
 	}
+	const units = 4 // array and queue under wb and star
 	stats := r.Snapshot()
 	if len(stats.Workers) == 0 {
 		t.Fatal("no worker telemetry after a sweep")
 	}
-	var units, busy int64
+	var lanes, busy int64
 	for _, w := range stats.Workers {
 		if w.Worker < 0 || w.Worker >= r.Parallelism() {
 			t.Fatalf("worker lane %d out of range [0,%d)", w.Worker, r.Parallelism())
 		}
-		units += w.Units
+		lanes += w.Units
 		busy += w.BusyNs
 	}
-	if units != int64(len(cells)) {
-		t.Fatalf("lanes account for %d units, sweep had %d", units, len(cells))
+	if lanes != units {
+		t.Fatalf("lanes account for %d units, sweep had %d", lanes, units)
 	}
 	if busy <= 0 {
 		t.Fatal("no busy time recorded")

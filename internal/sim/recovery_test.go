@@ -16,38 +16,48 @@ import (
 // the counters it had before the crash. The tree then audits clean,
 // the on-chip root register is unchanged, and STAR restores exactly
 // the dirty nodes (the shadow-table schemes restore a superset: every
-// node the shadow table still names). Each case runs on a fresh
-// machine and on one reused with Reset after a different workload.
+// node the shadow table still names). Each workload runs once as a
+// lock-step group of the three schemes, on a fresh group and on one
+// reused with Reset after a different workload; each scheme's member
+// is then forked out (ForkMember) and checked on its own.
 func TestRecoveredEqualsPreCrash(t *testing.T) {
-	for _, scheme := range []string{"star", "anubis", "phoenix"} {
-		for _, name := range []string{"hash", "queue", "btree"} {
+	schemes := []string{"star", "anubis", "phoenix"}
+	cfgs := make([]sim.Config, len(schemes))
+	for i, scheme := range schemes {
+		cfgs[i] = testCfg(scheme)
+	}
+	for _, name := range []string{"hash", "queue", "btree"} {
+		fresh, err := sim.NewGroup(cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.RunUnverified(name, 1500); err != nil {
+			t.Fatalf("fresh %s: %v", name, err)
+		}
+		reused, err := sim.NewGroup(cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reused.RunUnverified("array", 800); err != nil {
+			t.Fatal(err)
+		}
+		reused.Reset(cfgs[0].Seed)
+		if _, err := reused.RunUnverified(name, 1500); err != nil {
+			t.Fatalf("reused %s: %v", name, err)
+		}
+		for i, scheme := range schemes {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
-				cfg := testCfg(scheme)
-				fresh, err := sim.NewMachine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkRecoveredEqualsPreCrash(t, "fresh", fresh, name)
-
-				reused, err := sim.NewMachine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := reused.RunUnverified("array", 800); err != nil {
-					t.Fatal(err)
-				}
-				reused.Reset(cfg.Seed)
-				checkRecoveredEqualsPreCrash(t, "reused", reused, name)
+				checkRecoveredEqualsPreCrash(t, "fresh", fresh.ForkMember(i))
+				checkRecoveredEqualsPreCrash(t, "reused", reused.ForkMember(i))
 			})
 		}
 	}
 }
 
-func checkRecoveredEqualsPreCrash(t *testing.T, label string, m *sim.Machine, name string) {
+// checkRecoveredEqualsPreCrash snapshots m's dirty metadata, crashes
+// and recovers m, and checks the recovered state against the snapshot.
+func checkRecoveredEqualsPreCrash(t *testing.T, label string, m *sim.Machine) {
 	t.Helper()
-	if _, err := m.RunUnverified(name, 1500); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
 	eng := m.Engine()
 	geo := eng.Geometry()
 	dirty := map[sit.NodeID][counter.Arity]uint64{}
