@@ -97,9 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment: fig10|fig11|fig12|fig13|table2|fig14a|fig14b|ablation-index|crash-points|report|all (all = the paper matrix; crash-points and report run only when named)")
 	ops := fs.Int("ops", 20000, "measured operations per workload run")
-	crashPts := fs.String("crash-points", "", "comma-separated mid-run crash points (in ops) for crash-family sweeps; all points share one forked base run per cell (default: one crash at end of run)")
+	crashPts := fs.String("crash-points", "", "comma-separated mid-run crash points (in ops) for -exp crash-points; all points share one forked base run per cell (default: one crash at end of run)")
 	workloads := fs.String("workloads", "", "comma-separated workload subset (default: all seven)")
-	seeds := fs.Int("seeds", 1, "average each cell over this many workload seeds")
+	seeds := fs.Int("seeds", 1, "average each measured cell (fig10-fig13, table2, fig14a) over this many workload seeds; the crash sweeps (fig14b, ablation-index, crash-points) run seed 0 only")
 	format := fs.String("format", "table", "output format: table|csv")
 	dataMB := fs.Int("data-mb", 64, "protected data size in MiB")
 	metaKB := fs.Int("meta-kb", 256, "metadata cache size in KiB")

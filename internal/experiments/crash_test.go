@@ -193,6 +193,52 @@ func TestTable2LockStepMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestTable2AveragesSeeds pins Table II on the measured path: at
+// WithSeeds(2) every (workload, ADR point) is the Accumulate/DivideBy
+// mean of two direct runs, at seed offsets 0 and 7919, as in Figs.
+// 10–13 and 14a.
+func TestTable2AveragesSeeds(t *testing.T) {
+	points := []int{2, 16}
+	r := fastRunner(2, WithSeeds(2))
+	rows, err := r.Table2(context.Background(), points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Table2Row
+	for _, lines := range points {
+		row := Table2Row{ADRLines: lines, PerWorkload: map[string]float64{}}
+		var sum float64
+		for _, name := range r.workloadList() {
+			var mean *sim.Results
+			for s := 0; s < 2; s++ {
+				cfg := r.cfg()
+				cfg.Scheme = "star"
+				cfg.Seed += uint64(s) * 7919
+				if cfg.Bitmap, err = bitmap.SplitADR(lines); err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := sim.RunScenario(cfg, name, r.opsFor("star"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mean == nil {
+					mean = res
+				} else {
+					mean.Accumulate(res)
+				}
+			}
+			mean.DivideBy(2)
+			row.PerWorkload[name] = mean.Bitmap.HitRatio()
+			sum += mean.Bitmap.HitRatio()
+		}
+		row.HitRatio = sum / float64(len(r.workloadList()))
+		want = append(want, row)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("Table II rows differ from the two-seed mean of direct runs:\ngot  %+v\nwant %+v", rows, want)
+	}
+}
+
 // TestCrashPointsSweep drives the WithCrashPoints axis: rows come back
 // in deterministic order, identical at every pool width, and each
 // mid-run cell digest matches a fresh machine stepped to the same

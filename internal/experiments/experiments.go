@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section IV): the Runner fans the relevant
-// workload × scheme × seed matrix out over a bounded worker pool at
-// seed-unit grain (each run on its own sim.Machine, so results are
-// bit-identical to a sequential sweep) and returns the rows the paper
+// paper's evaluation (Section IV): every sweep lists its cells, the
+// Runner plans them into one unit per (workload, seed, scheme), runs
+// the units over a bounded worker pool (results are bit-identical to a
+// sequential fresh-machine sweep) and returns the rows the paper
 // plots. Build a Runner with NewRunner(WithOps(...), WithSeeds(...),
 // WithWorkloads(...), WithConfig(...), WithParallelism(...)) and call
 // its context-aware sweep methods; the benchmark harness

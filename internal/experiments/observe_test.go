@@ -124,9 +124,9 @@ func TestLatencyAggregatorSweep(t *testing.T) {
 // reverse. The report, the write breakdowns and every latency row's
 // count, buckets and derived percentiles (what -latency-out writes)
 // must be identical. SumNs and the component times are float sums, so
-// they only agree within rounding. The per-seed cells run as one-cell
-// units straight through the dispatcher, since the seed-averaged sweeps
-// observe only merged cells.
+// they only agree within rounding. The per-seed cells are planned and
+// run through runGroup straight from the dispatcher, since the
+// seed-averaged sweeps observe only merged cells.
 func TestObservatoryOrderIndependent(t *testing.T) {
 	live := NewObservatory()
 	r := NewRunner(
@@ -145,19 +145,27 @@ func TestObservatoryOrderIndependent(t *testing.T) {
 		WithResultObserver(live.Observe),
 	)
 	var cells []Cell
+	var planned []sweepCell
 	for _, w := range []string{"array", "queue"} {
 		for _, scheme := range []string{"wb", "star"} {
 			for seed := 0; seed < 3; seed++ {
-				cells = append(cells, Cell{Workload: w, Scheme: scheme, Seed: seed})
+				c := r.cell(w, scheme, "")
+				c.Seed = seed
+				c.cfg.Seed += uint64(seed) * 7919
+				cells = append(cells, c.Cell)
+				planned = append(planned, c)
 			}
 		}
 	}
 	res := make([]*sim.Results, len(cells))
-	err := r.dispatch(context.Background(), oneCellUnits(cells), func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
-		c := u.cells[0]
-		out, err := r.runSeed(ctx, mp, c)
-		r.record("observe-test", c, 0, out, err)
-		res[u.slot] = out
+	err := r.dispatch(context.Background(), plan(planned), func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
+		rs, _, err := r.runGroup(ctx, mp, u.cfgs, u.cells[0].Workload, r.opsFor(u.cells[0].Scheme))
+		for k, i := range u.idx {
+			if err == nil {
+				res[i] = rs[u.member[k]]
+			}
+			r.record("observe-test", cells[i], 0, res[i], err)
+		}
 		return nil, err
 	})
 	if err != nil {

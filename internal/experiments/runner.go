@@ -16,28 +16,26 @@ import (
 	"nvmstar/internal/workload"
 )
 
-// Runner executes the evaluation's (workload, scheme, seed) cell
-// matrix over a bounded worker pool. The schedulable grain is one
-// simulator run (a workUnit — for seed-averaged sweeps that is one
-// cell × seed, not the whole cell); units are ranked once by static
-// cost and handed out longest-expected-first, so a heavy strict-scheme
-// cell cannot strand the sweep's tail on one worker. A run may drive a
-// lock-step group (sim.NewGroup): one simulated CPU side feeding
-// several back ends that differ only below the CPU caches, so Table
-// II's ADR points of one workload are one unit, and Fig. 14b's cache
-// sizes of one scheme one crash-family unit. Every worker keeps a
-// private pool of machines (one per distinct configuration list, Reset
-// between units), preserving the simulator's single-goroutine
-// invariant per run, and every result lands in a slot fixed by its
-// unit index with seed merges folding slots in ascending seed order —
-// output is bit-identical to a sequential fresh-machine sweep
-// regardless of pool width, dispatch order or grouping, because
-// Machine.Reset(seed) is equivalent to building a new machine with
-// that seed and back end i of a group is equivalent to a solo machine
-// of its configuration. A run the runner has already completed — same
-// seeded configuration, workload and operation count — is not
-// simulated again: the run memo hands later units a copy of the stored
-// Results, member by member.
+// Runner executes the evaluation's sweeps over a bounded worker pool.
+// Every sweep lists its cells, each with the configuration it runs,
+// and plan (schedule.go) groups them into units, one per (workload,
+// seed, scheme): a unit whose cells differ only below the CPU caches —
+// Table II's ADR points of one workload, Fig. 14b's cache sizes of one
+// scheme — runs them as one lock-step group (sim.NewGroup). Units are
+// ranked once by static cost and handed out longest-expected-first, so
+// a heavy strict-scheme cell cannot strand the sweep's tail on one
+// worker. Every worker keeps a private pool of machines (one per
+// distinct configuration list, Reset between units), preserving the
+// simulator's single-goroutine invariant per run, and every result
+// lands in its cell's slot, with seed merges folding slots in
+// ascending seed order — output is bit-identical to a sequential
+// fresh-machine sweep regardless of pool width, dispatch order or
+// grouping, because Machine.Reset(seed) is equivalent to building a
+// new machine with that seed and member i of a group is equivalent to
+// a solo machine of its configuration. A run the runner has already
+// completed — same seeded configuration, workload and operation count
+// — is not simulated again: the run memo hands later units a copy of
+// the stored Results, member by member.
 type Runner struct {
 	ops       int
 	seeds     int
@@ -50,8 +48,7 @@ type Runner struct {
 	observers []func(Cell, *sim.Results)
 
 	// crashPoints is the WithCrashPoints axis: the mid-run operation
-	// counts at which crash-family sweeps fork and crash their base
-	// runs. Empty means one crash at the end of the run.
+	// counts at which crash sweeps fork and crash their base runs. Empty means one crash at the end of the run.
 	crashPoints []int
 
 	// memo holds every run this runner has completed, across sweeps.
@@ -81,10 +78,12 @@ type Option func(*Runner)
 // (default 20000).
 func WithOps(n int) Option { return func(r *Runner) { r.ops = n } }
 
-// WithSeeds averages every seed-averaged cell over n PRNG seeds
-// (default 1). The simulator is deterministic per seed; multiple seeds
-// estimate workload-randomness sensitivity. Each seed is its own
-// schedulable unit, so seed-averaged sweeps parallelize at seed grain.
+// WithSeeds averages every measured cell — Figs. 10–13, Table II and
+// Fig. 14a — over n PRNG seeds (default 1). The simulator is
+// deterministic per seed; multiple seeds estimate workload-randomness
+// sensitivity. Each seed is its own schedulable unit, so measured
+// sweeps parallelize at seed grain. The crash sweeps (Fig14b,
+// AblationIndex, CrashPoints) run at seed 0 only.
 func WithSeeds(n int) Option { return func(r *Runner) { r.seeds = n } }
 
 // WithWorkloads restricts the workload set; with no names, all seven
@@ -110,14 +109,14 @@ func WithConfig(fn func() sim.Config) Option { return func(r *Runner) { r.config
 // does not change any value.
 func WithParallelism(n int) Option { return func(r *Runner) { r.parallel = n } }
 
-// WithCrashPoints sets the operation counts at which crash-family
-// sweeps (CrashPoints) fork and crash their base runs, enabling
+// WithCrashPoints sets the operation counts at which the crash-point
+// sweep (CrashPoints) forks and crash their base runs, enabling
 // mid-run multi-crash-point sweeps: all K points of a (workload,
 // scheme) pair share one base run, forked at each point, so the sweep
 // costs one run plus K recoveries instead of K runs. Points are
 // normalized per scheme — sorted, deduplicated, clamped to the
-// scheme's operation count. With no points (the default) crash
-// families crash once, at the end of the run.
+// scheme's operation count. With no points (the default) it crashes
+// once, at the end of the run.
 func WithCrashPoints(points ...int) Option {
 	return func(r *Runner) { r.crashPoints = append([]int(nil), points...) }
 }
@@ -207,11 +206,13 @@ func (c Cell) name() string {
 	return name
 }
 
-// Progress reports one completed cell of a sweep. A unit that runs a
-// lock-step group completes all of its cells at once: each gets its
-// own event, with an even share of the unit's wall time. A crash-family
-// unit's cells are its forked recoveries: each cell's wall is its own
-// fork, crash and recovery, and the base run they share is in none.
+// Progress reports one completed cell of a sweep. A unit completes all
+// of its cells at once, and each gets its own event. In a measured
+// unit a cell's wall is its member's share of the unit: a member the
+// run memo served costs its copy-out time, and the simulated members
+// share the rest evenly. A crash unit's cells are its forked
+// recoveries: each cell's wall is its own fork, crash and recovery,
+// and the base run they share is in none.
 type Progress struct {
 	Done  int  // cells completed so far, including this one
 	Total int  // cells in the sweep
@@ -239,8 +240,8 @@ type Stats struct {
 	CellsDone      int64        // cells completed (all sweeps on this runner)
 	CellsTotal     int64        // cells enqueued
 	MachinesBuilt  int64        // simulator machines (solo or lock-step groups) constructed from scratch
-	MachinesReused int64        // units served by Reset-ing a pooled machine
-	RunsShared     int64        // units served by the run memo, with no machine at all
+	MachinesReused int64        // units that simulated on a Reset pooled machine
+	RunsShared     int64        // runs (group members) the run memo served, simulating nothing
 	Workers        []WorkerStat // per-lane busy/idle accounting (empty before any sweep)
 }
 
@@ -356,9 +357,6 @@ type machinePool struct {
 	// live counters (nil in tests that construct pools directly).
 	built  *atomic.Int64
 	reused *atomic.Int64
-	// shared is set by the run memo when the worker's current unit was
-	// served from another unit's run; dispatch clears it per unit.
-	shared bool
 }
 
 func bump(c *atomic.Int64) {
@@ -429,7 +427,7 @@ type unitJob func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Dura
 // dispatch runs job over every unit on at most r.parallel workers,
 // handing each worker its own machinePool. Units are handed out
 // longest-expected-first (lptOrder over each unit's summed staticCost);
-// each job owns its unit's output slot, which keeps assembled output
+// each job owns its cells' output slots, which keeps assembled output
 // deterministic regardless of dispatch order. Progress callbacks and
 // trace events are emitted per cell by a dedicated reporter goroutine
 // in completion-number order, so workers never serialize on user
@@ -518,15 +516,11 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job unitJob)
 				}
 				unitStart := time.Now()
 				r.workerIdleNs[worker].Add(unitStart.Sub(idleSince).Nanoseconds())
-				mp.shared = false
 				walls, err := job(ctx, mp, units[i])
 				wall := time.Since(unitStart)
 				idleSince = time.Now()
 				r.workerBusyNs[worker].Add(wall.Nanoseconds())
 				r.workerUnits[worker].Add(1)
-				if mp.shared {
-					r.runsShared.Add(1)
-				}
 				n := len(units[i].cells)
 				r.cellsDone.Add(int64(n))
 				if err != nil {
@@ -614,14 +608,6 @@ func (r *Runner) opsFor(scheme string) int {
 	return r.ops
 }
 
-// runSeed executes one single-seed cell.
-func (r *Runner) runSeed(ctx context.Context, mp *machinePool, c Cell) (*sim.Results, error) {
-	cfg := r.cfg()
-	cfg.Scheme = c.Scheme
-	cfg.Seed += uint64(c.Seed) * 7919
-	return r.run(ctx, mp, cfg, c.Workload, r.opsFor(c.Scheme))
-}
-
 // --- run memo ------------------------------------------------------------
 
 // runMemo is a Runner's memo of completed simulator runs. The
@@ -637,70 +623,70 @@ type runMemo struct {
 	runs map[string]*sim.Results
 }
 
-// run returns the Results of running workload for ops operations on a
-// solo machine configured by cfg, through the run memo (runGroup).
-func (r *Runner) run(ctx context.Context, mp *machinePool, cfg sim.Config, workload string, ops int) (*sim.Results, error) {
-	rs, err := r.runGroup(ctx, mp, []sim.Config{cfg}, workload, ops)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // runGroup returns, for each of cfgs, the Results of running workload
-// for ops operations on a machine configured by it. Each member is a
-// memo entry of its own: stored members are copied out, and the rest
-// are simulated together on one pooled machine — a lock-step group
-// when there are several — and stored. Every caller gets Results it
-// owns — seed merges mutate them in place — so a stored value is never
-// handed out. Failed runs are not stored. A caller-supplied crypto
-// suite is not fingerprintable, so such configs bypass the memo as
-// they bypass the machine pool.
-func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, error) {
-	if cfgs[0].Suite != nil {
-		return simulate(ctx, mp, cfgs, workload, ops)
-	}
+// for ops operations on a machine configured by it, and the wall time
+// spent on it. Each member is a memo entry of its own: stored members
+// are copied out and share the copy's wall, and the rest are simulated
+// together on one pooled machine — a lock-step group when there are
+// several — share the simulation's wall and are stored. Every caller
+// gets Results it owns — seed merges mutate them in place — so a
+// stored value is never handed out. Failed runs are not stored. A
+// caller-supplied crypto suite is not fingerprintable, so such configs
+// bypass the memo as they bypass the machine pool.
+func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, []time.Duration, error) {
+	start := time.Now()
 	out := make([]*sim.Results, len(cfgs))
+	walls := make([]time.Duration, len(cfgs))
 	keys := make([]string, len(cfgs))
 	var missing []int
 	var sub []sim.Config
 	r.memo.mu.Lock()
 	for i, cfg := range cfgs {
-		keys[i] = memoKey(cfg, workload, ops)
-		if res, ok := r.memo.runs[keys[i]]; ok {
-			out[i] = res.Clone()
-		} else {
-			missing = append(missing, i)
-			sub = append(sub, cfg)
+		if cfg.Suite == nil {
+			keys[i] = memoKey(cfg, workload, ops)
+			if res, ok := r.memo.runs[keys[i]]; ok {
+				out[i] = res.Clone()
+				continue
+			}
 		}
+		missing = append(missing, i)
+		sub = append(sub, cfg)
 	}
 	r.memo.mu.Unlock()
-	if len(missing) == 0 {
-		mp.shared = true
-		return out, nil
+	copied := time.Since(start)
+	shared := len(cfgs) - len(missing)
+	r.runsShared.Add(int64(shared))
+	for i := range out {
+		if out[i] != nil {
+			walls[i] = copied / time.Duration(shared)
+		}
 	}
-	rs, err := simulate(ctx, mp, sub, workload, ops)
+	if len(missing) == 0 {
+		return out, walls, nil
+	}
+	m, err := mp.machine(sub...)
+	var rs []*sim.Results
+	if err == nil {
+		rs, err = m.RunEach(ctx, workload, ops)
+	}
+	for _, i := range missing {
+		walls[i] = (time.Since(start) - copied) / time.Duration(len(missing))
+	}
 	if err != nil {
-		return nil, err
+		return nil, walls, err
 	}
 	r.memo.mu.Lock()
 	if r.memo.runs == nil {
 		r.memo.runs = make(map[string]*sim.Results)
 	}
 	for k, i := range missing {
-		r.memo.runs[keys[i]] = rs[k].Clone()
+		if keys[i] != "" {
+			r.memo.runs[keys[i]] = rs[k].Clone()
+		}
 		out[i] = rs[k]
 	}
 	r.memo.mu.Unlock()
-	return out, nil
-}
-
-// completed reports whether the memo holds a completed run of key.
-func (m *runMemo) completed(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.runs[key]
-	return ok
+	return out, walls, nil
 }
 
 // memoKey identifies a run: the full seeded configuration, printed as
@@ -709,48 +695,53 @@ func memoKey(cfg sim.Config, workload string, ops int) string {
 	return fmt.Sprintf("%+v %s %d", cfg, workload, ops)
 }
 
-// simulate runs workload for ops operations on a pooled machine for
-// cfgs and returns each member's Results.
-func simulate(ctx context.Context, mp *machinePool, cfgs []sim.Config, workload string, ops int) ([]*sim.Results, error) {
-	m, err := mp.machine(cfgs...)
-	if err != nil {
-		return nil, err
-	}
-	return m.RunEach(ctx, workload, ops)
-}
-
-// runCellsAveraged executes seed-averaged cells at seed-unit grain:
-// every (cell, seed) pair is one schedulable unit with its own output
-// slot, and after the dispatch the per-seed slots of each cell are
-// folded in ascending seed order via Results.Accumulate/DivideBy —
-// exactly the legacy sequential seed loop's accumulation, so averaged
-// values stay bit-identical to it at any pool width. The merged cell
-// (seed index 0, wall = sum of its units' wall times) is what reaches
-// the provenance collector, preserving historical manifest cell keys
-// and digests.
+// runMeasured runs a measured sweep's cells and returns their Results
+// in cell order, each averaged over the runner's seeds. Every cell
+// expands into one cell per seed (the configuration's seed offset by
+// Seed*7919) before planning; a unit is one runGroup call, and a
+// cell's wall is its member's share of it. After the dispatch the
+// per-seed slots of each cell are folded in ascending seed order via
+// Results.Accumulate/DivideBy — exactly the legacy sequential seed
+// loop's accumulation, so averaged values stay bit-identical to it at
+// any pool width. The merged cell (seed index 0, wall = sum of its
+// seeds' walls) is what reaches the provenance collector, preserving
+// historical manifest cell keys and digests.
 //
-// The returned slice is cell-indexed; out[i] is nil if cells[i] failed
-// or was canceled before all of its seeds ran. The error is the
-// dispatch error (first job error, else the context's).
-func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cell) ([]*sim.Results, error) {
-	units := make([]workUnit, 0, len(cells)*r.seeds)
-	for ci, c := range cells {
+// out[i] is nil if cells[i] failed or was canceled before all of its
+// seeds ran. The error is the dispatch error (first job error, else
+// the context's).
+func (r *Runner) runMeasured(ctx context.Context, sweep string, cells []sweepCell) ([]*sim.Results, error) {
+	seeded := make([]sweepCell, 0, len(cells)*r.seeds)
+	for _, c := range cells {
 		for s := 0; s < r.seeds; s++ {
-			u := c
-			u.Seed = s
-			units = append(units, workUnit{cells: []Cell{u}, slot: ci*r.seeds + s})
+			sc := c
+			sc.Seed = s
+			sc.cfg.Seed += uint64(s) * 7919
+			seeded = append(seeded, sc)
 		}
 	}
-	perSeed := make([]*sim.Results, len(units))
-	walls := make([]time.Duration, len(units))
-	errs := make([]error, len(units))
-	dispatchErr := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
-		start := time.Now()
-		res, err := r.runSeed(ctx, mp, u.cells[0])
-		perSeed[u.slot] = res
-		walls[u.slot] = time.Since(start)
-		errs[u.slot] = err
-		return nil, err
+	perSeed := make([]*sim.Results, len(seeded))
+	walls := make([]time.Duration, len(seeded))
+	errs := make([]error, len(seeded))
+	dispatchErr := r.dispatch(ctx, plan(seeded), func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
+		rs, mw, err := r.runGroup(ctx, mp, u.cfgs, u.cells[0].Workload, r.opsFor(u.cells[0].Scheme))
+		share := make([]int, len(u.cfgs)) // cells per member
+		for _, m := range u.member {
+			share[m]++
+		}
+		cw := make([]time.Duration, len(u.idx))
+		for k, i := range u.idx {
+			m := u.member[k]
+			cw[k] = mw[m] / time.Duration(share[m])
+			walls[i], errs[i] = cw[k], err
+			if err == nil {
+				perSeed[i] = rs[m]
+				if share[m] > 1 {
+					perSeed[i] = rs[m].Clone() // each cell merges its own copy
+				}
+			}
+		}
+		return cw, err
 	})
 	out := make([]*sim.Results, len(cells))
 	for ci, c := range cells {
@@ -768,7 +759,7 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 			}
 		}
 		if cellErr != nil {
-			r.record(sweep, c, wall, nil, cellErr)
+			r.record(sweep, c.Cell, wall, nil, cellErr)
 			continue
 		}
 		if !complete {
@@ -780,7 +771,7 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 		}
 		acc.DivideBy(r.seeds)
 		out[ci] = acc
-		r.record(sweep, c, wall, acc, nil)
+		r.record(sweep, c.Cell, wall, acc, nil)
 	}
 	if dispatchErr != nil {
 		return nil, dispatchErr
@@ -795,14 +786,11 @@ func (r *Runner) runCellsAveraged(ctx context.Context, sweep string, cells []Cel
 // pairs fan out over the pool at seed grain.
 func (r *Runner) Fig10(ctx context.Context) ([]Fig10Row, error) {
 	workloads := r.workloadList()
-	schemes := []string{"wb", "star"}
-	var cells []Cell
+	var cells []sweepCell
 	for _, name := range workloads {
-		for _, scheme := range schemes {
-			cells = append(cells, Cell{Workload: name, Scheme: scheme})
-		}
+		cells = append(cells, r.cell(name, "wb", ""), r.cell(name, "star", ""))
 	}
-	results, err := r.runCellsAveraged(ctx, "fig10", cells)
+	results, err := r.runMeasured(ctx, "fig10", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -833,13 +821,13 @@ func (r *Runner) SchemeComparison(ctx context.Context, schemes []string) ([]Sche
 		schemes = []string{"wb", "star", "anubis", "strict"}
 	}
 	workloads := r.workloadList()
-	var cells []Cell
+	var cells []sweepCell
 	for _, name := range workloads {
 		for _, scheme := range schemes {
-			cells = append(cells, Cell{Workload: name, Scheme: scheme})
+			cells = append(cells, r.cell(name, scheme, ""))
 		}
 	}
-	results, err := r.runCellsAveraged(ctx, "scheme-comparison", cells)
+	results, err := r.runMeasured(ctx, "scheme-comparison", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -871,77 +859,30 @@ func (r *Runner) SchemeComparison(ctx context.Context, schemes []string) ([]Sche
 }
 
 // Table2 sweeps the number of bitmap lines held in ADR and reports the
-// average hit ratio, as in Table II. The ADR points change only STAR's
-// back end, so the points of one workload are one unit: a lock-step
-// group of star back ends, one per point, under one simulated CPU side.
-// A point already in the run memo (the default split, which Fig. 10
-// ran) is its own unit, served from the memo.
+// average hit ratio, as in Table II, each cell averaged over the
+// runner's seeds. The ADR points change only STAR's back end, so the
+// points of one workload and seed are one unit: a lock-step group of
+// star back ends under one simulated CPU side. A point already in the
+// run memo (the default split, which Fig. 10 ran) rides in its unit as
+// a member the memo serves.
 func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, error) {
 	if len(lineCounts) == 0 {
 		lineCounts = []int{2, 4, 8, 16, 32}
 	}
 	workloads := r.workloadList()
-	ops := r.opsFor("star")
-	cells := make([]Cell, len(lineCounts)*len(workloads))
-	cfgs := make([]sim.Config, len(cells))
-	for pi, lines := range lineCounts {
+	var cells []sweepCell
+	for _, lines := range lineCounts {
 		split, err := bitmap.SplitADR(lines)
 		if err != nil {
 			return nil, err
 		}
-		for wi, name := range workloads {
-			i := pi*len(workloads) + wi
-			cells[i] = Cell{Workload: name, Scheme: "star", Label: fmt.Sprintf("adr=%d", lines)}
-			cfgs[i] = r.cfg()
-			cfgs[i].Scheme = "star"
-			cfgs[i].Bitmap = split
+		for _, name := range workloads {
+			c := r.cell(name, "star", fmt.Sprintf("adr=%d", lines))
+			c.cfg.Bitmap = split
+			cells = append(cells, c)
 		}
 	}
-	// members[u] lists the cell indices of unit u.
-	var members [][]int
-	var units []workUnit
-	addUnit := func(idx []int) {
-		u := workUnit{slot: len(members)}
-		for _, i := range idx {
-			u.cells = append(u.cells, cells[i])
-		}
-		members = append(members, idx)
-		units = append(units, u)
-	}
-	for wi, name := range workloads {
-		var group []int
-		for pi := range lineCounts {
-			i := pi*len(workloads) + wi
-			if cfgs[i].Suite == nil && r.memo.completed(memoKey(cfgs[i], name, ops)) {
-				addUnit([]int{i})
-			} else {
-				group = append(group, i)
-			}
-		}
-		if len(group) > 0 {
-			addUnit(group)
-		}
-	}
-	ratios := make([]float64, len(cells))
-	err := r.dispatch(ctx, units, func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error) {
-		start := time.Now()
-		idx := members[u.slot]
-		group := make([]sim.Config, len(idx))
-		for k, i := range idx {
-			group[k] = cfgs[i]
-		}
-		rs, err := r.runGroup(ctx, mp, group, cells[idx[0]].Workload, ops)
-		wall := time.Since(start) / time.Duration(len(idx))
-		for k, i := range idx {
-			if err != nil {
-				r.record("table2", cells[i], wall, nil, err)
-				continue
-			}
-			r.record("table2", cells[i], wall, rs[k], nil)
-			ratios[i] = rs[k].Bitmap.HitRatio()
-		}
-		return nil, err
-	})
+	results, err := r.runMeasured(ctx, "table2", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -950,7 +891,7 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 		row := Table2Row{ADRLines: lines, PerWorkload: make(map[string]float64)}
 		var sum float64
 		for wi, name := range workloads {
-			hr := ratios[pi*len(workloads)+wi]
+			hr := results[pi*len(workloads)+wi].Bitmap.HitRatio()
 			row.PerWorkload[name] = hr
 			sum += hr
 		}
@@ -963,12 +904,11 @@ func (r *Runner) Table2(ctx context.Context, lineCounts []int) ([]Table2Row, err
 // Fig14a measures the fraction of the metadata cache that is dirty at
 // the end of a run — the stale metadata a crash would leave behind.
 func (r *Runner) Fig14a(ctx context.Context) ([]Fig14aRow, error) {
-	workloads := r.workloadList()
-	cells := make([]Cell, len(workloads))
-	for i, name := range workloads {
-		cells[i] = Cell{Workload: name, Scheme: "star"}
+	var cells []sweepCell
+	for _, name := range r.workloadList() {
+		cells = append(cells, r.cell(name, "star", ""))
 	}
-	results, err := r.runCellsAveraged(ctx, "fig14a", cells)
+	results, err := r.runMeasured(ctx, "fig14a", cells)
 	if err != nil {
 		return nil, err
 	}
@@ -979,6 +919,5 @@ func (r *Runner) Fig14a(ctx context.Context) ([]Fig14aRow, error) {
 	return rows, nil
 }
 
-// Fig14b, AblationIndex and CrashPoints — the crash-family sweeps —
-// live in crash.go, one unit per shared base run with its forked
-// recoveries.
+// Fig14b, AblationIndex and CrashPoints — the crash sweeps — live in
+// crash.go, one unit per shared base run with its forked recoveries.

@@ -52,11 +52,11 @@ func (l *cellLog) observe(c Cell, res *sim.Results) {
 	l.res[c] = res
 }
 
-// oneCellUnits wraps each cell in a unit of its own, slot = index.
+// oneCellUnits wraps each cell in a unit of its own.
 func oneCellUnits(cells []Cell) []workUnit {
 	units := make([]workUnit, len(cells))
 	for i, c := range cells {
-		units[i] = workUnit{cells: []Cell{c}, slot: i}
+		units[i] = workUnit{cells: []Cell{c}, idx: []int{i}}
 	}
 	return units
 }

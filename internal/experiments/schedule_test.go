@@ -90,11 +90,8 @@ func TestRunnerWidthSweepDeterminism(t *testing.T) {
 func TestRunnerSeedSplitMatchesSequentialLoop(t *testing.T) {
 	const seeds = 3
 	r := fastRunner(4, WithSeeds(seeds))
-	cells := []Cell{
-		{Workload: "array", Scheme: "star"},
-		{Workload: "queue", Scheme: "wb"},
-	}
-	got, err := r.runCellsAveraged(context.Background(), "seed-split-test", cells)
+	cells := []sweepCell{r.cell("array", "star", ""), r.cell("queue", "wb", "")}
+	got, err := r.runMeasured(context.Background(), "seed-split-test", cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +118,7 @@ func TestRunnerSeedSplitMatchesSequentialLoop(t *testing.T) {
 		want.DivideBy(seeds)
 		if !reflect.DeepEqual(want, got[ci]) {
 			t.Errorf("cell %v: seed-split average differs from the sequential loop:\nwant %+v\ngot  %+v",
-				c, want, got[ci])
+				c.Cell, want, got[ci])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,32 +24,56 @@ func testCfg(scheme string) sim.Config {
 	return cfg
 }
 
+// TestAllWorkloadsOnAllSchemes runs every workload under wb, star and
+// anubis as one lock-step group, so the divergence oracle also compares
+// the three schemes' reads on every workload, and under strict solo at
+// 600 ops (strict is ~9x slower by design).
 func TestAllWorkloadsOnAllSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is slow")
 	}
-	for _, scheme := range []string{"wb", "star", "anubis", "strict"} {
-		for _, name := range workload.Names() {
+	check := func(t *testing.T, res *sim.Results, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IPC <= 0 {
+			t.Fatalf("IPC = %v", res.IPC)
+		}
+		if res.Dev.Writes == 0 {
+			t.Fatal("no NVM writes measured")
+		}
+	}
+	grouped := []string{"wb", "star", "anubis"}
+	for _, name := range workload.Names() {
+		cfgs := make([]sim.Config, len(grouped))
+		for i, scheme := range grouped {
+			cfgs[i] = testCfg(scheme)
+		}
+		m, err := sim.NewGroup(cfgs...)
+		var rs []*sim.Results
+		if err == nil {
+			rs, err = m.RunEach(context.Background(), name, 2000)
+		}
+		if err == nil {
+			err = m.Err()
+		}
+		for i, scheme := range grouped {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
-				ops := 2000
-				if scheme == "strict" {
-					ops = 600 // strict is ~9x slower by design
-				}
-				res, m, err := sim.RunScenario(testCfg(scheme), name, ops)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.Err() != nil {
-					t.Fatal(m.Err())
-				}
-				if res.IPC <= 0 {
-					t.Fatalf("IPC = %v", res.IPC)
-				}
-				if res.Dev.Writes == 0 {
-					t.Fatal("no NVM writes measured")
-				}
+				check(t, rs[i], nil)
 			})
 		}
+	}
+	for _, name := range workload.Names() {
+		t.Run("strict/"+name, func(t *testing.T) {
+			res, m, err := sim.RunScenario(testCfg("strict"), name, 600)
+			if err == nil {
+				err = m.Err()
+			}
+			check(t, res, err)
+		})
 	}
 }
 
