@@ -41,8 +41,8 @@ import (
 // workload in a session; at each cell's point (ascending) it forks the
 // cell's member out as a solo machine, crashes the fork, recovers it
 // at once and records it. The base machine itself is never crashed,
-// so it returns to the worker's pool like any other machine — Reset on
-// the next checkout rewinds it (TestMachinePoolPoisonedCheckout pins
+// so it returns to the worker's pool like any other machine — ResetTo
+// on the next checkout rewinds it (TestMachinePoolPoisonedCheckout pins
 // the pool side).
 //
 // A cell's wall is its own fork, crash and recovery; the base run the

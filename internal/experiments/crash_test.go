@@ -17,7 +17,8 @@ import (
 // sweep can produce — crashed without recovery, or forked with live
 // COW children — returns it to the pool as-is, and the next checkout
 // must still behave exactly like a fresh machine, because machine()
-// Resets on every reuse.
+// runs ResetTo on every reuse — also when it retargets the machine to
+// another scheme.
 func TestMachinePoolPoisonedCheckout(t *testing.T) {
 	cfg := fastRunner(1).cfg()
 	cfg.Scheme = "star"
@@ -80,6 +81,38 @@ func TestMachinePoolPoisonedCheckout(t *testing.T) {
 	}
 	if rep, err := child.Recover(); err != nil || !rep.Verified {
 		t.Fatalf("live fork broken by parent's pooled reuse: rep=%+v err=%v", rep, err)
+	}
+
+	// Poison 3: crash mid-run again, then check the machine out for
+	// another scheme: the checkout retargets the poisoned machine, and
+	// it must run exactly as a fresh machine of that scheme.
+	if _, err := m3.RunUnverified("hash", ops/2); err != nil {
+		t.Fatal(err)
+	}
+	m3.Crash()
+	acfg := cfg
+	acfg.Scheme = "anubis"
+	freshA, err := sim.NewMachine(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := freshA.Run("array", ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m4, err := mp.machine(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m4 != m3 {
+		t.Fatal("pool built a new machine instead of retargeting the poisoned one")
+	}
+	got, err = m4.Run("array", ops)
+	if err != nil {
+		t.Fatalf("checkout retargeted to anubis: %v", err)
+	}
+	if !reflect.DeepEqual(wantA, got) {
+		t.Errorf("crashed machine not fully retargeted by checkout ResetTo:\nfresh %+v\npool  %+v", wantA, got)
 	}
 }
 

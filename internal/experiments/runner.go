@@ -24,15 +24,18 @@ import (
 // scheme — runs them as one lock-step group (sim.NewGroup). Units are
 // ranked once by static cost and handed out longest-expected-first, so
 // a heavy strict-scheme cell cannot strand the sweep's tail on one
-// worker. Every worker keeps a private pool of machines (one per
-// distinct configuration list, Reset between units), preserving the
+// worker. Every worker runs its units on one machine of its own,
+// retargeted by Machine.ResetTo between units, preserving the
 // simulator's single-goroutine invariant per run, and every result
 // lands in its cell's slot, with seed merges folding slots in
 // ascending seed order — output is bit-identical to a sequential
 // fresh-machine sweep regardless of pool width, dispatch order or
-// grouping, because Machine.Reset(seed) is equivalent to building a
-// new machine with that seed and member i of a group is equivalent to
-// a solo machine of its configuration. A run the runner has already
+// grouping, because Machine.ResetTo(cfgs...) is equivalent to
+// NewGroup(cfgs...) and member i of a group is equivalent to a solo
+// machine of its configuration. The runner keeps those machines
+// between sweeps on a free list, so one machine per lane serves every
+// sweep; it holds at most one machine per concurrently running worker
+// alive after the sweeps return. A run the runner has already
 // completed — same seeded configuration, workload and operation count
 // — is not simulated again: the run memo hands later units a copy of
 // the stored Results, member by member.
@@ -53,6 +56,12 @@ type Runner struct {
 
 	// memo holds every run this runner has completed, across sweeps.
 	memo runMemo
+
+	// pools is the free list of machine pools, one machine each, kept
+	// between dispatch calls: a worker takes one when its dispatch
+	// starts and returns it when the dispatch ends.
+	poolsMu sync.Mutex
+	pools   []*machinePool
 
 	// Sweep accounting, cumulative across this runner's sweeps and
 	// read lock-free by Snapshot.
@@ -239,8 +248,8 @@ type WorkerStat struct {
 type Stats struct {
 	CellsDone      int64        // cells completed (all sweeps on this runner)
 	CellsTotal     int64        // cells enqueued
-	MachinesBuilt  int64        // simulator machines (solo or lock-step groups) constructed from scratch
-	MachinesReused int64        // units that simulated on a Reset pooled machine
+	MachinesBuilt  int64        // simulator machines (solo or lock-step groups) built by sim.NewGroup
+	MachinesReused int64        // units that simulated on a lane's machine retargeted by ResetTo
 	RunsShared     int64        // runs (group members) the run memo served, simulating nothing
 	Workers        []WorkerStat // per-lane busy/idle accounting (empty before any sweep)
 }
@@ -343,18 +352,19 @@ func (r *Runner) BuildManifest(gitRev string) (*provenance.Manifest, error) {
 
 // --- pool ----------------------------------------------------------------
 
-// machinePool caches one sim.Machine per distinct configuration list
-// (one config, or a lock-step group's) for a single pool worker.
-// Rebuilding a machine per cell dominated sweep cost (the NVM paged
-// store, caches and engine are re-allocated from scratch, hammering
-// the allocator shared by every worker); recycling via Machine.Reset
-// makes the steady-state sweep allocation-light.
-// Each worker goroutine owns exactly one pool, so machines never cross
-// goroutines and the simulator's single-goroutine invariant holds.
+// machinePool holds one runner lane's sim.Machine. Rebuilding a
+// machine per unit dominated sweep cost (the NVM paged store, caches
+// and engine are re-allocated from scratch, hammering the allocator
+// shared by every worker); retargeting one machine via
+// Machine.ResetTo makes the steady-state sweep allocation-light. A
+// pool serves one worker at a time (Runner.takePool), so its machine
+// never crosses goroutines mid-unit and the simulator's
+// single-goroutine invariant holds.
 type machinePool struct {
-	machines map[string]*sim.Machine
+	m *sim.Machine
 	// built/reused report pool effectiveness into the owning runner's
-	// live counters (nil in tests that construct pools directly).
+	// live counters (nil in tests that construct pools directly):
+	// built counts NewGroup calls, reused ResetTo checkouts.
 	built  *atomic.Int64
 	reused *atomic.Int64
 }
@@ -366,46 +376,59 @@ func bump(c *atomic.Int64) {
 }
 
 // machine returns a machine for cfgs — a solo machine for one config,
-// a lock-step group for several — reusing (and Resetting) a cached one
-// when the configuration list — everything except the seed, which
-// Reset re-derives and which group members share — has been seen
-// before. A caller-supplied crypto suite may be stateful and is not
-// fingerprintable, so that rare case falls back to a fresh machine per
-// cell.
+// a lock-step group for several — retargeting the pool's machine with
+// ResetTo, or building a new one (which the pool keeps) when ResetTo
+// refuses: the first checkout, or configs whose CPU side differs. A
+// caller-supplied crypto suite may be stateful, so that rare case
+// falls back to a fresh machine per unit that the pool does not keep.
 //
-// Reset runs on EVERY reuse checkout, unconditionally — that is the
+// ResetTo runs on EVERY reuse checkout, unconditionally — that is the
 // pool's whole safety argument, so do not "optimize" it away. A unit
 // that errors, crashes without recovering, or forks and leaves COW
 // pages shared with live children returns its machine to the pool in
-// exactly that dirty state; the next checkout's Reset rewinds all of
-// it (the Reset invariant covers crashed and forked machines alike).
+// exactly that dirty state; the next checkout's ResetTo rewinds all of
+// it (the reset invariant covers crashed and forked machines alike).
 // TestMachinePoolPoisonedCheckout pins this.
 func (p *machinePool) machine(cfgs ...sim.Config) (*sim.Machine, error) {
 	if cfgs[0].Suite != nil {
 		bump(p.built)
 		return sim.NewGroup(cfgs...)
 	}
-	seed := cfgs[0].Seed
-	var key string
-	for _, cfg := range cfgs {
-		cfg.Seed = 0
-		key += fmt.Sprintf("%+v\n", cfg)
-	}
-	if m, ok := p.machines[key]; ok {
-		m.Reset(seed)
-		bump(p.reused)
-		return m, nil
+	if p.m != nil {
+		if p.m.ResetTo(cfgs...) == nil {
+			bump(p.reused)
+			return p.m, nil
+		}
+		p.m = nil
 	}
 	m, err := sim.NewGroup(cfgs...)
 	if err != nil {
 		return nil, err
 	}
 	bump(p.built)
-	if p.machines == nil {
-		p.machines = make(map[string]*sim.Machine)
-	}
-	p.machines[key] = m
+	p.m = m
 	return m, nil
+}
+
+// takePool hands a worker a machine pool from the runner's free list,
+// or a new one when the list is empty.
+func (r *Runner) takePool() *machinePool {
+	r.poolsMu.Lock()
+	defer r.poolsMu.Unlock()
+	if n := len(r.pools); n > 0 {
+		mp := r.pools[n-1]
+		r.pools = r.pools[:n-1]
+		return mp
+	}
+	return &machinePool{built: &r.machinesBuilt, reused: &r.machinesReused}
+}
+
+// putPool returns a worker's pool to the free list for a later
+// dispatch.
+func (r *Runner) putPool(mp *machinePool) {
+	r.poolsMu.Lock()
+	r.pools = append(r.pools, mp)
+	r.poolsMu.Unlock()
 }
 
 // completion is one finished cell on its way to the reporter.
@@ -425,10 +448,11 @@ type completion struct {
 type unitJob func(ctx context.Context, mp *machinePool, u workUnit) ([]time.Duration, error)
 
 // dispatch runs job over every unit on at most r.parallel workers,
-// handing each worker its own machinePool. Units are handed out
-// longest-expected-first (lptOrder over each unit's summed staticCost);
-// each job owns its cells' output slots, which keeps assembled output
-// deterministic regardless of dispatch order. Progress callbacks and
+// lending each worker a machinePool of its own for the call. Units
+// are handed out longest-expected-first (lptOrder over each unit's
+// summed staticCost); each job owns its cells' output slots, which
+// keeps assembled output deterministic regardless of dispatch order.
+// Progress callbacks and
 // trace events are emitted per cell by a dedicated reporter goroutine
 // in completion-number order, so workers never serialize on user
 // callbacks. The first non-nil job error cancels the remaining units
@@ -508,7 +532,8 @@ func (r *Runner) dispatch(parent context.Context, units []workUnit, job unitJob)
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			mp := &machinePool{built: &r.machinesBuilt, reused: &r.machinesReused}
+			mp := r.takePool()
+			defer r.putPool(mp)
 			idleSince := time.Now()
 			for i := range queue {
 				if ctx.Err() != nil {
@@ -689,8 +714,8 @@ func (r *Runner) runGroup(ctx context.Context, mp *machinePool, cfgs []sim.Confi
 	return out, walls, nil
 }
 
-// memoKey identifies a run: the full seeded configuration, printed as
-// machinePool prints it, plus the workload and operation count.
+// memoKey identifies a run: the full seeded configuration, printed
+// with %+v, plus the workload and operation count.
 func memoKey(cfg sim.Config, workload string, ops int) string {
 	return fmt.Sprintf("%+v %s %d", cfg, workload, ops)
 }

@@ -175,6 +175,52 @@ func TestRunnerMachineReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRunnerLanesAcrossSweeps pins the runner's lane machines: five
+// sweeps on one two-lane runner build at most two machines, each
+// lane's machine being retargeted across schemes, lock-step group
+// sizes and metadata-cache sizes from sweep to sweep, and every cell
+// records the digest a fresh runner records for it.
+func TestRunnerLanesAcrossSweeps(t *testing.T) {
+	ctx := context.Background()
+	sweeps := []func(*Runner) error{
+		func(r *Runner) error { _, err := r.Fig10(ctx); return err },
+		func(r *Runner) error { _, err := r.SchemeComparison(ctx, nil); return err },
+		func(r *Runner) error { _, err := r.Table2(ctx, []int{2, 4}); return err },
+		func(r *Runner) error { _, err := r.Fig14b(ctx, []int{32 << 10, 128 << 10}); return err },
+		func(r *Runner) error { _, err := r.AblationIndex(ctx); return err },
+	}
+	coll := provenance.NewCollector()
+	r := fastRunner(2, WithOps(600), WithCollector(coll))
+	want := map[string]string{}
+	for _, sweep := range sweeps {
+		if err := sweep(r); err != nil {
+			t.Fatal(err)
+		}
+		fresh := provenance.NewCollector()
+		if err := sweep(fastRunner(2, WithOps(600), WithCollector(fresh))); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range fresh.Cells() {
+			want[rec.Key()] = rec.Digest
+		}
+	}
+	if s := r.Snapshot(); s.MachinesBuilt > 2 {
+		t.Errorf("five sweeps on two lanes built %d machines, want at most 2 (%d reused)", s.MachinesBuilt, s.MachinesReused)
+	}
+	cells := coll.Cells()
+	if len(cells) != len(want) {
+		t.Fatalf("recorded %d cells, a fresh runner per sweep %d", len(cells), len(want))
+	}
+	for _, rec := range cells {
+		if rec.Err != "" {
+			t.Fatalf("%s: %s", rec.Key(), rec.Err)
+		}
+		if rec.Digest != want[rec.Key()] {
+			t.Errorf("%s: digest %.16s, fresh runner %.16s", rec.Key(), rec.Digest, want[rec.Key()])
+		}
+	}
+}
+
 // TestRunSweepFinalStats checks the Stats path: after a completed
 // sweep, Snapshot must report the sweep's accounting.
 func TestRunSweepFinalStats(t *testing.T) {

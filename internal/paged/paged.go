@@ -17,16 +17,18 @@ import (
 )
 
 const (
-	// pageShift sizes a page at 512 slots: one page of memline.Line
-	// values covers 32 KB of simulated memory and matches the span of
-	// one STAR bitmap line.
-	pageShift = 9
+	// pageShift sizes a page at 64 slots: one page of memline.Line
+	// values holds 4 KiB of lines. Small pages keep copy-on-write cheap
+	// — a forked table's first write to a shared page copies only that
+	// page — at the price of more pages to allocate on a fresh fill.
+	pageShift = 6
 	pageSlots = 1 << pageShift
 	pageMask  = pageSlots - 1
 
-	// dirShift sizes a directory at 8192 pages (4 M slots), keeping the
-	// root directory small even for terabyte-scale address spaces.
-	dirShift = 13
+	// dirShift sizes a directory at 1024 pages (64 K slots, an 8 KiB
+	// directory to copy on a forked table's first write); the root
+	// directory of the paper's 16 GB space holds 4096 of them.
+	dirShift = 10
 	dirFan   = 1 << dirShift
 	dirMask  = dirFan - 1
 

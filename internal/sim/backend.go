@@ -12,7 +12,6 @@ import (
 	"nvmstar/internal/schemes/strict"
 	"nvmstar/internal/schemes/wb"
 	"nvmstar/internal/secmem"
-	"nvmstar/internal/simcrypto"
 )
 
 // backEnd is one member of a machine: everything below the CPU caches.
@@ -79,7 +78,7 @@ func (b *backEnd) hook() {
 	b.engine.SetEventHook(b.onEngineEvent)
 }
 
-// start builds what NewMachine and Reset both build afresh: the
+// start builds what NewGroup and ResetTo both build afresh: the
 // scheme, the timing state and the built-in observatory, with every
 // attached subscriber detached.
 func (b *backEnd) start() error {
@@ -98,16 +97,6 @@ func (b *backEnd) start() error {
 	}
 	b.resetObservers()
 	return nil
-}
-
-// reset rewinds the engine's expensive stores in place for seed, as
-// Machine.Reset documents; start rebuilds the rest.
-func (b *backEnd) reset(seed uint64, autoSuite bool) {
-	b.cfg.Seed = seed
-	if autoSuite {
-		b.cfg.Suite = simcrypto.NewFast(0x57a7 + seed)
-	}
-	b.engine.Reset(b.cfg.Suite)
 }
 
 // fork copies b for front end f (see Machine.Fork).

@@ -99,29 +99,17 @@ func NewMachine(cfg Config) (*Machine, error) { return NewGroup(cfg) }
 // below the CPU caches; any other difference is an error naming the
 // field.
 func NewGroup(cfgs ...Config) (*Machine, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("sim: a group needs at least one config")
-	}
-	cfgs = append([]Config(nil), cfgs...)
-	for i := range cfgs {
-		resolveDefaults(&cfgs[i])
-		if err := sameFrontEnd(cfgs[0], cfgs[i]); err != nil {
-			return nil, fmt.Errorf("sim: group member %d: %w", i, err)
-		}
+	cfgs, err := groupConfigs(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	cfg := cfgs[0]
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("sim: need at least one core")
-	}
 	m := &Machine{
 		autoSuite: cfg.Suite == nil,
 		owner:     paged.New[int32](cfg.DataBytes / memline.Size),
 	}
 	for _, c := range cfgs {
-		if m.autoSuite {
-			c.Suite = simcrypto.NewFast(0x57a7 + c.Seed)
-		}
-		b, err := newBackEnd(m, c)
+		b, err := newBackEnd(m, m.withSuite(c))
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +128,6 @@ func NewGroup(cfgs ...Config) (*Machine, error) {
 		m.l1 = append(m.l1, l1)
 		m.l2 = append(m.l2, l2)
 	}
-	var err error
 	if m.l3, err = cache.New(cfg.L3); err != nil {
 		return nil, fmt.Errorf("sim: L3: %w", err)
 	}
@@ -165,23 +152,52 @@ func resolveDefaults(cfg *Config) {
 	}
 }
 
-// sameFrontEnd reports the first field, other than Scheme, Bitmap and
-// MetaCache, in which b differs from a.
-func sameFrontEnd(a, b Config) error {
+// groupConfigs copies a group's configs with their defaults resolved,
+// refusing an empty list, a coreless machine and members whose front
+// ends differ.
+func groupConfigs(cfgs []Config) ([]Config, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sim: a group needs at least one config")
+	}
+	cfgs = append([]Config(nil), cfgs...)
+	for i := range cfgs {
+		resolveDefaults(&cfgs[i])
+		if f := frontEndDiff(cfgs[0], cfgs[i]); f != "" {
+			return nil, fmt.Errorf("sim: group member %d: config differs from member 0 in %s; members may differ only in Scheme, Bitmap and MetaCache", i, f)
+		}
+	}
+	if cfgs[0].Cores <= 0 {
+		return nil, fmt.Errorf("sim: need at least one core")
+	}
+	return cfgs, nil
+}
+
+// frontEndDiff names the first field, other than Scheme, Bitmap and
+// MetaCache, in which b differs from a ("" when there is none).
+func frontEndDiff(a, b Config) string {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	for i := 0; i < va.NumField(); i++ {
 		switch name := va.Type().Field(i).Name; name {
 		case "Scheme", "Bitmap", "MetaCache":
 		default:
 			if va.Field(i).Interface() != vb.Field(i).Interface() {
-				return fmt.Errorf("config differs from member 0 in %s; members may differ only in Scheme, Bitmap and MetaCache", name)
+				return name
 			}
 		}
 	}
-	return nil
+	return ""
 }
 
-// start builds what NewMachine and Reset both build afresh: every
+// withSuite returns c with the per-seed suite NewGroup derives when the
+// machine's configs left Suite nil.
+func (m *Machine) withSuite(c Config) Config {
+	if m.autoSuite {
+		c.Suite = simcrypto.NewFast(0x57a7 + c.Seed)
+	}
+	return c
+}
+
+// start builds what NewGroup and ResetTo both build afresh: every
 // member's scheme, timing state and built-in observatory, and the
 // front end's instruction counts and current core.
 func (m *Machine) start() error {
@@ -714,26 +730,58 @@ func (m *Machine) forkFront(cfg Config, err error) *Machine {
 	return f
 }
 
-// Reset restores the machine to the state NewMachine (or NewGroup)
-// would produce for the same configurations with Seed = seed. Only the
-// stores that are expensive to allocate rewind in place: the CPU
-// caches and owner table here, the metadata cache, NVM line store and
-// data-MAC table in each engine. The rest is built by start, as
-// NewGroup builds it, and when the original configurations left Suite
-// nil each member's per-seed suite is re-derived exactly as NewGroup
-// derives it. The invariant the experiment runner's machine reuse is
-// built on:
+// ResetTo restores the machine to the state NewGroup(cfgs...) would
+// produce, on recycled storage. The configs' front end — every field
+// but Scheme, Bitmap, MetaCache and Seed — must match the machine's;
+// otherwise ResetTo returns an error naming the first differing field
+// and leaves the machine as it was. Only the stores that are expensive
+// to allocate rewind in place: the CPU caches and owner table here,
+// and back end i's metadata cache, NVM line store and data-MAC table
+// when its MetaCache, which fixes the SIT geometry, is unchanged. A
+// back end whose MetaCache changed, or that the machine lacked, is
+// built as NewGroup builds it; surplus back ends are dropped. The rest
+// is built by start, as NewGroup builds it, and when the configs left
+// Suite nil each member's per-seed suite is derived exactly as
+// NewGroup derives it. The invariant the experiment runner's machine
+// reuse is built on:
 //
-//	m.Reset(seed) ≡ NewGroup(cfgs with Seed = seed)
+//	m.ResetTo(cfgs...) ≡ NewGroup(cfgs...)
 //
 // for every observable output — Results, statistics, snapshots, the
-// golden corpus. TestGoldenResults and TestResetReuseInterleaved hold
-// it in place. Attached observers are detached.
-func (m *Machine) Reset(seed uint64) {
-	for _, b := range m.be {
-		b.reset(seed, m.autoSuite)
+// golden corpus — whether m was running, crashed, recovered or forked.
+// TestGoldenResults and TestResetReuseInterleaved hold it in place.
+// Attached observers are detached. A scheme NewGroup would refuse
+// (an unknown name, a partial Bitmap) is reported after the machine
+// was rewound; such a machine must not be used again.
+func (m *Machine) ResetTo(cfgs ...Config) error {
+	cfgs, err := groupConfigs(cfgs)
+	if err != nil {
+		return err
 	}
-	m.cfg = m.be[0].cfg
+	cur := m.cfg
+	cur.Seed = cfgs[0].Seed
+	if m.autoSuite {
+		cur.Suite = nil
+	}
+	if f := frontEndDiff(cur, cfgs[0]); f != "" {
+		return fmt.Errorf("sim: ResetTo: config differs from the machine's in %s; a machine may be reset only to new Scheme, Bitmap, MetaCache and Seed", f)
+	}
+	be := make([]*backEnd, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = m.withSuite(cfgs[i])
+		if i < len(m.be) && m.be[i].cfg.MetaCache == cfgs[i].MetaCache {
+			be[i] = m.be[i]
+		} else if be[i], err = newBackEnd(m, cfgs[i]); err != nil {
+			return err
+		}
+	}
+	for i, b := range be {
+		if i < len(m.be) && b == m.be[i] {
+			b.cfg = cfgs[i]
+			b.engine.Reset(b.cfg.Suite)
+		}
+	}
+	m.be, m.cfg = be, be[0].cfg
 	for i := range m.l1 {
 		m.l1[i].Reset()
 		m.l2[i].Reset()
@@ -742,8 +790,22 @@ func (m *Machine) Reset(seed uint64) {
 	m.owner.Clear()
 	m.ctx, m.ctxDone, m.ctxPoll = nil, nil, 0
 	m.err = nil
-	if err := m.start(); err != nil {
-		// NewGroup built every scheme from these configurations already.
+	return m.start()
+}
+
+// Reset is ResetTo of the machine's own configurations with Seed =
+// seed.
+func (m *Machine) Reset(seed uint64) {
+	cfgs := make([]Config, len(m.be))
+	for i, b := range m.be {
+		cfgs[i] = b.cfg
+		cfgs[i].Seed = seed
+		if m.autoSuite {
+			cfgs[i].Suite = nil
+		}
+	}
+	if err := m.ResetTo(cfgs...); err != nil {
+		// NewGroup built every member from these configurations already.
 		panic(fmt.Sprintf("sim: Reset: %v", err))
 	}
 }

@@ -1,24 +1,81 @@
 package sim
 
 import (
+	"bytes"
+	"context"
 	"reflect"
+	"strings"
 	"testing"
+
+	"nvmstar/internal/bitmap"
+	"nvmstar/internal/simcrypto"
 )
 
-// TestResetReuseInterleaved fuzzes the Reset invariant the experiment
-// runner's machine pool relies on: one recycled machine per scheme is
-// driven through a deterministic pseudo-random interleaving of
-// workloads, seeds, op counts and crash/recovery cycles, and after
-// every Reset it must reproduce a freshly constructed machine's
-// Results bit for bit. Crash iterations run unverified (leaving dirty
-// metadata, like the runner's crash cells), then crash and recover
-// both machines before the next Reset, so Reset is exercised from
-// running, crashed and recovered states alike.
+// resetMember is goldenConfig(scheme) on a metaKiB metadata cache and,
+// when adr is nonzero, STAR's bitmap.SplitADR(adr) split.
+func resetMember(t *testing.T, scheme string, metaKiB, adr int) Config {
+	t.Helper()
+	cfg := goldenConfig(scheme)
+	cfg.MetaCache.SizeBytes = metaKiB << 10
+	if adr != 0 {
+		var err error
+		if cfg.Bitmap, err = bitmap.SplitADR(adr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cfg
+}
+
+// memberSnapshots returns every member's non-volatile state.
+func memberSnapshots(t *testing.T, m *Machine) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for i, b := range m.be {
+		var buf bytes.Buffer
+		if err := b.engine.SaveNonVolatile(&buf); err != nil {
+			t.Fatalf("member %d: snapshot: %v", i, err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestResetReuseInterleaved fuzzes the reset invariant the experiment
+// runner's machine reuse relies on, m.ResetTo(cfgs...) ≡
+// NewGroup(cfgs...): one recycled machine is driven through a schedule
+// that changes scheme, group size (1, 2 and 4 members, Table II's
+// smallest ADR split among them) and metadata-cache size (128 and 256
+// KiB), starting each step from a running, crashed, recovered or
+// ForkMember-shared state, with workloads, seeds and op counts drawn
+// from a fixed pseudo-random sequence. After every retarget it must
+// reproduce a fresh group's Results, post-crash recovery reports and
+// non-volatile state bit for bit; one step goes through Reset(seed),
+// which is ResetTo of the machine's own configs. A fork taken at the
+// end of a step stays alive across the parent's next retarget and run,
+// and must then crash and recover exactly as the fresh group's fork.
 func TestResetReuseInterleaved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interleaved reuse fuzz runs dozens of full cells")
 	}
-	schemes := []string{"wb", "strict", "anubis", "phoenix", "star"}
+	m := func(scheme string, metaKiB, adr int) Config { return resetMember(t, scheme, metaKiB, adr) }
+	type step struct {
+		members []Config // nil: Reset(seed) of the previous step's members
+		end     string   // "running", "crashed", "recovered" or "forked"
+	}
+	steps := []step{
+		{[]Config{m("star", 256, 0)}, "running"},
+		{[]Config{m("anubis", 256, 0)}, "crashed"},
+		{[]Config{m("star", 256, 2), m("star", 256, 0)}, "recovered"},
+		{[]Config{m("wb", 256, 0), m("star", 256, 0), m("anubis", 256, 0), m("phoenix", 256, 0)}, "forked"},
+		{[]Config{m("star", 128, 0)}, "running"},
+		{[]Config{m("star", 128, 0), m("star", 256, 0)}, "crashed"},
+		{nil, "recovered"},
+		{[]Config{m("strict", 256, 0), m("star", 128, 0)}, "forked"},
+		{[]Config{m("star", 256, 2), m("star", 256, 4), m("star", 256, 8), m("star", 256, 0)}, "running"},
+		{[]Config{m("phoenix", 128, 0)}, "recovered"},
+		{[]Config{m("wb", 256, 0), m("anubis", 128, 0)}, "forked"},
+		{[]Config{m("star", 128, 2)}, "running"},
+	}
 	workloads := []string{"array", "queue", "hash"}
 	seeds := []uint64{0, 1, 42}
 	opsChoices := []int{400, 800, 1200}
@@ -32,64 +89,129 @@ func TestResetReuseInterleaved(t *testing.T) {
 		return int(rng % uint64(n))
 	}
 
-	reused := make(map[string]*Machine)
-	const iters = 20
-	for it := 0; it < iters; it++ {
-		scheme := schemes[pick(len(schemes))]
+	rm, err := NewGroup(m("wb", 256, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []Config
+	var fork, freshFork *Machine // the last step's ForkMember children
+	for it, st := range steps {
 		workload := workloads[pick(len(workloads))]
 		seed := seeds[pick(len(seeds))]
 		ops := opsChoices[pick(len(opsChoices))]
-		crash := pick(3) == 0
+		if st.members != nil {
+			members = st.members
+		}
+		cfgs := append([]Config(nil), members...)
+		for i := range cfgs {
+			cfgs[i].Seed = seed
+		}
+		fresh, err := NewGroup(cfgs...)
+		if err != nil {
+			t.Fatalf("step %d: %v", it, err)
+		}
+		if st.members == nil {
+			rm.Reset(seed)
+		} else if err := rm.ResetTo(cfgs...); err != nil {
+			t.Fatalf("step %d: ResetTo: %v", it, err)
+		}
 
-		cfg := goldenConfig(scheme)
-		cfg.Seed = seed
-		fresh, err := NewMachine(cfg)
+		verify := st.end == "running"
+		fres, err := fresh.run(context.Background(), workload, ops, verify)
 		if err != nil {
-			t.Fatalf("iter %d %s/%s: %v", it, scheme, workload, err)
+			t.Fatalf("step %d %s seed=%d ops=%d: fresh: %v", it, workload, seed, ops, err)
 		}
-		rm, ok := reused[scheme]
-		if !ok {
-			if rm, err = NewMachine(goldenConfig(scheme)); err != nil {
-				t.Fatalf("iter %d %s: reused machine: %v", it, scheme, err)
-			}
-			reused[scheme] = rm
-		}
-		rm.Reset(seed)
-
-		run := (*Machine).Run
-		if crash {
-			run = (*Machine).RunUnverified
-		}
-		fres, err := run(fresh, workload, ops)
+		rres, err := rm.run(context.Background(), workload, ops, verify)
 		if err != nil {
-			t.Fatalf("iter %d %s/%s seed=%d ops=%d: fresh: %v", it, scheme, workload, seed, ops, err)
-		}
-		rres, err := run(rm, workload, ops)
-		if err != nil {
-			t.Fatalf("iter %d %s/%s seed=%d ops=%d: reused: %v", it, scheme, workload, seed, ops, err)
+			t.Fatalf("step %d %s seed=%d ops=%d: reused: %v", it, workload, seed, ops, err)
 		}
 		if !reflect.DeepEqual(fres, rres) {
-			t.Errorf("iter %d %s/%s seed=%d ops=%d crash=%v: reused machine diverged:\nfresh  %+v\nreused %+v",
-				it, scheme, workload, seed, ops, crash, fres, rres)
+			t.Errorf("step %d %s seed=%d ops=%d: reused machine diverged:\nfresh  %+v\nreused %+v",
+				it, workload, seed, ops, fres, rres)
 		}
 
-		if crash {
+		if fork != nil {
+			// The previous step's forks shared pages with their parents
+			// through this step's retarget and run.
+			fork.Crash()
+			freshFork.Crash()
+			if !reflect.DeepEqual(memberSnapshots(t, fork), memberSnapshots(t, freshFork)) {
+				t.Errorf("step %d: the live fork's post-crash state differs from the fresh fork's", it)
+			}
+			frep, ferr := freshFork.Recover()
+			rrep, rerr := fork.Recover()
+			if !reflect.DeepEqual(frep, rrep) || errText(ferr) != errText(rerr) {
+				t.Errorf("step %d: live fork's recovery differs:\nfresh  %+v (%v)\nreused %+v (%v)", it, frep, ferr, rrep, rerr)
+			}
+			fork, freshFork = nil, nil
+		}
+
+		switch st.end {
+		case "crashed", "recovered":
 			fresh.Crash()
 			rm.Crash()
-			if scheme != "wb" { // wb has no recovery; its Reset starts from the crashed state
-				frep, err := fresh.Recover()
-				if err != nil {
-					t.Fatalf("iter %d %s/%s: fresh recovery: %v", it, scheme, workload, err)
-				}
-				rrep, err := rm.Recover()
-				if err != nil {
-					t.Fatalf("iter %d %s/%s: reused recovery: %v", it, scheme, workload, err)
-				}
-				if !reflect.DeepEqual(frep, rrep) {
-					t.Errorf("iter %d %s/%s: recovery reports differ:\nfresh  %+v\nreused %+v",
-						it, scheme, workload, frep, rrep)
-				}
+			if st.end == "crashed" {
+				break
 			}
+			frep, ferr := fresh.Recover()
+			rrep, rerr := rm.Recover()
+			if !reflect.DeepEqual(frep, rrep) || errText(ferr) != errText(rerr) {
+				t.Errorf("step %d: recovery differs:\nfresh  %+v (%v)\nreused %+v (%v)", it, frep, ferr, rrep, rerr)
+			}
+			if !reflect.DeepEqual(memberSnapshots(t, fresh), memberSnapshots(t, rm)) {
+				t.Errorf("step %d: recovered state differs from the fresh group's", it)
+			}
+		case "forked":
+			i := len(cfgs) - 1
+			fork, freshFork = rm.ForkMember(i), fresh.ForkMember(i)
 		}
+	}
+}
+
+// TestResetToRejectsFrontEndDifference: a machine may be retargeted
+// only to configs whose CPU side matches its own. Any other difference
+// is refused by field name, and the refused machine is untouched: it
+// runs on and matches a fresh machine of its own config.
+func TestResetToRejectsFrontEndDifference(t *testing.T) {
+	const workload, ops = "array", 300
+	cfg := goldenConfig("star")
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := goldenConfig("anubis")
+	cores.Cores = 4
+	l3 := goldenConfig("star")
+	l3.L3.SizeBytes *= 2
+	suite := goldenConfig("star")
+	suite.Suite = simcrypto.NewFast(1)
+	for _, tc := range []struct {
+		cfgs  []Config
+		field string
+	}{
+		{[]Config{cores}, "Cores"},
+		{[]Config{l3}, "L3"},
+		{[]Config{suite}, "Suite"},
+		{[]Config{goldenConfig("wb"), l3}, "member 1"},
+	} {
+		err := m.ResetTo(tc.cfgs...)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("ResetTo differing in %s: err = %v, want one naming it", tc.field, err)
+		}
+	}
+	fresh, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(workload, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Run(workload, ops)
+	if err != nil {
+		t.Fatalf("refused machine: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("a refused ResetTo changed the machine:\nfresh %+v\ngot   %+v", want, got)
 	}
 }

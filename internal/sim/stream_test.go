@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,24 +40,35 @@ func (r *recorder) Observe(ev Event) {
 // scheme: write access events summed by cause equal the device's write
 // count and none is untagged, every op begin has its op end, a fork
 // carries no attached subscriber, and a fork's built-in attribution and
-// latency equal the parent's at the fork point.
+// latency equal the parent's at the fork point. The five schemes run
+// as one lock-step group with a recorder on each back end, and each
+// member is checked on its own stream and forked out with ForkMember.
 func TestObserverStreamInvariants(t *testing.T) {
-	for _, scheme := range []string{"wb", "strict", "anubis", "phoenix", "star"} {
+	schemes := []string{"wb", "strict", "anubis", "phoenix", "star"}
+	var cfgs []Config
+	for _, scheme := range schemes {
+		cfgs = append(cfgs, observeConfig(scheme))
+	}
+	m, err := NewGroup(cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*recorder, len(m.be))
+	for i, b := range m.be {
+		recs[i] = &recorder{}
+		b.obs = append(b.obs, recs[i])
+	}
+	if _, err := m.RunEach(context.Background(), "hash", 300); err != nil {
+		t.Fatal(err)
+	}
+	for i, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
-			m, err := NewMachine(observeConfig(scheme))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &recorder{}
-			m.Attach(rec)
-			if _, err := m.Run("hash", 300); err != nil {
-				t.Fatal(err)
-			}
+			b, rec := m.be[i], recs[i]
 			var sum uint64
 			for _, n := range rec.writes {
 				sum += n
 			}
-			if dev := m.Engine().Device().Stats().Writes; sum != dev {
+			if dev := b.engine.Device().Stats().Writes; sum != dev {
 				t.Errorf("write events sum to %d, device counted %d", sum, dev)
 			}
 			if n := rec.writes[nvm.CauseOther]; n != 0 {
@@ -67,18 +79,18 @@ func TestObserverStreamInvariants(t *testing.T) {
 					rec.begins, rec.ends, rec.depth, rec.unbalancedEnd)
 			}
 
-			f := m.Fork()
-			if len(f.be[0].obs) != 1 || f.be[0].obs[0] != f.be[0].observed || f.be[0].observed == m.be[0].observed {
+			f := m.ForkMember(i)
+			if len(f.be[0].obs) != 1 || f.be[0].obs[0] != f.be[0].observed || f.be[0].observed == b.observed {
 				t.Fatalf("fork subscribers = %v, want only its own observatory", f.be[0].obs)
 			}
-			if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), m.be[0].observed.attr.breakdown()) {
+			if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), b.observed.attr.breakdown()) {
 				t.Error("fork's attribution differs from the parent's at the fork point")
 			}
-			if !reflect.DeepEqual(f.LatencySnapshot(), m.LatencySnapshot()) {
+			if !reflect.DeepEqual(f.LatencySnapshot(), b.observed.lat.breakdown(nil)) {
 				t.Error("fork's latency differs from the parent's at the fork point")
 			}
 			seen := *rec
-			if _, err := f.Run("hash", 100); err != nil {
+			if _, err := f.Run("queue", 100); err != nil {
 				t.Fatal(err)
 			}
 			if *rec != seen {

@@ -24,6 +24,7 @@ import (
 	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
+	"sync"
 
 	"nvmstar/internal/memline"
 )
@@ -111,17 +112,29 @@ func NewReal(key [16]byte) Suite {
 	return s
 }
 
+// otpScratch is OTP's pad and input block. Both pass through the
+// cipher.Block interface, so as locals they would escape to the heap on
+// every call; otpScratches recycles them instead, which keeps the
+// suite free of per-call allocation and safe for concurrent use.
+type otpScratch struct {
+	pad memline.Line
+	in  [16]byte
+}
+
+var otpScratches = sync.Pool{New: func() any { return new(otpScratch) }}
+
 func (s *realSuite) OTP(lineAddr, counter uint64) memline.Line {
 	// Four AES blocks form the 64-byte pad. The per-block tweak makes
 	// the blocks distinct; (addr, counter) uniqueness is guaranteed by
 	// the counter-mode invariant.
-	var pad memline.Line
-	var in [16]byte
-	binary.LittleEndian.PutUint64(in[0:8], lineAddr)
+	b := otpScratches.Get().(*otpScratch)
+	binary.LittleEndian.PutUint64(b.in[0:8], lineAddr)
 	for blk := 0; blk < 4; blk++ {
-		binary.LittleEndian.PutUint64(in[8:16], counter<<2|uint64(blk))
-		s.block.Encrypt(pad[blk*16:(blk+1)*16], in[:])
+		binary.LittleEndian.PutUint64(b.in[8:16], counter<<2|uint64(blk))
+		s.block.Encrypt(b.pad[blk*16:(blk+1)*16], b.in[:])
 	}
+	pad := b.pad
+	otpScratches.Put(b)
 	return pad
 }
 

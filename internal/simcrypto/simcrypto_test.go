@@ -164,6 +164,20 @@ func TestSuiteConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestSuitesAllocationFree: OTP and MAC sit on the engine's per-access
+// path, so neither suite may allocate per call.
+func TestSuitesAllocationFree(t *testing.T) {
+	msg := make([]byte, 80)
+	for name, s := range suites() {
+		if n := testing.AllocsPerRun(100, func() { s.OTP(0x1000, 7) }); n != 0 {
+			t.Errorf("%s: OTP allocates %v times per call", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.MAC(msg) }); n != 0 {
+			t.Errorf("%s: MAC allocates %v times per call", name, n)
+		}
+	}
+}
+
 func TestMACInputBuilder(t *testing.T) {
 	for name, s := range suites() {
 		var in1 MACInput
