@@ -353,6 +353,11 @@ const (
 // speedup over it. Benchmark state, not safe outside that benchmark.
 var runnerSeqNs float64
 
+// runnerMinIters is the fewest timed iterations a width's ns/op must
+// rest on before BenchmarkRunnerMatrix reports a speedup from it; one
+// multi-second sample per width is too noisy to compare.
+const runnerMinIters = 3
+
 // BenchmarkRunnerMatrix measures the wall-clock of a full
 // four-scheme x three-workload sweep through the parallel experiment
 // runner at several pool widths, reporting each width's speedup over
@@ -360,18 +365,21 @@ var runnerSeqNs float64
 // are seed-level and dispatched longest-expected-first, so on a
 // multi-core machine the sweep scales close to linearly until the
 // pool exceeds the units or the cores; per-cell results are
-// bit-identical at every width. The benchmark fails if parallel=4
-// falls below 2x on a machine with 4+ CPUs (`make bench-gate`); with
-// fewer CPUs compute-bound speedup is physically impossible, so the
-// floor is skipped with a log line. parallel=4 also fails if
-// parallel=1 did not run first, since there is no speedup to check.
-// Every iteration builds its own runner, so each one simulates the
-// whole sweep rather than reading the previous iteration's runs back
-// from the run memo.
+// bit-identical at every width. Each width first runs one untimed
+// warm-up sweep, so parallel=1 is not the process's cold run, and the
+// speedup is reported only from at least runnerMinIters timed sweeps
+// per width (`-benchtime 3x`); with fewer it is skipped with a log
+// line. The benchmark fails if parallel=4 falls below 2x on a machine
+// with 4+ CPUs (`make bench-gate`); with fewer CPUs compute-bound
+// speedup is physically impossible, so the floor is skipped with a log
+// line. parallel=4 also fails if parallel=1 did not run first, since
+// there is no speedup to check. Every iteration builds its own runner,
+// so each one simulates the whole sweep rather than reading the
+// previous iteration's runs back from the run memo.
 func BenchmarkRunnerMatrix(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			sweep := func() {
 				r := experiments.NewRunner(
 					experiments.WithOps(benchOps),
 					experiments.WithWorkloads("array", "hash", "queue"),
@@ -381,6 +389,16 @@ func BenchmarkRunnerMatrix(b *testing.B) {
 				if _, err := r.SchemeComparison(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			sweep()
+			b.StartTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			if b.N < runnerMinIters {
+				b.Logf("speedup-vs-seq not read from this pass: %d timed iteration(s), need %d (-benchtime %dx)", b.N, runnerMinIters, runnerMinIters)
+				return
 			}
 			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if par == 1 {

@@ -122,6 +122,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "starbench: "+format+"\n", a...) }
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"ops", *ops, 1}, {"seeds", *seeds, 1}, {"data-mb", *dataMB, 1}, {"meta-kb", *metaKB, 1}, {"parallel", *parallel, 0}} {
+		if f.v < f.min {
+			logf("-%s %d: must be at least %d", f.name, f.v, f.min)
+			return 2
+		}
+	}
 
 	var selected []experiment
 	for _, e := range experimentList {

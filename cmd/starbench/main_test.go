@@ -57,14 +57,21 @@ func TestReportWritesShapesDocument(t *testing.T) {
 
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
+		name   string
+		args   []string
+		stderr string
 	}{
-		{"latency-out without observe", []string{"-exp", "report", "-latency-out", filepath.Join(t.TempDir(), "lat.json")}},
-		{"unknown experiment", []string{"-exp", "fig99"}},
-		{"empty crash points", []string{"-exp", "crash-points", "-crash-points", ","}},
-		{"shapes-out outside report", []string{"-exp", "fig10", "-shapes-out", filepath.Join(t.TempDir(), "s.json")}},
-		{"unknown flag", []string{"-baseline", "x.json"}},
+		{"latency-out without observe", []string{"-exp", "report", "-latency-out", filepath.Join(t.TempDir(), "lat.json")}, "-latency-out"},
+		{"unknown experiment", []string{"-exp", "fig99"}, "fig99"},
+		{"empty crash points", []string{"-exp", "crash-points", "-crash-points", ","}, "-crash-points"},
+		{"shapes-out outside report", []string{"-exp", "fig10", "-shapes-out", filepath.Join(t.TempDir(), "s.json")}, "-shapes-out"},
+		{"unknown flag", []string{"-baseline", "x.json"}, "-baseline"},
+		{"negative ops", []string{"-ops", "-3"}, "-ops -3"},
+		{"zero ops", []string{"-ops", "0"}, "-ops 0"},
+		{"zero seeds", []string{"-seeds", "0"}, "-seeds 0"},
+		{"zero data", []string{"-data-mb", "0"}, "-data-mb 0"},
+		{"zero metadata cache", []string{"-meta-kb", "0"}, "-meta-kb 0"},
+		{"negative parallel", []string{"-parallel", "-1"}, "-parallel -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errOut := runCLI(t, tc.args...)
@@ -73,6 +80,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 			}
 			if out != "" {
 				t.Fatalf("usage error printed to stdout:\n%s", out)
+			}
+			if !strings.Contains(errOut, tc.stderr) {
+				t.Fatalf("stderr lacks %q:\n%s", tc.stderr, errOut)
 			}
 		})
 	}

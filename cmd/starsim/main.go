@@ -1,34 +1,37 @@
 // Command starsim is the one single-machine command. It runs one
-// workload (or replays one recorded trace) on the simulated secure NVM
-// machine under one metadata persistence scheme, prints the
-// measured-phase statistics and, with -crash, pulls the plug and
-// recovers:
+// workload on the simulated secure NVM machine under one or more
+// metadata persistence schemes, prints the measured-phase statistics
+// and, with -crash, pulls the plug and recovers:
 //
 //	starsim -workload hash -scheme star -ops 20000 -crash -audit
+//	starsim -workload hash -scheme wb,star,anubis -observe
 //	starsim -workload btree -attack replay      # recovery REJECTED, exit 0
 //	starsim -workload btree -scheme anubis -attack st
-//	starsim -record /tmp/hash.trc -workload hash -ops 10000
-//	starsim -replay /tmp/hash.trc -scheme anubis -observe
 //
 // Schemes: wb (write-back baseline, no recovery), strict (write-through
 // persistence), anubis (shadow table), star (the paper's scheme),
 // phoenix (Anubis's shadow table for tree nodes plus Osiris-style
 // counter blocks, an extension).
 //
+// A comma-separated -scheme list runs every scheme on one access
+// stream: one lock-step group (sim.NewGroup) runs the workload's
+// set-up and measured phase once, and each scheme gets its own results
+// block, audit, crash and recovery, on a fork of its member. The
+// output is byte-identical to the solo runs' outputs in list order,
+// and the exit code is the largest of theirs.
+//
 // -attack implies -crash: the victim line is written and snapshotted
 // before the run and rewritten after it, then the crashed image is
 // attacked before recovery. A detected attack exits 0.
 //
-// -record captures every access the workload issues, set-up included,
-// NVMain-style; -replay drives such a trace (or one synthesized in the
-// internal/trace format) as the measured phase. -observe prints per-op
-// tail latencies, and -trace-out writes the run's structured events as
-// Chrome trace-event JSON. -svg DIR samples the run's telemetry and
-// draws the single-run figures: the dirty metadata fraction, cache hit
-// ratios and write amplification over simulated time, and the per-bank
-// NVM wear heatmap; with -trace-out the dirty fraction also becomes a
-// counter track of the trace, and with -observe the run's write causes
-// are printed:
+// -observe prints per-op tail latencies, and -trace-out writes the
+// run's structured events as Chrome trace-event JSON. -svg DIR samples
+// the run's telemetry and draws the single-run figures: the dirty
+// metadata fraction, cache hit ratios and write amplification over
+// simulated time, and the per-bank NVM wear heatmap; with -trace-out
+// the dirty fraction also becomes a counter track of the trace, and
+// with -observe the run's write causes are printed. -attack, -svg and
+// -trace-out take a single scheme:
 //
 //	starsim -workload hash -ops 8000 -svg figures -trace-out figures/timeline_trace.json
 package main
@@ -46,7 +49,6 @@ import (
 	"nvmstar/internal/memline"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/sim"
-	"nvmstar/internal/trace"
 	"nvmstar/internal/workload"
 )
 
@@ -69,8 +71,7 @@ const victimAddr = 42 * memline.Size
 
 type options struct {
 	workload, scheme, attack   string
-	record, replay, traceOut   string
-	svg                        string
+	traceOut, svg              string
 	ops, dataMB, metaKB, cores int
 	seed                       uint64
 	crash, audit, observe      bool
@@ -81,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("starsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.workload, "workload", "hash", "workload: "+strings.Join(workload.Names(), "|"))
-	fs.StringVar(&o.scheme, "scheme", "star", "scheme: wb|strict|anubis|star|phoenix")
+	fs.StringVar(&o.scheme, "scheme", "star", "comma-separated schemes, run on one access stream: wb|strict|anubis|star|phoenix")
 	fs.IntVar(&o.ops, "ops", 20000, "measured operations")
 	fs.IntVar(&o.dataMB, "data-mb", 64, "protected data size in MiB")
 	fs.IntVar(&o.metaKB, "meta-kb", 256, "metadata cache size in KiB")
@@ -89,12 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&o.seed, "seed", 1, "workload PRNG seed")
 	fs.BoolVar(&o.crash, "crash", false, "crash after the run and attempt recovery")
 	fs.BoolVar(&o.audit, "audit", false, "audit the full metadata tree after the run (and after recovery)")
-	fs.StringVar(&o.attack, "attack", "", "attack the crashed image before recovery (implies -crash): replay|bitmap|st")
-	fs.StringVar(&o.record, "record", "", "record the workload's access trace to this file")
-	fs.StringVar(&o.replay, "replay", "", "replay the access trace in this file as the measured phase")
+	fs.StringVar(&o.attack, "attack", "", "attack the crashed image before recovery (implies -crash; one scheme): replay|bitmap|st")
 	fs.BoolVar(&o.observe, "observe", false, "enable the observatory: print per-op tail latencies and add lat:<op> instants to -trace-out")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's structured events as Chrome trace-event JSON to this file")
-	fs.StringVar(&o.svg, "svg", "", "write the run's timeline and wear-heatmap SVG figures to this directory")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's structured events as Chrome trace-event JSON to this file (one scheme)")
+	fs.StringVar(&o.svg, "svg", "", "write the run's timeline and wear-heatmap SVG figures to this directory (one scheme)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -105,30 +104,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "starsim: "+format+"\n", a...)
 		return 2
 	}
-	if o.record != "" && o.replay != "" {
-		return usage("choose -record or -replay, not both")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ops", o.ops}, {"data-mb", o.dataMB}, {"meta-kb", o.metaKB}, {"cores", o.cores}} {
+		if f.v <= 0 {
+			return usage("-%s %d: must be positive", f.name, f.v)
+		}
+	}
+	schemes := strings.Split(o.scheme, ",")
+	for i, s := range schemes {
+		if slices.Contains(schemes[:i], s) {
+			return usage("-scheme lists %q twice", s)
+		}
+	}
+	if len(schemes) > 1 {
+		// Each of these acts on, or observes, member 0 only.
+		for _, f := range []struct{ name, v string }{{"attack", o.attack}, {"svg", o.svg}, {"trace-out", o.traceOut}} {
+			if f.v != "" {
+				return usage("-%s takes one scheme, not -scheme %s", f.name, o.scheme)
+			}
+		}
 	}
 	if o.attack != "" {
-		schemes, ok := attackSchemes[o.attack]
+		reached, ok := attackSchemes[o.attack]
 		if !ok {
 			return usage("unknown attack %q (replay|bitmap|st)", o.attack)
 		}
-		if !slices.Contains(schemes, o.scheme) {
-			return usage("-attack %s applies to schemes %s, not %s", o.attack, strings.Join(schemes, ", "), o.scheme)
+		if !slices.Contains(reached, o.scheme) {
+			return usage("-attack %s applies to schemes %s, not %s", o.attack, strings.Join(reached, ", "), o.scheme)
 		}
 		o.crash = true
 	}
 
-	cfg := sim.Evaluation()
-	cfg.DataBytes = uint64(o.dataMB) << 20
-	cfg.MetaCache.SizeBytes = o.metaKB << 10
-	cfg.Cores = o.cores
-	cfg.Scheme = o.scheme
-	cfg.Seed = o.seed
-	cfg.Observe = o.observe
-	cfg.Telemetry = o.svg != ""
-	cfg.TrackWear = o.svg != ""
-	code, err := simulate(cfg, &o, stdout)
+	cfgs := make([]sim.Config, len(schemes))
+	for i, s := range schemes {
+		cfg := sim.Evaluation()
+		cfg.DataBytes = uint64(o.dataMB) << 20
+		cfg.MetaCache.SizeBytes = o.metaKB << 10
+		cfg.Cores = o.cores
+		cfg.Scheme = s
+		cfg.Seed = o.seed
+		cfg.Observe = o.observe
+		cfg.Telemetry = o.svg != ""
+		cfg.TrackWear = o.svg != ""
+		cfgs[i] = cfg
+	}
+	code, err := simulate(cfgs, &o, stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "starsim:", err)
 		return 1
@@ -136,35 +158,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// simulate builds the machine and runs the measured phase and, with
-// -crash, the power failure, the attack and recovery; it returns the
-// exit code.
-func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
-	m, err := sim.NewMachine(cfg)
+// simulate runs the workload once on the lock-step group of cfgs and
+// then reports each member in turn (see member); it returns the
+// largest of the members' exit codes.
+func simulate(cfgs []sim.Config, o *options, w io.Writer) (code int, err error) {
+	m, err := sim.NewGroup(cfgs...)
 	if err != nil {
 		return 0, err
 	}
 	var sampler *sim.Sampler
+	var timelines []sim.Timeline
 	if o.svg != "" {
 		if sampler, err = sim.NewSampler(m.Telemetry(), sampleNs); err != nil {
 			return 0, err
 		}
 		m.Attach(sampler)
 	}
+	var tracer *sim.Tracer
 	if o.traceOut != "" {
-		tracer := sim.NewTracer()
+		tracer = sim.NewTracer()
 		m.Attach(tracer)
 		defer func() {
 			if err != nil {
 				return
 			}
 			tr := tracer.Trace()
-			if sampler != nil {
-				for _, tl := range sampler.Timelines() {
-					if tl.Name == "meta.dirty_frac" {
-						for i, t := range tl.TimesNs {
-							tr.CounterAt(tl.Name, t, tl.Values[i])
-						}
+			for _, tl := range timelines {
+				if tl.Name == "meta.dirty_frac" {
+					for i, t := range tl.TimesNs {
+						tr.CounterAt(tl.Name, t, tl.Values[i])
 					}
 				}
 			}
@@ -173,30 +195,69 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 			}
 		}()
 	}
-	engine := m.Engine()
 	var snap attack.DataSnapshot
 	if o.attack != "" {
-		if err := engine.WriteLine(victimAddr, memline.Line{1}); err != nil {
+		if err := m.Engine().WriteLine(victimAddr, memline.Line{1}); err != nil {
 			return 0, err
 		}
-		snap = attack.SnapshotData(engine, victimAddr)
+		snap = attack.SnapshotData(m.Engine(), victimAddr)
 	}
-	res, err := measure(m, o, w)
+	s, err := m.NewSession(o.workload)
 	if err != nil {
 		return 0, err
 	}
-	printResults(w, o, res)
+	rs, err := m.MeasureEach(o.workload, func() error { return s.StepN(o.ops) })
+	if err != nil {
+		return 0, err
+	}
+	// A crashed run skips the workload's consistency sweep: its read
+	// misses evict (and thereby persist) every dirty metadata line,
+	// which would leave nothing stale for recovery to restore.
+	if !o.crash {
+		if err := s.Verify(); err != nil {
+			return 0, err
+		}
+	}
+	if sampler != nil {
+		timelines = sampler.Timelines()
+	}
+	for i, res := range rs {
+		res.Ops = o.ops
+		f := m.ForkMember(i)
+		if tracer != nil {
+			// A fork inherits no subscriber, and the crash and
+			// recovery it runs belong in the trace.
+			f.Attach(tracer)
+		}
+		c, err := member(f, o, res, snap, timelines, w)
+		if err != nil {
+			return 0, err
+		}
+		code = max(code, c)
+	}
+	return code, nil
+}
+
+// member prints one scheme's results block — the block a solo run of
+// that scheme prints — from its measured-phase results and f, its
+// member forked out of the group after the run: the -svg figures, and
+// the audit, power failure, attack and recovery of -audit and -crash.
+// It returns the member's exit code.
+func member(f *sim.Machine, o *options, res *sim.Results, snap attack.DataSnapshot, timelines []sim.Timeline, w io.Writer) (int, error) {
+	fmt.Fprintf(w, "workload          %s (%d threads, %d ops, seed %d)\n", o.workload, o.cores, o.ops, o.seed)
+	printResults(w, res)
 	if o.svg != "" {
-		if err := writeFigures(w, o.svg, m, res, sampler.Timelines()); err != nil {
+		if err := writeFigures(w, o.svg, f, res, timelines); err != nil {
 			return 0, err
 		}
 	}
 	if o.audit {
-		reportAudit(w, m)
+		reportAudit(w, f)
 	}
 	if !o.crash {
 		return 0, nil
 	}
+	engine := f.Engine()
 	if o.attack != "" {
 		if err := engine.WriteLine(victimAddr, memline.Line{2}); err != nil {
 			return 0, err
@@ -204,11 +265,11 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 	}
 
 	fmt.Fprintln(w, "\n-- power failure --")
-	m.Crash()
+	f.Crash()
 	if err := tamper(engine, o.attack, snap, w); err != nil {
 		return 0, err
 	}
-	rep, err := m.Recover()
+	rep, err := f.Recover()
 	if err != nil {
 		if o.attack != "" && errors.Is(err, secmem.ErrRecoveryVerification) {
 			fmt.Fprintf(w, "recovery REJECTED: %v\n", err)
@@ -226,7 +287,7 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 	fmt.Fprintf(w, "recovery time     %.4f s (at %.0f ns/line: %.0f us scan + %.0f us restore + %.0f us write-back)\n",
 		rep.TimeSeconds(), secmem.RecoveryLineNs, ph.ScanNs/1e3, ph.RestoreNs/1e3, ph.WritebackNs/1e3)
 	if o.audit {
-		reportAudit(w, m)
+		reportAudit(w, f)
 	}
 	if o.attack == "" {
 		return 0, nil
@@ -247,69 +308,6 @@ func simulate(cfg sim.Config, o *options, w io.Writer) (code int, err error) {
 	}
 	fmt.Fprintf(w, "attack NOT detected: post-recovery read of the victim line returned %d (want 2)\n", got[0])
 	return 1, nil
-}
-
-// measure runs the measured phase: the workload, recorded or not, or
-// the replayed trace.
-func measure(m *sim.Machine, o *options, w io.Writer) (*sim.Results, error) {
-	switch {
-	case o.replay != "":
-		return replayTrace(m, o.replay, w)
-	case o.record != "":
-		return recordTrace(m, o, w)
-	}
-	fmt.Fprintf(w, "workload          %s (%d threads, %d ops, seed %d)\n", o.workload, o.cores, o.ops, o.seed)
-	if o.crash {
-		return m.RunUnverified(o.workload, o.ops)
-	}
-	return m.Run(o.workload, o.ops)
-}
-
-// recordTrace runs the workload through a trace.Recorder, so the file
-// holds the set-up phase's accesses as well as the measured ones.
-func recordTrace(m *sim.Machine, o *options, w io.Writer) (*sim.Results, error) {
-	f, err := os.Create(o.record)
-	if err != nil {
-		return nil, err
-	}
-	tw := trace.NewWriter(f)
-	rec := &trace.Recorder{Inner: m, CoreFn: m.CurrentCore, W: tw}
-	s, err := m.NewSessionOn(o.workload, rec)
-	var res *sim.Results
-	if err == nil {
-		res, err = m.Measure(o.workload, func() error { return s.StepN(o.ops) })
-	}
-	// The trace file is a written artifact: its flush and Close errors
-	// count as much as the run's.
-	if err := errors.Join(err, rec.Err, tw.Flush(), f.Close()); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "recorded %d accesses of %s (%d ops) to %s\n", tw.Count(), o.workload, o.ops, o.record)
-	return res, nil
-}
-
-func replayTrace(m *sim.Machine, path string, w io.Writer) (*sim.Results, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	// Read-only file: the Close result cannot lose data.
-	defer f.Close()
-	entries, err := trace.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	res, err := m.Measure("trace", func() error {
-		return trace.Replay(m, m, entries, m.Config().Cores)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Err(); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "replayed %d accesses from %s\n", len(entries), path)
-	return res, nil
 }
 
 // tamper applies the -attack (none when atk is empty) to the crashed
@@ -339,14 +337,8 @@ func tamper(engine *secmem.Engine, atk string, snap attack.DataSnapshot, w io.Wr
 	return nil
 }
 
-func printResults(w io.Writer, o *options, res *sim.Results) {
-	// A replayed trace has no operation count to normalize by.
-	perOp := func(n uint64) string {
-		if o.replay != "" {
-			return ""
-		}
-		return fmt.Sprintf(" (%.2f/op)", float64(n)/float64(o.ops))
-	}
+func printResults(w io.Writer, res *sim.Results) {
+	perOp := func(n uint64) string { return fmt.Sprintf(" (%.2f/op)", float64(n)/float64(res.Ops)) }
 	fmt.Fprintf(w, "scheme            %s\n", res.Scheme)
 	fmt.Fprintf(w, "instructions      %d\n", res.Instructions)
 	fmt.Fprintf(w, "time              %.3f ms\n", res.TimeNs/1e6)

@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"regexp"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,33 +68,33 @@ func TestAttacksDetected(t *testing.T) {
 	}
 }
 
-func TestRecordReplay(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.trc"), filepath.Join(dir, "b.trc")
-	mustRun(t, 0, "-record", a)
-	mustRun(t, 0, "-record", b)
-	ta, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ta) == 0 || !bytes.Equal(ta, tb) {
-		t.Fatalf("two recordings differ (%d vs %d bytes)", len(ta), len(tb))
-	}
-
-	out := mustRun(t, 0, "-replay", a, "-observe")
-	m := regexp.MustCompile(`(?m)^NVM writes +(\d+)$`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("replay prints no NVM writes line:\n%s", out)
-	}
-	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Fatalf("replay wrote nothing to NVM:\n%s", out)
-	}
-	if !strings.Contains(out, "read latency") {
-		t.Fatalf("-observe printed no latency tails:\n%s", out)
+// TestSchemeListEqualsSoloRuns holds a -scheme list to its contract:
+// the one lock-step run prints exactly what the solo runs print, in
+// list order, and exits with the largest of their exit codes.
+func TestSchemeListEqualsSoloRuns(t *testing.T) {
+	schemes := []string{"wb", "star", "anubis", "phoenix", "strict"}
+	size := []string{"-ops", "300", "-data-mb", "8"}
+	for _, flags := range [][]string{
+		{"-workload", "queue"},
+		{"-workload", "queue", "-observe"},
+		{"-workload", "hash", "-crash", "-audit"},
+	} {
+		t.Run(strings.Join(flags, " "), func(t *testing.T) {
+			var want strings.Builder
+			wantCode := 0
+			for _, s := range schemes {
+				code, out, _ := runCLI(t, slices.Concat(size, flags, []string{"-scheme", s})...)
+				want.WriteString(out)
+				wantCode = max(wantCode, code)
+			}
+			code, out, errOut := runCLI(t, slices.Concat(size, flags, []string{"-scheme", strings.Join(schemes, ",")})...)
+			if code != wantCode {
+				t.Fatalf("list run exit %d, solo runs' largest %d; stderr:\n%s", code, wantCode, errOut)
+			}
+			if out != want.String() {
+				t.Fatalf("list run output differs from the solo runs':\n%s\nwant:\n%s", out, want.String())
+			}
+		})
 	}
 }
 
@@ -107,12 +104,20 @@ func TestUsageErrorsExit2(t *testing.T) {
 		args   []string
 		stderr string
 	}{
-		{"record and replay", []string{"-record", "a.trc", "-replay", "b.trc"}, "not both"},
 		{"unknown attack", []string{"-attack", "rowhammer"}, "replay|bitmap|st"},
 		{"bitmap attack on anubis", []string{"-scheme", "anubis", "-attack", "bitmap"}, "schemes star, not anubis"},
 		{"st attack on star", []string{"-attack", "st"}, "schemes anubis, phoenix, not star"},
 		{"replay attack on wb", []string{"-scheme", "wb", "-attack", "replay"}, "schemes star, anubis, phoenix, strict, not wb"},
 		{"unknown flag", []string{"-baseline", "x.json"}, "-baseline"},
+		{"attack on a list", []string{"-scheme", "star,strict", "-attack", "replay"}, "-attack takes one scheme"},
+		{"svg on a list", []string{"-scheme", "wb,star", "-svg", "figs"}, "-svg takes one scheme"},
+		{"trace-out on a list", []string{"-scheme", "wb,star", "-trace-out", "t.json"}, "-trace-out takes one scheme"},
+		{"repeated scheme", []string{"-scheme", "star,wb,star"}, `-scheme lists "star" twice`},
+		{"zero ops", []string{"-ops", "0"}, "-ops 0"},
+		{"negative ops", []string{"-ops", "-5"}, "-ops -5"},
+		{"zero data", []string{"-data-mb", "0"}, "-data-mb 0"},
+		{"zero metadata cache", []string{"-meta-kb", "0"}, "-meta-kb 0"},
+		{"zero cores", []string{"-cores", "0"}, "-cores 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errOut := runCLI(t, tc.args...)

@@ -62,6 +62,27 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+// TestSetCoreOutOfRange checks SetCore's fail-stop policy: an
+// out-of-range core is a machine error and leaves the selected core as
+// it was.
+func TestSetCoreOutOfRange(t *testing.T) {
+	cfg := Default()
+	cfg.DataBytes = 16 << 20
+	cfg.Scheme = "wb"
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCore(1)
+	m.SetCore(99)
+	if m.Err() == nil {
+		t.Fatal("SetCore(99) recorded no error")
+	}
+	if m.curCore != 1 {
+		t.Fatalf("SetCore(99) changed the selected core to %d", m.curCore)
+	}
+}
+
 func TestMachineDefaultsFilledIn(t *testing.T) {
 	cfg := Default()
 	cfg.Suite = nil

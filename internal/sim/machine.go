@@ -228,10 +228,6 @@ func (m *Machine) SetCore(core int) {
 	m.curCore = core
 }
 
-// CurrentCore returns the core selected by SetCore (trace recorders
-// sample it per access).
-func (m *Machine) CurrentCore() int { return m.curCore }
-
 // Config returns member 0's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

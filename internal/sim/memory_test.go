@@ -205,17 +205,6 @@ func TestFenceAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestSetCoreOutOfRange(t *testing.T) {
-	m := newMachine(t, "wb")
-	m.SetCore(99)
-	if m.Err() == nil {
-		t.Fatal("SetCore(99) recorded no error")
-	}
-	if m.CurrentCore() != 0 {
-		t.Fatalf("SetCore(99) changed the selected core to %d", m.CurrentCore())
-	}
-}
-
 func TestPhoenixOnMachine(t *testing.T) {
 	res, m, err := sim.RunScenario(testCfg("phoenix"), "btree", 1500)
 	if err != nil {

@@ -138,8 +138,8 @@ func (m *Machine) NewSession(name string) (*Session, error) {
 }
 
 // NewSessionOn is NewSession with the workload running against an
-// arbitrary memory front end (e.g. a trace.Recorder wrapping this
-// machine).
+// arbitrary memory front end (e.g. a wrapper that times each access
+// before passing it on to this machine).
 func (m *Machine) NewSessionOn(name string, mem heap.Memory) (*Session, error) {
 	w, err := workload.New(name)
 	if err != nil {

@@ -27,7 +27,10 @@ func testCfg(scheme string) sim.Config {
 // TestAllWorkloadsOnAllSchemes runs every workload under wb, star and
 // anubis as one lock-step group, so the divergence oracle also compares
 // the three schemes' reads on every workload, and under strict solo at
-// 600 ops (strict is ~9x slower by design).
+// 600 ops (strict is ~9x slower by design). On the one access stream
+// the group drives, each recovery scheme's device writes are wb's plus
+// its own recovery area's and nothing else (§III, Fig. 10): STAR's
+// bitmap lines, Anubis's shadow-table blocks.
 func TestAllWorkloadsOnAllSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is slow")
@@ -65,6 +68,18 @@ func TestAllWorkloadsOnAllSchemes(t *testing.T) {
 				check(t, rs[i], nil)
 			})
 		}
+		t.Run("write-friendly/"+name, func(t *testing.T) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, star, anubis := rs[0], rs[1], rs[2]
+			if bm := star.Bitmap.NVMWrites(); star.Dev.Writes != wb.Dev.Writes+bm {
+				t.Errorf("%s: star writes %d != wb %d + %d bitmap lines", name, star.Dev.Writes, wb.Dev.Writes, bm)
+			}
+			if st := anubis.Anubis.STWrites; anubis.Dev.Writes != wb.Dev.Writes+st {
+				t.Errorf("%s: anubis writes %d != wb %d + %d shadow-table blocks", name, anubis.Dev.Writes, wb.Dev.Writes, st)
+			}
+		})
 	}
 	for _, name := range workload.Names() {
 		t.Run("strict/"+name, func(t *testing.T) {
