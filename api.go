@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"nvmstar/internal/bitmap"
@@ -56,7 +57,7 @@ const LineSize = memline.Size
 // four are the paper's evaluation set; "phoenix" is the concurrent
 // work discussed in Section II-E (Anubis for tree nodes + Osiris-style
 // relaxed persistence for counter blocks), provided as an extension.
-func Schemes() []string { return []string{"wb", "strict", "anubis", "star", "phoenix"} }
+func Schemes() []string { return sim.Schemes() }
 
 // Workloads lists the paper's seven benchmark workloads (accepted by
 // System.RunBenchmark); WorkloadsAll adds the extensions.
@@ -100,7 +101,7 @@ type System struct {
 func New(opts Options) (*System, error) {
 	cfg := sim.Default()
 	if opts.Scheme != "" {
-		if !validScheme(opts.Scheme) {
+		if !slices.Contains(Schemes(), opts.Scheme) {
 			return nil, fmt.Errorf("nvmstar: unknown scheme %q (valid schemes: %s)",
 				opts.Scheme, strings.Join(Schemes(), ", "))
 		}
@@ -193,16 +194,6 @@ func (s *System) RunBenchmark(workload string, ops int) (*sim.Results, error) {
 // verification all poll the context) and returns ctx.Err().
 func (s *System) RunBenchmarkCtx(ctx context.Context, workload string, ops int) (*sim.Results, error) {
 	return s.m.RunCtx(ctx, workload, ops)
-}
-
-// validScheme reports whether name is in Schemes().
-func validScheme(name string) bool {
-	for _, s := range Schemes() {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Err returns the first integrity violation encountered by Load/Store

@@ -348,80 +348,78 @@ const (
 	forkFloor          = 3.0 // speedup-vs-rerun at variants=8
 )
 
-// runnerSeqNs holds BenchmarkRunnerMatrix's parallel=1 ns/op so the
-// wider sub-benchmarks (which run after it, in order) can report their
-// speedup over it. Benchmark state, not safe outside that benchmark.
-var runnerSeqNs float64
-
-// runnerMinIters is the fewest timed iterations a width's ns/op must
-// rest on before BenchmarkRunnerMatrix reports a speedup from it; one
-// multi-second sample per width is too noisy to compare.
+// runnerMinIters is the fewest timed sweeps per width that
+// BenchmarkRunnerMatrix reads a speedup from; one multi-second sample
+// per width is too noisy to compare.
 const runnerMinIters = 3
 
 // BenchmarkRunnerMatrix measures the wall-clock of a full
 // four-scheme x three-workload sweep through the parallel experiment
-// runner at several pool widths, reporting each width's speedup over
-// the sequential run of the same process via `speedup-vs-seq`. Units
-// are seed-level and dispatched longest-expected-first, so on a
-// multi-core machine the sweep scales close to linearly until the
-// pool exceeds the units or the cores; per-cell results are
-// bit-identical at every width. Each width first runs one untimed
-// warm-up sweep, so parallel=1 is not the process's cold run, and the
-// speedup is reported only from at least runnerMinIters timed sweeps
-// per width (`-benchtime 3x`); with fewer it is skipped with a log
-// line. The benchmark fails if parallel=4 falls below 2x on a machine
+// runner. Units are seed-level and dispatched longest-expected-first,
+// so on a multi-core machine the sweep scales close to linearly until
+// the pool exceeds the units or the cores; per-cell results are
+// bit-identical at every width. Each parallel=N sub-benchmark times
+// N-worker sweeps after one untimed warm-up sweep. The speedup
+// sub-benchmark reports `speedup-vs-seq`: after an untimed warm-up of
+// each width, every iteration times one sequential and one 4-worker
+// sweep back to back, alternating which runs first, so drift in the
+// host's speed lands on both widths alike. The speedup is the
+// sequential sweeps' summed wall over the 4-worker sweeps', read only
+// from at least runnerMinIters iterations (`-benchtime 3x`); with
+// fewer it is skipped with a log line. It fails below 2x on a machine
 // with 4+ CPUs (`make bench-gate`); with fewer CPUs compute-bound
 // speedup is physically impossible, so the floor is skipped with a log
-// line. parallel=4 also fails if parallel=1 did not run first, since
-// there is no speedup to check. Every iteration builds its own runner,
-// so each one simulates the whole sweep rather than reading the
-// previous iteration's runs back from the run memo.
+// line. Every sweep builds its own runner, so each one simulates the
+// whole sweep rather than reading the previous sweep's runs back from
+// the run memo.
 func BenchmarkRunnerMatrix(b *testing.B) {
+	sweep := func(b *testing.B, par int) {
+		r := experiments.NewRunner(
+			experiments.WithOps(benchOps),
+			experiments.WithWorkloads("array", "hash", "queue"),
+			experiments.WithParallelism(par),
+			experiments.WithConfig(func() sim.Config { return benchCfg("star") }),
+		)
+		if _, err := r.SchemeComparison(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			sweep := func() {
-				r := experiments.NewRunner(
-					experiments.WithOps(benchOps),
-					experiments.WithWorkloads("array", "hash", "queue"),
-					experiments.WithParallelism(par),
-					experiments.WithConfig(func() sim.Config { return benchCfg("star") }),
-				)
-				if _, err := r.SchemeComparison(context.Background(), nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sweep()
-			b.StartTimer()
+			sweep(b, par)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sweep()
-			}
-			if b.N < runnerMinIters {
-				b.Logf("speedup-vs-seq not read from this pass: %d timed iteration(s), need %d (-benchtime %dx)", b.N, runnerMinIters, runnerMinIters)
-				return
-			}
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if par == 1 {
-				runnerSeqNs = perOp
-			}
-			if runnerSeqNs == 0 {
-				if par == 4 {
-					b.Fatal("speedup-vs-seq floor needs parallel=1 to run first")
-				}
-				return
-			}
-			speedup := runnerSeqNs / perOp
-			b.ReportMetric(speedup, "speedup-vs-seq")
-			if par != 4 {
-				return
-			}
-			if cpus := runtime.NumCPU(); cpus < runnerFloorMinCPUs {
-				b.Logf("speedup-vs-seq floor %.1fx skipped: NumCPU=%d < %d", runnerFloor, cpus, runnerFloorMinCPUs)
-			} else if speedup < runnerFloor {
-				b.Fatalf("speedup-vs-seq %.2fx at parallel=4 is below the %.1fx floor (NumCPU=%d)", speedup, runnerFloor, cpus)
+				sweep(b, par)
 			}
 		})
 	}
+	b.Run("speedup", func(b *testing.B) {
+		widths := [2]int{1, 4}
+		for _, par := range widths {
+			sweep(b, par)
+		}
+		b.ResetTimer()
+		var wall [2]time.Duration
+		for i := 0; i < b.N; i++ {
+			for k := range widths {
+				w := (i + k) % 2
+				start := time.Now()
+				sweep(b, widths[w])
+				wall[w] += time.Since(start)
+			}
+		}
+		if b.N < runnerMinIters {
+			b.Logf("speedup-vs-seq not read from this pass: %d timed iteration(s), need %d (-benchtime %dx)", b.N, runnerMinIters, runnerMinIters)
+			return
+		}
+		speedup := float64(wall[0]) / float64(wall[1])
+		b.ReportMetric(speedup, "speedup-vs-seq")
+		if cpus := runtime.NumCPU(); cpus < runnerFloorMinCPUs {
+			b.Logf("speedup-vs-seq floor %.1fx skipped: NumCPU=%d < %d", runnerFloor, cpus, runnerFloorMinCPUs)
+		} else if speedup < runnerFloor {
+			b.Fatalf("speedup-vs-seq %.2fx at parallel=4 is below the %.1fx floor (NumCPU=%d)", speedup, runnerFloor, cpus)
+		}
+	})
 }
 
 // BenchmarkEngineWriteLine is a plain throughput benchmark of the

@@ -40,6 +40,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -51,6 +52,7 @@ import (
 	"nvmstar/internal/shapes"
 	"nvmstar/internal/sim"
 	"nvmstar/internal/telemetry"
+	"nvmstar/internal/workload"
 )
 
 // main delegates to run so deferred cleanup — stopping the CPU
@@ -186,7 +188,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ropts = append(ropts, experiments.WithCrashPoints(points...))
 	}
 	if *workloads != "" {
-		ropts = append(ropts, experiments.WithWorkloads(strings.Split(*workloads, ",")...))
+		names := strings.Split(*workloads, ",")
+		for _, name := range names {
+			if !slices.Contains(workload.AllNames(), name) {
+				logf("-workloads %s: unknown workload %q (%s)", *workloads, name, strings.Join(workload.AllNames(), "|"))
+				return 2
+			}
+		}
+		ropts = append(ropts, experiments.WithWorkloads(names...))
 	}
 	if runtime.NumCPU() == 1 && *parallel > 1 {
 		// Warn once: on a single-CPU host extra workers only add

@@ -72,6 +72,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"zero data", []string{"-data-mb", "0"}, "-data-mb 0"},
 		{"zero metadata cache", []string{"-meta-kb", "0"}, "-meta-kb 0"},
 		{"negative parallel", []string{"-parallel", "-1"}, "-parallel -1"},
+		{"unknown workload", []string{"-exp", "fig10", "-workloads", "nope"}, `-workloads nope: unknown workload "nope"`},
+		{"empty workload entry", []string{"-exp", "fig10", "-workloads", "hash,"}, `-workloads hash,: unknown workload ""`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errOut := runCLI(t, tc.args...)

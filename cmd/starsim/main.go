@@ -81,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("starsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.workload, "workload", "hash", "workload: "+strings.Join(workload.Names(), "|"))
-	fs.StringVar(&o.scheme, "scheme", "star", "comma-separated schemes, run on one access stream: wb|strict|anubis|star|phoenix")
+	fs.StringVar(&o.workload, "workload", "hash", "workload: "+strings.Join(workload.AllNames(), "|"))
+	fs.StringVar(&o.scheme, "scheme", "star", "comma-separated schemes, run on one access stream: "+strings.Join(sim.Schemes(), "|"))
 	fs.IntVar(&o.ops, "ops", 20000, "measured operations")
 	fs.IntVar(&o.dataMB, "data-mb", 64, "protected data size in MiB")
 	fs.IntVar(&o.metaKB, "meta-kb", 256, "metadata cache size in KiB")
@@ -112,8 +112,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("-%s %d: must be positive", f.name, f.v)
 		}
 	}
+	if !slices.Contains(workload.AllNames(), o.workload) {
+		return usage("-workload %q: unknown workload (%s)", o.workload, strings.Join(workload.AllNames(), "|"))
+	}
 	schemes := strings.Split(o.scheme, ",")
 	for i, s := range schemes {
+		if !slices.Contains(sim.Schemes(), s) {
+			return usage("-scheme %s: unknown scheme %q (%s)", o.scheme, s, strings.Join(sim.Schemes(), "|"))
+		}
 		if slices.Contains(schemes[:i], s) {
 			return usage("-scheme lists %q twice", s)
 		}

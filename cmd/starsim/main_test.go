@@ -113,6 +113,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"svg on a list", []string{"-scheme", "wb,star", "-svg", "figs"}, "-svg takes one scheme"},
 		{"trace-out on a list", []string{"-scheme", "wb,star", "-trace-out", "t.json"}, "-trace-out takes one scheme"},
 		{"repeated scheme", []string{"-scheme", "star,wb,star"}, `-scheme lists "star" twice`},
+		{"unknown scheme", []string{"-scheme", "foo"}, `-scheme foo: unknown scheme "foo"`},
+		{"unknown scheme in a list", []string{"-scheme", "wb,foo"}, `-scheme wb,foo: unknown scheme "foo"`},
+		{"empty scheme entry", []string{"-scheme", "star,"}, `-scheme star,: unknown scheme ""`},
+		{"unknown workload", []string{"-workload", "nope"}, `-workload "nope": unknown workload`},
 		{"zero ops", []string{"-ops", "0"}, "-ops 0"},
 		{"negative ops", []string{"-ops", "-5"}, "-ops -5"},
 		{"zero data", []string{"-data-mb", "0"}, "-data-mb 0"},

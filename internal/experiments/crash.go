@@ -73,6 +73,9 @@ func (r *Runner) runCrashes(ctx context.Context, sweep string, cells []sweepCell
 		if err != nil {
 			return fail(err)
 		}
+		// Set-up and the base run's steps poll ctx; the next checkout's
+		// ResetTo detaches it.
+		m.SetContext(ctx)
 		s, err := m.NewSession(u.cells[0].Workload)
 		if err != nil {
 			return fail(err)

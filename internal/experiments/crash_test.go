@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"nvmstar/internal/bitmap"
 	"nvmstar/internal/cache"
 	"nvmstar/internal/provenance"
+	"nvmstar/internal/secmem"
 	"nvmstar/internal/sim"
 )
 
@@ -369,4 +372,38 @@ func TestAblationIndexSharesBaseRuns(t *testing.T) {
 	if checkouts := s.MachinesBuilt + s.MachinesReused; checkouts != 2 {
 		t.Errorf("ablation used %d machine checkouts for 2 workloads, want 2 (one base run each)", checkouts)
 	}
+}
+
+// TestCrashUnitHonoursCancellation pins that a crash unit's base run
+// polls the runner's context: canceled while the base steps from its
+// first crash point toward its last, the unit stops there, and the
+// last cell records context.Canceled instead of a recovery.
+func TestCrashUnitHonoursCancellation(t *testing.T) {
+	const last = 400000 // far more steps than the cancellation delay covers
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	collector := provenance.NewCollector()
+	r := fastRunner(1, WithCollector(collector))
+	// The timer fires after the unit has passed its between-cells check
+	// and is stepping the base toward the last point.
+	first := r.crashCell("queue", "star", "first", 100, func(m *sim.Machine) (*secmem.RecoveryReport, error) {
+		time.AfterFunc(50*time.Millisecond, cancel)
+		return m.Recover()
+	})
+	start := time.Now()
+	_, err := r.runCrashes(ctx, "cancel", []sweepCell{first, r.crashCell("queue", "star", "last", last, nil)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	errs := map[string]string{}
+	for _, rec := range collector.Cells() {
+		errs[rec.Label] = rec.Err
+	}
+	if errs["first"] != "" {
+		t.Errorf("first cell recorded %q, want its recovery", errs["first"])
+	}
+	if errs["last"] != context.Canceled.Error() {
+		t.Errorf("last cell recorded err %q, want %q", errs["last"], context.Canceled)
+	}
+	t.Logf("canceled unit returned after %v", time.Since(start))
 }

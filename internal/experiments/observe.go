@@ -71,7 +71,7 @@ func (o *Observatory) Observe(c Cell, res *sim.Results) {
 	if e == nil {
 		o.entries[k] = &ObservatoryRow{
 			Workload: c.Workload, Scheme: c.Scheme, Cells: 1,
-			Breakdown: res.WriteBreakdown.Sub(nil), Latency: res.Latency.Copy(),
+			Breakdown: res.WriteBreakdown.Copy(), Latency: res.Latency.Copy(),
 		}
 		return
 	}
@@ -92,7 +92,7 @@ func (o *Observatory) Rows() []ObservatoryRow {
 	for _, e := range o.entries { //detlint:ok rows are sorted by sortObservatoryRows below
 		rows = append(rows, ObservatoryRow{
 			Workload: e.Workload, Scheme: e.Scheme, Cells: e.Cells,
-			Breakdown: e.Breakdown.Sub(nil), Latency: e.Latency.Copy(),
+			Breakdown: e.Breakdown.Copy(), Latency: e.Latency.Copy(),
 		})
 	}
 	o.mu.Unlock()

@@ -93,36 +93,19 @@ func (b *Breakdown) CauseWrites(cause string) uint64 {
 	return 0
 }
 
-// Sub returns b - o elementwise — the breakdown of a measured phase
-// between two snapshots. Either operand may be nil; Sub(nil) copies b.
-func (b *Breakdown) Sub(o *Breakdown) *Breakdown {
+// Copy returns a deep copy of b (nil for nil).
+func (b *Breakdown) Copy() *Breakdown {
 	if b == nil {
 		return nil
 	}
-	out := &Breakdown{Total: b.Total, Banks: b.Banks, Causes: make([]CauseCount, len(b.Causes))}
+	out := *b
+	out.Causes = make([]CauseCount, len(b.Causes))
 	for i, c := range b.Causes {
-		cc := CauseCount{Cause: c.Cause, Writes: c.Writes, Banks: append([]uint64(nil), c.Banks...)}
-		out.Causes[i] = cc
+		c.Banks = append([]uint64(nil), c.Banks...)
+		out.Causes[i] = c
 	}
-	if o != nil {
-		out.Total -= o.Total
-		for i := range out.Causes {
-			if i < len(o.Causes) && o.Causes[i].Cause == out.Causes[i].Cause {
-				out.Causes[i].Writes -= o.Causes[i].Writes
-				for bk := range out.Causes[i].Banks {
-					if bk < len(o.Causes[i].Banks) {
-						out.Causes[i].Banks[bk] -= o.Causes[i].Banks[bk]
-					}
-				}
-			}
-		}
-	}
-	for c := Cause(0); c < NumCauses; c++ {
-		if v := b.oobWrites(c) - o.oobWrites(c); v != 0 {
-			out.OOB = append(out.OOB, CauseCount{Cause: c.String(), Writes: v})
-		}
-	}
-	return out
+	out.OOB = append([]CauseCount(nil), b.OOB...)
+	return &out
 }
 
 // Accumulate adds o into b elementwise; the seed-merge path of
@@ -143,8 +126,8 @@ func (b *Breakdown) Accumulate(o *Breakdown) {
 			}
 		}
 	}
-	// Rebuilt in ascending Cause order, as Sub emits it, so the result
-	// does not depend on the order of the operands.
+	// Rebuilt in ascending Cause order, as the observatory emits it, so
+	// the result does not depend on the order of the operands.
 	var oob []CauseCount
 	for c := Cause(0); c < NumCauses; c++ {
 		if v := b.oobWrites(c) + o.oobWrites(c); v != 0 {
@@ -190,8 +173,9 @@ func (b *Breakdown) DivideBy(n int) {
 // --- per-bank wear -------------------------------------------------------
 
 // BankWear summarizes one bank's line-wear distribution. P99Wear is a
-// bucketed estimate (telemetry.Histogram.Quantile over power-of-two
-// buckets); Max and Mean are exact.
+// bucketed estimate (telemetry.QuantileFromBuckets over power-of-two
+// buckets, interpolating overflow mass toward MaxWear); Max and Mean
+// are exact.
 type BankWear struct {
 	Bank     int     `json:"bank"`
 	Lines    int     `json:"lines"` // distinct worn lines in this bank
@@ -212,10 +196,10 @@ func (d *Device) BankWearStats(banks int) []BankWear {
 	banks = max(banks, 1)
 	stats := make([]BankWear, banks)
 	sums := make([]uint64, banks)
-	hists := make([]*telemetry.Histogram, banks)
+	counts := make([][]uint64, banks)
 	for b := range stats {
 		stats[b].Bank = b
-		hists[b] = telemetry.NewHistogram(wearBuckets)
+		counts[b] = make([]uint64, len(wearBuckets)+1)
 	}
 	d.store.rangeWear(func(addr, w uint64) {
 		b := int(addr/memline.Size) % banks
@@ -224,13 +208,13 @@ func (d *Device) BankWearStats(banks int) []BankWear {
 		if w > stats[b].MaxWear {
 			stats[b].MaxWear = w
 		}
-		hists[b].Observe(float64(w))
+		counts[b][telemetry.BucketIndex(wearBuckets, float64(w))]++
 	})
 	for b := range stats {
 		if stats[b].Lines > 0 {
 			stats[b].MeanWear = float64(sums[b]) / float64(stats[b].Lines)
 		}
-		stats[b].P99Wear = hists[b].Quantile(0.99)
+		stats[b].P99Wear = telemetry.QuantileFromBuckets(wearBuckets, counts[b], float64(stats[b].MaxWear), 0.99)
 	}
 	return stats
 }

@@ -64,37 +64,39 @@ func breakdown(data, counter uint64, oob ...CauseCount) *Breakdown {
 	return b
 }
 
-func TestAttributionSubAccumulateDivide(t *testing.T) {
-	before := breakdown(1, 0)
-	after := breakdown(2, 1, CauseCount{Cause: "adr-flush", Writes: 3})
-	delta := after.Sub(before)
-	if delta.Total != 2 || delta.CauseWrites("data") != 1 || delta.CauseWrites("counter") != 1 ||
-		!reflect.DeepEqual(delta.OOB, after.OOB) {
-		t.Fatalf("delta = %+v", delta)
+// TestBreakdownCopyAccumulateDivide pins the seed merge: a copy is
+// independent of its source, and accumulating n equal breakdowns then
+// dividing by n gives the breakdown back.
+func TestBreakdownCopyAccumulateDivide(t *testing.T) {
+	b := breakdown(1, 1, CauseCount{Cause: "adr-flush", Writes: 3})
+	sum := b.Copy()
+	if !reflect.DeepEqual(sum, b) {
+		t.Fatalf("copy = %+v, want %+v", sum, b)
 	}
-	// Accumulate two deltas, then average.
-	sum := delta.Sub(nil)
-	sum.Accumulate(delta)
-	if sum.Total != 4 || sum.CauseWrites("data") != 2 || sum.OOB[0].Writes != 6 {
+	sum.Accumulate(b)
+	if sum.Total != 4 || sum.CauseWrites("data") != 2 || sum.Causes[CauseData].Banks[0] != 2 || sum.OOB[0].Writes != 6 {
 		t.Fatalf("accumulated = %+v", sum)
 	}
-	sum.DivideBy(2)
-	if !reflect.DeepEqual(sum, delta) {
-		t.Fatalf("averaged = %+v, want %+v", sum, delta)
+	// Neither Accumulate's receiver nor its operand aliases the other.
+	if b.Total != 2 || b.Causes[CauseData].Banks[0] != 1 || b.OOB[0].Writes != 3 {
+		t.Fatalf("accumulating into a copy mutated the source: %+v", b)
 	}
-	// Accumulate must not have mutated the operand.
-	if delta.Total != 2 {
-		t.Fatalf("Accumulate mutated its operand: %+v", delta)
+	sum.DivideBy(2)
+	if !reflect.DeepEqual(sum, b) {
+		t.Fatalf("averaged = %+v, want %+v", sum, b)
+	}
+	if (*Breakdown)(nil).Copy() != nil {
+		t.Fatal("copy of nil is not nil")
 	}
 }
 
 // TestBreakdownAccumulateOOBOrder pins that merging keeps the
 // out-of-band causes in ascending Cause order, whichever operand saw a
-// cause first, as Sub emits them.
+// cause first, as the observatory emits them.
 func TestBreakdownAccumulateOOBOrder(t *testing.T) {
 	a := breakdown(1, 0, CauseCount{Cause: "recovery", Writes: 2})
 	b := breakdown(0, 1, CauseCount{Cause: "adr-flush", Writes: 5})
-	ab, ba := a.Sub(nil), b.Sub(nil)
+	ab, ba := a.Copy(), b.Copy()
 	ab.Accumulate(b)
 	ba.Accumulate(a)
 	want := []CauseCount{{Cause: "adr-flush", Writes: 5}, {Cause: "recovery", Writes: 2}}

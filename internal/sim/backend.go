@@ -133,6 +133,10 @@ func (b *backEnd) setErr(err error) {
 	}
 }
 
+// Schemes lists the persistence schemes newScheme builds: the paper's
+// evaluation set (wb, strict, anubis, star), then phoenix.
+func Schemes() []string { return []string{"wb", "strict", "anubis", "star", "phoenix"} }
+
 // newScheme builds cfg's persistence scheme over e.
 func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
 	switch cfg.Scheme {

@@ -62,6 +62,21 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+// TestSchemesAreWhatNewSchemeBuilds pins Schemes to newScheme: every
+// listed scheme builds, and a name off the list does not.
+func TestSchemesAreWhatNewSchemeBuilds(t *testing.T) {
+	var cfgs []Config
+	for _, s := range Schemes() {
+		cfgs = append(cfgs, goldenConfig(s))
+	}
+	if _, err := NewGroup(cfgs...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMachine(goldenConfig("foo")); err == nil {
+		t.Error("a scheme off the list built")
+	}
+}
+
 // TestSetCoreOutOfRange checks SetCore's fail-stop policy: an
 // out-of-range core is a machine error and leaves the selected core as
 // it was.

@@ -108,11 +108,17 @@ func stallCompOf(c nvm.Cause) latComp {
 	}
 }
 
-// LatencyBuckets returns the latency histogram's bucket upper bounds:
-// 40 power-of-two buckets from 1 ns to 2^39 ns (~9 simulated minutes),
+// numLatBounds is the number of finite latency buckets.
+const numLatBounds = 40
+
+// latBounds are the latency buckets' upper bounds.
+var latBounds = telemetry.ExpBuckets(1, 2, numLatBounds)
+
+// LatencyBuckets returns the latency buckets' upper bounds: 40
+// power-of-two buckets from 1 ns to 2^39 ns (~9 simulated minutes),
 // wide enough that no modeled operation — including multi-millisecond
 // recoveries — lands in the overflow bucket.
-func LatencyBuckets() []float64 { return telemetry.ExpBuckets(1, 2, 40) }
+func LatencyBuckets() []float64 { return append([]float64(nil), latBounds...) }
 
 // latFrame is one active operation bracket.
 type latFrame struct {
@@ -120,12 +126,14 @@ type latFrame struct {
 	start float64 // issuing core's clock at begin
 }
 
-// latRecorder accumulates the machine's per-op latency state. It lives
-// on the driving goroutine only.
+// latRecorder counts the machine's per-op latency state in plain values
+// — per op kind a bucket vector (latBounds plus overflow), a time sum and
+// component times — so a copy is a snapshot. Driving goroutine only.
 type latRecorder struct {
-	geo   *sit.Geometry // classifies device reads by region and tree level
-	hists [numLatOps]*telemetry.Histogram
-	comps [numLatOps][numLatComps]float64
+	geo    *sit.Geometry // classifies device reads by region and tree level
+	counts [numLatOps][numLatBounds + 1]uint64
+	sums   [numLatOps]float64
+	comps  [numLatOps][numLatComps]float64
 	// Op brackets nest (a write evicted inside a read fill, per-line
 	// writes inside a persist); components accrue into every active
 	// frame so each op kind's component sum matches its own
@@ -134,13 +142,10 @@ type latRecorder struct {
 	depth int
 }
 
-func newLatRecorder(geo *sit.Geometry) latRecorder {
-	r := latRecorder{geo: geo}
-	bounds := LatencyBuckets()
-	for i := range r.hists {
-		r.hists[i] = telemetry.NewHistogram(bounds)
-	}
-	return r
+// record counts one op of kind op that took ns.
+func (r *latRecorder) record(op latOp, ns float64) {
+	r.counts[op][telemetry.BucketIndex(latBounds, ns)]++
+	r.sums[op] += ns
 }
 
 // observe records one event of the observation stream.
@@ -202,7 +207,7 @@ func (r *latRecorder) end(now float64) {
 	}
 	r.depth--
 	f := r.stack[r.depth]
-	r.hists[f.op].Observe(now - f.start)
+	r.record(f.op, now-f.start)
 }
 
 // note attributes ns of simulated time to component comp in every
@@ -220,19 +225,10 @@ func (r *latRecorder) note(comp latComp, ns float64) {
 // phases sum exactly to that model's total.
 func (r *latRecorder) observeRecovery(rep *secmem.RecoveryReport) {
 	ph := rep.PhaseTimes()
-	r.hists[opRecovery].Observe(rep.TimeNs())
+	r.record(opRecovery, rep.TimeNs())
 	r.comps[opRecovery][compRecScan] += ph.ScanNs
 	r.comps[opRecovery][compRecRestore] += ph.RestoreNs
 	r.comps[opRecovery][compRecWriteback] += ph.WritebackNs
-}
-
-// clone deep-copies the recorder for Machine.Fork.
-func (r *latRecorder) clone() latRecorder {
-	c := *r
-	for i := range r.hists {
-		c.hists[i] = r.hists[i].Clone()
-	}
-	return c
 }
 
 // ComponentNs is one critical-path component's accumulated time within
@@ -287,48 +283,42 @@ func (l *LatencyBreakdown) Op(name string) *OpLatency {
 // vector — the deterministic pure function every construction and
 // merge path shares.
 func (o *OpLatency) derive() {
-	bounds := LatencyBuckets()
-	o.P50Ns = telemetry.QuantileFromBuckets(bounds, o.BucketsNs, 0, 0.50)
-	o.P90Ns = telemetry.QuantileFromBuckets(bounds, o.BucketsNs, 0, 0.90)
-	o.P99Ns = telemetry.QuantileFromBuckets(bounds, o.BucketsNs, 0, 0.99)
-	o.P999Ns = telemetry.QuantileFromBuckets(bounds, o.BucketsNs, 0, 0.999)
+	o.P50Ns = telemetry.QuantileFromBuckets(latBounds, o.BucketsNs, 0, 0.50)
+	o.P90Ns = telemetry.QuantileFromBuckets(latBounds, o.BucketsNs, 0, 0.90)
+	o.P99Ns = telemetry.QuantileFromBuckets(latBounds, o.BucketsNs, 0, 0.99)
+	o.P999Ns = telemetry.QuantileFromBuckets(latBounds, o.BucketsNs, 0, 0.999)
 	o.MaxNs = 0
 	for i := len(o.BucketsNs) - 1; i >= 0; i-- {
 		if o.BucketsNs[i] == 0 {
 			continue
 		}
-		if i < len(bounds) {
-			o.MaxNs = bounds[i]
+		if i < len(latBounds) {
+			o.MaxNs = latBounds[i]
 		} else {
-			o.MaxNs = bounds[len(bounds)-1]
+			o.MaxNs = latBounds[len(latBounds)-1]
 		}
 		break
 	}
 }
 
-// breakdown builds the serializable view of the recorder's state since
-// before, a clone taken earlier (nil = since construction).
+// breakdown builds the serializable view of the recorder's counts
+// since before, a copy taken earlier (nil = since construction).
 func (r *latRecorder) breakdown(before *latRecorder) *LatencyBreakdown {
 	lb := &LatencyBreakdown{Ops: make([]OpLatency, numLatOps)}
 	for op := latOp(0); op < numLatOps; op++ {
-		_, counts := r.hists[op].Buckets()
-		row := OpLatency{
-			Op:        op.String(),
-			Count:     r.hists[op].Count(),
-			SumNs:     r.hists[op].Sum(),
-			BucketsNs: counts,
-		}
-		comps := r.comps[op]
+		counts, sum, comps := r.counts[op], r.sums[op], r.comps[op]
 		if before != nil {
-			_, prior := before.hists[op].Buckets()
-			row.Count -= before.hists[op].Count()
-			row.SumNs -= before.hists[op].Sum()
-			for i := range row.BucketsNs {
-				row.BucketsNs[i] -= prior[i]
+			for i := range counts {
+				counts[i] -= before.counts[op][i]
 			}
+			sum -= before.sums[op]
 			for comp := range comps {
 				comps[comp] -= before.comps[op][comp]
 			}
+		}
+		row := OpLatency{Op: op.String(), SumNs: sum, BucketsNs: counts[:]}
+		for _, c := range counts {
+			row.Count += c
 		}
 		for comp, ns := range comps {
 			row.Components = append(row.Components, ComponentNs{Component: latCompNames[comp], Ns: ns})

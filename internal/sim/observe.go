@@ -121,7 +121,7 @@ type observatory struct {
 }
 
 func newObservatory(b *backEnd) *observatory {
-	return &observatory{attr: newAttribution(b.cfg.Banks), lat: newLatRecorder(b.engine.Geometry())}
+	return &observatory{attr: newAttribution(b.cfg.Banks), lat: latRecorder{geo: b.engine.Geometry()}}
 }
 
 func (o *observatory) Observe(ev Event) {
@@ -129,21 +129,23 @@ func (o *observatory) Observe(ev Event) {
 	o.lat.observe(ev)
 }
 
-// clone deep-copies the observatory — for Machine.Fork, where the fork
-// observes the parent's counts so far and diverges independently, and
-// as Measure's before-snapshot. Nil-safe.
+// clone copies the observatory, deep-copying its one slice (the cause ×
+// bank counts) — for Machine.Fork, where the fork diverges independently
+// from the parent's counts, and as Measure's before-snapshot. Nil-safe.
 func (o *observatory) clone() *observatory {
 	if o == nil {
 		return nil
 	}
-	return &observatory{attr: o.attr.clone(), lat: o.lat.clone()}
+	c := *o
+	c.attr.counts = append([]uint64(nil), o.attr.counts...)
+	return &c
 }
 
 // since returns the write breakdown and latency breakdown accumulated
 // after before, a clone taken at a phase boundary; Measure subtracts
 // one so Results carry the measured phase only.
 func (o *observatory) since(before *observatory) (*nvm.Breakdown, *LatencyBreakdown) {
-	return o.attr.breakdown().Sub(before.attr.breakdown()), o.lat.breakdown(&before.lat)
+	return o.attr.breakdown(&before.attr), o.lat.breakdown(&before.lat)
 }
 
 // --- write-cause attribution -------------------------------------------------
@@ -174,26 +176,29 @@ func (a *attribution) observe(ev Event) {
 	}
 }
 
-func (a *attribution) clone() attribution {
-	c := *a
-	c.counts = append([]uint64(nil), a.counts...)
-	return c
-}
-
-// breakdown returns the counts so far as an nvm.Breakdown: every cause
-// in ascending Cause order, out-of-band causes only when nonzero.
-func (a *attribution) breakdown() *nvm.Breakdown {
+// breakdown returns the counts since before, a copy taken earlier
+// (nil = since construction), as an nvm.Breakdown: every cause in
+// ascending Cause order, out-of-band causes only when nonzero.
+func (a *attribution) breakdown(before *attribution) *nvm.Breakdown {
 	b := &nvm.Breakdown{Banks: a.banks, Causes: make([]nvm.CauseCount, nvm.NumCauses)}
 	for c := nvm.Cause(0); c < nvm.NumCauses; c++ {
-		banks := append([]uint64(nil), a.counts[int(c)*a.banks:int(c+1)*a.banks]...)
+		lo, hi := int(c)*a.banks, int(c+1)*a.banks
+		banks := append([]uint64(nil), a.counts[lo:hi]...)
+		oob := a.oob[c]
+		if before != nil {
+			for i, v := range before.counts[lo:hi] {
+				banks[i] -= v
+			}
+			oob -= before.oob[c]
+		}
 		var sum uint64
 		for _, v := range banks {
 			sum += v
 		}
 		b.Causes[c] = nvm.CauseCount{Cause: c.String(), Writes: sum, Banks: banks}
 		b.Total += sum
-		if a.oob[c] != 0 {
-			b.OOB = append(b.OOB, nvm.CauseCount{Cause: c.String(), Writes: a.oob[c]})
+		if oob != 0 {
+			b.OOB = append(b.OOB, nvm.CauseCount{Cause: c.String(), Writes: oob})
 		}
 	}
 	return b

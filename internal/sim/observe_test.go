@@ -247,8 +247,8 @@ func TestAttrForkVsFresh(t *testing.T) {
 			forkRes.WriteBreakdown, freshRes.WriteBreakdown)
 	}
 	// The fork's writes must not have leaked into the parent.
-	parentAfter := parent.be[0].observed.attr.breakdown()
-	forkAfter := fork.be[0].observed.attr.breakdown()
+	parentAfter := parent.be[0].observed.attr.breakdown(nil)
+	forkAfter := fork.be[0].observed.attr.breakdown(nil)
 	if parentAfter.Total >= forkAfter.Total {
 		t.Errorf("parent total %d should be below fork total %d after the fork ran",
 			parentAfter.Total, forkAfter.Total)
@@ -256,7 +256,7 @@ func TestAttrForkVsFresh(t *testing.T) {
 }
 
 // TestLatencyForkVsFresh checks Fork isolation for recorder state: a
-// fork continues with cloned histograms, diverges exactly as a fresh
+// fork continues with copied bucket counts, diverges exactly as a fresh
 // machine would, and leaks no observations back into the parent.
 func TestLatencyForkVsFresh(t *testing.T) {
 	parent, parentSnap, _, forkRes, freshRes := forkVsFresh(t)
@@ -306,13 +306,13 @@ func TestAttrRecoveryCause(t *testing.T) {
 	if _, err := m.Run("hash", 400); err != nil {
 		t.Fatal(err)
 	}
-	before := m.be[0].observed.attr.breakdown()
+	before := m.be[0].observed.clone()
 	m.Crash()
 	rep, err := m.Recover()
 	if err != nil || !rep.Verified {
 		t.Fatalf("recovery: %v (%+v)", err, rep)
 	}
-	delta := m.be[0].observed.attr.breakdown().Sub(before)
+	delta := m.be[0].observed.attr.breakdown(&before.attr)
 	if rep.NodeWrites > 0 && delta.CauseWrites("recovery") == 0 {
 		t.Errorf("recovery wrote %d nodes but no writes carry the recovery cause (delta %+v)",
 			rep.NodeWrites, delta)

@@ -41,7 +41,7 @@ func (r *Results) Accumulate(o *Results) {
 		r.Bitmap = &sum
 	}
 	if r.WriteBreakdown != nil && o.WriteBreakdown != nil {
-		sum := r.WriteBreakdown.Sub(nil) // fresh deep copy, aliased snapshots stay unmutated
+		sum := r.WriteBreakdown.Copy() // fresh deep copy, aliased snapshots stay unmutated
 		sum.Accumulate(o.WriteBreakdown)
 		r.WriteBreakdown = sum
 	}
@@ -101,7 +101,7 @@ func (r *Results) Clone() *Results {
 		a := *r.Anubis
 		c.Anubis = &a
 	}
-	c.WriteBreakdown = r.WriteBreakdown.Sub(nil)
+	c.WriteBreakdown = r.WriteBreakdown.Copy()
 	c.Latency = r.Latency.Copy()
 	return &c
 }

@@ -83,7 +83,7 @@ func TestObserverStreamInvariants(t *testing.T) {
 			if len(f.be[0].obs) != 1 || f.be[0].obs[0] != f.be[0].observed || f.be[0].observed == b.observed {
 				t.Fatalf("fork subscribers = %v, want only its own observatory", f.be[0].obs)
 			}
-			if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), b.observed.attr.breakdown()) {
+			if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(nil), b.observed.attr.breakdown(nil)) {
 				t.Error("fork's attribution differs from the parent's at the fork point")
 			}
 			if !reflect.DeepEqual(f.LatencySnapshot(), b.observed.lat.breakdown(nil)) {
@@ -115,7 +115,7 @@ func TestAttributionPerCausePerBank(t *testing.T) {
 	a.observe(Event{Kind: EvAccess, Access: nvm.AccessRead, Addr: 0})
 	a.observe(Event{Kind: EvOpBegin})
 
-	b := a.breakdown()
+	b := a.breakdown(nil)
 	if b.Total != 5 || b.Banks != 4 || len(b.Causes) != int(nvm.NumCauses) {
 		t.Fatalf("shape: total=%d banks=%d causes=%d", b.Total, b.Banks, len(b.Causes))
 	}
@@ -130,6 +130,19 @@ func TestAttributionPerCausePerBank(t *testing.T) {
 	if got := b.Causes[nvm.CauseTreeNode].Banks[2]; got != 2 {
 		t.Errorf("tree-node bank 2 = %d, want 2", got)
 	}
+
+	// A phase delta subtracts the counters of a copy taken before it.
+	before := a
+	before.counts = append([]uint64(nil), a.counts...)
+	write(3, nvm.CauseData) // bank 3
+	a.observe(Event{Kind: EvAccess, Access: nvm.AccessOOB, Cause: nvm.CauseADRFlush})
+	d := a.breakdown(&before)
+	if d.Total != 1 || !reflect.DeepEqual(d.Causes[nvm.CauseData].Banks, []uint64{0, 0, 0, 1}) || d.CauseWrites("tree-node") != 0 {
+		t.Errorf("delta = %+v, want one data write in bank 3", d)
+	}
+	if want := []nvm.CauseCount{{Cause: "adr-flush", Writes: 1}}; !reflect.DeepEqual(d.OOB, want) {
+		t.Errorf("delta OOB = %+v, want %+v", d.OOB, want)
+	}
 }
 
 // TestAttributionOOBTallies checks that out-of-band stores are tallied
@@ -143,10 +156,10 @@ func TestAttributionOOBTallies(t *testing.T) {
 	if _, err := m.RunUnverified("hash", 400); err != nil {
 		t.Fatal(err)
 	}
-	before := m.be[0].observed.attr.breakdown()
+	before := m.be[0].observed.clone()
 	writes := m.Engine().Device().Stats().Writes
 	m.Crash()
-	delta := m.be[0].observed.attr.breakdown().Sub(before)
+	delta := m.be[0].observed.attr.breakdown(&before.attr)
 	if delta.Total != 0 || m.Engine().Device().Stats().Writes != writes {
 		t.Fatalf("the crash flush counted writes: %+v", delta)
 	}
@@ -184,19 +197,19 @@ func TestAttributionForkIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atFork := m.be[0].observed.attr.breakdown()
+	atFork := m.be[0].observed.attr.breakdown(nil)
 	f := m.Fork()
 	if _, err := f.Run("hash", 200); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.be[0].observed.attr.breakdown(), atFork) {
+	if !reflect.DeepEqual(m.be[0].observed.attr.breakdown(nil), atFork) {
 		t.Fatal("fork writes leaked into the parent")
 	}
-	forkNow := f.be[0].observed.attr.breakdown()
+	forkNow := f.be[0].observed.attr.breakdown(nil)
 	if err := s.StepN(200); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(), forkNow) {
+	if !reflect.DeepEqual(f.be[0].observed.attr.breakdown(nil), forkNow) {
 		t.Fatal("parent writes leaked into the fork")
 	}
 	if forkNow.Total <= atFork.Total || forkNow.CauseWrites("data") < atFork.CauseWrites("data") {
@@ -219,7 +232,7 @@ func TestAttributionResetKeepsEnablement(t *testing.T) {
 	if m.be[0].observed == nil || len(m.be[0].obs) != 1 {
 		t.Fatal("Reset disabled the observatory")
 	}
-	if b := m.be[0].observed.attr.breakdown(); b.Total != 0 || len(b.OOB) != 0 {
+	if b := m.be[0].observed.attr.breakdown(nil); b.Total != 0 || len(b.OOB) != 0 {
 		t.Fatalf("Reset left counts behind: %+v", b)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // CDFSeries is one empirical distribution of a CDF chart: histogram
 // bucket upper bounds with per-bucket counts (one trailing overflow
-// count, as telemetry.Histogram.Buckets returns them).
+// count, as sim.OpLatency.BucketsNs carries them).
 type CDFSeries struct {
 	Label    string
 	BoundsNs []float64 // ascending finite bucket upper bounds

@@ -65,35 +65,3 @@ func TestRegistryConcurrentRegistrationAndScrape(t *testing.T) {
 		i++
 	})
 }
-
-// TestInstrumentConcurrentUpdates drives Histogram.Observe from
-// several goroutines and checks the totals are exact — the CAS loops
-// must not lose updates.
-func TestInstrumentConcurrentUpdates(t *testing.T) {
-	h := NewHistogram([]float64{10, 20})
-	const goroutines, n = 8, 10000
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				h.Observe(15)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := h.Count(); got != goroutines*n {
-		t.Errorf("histogram count = %d, want %d", got, goroutines*n)
-	}
-	if got := h.Sum(); got != float64(goroutines*n)*15 {
-		t.Errorf("histogram sum = %v, want %v", got, float64(goroutines*n)*15)
-	}
-	if got := h.Max(); got != 15 {
-		t.Errorf("histogram max = %v, want 15", got)
-	}
-	_, counts := h.Buckets()
-	if counts[1] != goroutines*n {
-		t.Errorf("bucket counts = %v, want all %d in bucket 1", counts, goroutines*n)
-	}
-}

@@ -2,36 +2,34 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
-// overflow reads the count of the +Inf bucket, the last entry of the
-// bucket vector.
-func overflow(h *Histogram) uint64 {
-	_, counts := h.Buckets()
-	return counts[len(counts)-1]
+// buckets counts vs into a bucket vector over bounds the way the
+// latency recorder and the wear summary do: one BucketIndex per value,
+// plus the overflow bucket.
+func buckets(bounds []float64, vs ...float64) []uint64 {
+	counts := make([]uint64, len(bounds)+1)
+	for _, v := range vs {
+		counts[BucketIndex(bounds, v)]++
+	}
+	return counts
 }
 
-// TestHistogramCloneIndependent pins that Clone is a deep snapshot:
-// observations into the original do not bleed into the clone.
-func TestHistogramCloneIndependent(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 2, 4))
-	h.Observe(3)
-	c := h.Clone()
-	h.Observe(100) // overflow in original only
-	if c.Count() != 1 || c.Max() != 3 || overflow(c) != 0 {
-		t.Fatalf("clone mutated by later observe: count=%d max=%g overflow=%d",
-			c.Count(), c.Max(), overflow(c))
+// repeat returns n copies of v.
+func repeat(v float64, n int) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = v
 	}
-	if h.Count() != 2 || h.Max() != 100 {
-		t.Fatalf("original lost observations: count=%d max=%g", h.Count(), h.Max())
-	}
+	return vs
 }
 
-// TestQuantileFromBuckets pins the exported phase-delta quantile
-// helper the latency observatory uses: interpolation inside finite
+// TestQuantileFromBuckets pins the quantile estimator the latency
+// observatory and the wear summary use: interpolation inside finite
 // buckets, clamping of maxless overflow mass, and interpolation toward
-// a tracked max.
+// a known max.
 func TestQuantileFromBuckets(t *testing.T) {
 	bounds := []float64{1, 2, 4}
 	// 10 observations uniformly in (1,2].
@@ -54,25 +52,33 @@ func TestQuantileFromBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileEdgeCases drives the estimator over bucket
+// vectors counted with BucketIndex, with the largest observation as
+// max, as the wear summary calls it.
 func TestHistogramQuantileEdgeCases(t *testing.T) {
 	t.Run("nil", func(t *testing.T) {
-		var h *Histogram
-		if got := h.Quantile(0.5); got != 0 {
-			t.Fatalf("nil quantile = %v, want 0", got)
+		if got := QuantileFromBuckets(nil, nil, 0, 0.5); got != 0 {
+			t.Fatalf("nil vector quantile = %v, want 0", got)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2, 4})
-		if got := h.Quantile(0.99); got != 0 {
+		bounds := []float64{1, 2, 4}
+		if got := QuantileFromBuckets(bounds, buckets(bounds), 0, 0.99); got != 0 {
 			t.Fatalf("empty quantile = %v, want 0", got)
 		}
 	})
-	t.Run("q0_and_q1", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2, 4})
-		for i := 0; i < 10; i++ {
-			h.Observe(1.5) // all in bucket (1, 2]
+	t.Run("bucket_index", func(t *testing.T) {
+		// A value on a bound belongs to that bound's bucket; above the
+		// last bound it overflows.
+		bounds := []float64{1, 10}
+		if got := buckets(bounds, 0.5, 1, 5, 10, 100); !reflect.DeepEqual(got, []uint64{2, 2, 1}) {
+			t.Fatalf("bucket vector = %v, want [2 2 1]", got)
 		}
-		q0, q1 := h.Quantile(0), h.Quantile(1)
+	})
+	t.Run("q0_and_q1", func(t *testing.T) {
+		bounds := []float64{1, 2, 4}
+		counts := buckets(bounds, repeat(1.5, 10)...) // all in (1, 2]
+		q0, q1 := QuantileFromBuckets(bounds, counts, 1.5, 0), QuantileFromBuckets(bounds, counts, 1.5, 1)
 		if q0 < 1 || q0 > 2 {
 			t.Errorf("q=0 -> %v, want within bucket (1, 2]", q0)
 		}
@@ -81,49 +87,43 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("clamped", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2})
-		h.Observe(0.5)
-		if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+		bounds := []float64{1, 2}
+		counts := buckets(bounds, 0.5)
+		q := func(q float64) float64 { return QuantileFromBuckets(bounds, counts, 0.5, q) }
+		if q(-1) != q(0) || q(2) != q(1) {
 			t.Error("q outside [0,1] must clamp")
 		}
 	})
 	t.Run("all_mass_in_overflow", func(t *testing.T) {
 		// Overflow mass interpolates between the last finite bound and
-		// the recorded maximum — saturated histograms report finite,
+		// the largest observation — saturated vectors report finite,
 		// honest tails instead of clamping at the bound.
-		h := NewHistogram([]float64{1, 2, 4})
-		h.Observe(100)
-		h.Observe(200)
-		got := h.Quantile(0.99)
+		bounds := []float64{1, 2, 4}
+		counts := buckets(bounds, 100, 200)
+		got := QuantileFromBuckets(bounds, counts, 200, 0.99)
 		if got <= 4 || got > 200 {
 			t.Fatalf("overflow-only quantile = %v, want within (4, 200]", got)
 		}
 		if math.IsInf(got, 1) {
 			t.Fatal("quantile must never be +Inf")
 		}
-		if q1 := h.Quantile(1); q1 != 200 {
-			t.Fatalf("q=1 = %v, want the recorded max 200", q1)
+		if q1 := QuantileFromBuckets(bounds, counts, 200, 1); q1 != 200 {
+			t.Fatalf("q=1 = %v, want the max 200", q1)
 		}
-		// Without a recorded max (phase-delta snapshots pass max = 0)
-		// the estimate clamps at the last finite bound.
-		_, counts := h.Buckets()
-		if got := QuantileFromBuckets([]float64{1, 2, 4}, counts, 0, 0.99); got != 4 {
+		// Without a known max (phase-delta vectors pass max = 0) the
+		// estimate clamps at the last finite bound.
+		if got := QuantileFromBuckets(bounds, counts, 0, 0.99); got != 4 {
 			t.Fatalf("maxless overflow quantile = %v, want last finite bound 4", got)
 		}
 	})
 	t.Run("no_finite_bounds", func(t *testing.T) {
-		h := NewHistogram(nil)
-		h.Observe(7)
-		if got := h.Quantile(0.5); got != 3.5 {
+		if got := QuantileFromBuckets(nil, buckets(nil, 7), 7, 0.5); got != 3.5 {
 			t.Fatalf("boundless quantile = %v, want 3.5 (interpolated toward the max)", got)
 		}
 	})
 	t.Run("interpolates", func(t *testing.T) {
-		h := NewHistogram([]float64{0, 10})
-		for i := 0; i < 100; i++ {
-			h.Observe(5) // all 100 in (0, 10]
-		}
-		got := h.Quantile(0.5)
+		bounds := []float64{0, 10}
+		got := QuantileFromBuckets(bounds, buckets(bounds, repeat(5, 100)...), 5, 0.5) // all 100 in (0, 10]
 		if got < 4.9 || got > 5.1 {
 			t.Fatalf("median = %v, want ~5 by linear interpolation", got)
 		}

@@ -1,162 +1,50 @@
 // Package telemetry is the simulator's observability layer: a
 // registry of lazily evaluated series that the machine populates
 // (telemetry.go) and a sim.Sampler turns into timelines; a structured
-// event trace emitted as Chrome trace-event JSON (trace.go);
-// fixed-bucket histograms with quantile estimates that the latency
-// observatory and the device's wear summary use.
+// event trace emitted as Chrome trace-event JSON (trace.go); and the
+// fixed-bucket helpers — bucket bounds, bucket index, quantile
+// estimate — behind the plain []uint64 bucket vectors that the
+// latency observatory and the device's wear summary count into.
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may
-// not regress when nobody is watching. The sinks are therefore
-// pointers whose methods are nil-safe no-ops — a nil *Histogram's
-// Observe and a nil *Trace's InstantAt compile to a nil check and a
-// return. No interface values, no indirect calls, no allocation on
-// either path.
+// not regress when nobody is watching. A disabled trace is therefore a
+// nil *Trace whose methods are no-ops — InstantAt compiles to a nil
+// check and a return. No interface values, no indirect calls, no
+// allocation on that path.
 //
-// The simulator itself is single-goroutine per machine, but readers
-// on other goroutines may snapshot a histogram or walk a registry
-// while a run updates it, so histogram updates are lock-free atomics
-// and registry access is mutex-guarded.
+// The simulator itself is single-goroutine per machine, so bucket
+// vectors are plain values; only the registry is mutex-guarded, so a
+// reader on another goroutine may walk it while its owner registers.
 package telemetry
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Histogram accumulates a distribution over fixed bucket upper bounds:
-// count, sum, max and the per-bucket vector that end-of-run reports
-// and quantile estimates read.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
-	counts []uint64  // len(bounds)+1, accessed atomically
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
-	max    atomic.Uint64 // float64 bits of the largest observation
-}
-
-// NewHistogram builds a histogram over the given ascending bucket
-// upper bounds — for components that summarize distributions (the
-// latency observatory's per-op tails, the device's per-bank wear p99).
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Clone returns an independent snapshot copy of the histogram: same
-// bounds (shared — they are immutable), current counts, sum and max.
-// Machine forks use it so parent and fork diverge independently.
-func (h *Histogram) Clone() *Histogram {
-	if h == nil {
-		return nil
-	}
-	c := &Histogram{bounds: h.bounds, counts: make([]uint64, len(h.counts))}
-	for i := range h.counts {
-		c.counts[i] = atomic.LoadUint64(&h.counts[i])
-	}
-	c.count.Store(h.count.Load())
-	c.sum.Store(h.sum.Load())
-	c.max.Store(h.max.Load())
-	return c
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	// Max tracking assumes non-negative observations (true of every
-	// histogram here: latencies and wear counts); the zero
-	// initial value then never overstates the maximum.
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) {
-			break
-		}
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	idx := len(h.bounds)
-	for i, b := range h.bounds {
+// BucketIndex returns the bucket of v over ascending upper bounds: the
+// first bound b with v <= b, else len(bounds), the overflow bucket.
+func BucketIndex(bounds []float64, v float64) int {
+	for i, b := range bounds {
 		if v <= b {
-			idx = i
-			break
+			return i
 		}
 	}
-	atomic.AddUint64(&h.counts[idx], 1)
+	return len(bounds)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Buckets returns the bucket upper bounds and a snapshot of the
-// per-bucket counts aligned with the bounds passed to NewHistogram,
-// plus one overflow count.
-func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	counts = make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = atomic.LoadUint64(&h.counts[i])
-	}
-	return h.bounds, counts
-}
-
-// Max returns the largest observation recorded so far (0 for an empty
-// or nil histogram; observations are assumed non-negative).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.max.Load())
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed
-// distribution by linear interpolation within the containing bucket.
-// Mass in the overflow bucket interpolates between the last finite
-// bound and the largest recorded observation, so saturated histograms
-// report finite, honest tail estimates. An empty histogram returns 0;
-// q is clamped to [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	_, counts := h.Buckets()
-	return QuantileFromBuckets(h.bounds, counts, h.Max(), q)
-}
-
-// QuantileFromBuckets is the pure quantile estimator behind
-// Histogram.Quantile, usable on any (bounds, counts) snapshot —
-// including phase deltas and merged bucket vectors, where no live
-// histogram exists. counts has len(bounds)+1 entries, the last being
-// the overflow bucket; mass there interpolates between the last finite
-// bound and max (pass max <= last bound, e.g. 0, to clamp at the
-// bound). Deterministic: the result depends only on the arguments.
+// QuantileFromBuckets estimates the q-quantile (q clamped to [0, 1])
+// of a bucket vector by linear interpolation within the containing
+// bucket. counts has len(bounds)+1 entries, the last being the
+// overflow bucket; mass there interpolates between the last finite
+// bound and max, the largest observation when one is known (pass
+// max <= last bound, e.g. 0, to clamp at the bound), so saturated
+// vectors report finite tails. Empty counts give 0. Deterministic: the
+// result depends only on the arguments, so it serves phase deltas and
+// merged bucket vectors alike.
 func QuantileFromBuckets(bounds []float64, counts []uint64, max, q float64) float64 {
 	var total uint64
 	for _, c := range counts {
