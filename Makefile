@@ -67,19 +67,19 @@ bench-gate:
 evaluation:
 	$(GO) run ./cmd/starbench -exp all -ops 20000
 
-# End-to-end observability gate: the machine-registry, sampler and
-# tracer tests (exported series set, fork isolation, sampling cadence,
-# timeline content, trace events), a sampled + traced single run
-# (starsim -svg -trace-out) and a traced mini-sweep, with tracecheck
-# asserting both Chrome trace-event files parse and are non-empty
-# (Perfetto-loadable) and the timeline trace's event names are known,
-# and the three timeline charts and the mini-sweep's six evaluation
-# figures rendering non-empty.
+# End-to-end observability gate: the machine-registry, sampler, tracer
+# and wear tests (exported series set, fork isolation, sampling cadence,
+# timeline content, trace events, per-line write counts), a sampled +
+# traced single run (starsim -svg -trace-out) and a traced mini-sweep,
+# with tracecheck asserting both Chrome trace-event files parse and are
+# non-empty (Perfetto-loadable) and the timeline trace's event names
+# are known, and the three timeline charts and the mini-sweep's six
+# evaluation figures rendering non-empty.
 TELEMETRY_DIR = /tmp/nvmstar-telemetry
 
 verify-telemetry:
 	rm -rf $(TELEMETRY_DIR) && mkdir -p $(TELEMETRY_DIR)
-	$(GO) test -count=1 -run 'Telemetry|Timeline|Sampler|Trace|Hierarchy|Fork' ./internal/sim
+	$(GO) test -count=1 -run 'Telemetry|Timeline|Sampler|Trace|Hierarchy|Fork|Wear' ./internal/sim
 	$(GO) run ./cmd/starsim -ops 3000 -svg $(TELEMETRY_DIR) \
 		-trace-out $(TELEMETRY_DIR)/timeline_trace.json
 	$(GO) run ./cmd/starbench -exp all -ops 1500 -workloads hash,array \

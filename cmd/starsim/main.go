@@ -153,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Seed = o.seed
 		cfg.Observe = o.observe
 		cfg.Telemetry = o.svg != ""
-		cfg.TrackWear = o.svg != ""
 		cfgs[i] = cfg
 	}
 	code, err := simulate(cfgs, &o, stdout)
@@ -173,12 +172,15 @@ func simulate(cfgs []sim.Config, o *options, w io.Writer) (code int, err error) 
 		return 0, err
 	}
 	var sampler *sim.Sampler
+	var wear *sim.Wear
 	var timelines []sim.Timeline
 	if o.svg != "" {
 		if sampler, err = sim.NewSampler(m.Telemetry(), sampleNs); err != nil {
 			return 0, err
 		}
+		wear = sim.NewWear(m)
 		m.Attach(sampler)
+		m.Attach(wear)
 	}
 	var tracer *sim.Tracer
 	if o.traceOut != "" {
@@ -235,7 +237,7 @@ func simulate(cfgs []sim.Config, o *options, w io.Writer) (code int, err error) 
 			// recovery it runs belong in the trace.
 			f.Attach(tracer)
 		}
-		c, err := member(f, o, res, snap, timelines, w)
+		c, err := member(f, o, res, snap, timelines, wear, w)
 		if err != nil {
 			return 0, err
 		}
@@ -249,11 +251,11 @@ func simulate(cfgs []sim.Config, o *options, w io.Writer) (code int, err error) 
 // member forked out of the group after the run: the -svg figures, and
 // the audit, power failure, attack and recovery of -audit and -crash.
 // It returns the member's exit code.
-func member(f *sim.Machine, o *options, res *sim.Results, snap attack.DataSnapshot, timelines []sim.Timeline, w io.Writer) (int, error) {
+func member(f *sim.Machine, o *options, res *sim.Results, snap attack.DataSnapshot, timelines []sim.Timeline, wear *sim.Wear, w io.Writer) (int, error) {
 	fmt.Fprintf(w, "workload          %s (%d threads, %d ops, seed %d)\n", o.workload, o.cores, o.ops, o.seed)
 	printResults(w, res)
 	if o.svg != "" {
-		if err := writeFigures(w, o.svg, f, res, timelines); err != nil {
+		if err := writeFigures(w, o.svg, res, timelines, wear, f.Config().Banks); err != nil {
 			return 0, err
 		}
 	}

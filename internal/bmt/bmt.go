@@ -228,7 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		e.lvlBase = append(e.lvlBase, base)
 		base += s * memline.Size
 	}
-	e.dev, err = nvm.New(nvm.Config{CapacityBytes: base, Timing: nvm.DefaultTiming(), Energy: nvm.DefaultEnergy()})
+	e.dev, err = nvm.New(nvm.Config{CapacityBytes: base, Energy: nvm.DefaultEnergy()})
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,6 @@
 package nvm
 
-import (
-	"fmt"
-
-	"nvmstar/internal/memline"
-	"nvmstar/internal/telemetry"
-)
+import "fmt"
 
 // Write-cause attribution: every counted line write carries a Cause
 // tag set at the point the engine or scheme issues it, and the device
@@ -168,81 +163,4 @@ func (b *Breakdown) DivideBy(n int) {
 	for i := range b.OOB {
 		b.OOB[i].Writes /= un
 	}
-}
-
-// --- per-bank wear -------------------------------------------------------
-
-// BankWear summarizes one bank's line-wear distribution. P99Wear is a
-// bucketed estimate (telemetry.QuantileFromBuckets over power-of-two
-// buckets, interpolating overflow mass toward MaxWear); Max and Mean
-// are exact.
-type BankWear struct {
-	Bank     int     `json:"bank"`
-	Lines    int     `json:"lines"` // distinct worn lines in this bank
-	MaxWear  uint64  `json:"max_wear"`
-	MeanWear float64 `json:"mean_wear"`
-	P99Wear  float64 `json:"p99_wear"`
-}
-
-// wearBuckets covers per-line write counts up to 2^23 — far beyond any
-// simulated run — for the p99 estimate.
-var wearBuckets = telemetry.ExpBuckets(1, 2, 24)
-
-// BankWearStats returns the distribution of line wear (max/mean/p99)
-// in each of banks line-interleaved banks (banks < 1 counts as 1).
-// Requires Config.TrackWear for non-zero data; each call scans every
-// worn line.
-func (d *Device) BankWearStats(banks int) []BankWear {
-	banks = max(banks, 1)
-	stats := make([]BankWear, banks)
-	sums := make([]uint64, banks)
-	counts := make([][]uint64, banks)
-	for b := range stats {
-		stats[b].Bank = b
-		counts[b] = make([]uint64, len(wearBuckets)+1)
-	}
-	d.store.rangeWear(func(addr, w uint64) {
-		b := int(addr/memline.Size) % banks
-		stats[b].Lines++
-		sums[b] += w
-		if w > stats[b].MaxWear {
-			stats[b].MaxWear = w
-		}
-		counts[b][telemetry.BucketIndex(wearBuckets, float64(w))]++
-	})
-	for b := range stats {
-		if stats[b].Lines > 0 {
-			stats[b].MeanWear = float64(sums[b]) / float64(stats[b].Lines)
-		}
-		stats[b].P99Wear = telemetry.QuantileFromBuckets(wearBuckets, counts[b], float64(stats[b].MaxWear), 0.99)
-	}
-	return stats
-}
-
-// WearGrid buckets per-line wear into a banks × cols heat grid for
-// rendering: row b holds bank b's lines in ascending address order,
-// compressed into cols cells, each cell keeping the maximum wear of
-// the lines it covers. banks < 1 counts as 1; returns nil when
-// cols < 1.
-func (d *Device) WearGrid(banks, cols int) [][]uint64 {
-	if cols < 1 {
-		return nil
-	}
-	banks = max(banks, 1)
-	grid := make([][]uint64, banks)
-	for b := range grid {
-		grid[b] = make([]uint64, cols)
-	}
-	totalLines := d.cfg.CapacityBytes / memline.Size
-	slotsPerBank := max((totalLines+uint64(banks)-1)/uint64(banks), 1)
-	d.store.rangeWear(func(addr, w uint64) {
-		line := addr / memline.Size
-		bank := int(line) % banks
-		slot := line / uint64(banks)
-		col := min(int(slot*uint64(cols)/slotsPerBank), cols-1)
-		if w > grid[bank][col] {
-			grid[bank][col] = w
-		}
-	})
-	return grid
 }

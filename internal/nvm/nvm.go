@@ -1,7 +1,8 @@
 // Package nvm models a PCM-based non-volatile main memory at line
 // granularity: a sparse 64-byte-line store with the paper's DDR-PCM
-// timing parameters, per-line wear counters, and read/write energy
-// accounting.
+// timing parameters and read/write energy accounting. Per-line wear is
+// an observation, counted above the device from its access hook
+// (sim.Wear).
 //
 // Durability semantics are the crux for this simulator: everything
 // written to the device survives a crash, everything not written is
@@ -11,7 +12,6 @@ package nvm
 
 import (
 	"fmt"
-	"sort"
 
 	"nvmstar/internal/memline"
 )
@@ -60,10 +60,7 @@ type Config struct {
 	// the simulator computing an out-of-range address is a bug, not a
 	// runtime condition.
 	CapacityBytes uint64
-	Timing        Timing
 	Energy        Energy
-	// TrackWear enables per-line write counters (endurance studies).
-	TrackWear bool
 }
 
 // Stats accumulates device-level counters.
@@ -140,9 +137,6 @@ func newWithStore(cfg Config, s lineStore) (*Device, error) {
 	return d, nil
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 func (d *Device) checkAddr(addr uint64) {
 	if addr%memline.Size != 0 {
 		panic(fmt.Sprintf("nvm: unaligned access %#x", addr))
@@ -179,8 +173,7 @@ func (d *Device) Write(addr uint64, l memline.Line) {
 }
 
 // WriteCause is Write with a cause tag: it counts one line write —
-// statistics, energy and the access hook — then stores the line and
-// bumps its wear.
+// statistics, energy and the access hook — then stores the line.
 func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
 	d.checkAddr(addr)
 	d.stats.Writes++
@@ -189,9 +182,6 @@ func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
 		d.hook(AccessWrite, addr, cause)
 	}
 	d.store.store(addr, l)
-	if d.cfg.TrackWear {
-		d.store.bumpWear(addr)
-	}
 }
 
 // Poke stores a line without counting an access. Attack injection and
@@ -203,8 +193,8 @@ func (d *Device) Poke(addr uint64, l memline.Line) {
 
 // StoreOOB is a Poke that the hook sees: an uncounted out-of-band
 // store the simulated system itself performs (ADR contents flushed by
-// the crash model, recovery-area resets). It stays out of Stats.Writes
-// and wear, so the counted per-cause sums still add up exactly to
+// the crash model, recovery-area resets). It stays out of
+// Stats.Writes, so the counted per-cause sums still add up exactly to
 // Stats.Writes, and it charges no time.
 func (d *Device) StoreOOB(addr uint64, l memline.Line, cause Cause) {
 	d.Poke(addr, l)
@@ -217,65 +207,21 @@ func (d *Device) StoreOOB(addr uint64, l memline.Line, cause Cause) {
 func (d *Device) Stats() Stats { return d.stats }
 
 // Reset restores the device to its just-constructed state: the line
-// store and wear counters are emptied (the paged store retains its
-// pages for reuse) and the statistics zeroed. The access hook and
-// configuration are kept — machine reuse resets the device it already
-// wired up.
+// store is emptied (the paged store retains its pages for reuse) and
+// the statistics zeroed. The access hook and configuration are kept —
+// machine reuse resets the device it already wired up.
 func (d *Device) Reset() {
 	d.store.reset()
 	d.stats = Stats{}
 }
 
 // Fork returns a copy-on-write clone of the device: the clone observes
-// the current line contents, wear counters and statistics, and
-// subsequent writes on either side are invisible to the other. The
-// access hook is deliberately NOT carried over — it closes over the
-// parent's machine timing model; the clone's owner re-installs its
-// own.
+// the current line contents and statistics, and subsequent writes on
+// either side are invisible to the other. The access hook is
+// deliberately NOT carried over — it closes over the parent's machine
+// timing model; the clone's owner re-installs its own.
 func (d *Device) Fork() *Device {
 	return &Device{cfg: d.cfg, store: d.store.fork(), stats: d.stats}
-}
-
-// Wear returns the write count of the line at addr. It is zero unless
-// TrackWear was enabled.
-func (d *Device) Wear(addr uint64) uint64 {
-	return d.store.wear(addr)
-}
-
-// MaxWear returns the highest per-line write count and its address
-// (the lowest such address on ties).
-func (d *Device) MaxWear() (addr, writes uint64) {
-	d.store.rangeWear(func(a, w uint64) {
-		if w > writes {
-			addr, writes = a, w
-		}
-	})
-	return addr, writes
-}
-
-// WearProfile returns per-line wear sorted by descending write count,
-// capped at limit entries. It supports endurance analyses.
-func (d *Device) WearProfile(limit int) []WearEntry {
-	entries := make([]WearEntry, 0, d.store.wearCount())
-	d.store.rangeWear(func(a, w uint64) {
-		entries = append(entries, WearEntry{Addr: a, Writes: w})
-	})
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Writes != entries[j].Writes {
-			return entries[i].Writes > entries[j].Writes
-		}
-		return entries[i].Addr < entries[j].Addr
-	})
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
-	}
-	return entries
-}
-
-// WearEntry is one line's wear count.
-type WearEntry struct {
-	Addr   uint64
-	Writes uint64
 }
 
 // LinesWritten returns how many distinct lines have ever been written.

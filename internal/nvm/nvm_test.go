@@ -9,7 +9,7 @@ import (
 
 func newDev(t *testing.T, capacity uint64) *Device {
 	t.Helper()
-	d, err := New(Config{CapacityBytes: capacity, Timing: DefaultTiming(), Energy: DefaultEnergy(), TrackWear: true})
+	d, err := New(Config{CapacityBytes: capacity, Energy: DefaultEnergy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +73,6 @@ func TestPeekAndPokeDoNotCount(t *testing.T) {
 	}
 	if s := d.Stats(); s.Reads != 0 || s.Writes != 0 {
 		t.Fatalf("Peek/Poke counted accesses: %+v", s)
-	}
-}
-
-func TestWearTracking(t *testing.T) {
-	d := newDev(t, 1<<20)
-	for i := 0; i < 5; i++ {
-		d.Write(64, memline.Line{})
-	}
-	d.Write(128, memline.Line{})
-	if w := d.Wear(64); w != 5 {
-		t.Fatalf("Wear(64) = %d", w)
-	}
-	addr, writes := d.MaxWear()
-	if addr != 64 || writes != 5 {
-		t.Fatalf("MaxWear = (%d, %d)", addr, writes)
-	}
-	prof := d.WearProfile(10)
-	if len(prof) != 2 || prof[0].Addr != 64 || prof[1].Addr != 128 {
-		t.Fatalf("WearProfile = %+v", prof)
-	}
-	if d.LinesWritten() != 2 {
-		t.Fatalf("LinesWritten = %d", d.LinesWritten())
 	}
 }
 

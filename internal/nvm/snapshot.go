@@ -15,8 +15,7 @@ import (
 // one (see examples/restart).
 const snapshotMagic = "NVMSTAR1"
 
-// Save serializes the device's line store (and wear counters when
-// tracked) to w.
+// Save serializes the device's line store to w.
 func (d *Device) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -43,34 +42,19 @@ func (d *Device) Save(w io.Writer) error {
 	if werr != nil {
 		return werr
 	}
-	wearCount := uint64(0)
-	if d.cfg.TrackWear {
-		wearCount = uint64(d.store.wearCount())
-	}
+	// The format once followed the line records with per-line wear
+	// records. Their 8-byte count stays, always zero, so the images
+	// written before wear left the device still restore.
 	var wc [8]byte
-	binary.LittleEndian.PutUint64(wc[:], wearCount)
 	if _, err := bw.Write(wc[:]); err != nil {
 		return err
-	}
-	if d.cfg.TrackWear {
-		d.store.rangeWear(func(addr, writes uint64) {
-			if werr != nil {
-				return
-			}
-			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[0:8], addr)
-			binary.LittleEndian.PutUint64(rec[8:16], writes)
-			_, werr = bw.Write(rec[:])
-		})
-		if werr != nil {
-			return werr
-		}
 	}
 	return bw.Flush()
 }
 
 // Restore loads a snapshot produced by Save into the device, replacing
-// its contents. The snapshot's capacity must match the device's.
+// its contents. The snapshot's capacity must match the device's, and
+// it must carry no wear records.
 func (d *Device) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -107,19 +91,8 @@ func (d *Device) Restore(r io.Reader) error {
 	if _, err := io.ReadFull(br, wc[:]); err != nil {
 		return err
 	}
-	wearCount := binary.LittleEndian.Uint64(wc[:])
-	for i := uint64(0); i < wearCount; i++ {
-		var rec [16]byte
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return fmt.Errorf("nvm: truncated wear table: %w", err)
-		}
-		addr := binary.LittleEndian.Uint64(rec[0:8])
-		if !validLine(addr, capacity) {
-			return fmt.Errorf("nvm: snapshot contains invalid wear address %#x", addr)
-		}
-		if d.cfg.TrackWear {
-			d.store.setWear(addr, binary.LittleEndian.Uint64(rec[8:16]))
-		}
+	if n := binary.LittleEndian.Uint64(wc[:]); n != 0 {
+		return fmt.Errorf("nvm: snapshot carries %d wear records; the device keeps no wear", n)
 	}
 	return nil
 }

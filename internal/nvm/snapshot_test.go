@@ -37,24 +37,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotPreservesWear(t *testing.T) {
-	d := newDev(t, 1<<16)
-	for i := 0; i < 5; i++ {
-		d.Write(64, memline.Line{})
-	}
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := newDev(t, 1<<16)
-	if err := fresh.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if w := fresh.Wear(64); w != 5 {
-		t.Fatalf("restored wear = %d, want 5", w)
-	}
-}
-
 func TestSnapshotEmptyDevice(t *testing.T) {
 	d := newDev(t, 1<<16)
 	var buf bytes.Buffer
@@ -125,17 +107,18 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
-// image builds a snapshot by hand: line records at lineAddrs (zero
-// contents) and one wear record per wearAddrs entry.
+// image builds a snapshot by hand in the layout Save has always
+// written: line records at lineAddrs (record i's line is all i+1),
+// then one wear record per wearAddrs entry.
 func image(capacity uint64, lineAddrs, wearAddrs []uint64) []byte {
 	var buf bytes.Buffer
 	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	buf.WriteString(snapshotMagic)
 	u64(capacity)
 	u64(uint64(len(lineAddrs)))
-	for _, a := range lineAddrs {
+	for i, a := range lineAddrs {
 		u64(a)
-		buf.Write(make([]byte, memline.Size))
+		buf.Write(bytes.Repeat([]byte{byte(i + 1)}, memline.Size))
 	}
 	u64(uint64(len(wearAddrs)))
 	for _, a := range wearAddrs {
@@ -147,7 +130,8 @@ func image(capacity uint64, lineAddrs, wearAddrs []uint64) []byte {
 
 // TestRestoreRejectsOutOfRangeRecords: a record addressing a line past
 // capacity, misaligned, or so high that addr+64 wraps must be an error,
-// never a panic — for wear records as well as line records.
+// never a panic — as must any wear record, which the device no longer
+// keeps.
 func TestRestoreRejectsOutOfRangeRecords(t *testing.T) {
 	const capacity = 1 << 20
 	cases := map[string][]byte{
@@ -158,12 +142,43 @@ func TestRestoreRejectsOutOfRangeRecords(t *testing.T) {
 		"line wraps":         image(capacity, []uint64{^uint64(memline.Size - 1)}, nil),
 	}
 	for name, img := range cases {
-		d := newDev(t, capacity) // TrackWear on
-		if err := d.Restore(bytes.NewReader(img)); err == nil {
+		if err := newDev(t, capacity).Restore(bytes.NewReader(img)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, []uint64{0}, []uint64{capacity - memline.Size}))); err != nil {
+	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, []uint64{0, capacity - memline.Size}, nil))); err != nil {
 		t.Fatalf("in-range records rejected: %v", err)
+	}
+}
+
+// TestRestoreImageWithoutWear pins image compatibility: an image in the
+// layout Save wrote while the device still kept wear, with a zero wear
+// count, restores its lines and saves back byte-identical; one that
+// carries wear records is an error, not a panic.
+func TestRestoreImageWithoutWear(t *testing.T) {
+	const capacity = 1 << 16
+	addrs := []uint64{0, 640, capacity - memline.Size}
+	img := image(capacity, addrs, nil)
+	d := newDev(t, capacity)
+	if err := d.Restore(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	if d.LinesWritten() != len(addrs) {
+		t.Fatalf("restored %d lines, want %d", d.LinesWritten(), len(addrs))
+	}
+	for i, a := range addrs {
+		if l, ok := d.Peek(a); !ok || !bytes.Equal(l[:], bytes.Repeat([]byte{byte(i + 1)}, memline.Size)) {
+			t.Fatalf("line %#x = (%v, %v) after restore", a, l, ok)
+		}
+	}
+	var again bytes.Buffer
+	if err := d.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), img) {
+		t.Fatal("re-saved image differs from the one restored")
+	}
+	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, addrs, []uint64{640}))); err == nil {
+		t.Fatal("image with a wear record accepted")
 	}
 }

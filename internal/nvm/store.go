@@ -7,26 +7,19 @@ import (
 	"nvmstar/internal/paged"
 )
 
-// lineStore is the device's backing store for line contents and wear
-// counters. Two implementations exist: the paged slab store used in
-// production (allocation-free steady-state accesses) and the original
-// map store kept as the behavioral reference — the shared semantics
-// test suite runs against both, so the swap is provably
-// behavior-preserving.
+// lineStore is the device's backing store for line contents. Two
+// implementations exist: the paged slab store used in production
+// (allocation-free steady-state accesses) and the original map store
+// kept as the behavioral reference — the shared semantics test suite
+// runs against both, so the swap is provably behavior-preserving.
 //
 // Addresses are line-aligned byte addresses, already bounds-checked by
-// the Device. rangeLines and rangeWear iterate in ascending address
-// order.
+// the Device. rangeLines iterates in ascending address order.
 type lineStore interface {
 	load(addr uint64) (memline.Line, bool)
 	store(addr uint64, l memline.Line)
-	bumpWear(addr uint64)
-	setWear(addr uint64, writes uint64)
-	wear(addr uint64) uint64
 	linesWritten() int
-	wearCount() int
 	rangeLines(fn func(addr uint64, l memline.Line))
-	rangeWear(fn func(addr uint64, writes uint64))
 	reset()
 	// fork returns a copy-on-write clone observing the current contents;
 	// subsequent writes on either side are invisible to the other, and
@@ -36,18 +29,16 @@ type lineStore interface {
 
 // --- paged slab store --------------------------------------------------
 
-// pagedStore keeps line contents and wear counters in sparse two-level
-// page tables indexed by line number: one access is two array
-// indexations and a bit test, and steady-state writes allocate nothing
-// (a fixed-size page is allocated on the first write into its range).
+// pagedStore keeps line contents in a sparse two-level page table
+// indexed by line number: one access is two array indexations and a
+// bit test, and steady-state writes allocate nothing (a fixed-size
+// page is allocated on the first write into its range).
 type pagedStore struct {
 	lines *paged.Table[memline.Line]
-	wears *paged.Table[uint64]
 }
 
 func newPagedStore(capacityBytes uint64) *pagedStore {
-	n := capacityBytes / memline.Size
-	return &pagedStore{lines: paged.New[memline.Line](n), wears: paged.New[uint64](n)}
+	return &pagedStore{lines: paged.New[memline.Line](capacityBytes / memline.Size)}
 }
 
 func (s *pagedStore) load(addr uint64) (memline.Line, bool) {
@@ -58,39 +49,15 @@ func (s *pagedStore) store(addr uint64, l memline.Line) {
 	s.lines.Set(addr/memline.Size, l)
 }
 
-func (s *pagedStore) bumpWear(addr uint64) {
-	ref, _ := s.wears.Ref(addr / memline.Size)
-	*ref++
-}
-
-func (s *pagedStore) setWear(addr uint64, writes uint64) {
-	s.wears.Set(addr/memline.Size, writes)
-}
-
-func (s *pagedStore) wear(addr uint64) uint64 {
-	w, _ := s.wears.Get(addr / memline.Size)
-	return w
-}
-
 func (s *pagedStore) linesWritten() int { return s.lines.Len() }
-func (s *pagedStore) wearCount() int    { return s.wears.Len() }
 
 func (s *pagedStore) rangeLines(fn func(addr uint64, l memline.Line)) {
 	s.lines.Range(func(idx uint64, l memline.Line) { fn(idx*memline.Size, l) })
 }
 
-func (s *pagedStore) rangeWear(fn func(addr uint64, writes uint64)) {
-	s.wears.Range(func(idx uint64, w uint64) { fn(idx*memline.Size, w) })
-}
+func (s *pagedStore) reset() { s.lines.Clear() }
 
-func (s *pagedStore) reset() {
-	s.lines.Clear()
-	s.wears.Clear()
-}
-
-func (s *pagedStore) fork() lineStore {
-	return &pagedStore{lines: s.lines.Fork(), wears: s.wears.Fork()}
-}
+func (s *pagedStore) fork() lineStore { return &pagedStore{lines: s.lines.Fork()} }
 
 // --- map store ---------------------------------------------------------
 
@@ -98,11 +65,10 @@ func (s *pagedStore) fork() lineStore {
 // implementation for the shared semantics tests.
 type mapStore struct {
 	lines map[uint64]memline.Line
-	wears map[uint64]uint64
 }
 
 func newMapStore() *mapStore {
-	return &mapStore{lines: make(map[uint64]memline.Line), wears: make(map[uint64]uint64)}
+	return &mapStore{lines: make(map[uint64]memline.Line)}
 }
 
 func (s *mapStore) load(addr uint64) (memline.Line, bool) {
@@ -110,12 +76,8 @@ func (s *mapStore) load(addr uint64) (memline.Line, bool) {
 	return l, ok
 }
 
-func (s *mapStore) store(addr uint64, l memline.Line)  { s.lines[addr] = l }
-func (s *mapStore) bumpWear(addr uint64)               { s.wears[addr]++ }
-func (s *mapStore) setWear(addr uint64, writes uint64) { s.wears[addr] = writes }
-func (s *mapStore) wear(addr uint64) uint64            { return s.wears[addr] }
-func (s *mapStore) linesWritten() int                  { return len(s.lines) }
-func (s *mapStore) wearCount() int                     { return len(s.wears) }
+func (s *mapStore) store(addr uint64, l memline.Line) { s.lines[addr] = l }
+func (s *mapStore) linesWritten() int                 { return len(s.lines) }
 
 func (s *mapStore) rangeLines(fn func(addr uint64, l memline.Line)) {
 	addrs := make([]uint64, 0, len(s.lines))
@@ -128,29 +90,12 @@ func (s *mapStore) rangeLines(fn func(addr uint64, l memline.Line)) {
 	}
 }
 
-func (s *mapStore) rangeWear(fn func(addr uint64, writes uint64)) {
-	addrs := make([]uint64, 0, len(s.wears))
-	for a := range s.wears { //detlint:ok keys collected then sorted below
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fn(a, s.wears[a])
-	}
-}
-
-func (s *mapStore) reset() {
-	s.lines = make(map[uint64]memline.Line)
-	s.wears = make(map[uint64]uint64)
-}
+func (s *mapStore) reset() { s.lines = make(map[uint64]memline.Line) }
 
 func (s *mapStore) fork() lineStore {
 	f := newMapStore()
 	for a, l := range s.lines { //detlint:ok order-independent map copy
 		f.lines[a] = l
-	}
-	for a, w := range s.wears { //detlint:ok order-independent map copy
-		f.wears[a] = w
 	}
 	return f
 }

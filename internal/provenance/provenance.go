@@ -150,7 +150,7 @@ func ConfigFingerprint(cfg sim.Config) string {
 	// observatory adds WriteBreakdown and Latency to cell results, so
 	// observed runs must not compare equal to unobserved baselines) or
 	// extend the mirror with a new pinned baseline. Fields that left
-	// sim.Config stay in the mirror pinned at zero (Shards,
+	// sim.Config stay in the mirror pinned at zero (TrackWear, Shards,
 	// SampleEveryNs, TraceEvents). TestConfigFingerprintPinned guards
 	// this.
 	s := fmt.Sprintf("%+v", fingerprintConfig{
@@ -158,7 +158,7 @@ func ConfigFingerprint(cfg sim.Config) string {
 		L1: cfg.L1, L2: cfg.L2, L3: cfg.L3,
 		MetaCache: cfg.MetaCache, Scheme: cfg.Scheme, Bitmap: cfg.Bitmap,
 		Suite: cfg.Suite, Timing: cfg.Timing, Energy: cfg.Energy,
-		TrackWear: cfg.TrackWear, FreqGHz: cfg.FreqGHz,
+		FreqGHz: cfg.FreqGHz,
 		L1LatNs: cfg.L1LatNs, L2LatNs: cfg.L2LatNs, L3LatNs: cfg.L3LatNs,
 		MCLatNs: cfg.MCLatNs, WriteQueue: cfg.WriteQueue, Banks: cfg.Banks,
 		Seed: cfg.Seed, Telemetry: cfg.Telemetry,
@@ -191,7 +191,7 @@ type fingerprintConfig struct {
 	Suite         simcrypto.Suite
 	Timing        nvm.Timing
 	Energy        nvm.Energy
-	TrackWear     bool
+	TrackWear     bool // always false, as Shards: wear is now a subscriber a tool attaches
 	FreqGHz       float64
 	L1LatNs       float64
 	L2LatNs       float64

@@ -56,12 +56,9 @@ type Config struct {
 	MetaCache cache.Config
 	// Suite supplies OTP and MAC primitives.
 	Suite simcrypto.Suite
-	// Timing and Energy parameterize the NVM device; zero values take
-	// the paper's defaults.
-	Timing nvm.Timing
+	// Energy parameterizes the NVM device; the zero value takes the
+	// paper's default.
 	Energy nvm.Energy
-	// TrackWear enables per-line NVM write counters.
-	TrackWear bool
 }
 
 // DefaultMetaCache is the paper's metadata cache configuration.
@@ -179,9 +176,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MetaCache.SizeBytes == 0 {
 		cfg.MetaCache = DefaultMetaCache()
 	}
-	if cfg.Timing == (nvm.Timing{}) {
-		cfg.Timing = nvm.DefaultTiming()
-	}
 	if cfg.Energy == (nvm.Energy{}) {
 		cfg.Energy = nvm.DefaultEnergy()
 	}
@@ -193,12 +187,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := nvm.New(nvm.Config{
-		CapacityBytes: geo.TotalBytes(),
-		Timing:        cfg.Timing,
-		Energy:        cfg.Energy,
-		TrackWear:     cfg.TrackWear,
-	})
+	dev, err := nvm.New(nvm.Config{CapacityBytes: geo.TotalBytes(), Energy: cfg.Energy})
 	if err != nil {
 		return nil, err
 	}

@@ -12,15 +12,13 @@ import (
 )
 
 // fuzzEngine builds the small engine FuzzRestoreNonVolatile restores
-// into. Wear tracking is on, so an image's wear records reach the
-// device's wear table.
+// into.
 func fuzzEngine(t testing.TB, scheme string) *secmem.Engine {
 	t.Helper()
 	e, err := secmem.New(secmem.Config{
 		DataBytes: 1 << 16,
 		MetaCache: cache.Config{SizeBytes: 4 << 10, Ways: 8},
 		Suite:     simcrypto.NewFast(2024),
-		TrackWear: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +41,8 @@ func crashedImage(t testing.TB, scheme string) []byte {
 }
 
 // wearRecordImage is an engine image of an empty device with one wear
-// record far past the device's capacity.
+// record far past the device's capacity, which restore refuses: the
+// device keeps no wear.
 func wearRecordImage(capacity uint64) []byte {
 	var b bytes.Buffer
 	put := func(v uint64) { _ = binary.Write(&b, binary.LittleEndian, v) }

@@ -61,9 +61,7 @@ func newBackEnd(m *Machine, cfg Config) (*backEnd, error) {
 		DataBytes: cfg.DataBytes,
 		MetaCache: cfg.MetaCache,
 		Suite:     cfg.Suite,
-		Timing:    cfg.Timing,
 		Energy:    cfg.Energy,
-		TrackWear: cfg.TrackWear,
 	})
 	if err != nil {
 		return nil, err

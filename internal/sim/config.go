@@ -34,9 +34,6 @@ type Config struct {
 	Suite  simcrypto.Suite // nil -> Fast suite
 	Timing nvm.Timing      // zero -> paper defaults
 	Energy nvm.Energy      // zero -> paper defaults
-	// TrackWear enables per-line NVM write counters for endurance
-	// analysis (the paper's PCM cells endure 10^7-10^9 writes).
-	TrackWear bool
 
 	FreqGHz    float64 // core frequency; Table I: 2 GHz
 	L1LatNs    float64 // L1 hit latency

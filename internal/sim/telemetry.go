@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"nvmstar/internal/cache"
+	"nvmstar/internal/memline"
 	"nvmstar/internal/nvm"
+	"nvmstar/internal/paged"
 	"nvmstar/internal/secmem"
 	"nvmstar/internal/telemetry"
 )
@@ -261,4 +263,111 @@ func (t *Tracer) latency(lb *LatencyBreakdown, ts float64) {
 			"p99_ns": o.P99Ns,
 		})
 	}
+}
+
+// --- the wear subscriber -----------------------------------------------------
+
+// Wear is the subscriber that counts NVM line writes per line, for
+// endurance analyses (PCM cells survive 10^7-10^9 writes). Reads and
+// out-of-band stores count nothing, so its per-line counts sum to the
+// device's Stats().Writes gained since it was attached.
+type Wear struct {
+	lines *paged.Table[uint64] // writes per line number
+}
+
+// NewWear returns an empty wear counter sized for m's device; add it
+// with Machine.Attach, before set-up to count a whole run.
+func NewWear(m *Machine) *Wear {
+	return &Wear{lines: paged.New[uint64](m.Engine().Geometry().TotalBytes() / memline.Size)}
+}
+
+// Observe implements Observer.
+func (w *Wear) Observe(ev Event) {
+	if ev.Kind == EvAccess && ev.Access == nvm.AccessWrite {
+		n, _ := w.lines.Ref(ev.Addr / memline.Size)
+		*n++
+	}
+}
+
+// MaxWear returns the highest per-line write count and its address
+// (the lowest such address on ties).
+func (w *Wear) MaxWear() (addr, writes uint64) {
+	w.lines.Range(func(line, n uint64) {
+		if n > writes {
+			addr, writes = line*memline.Size, n
+		}
+	})
+	return addr, writes
+}
+
+// BankWear summarizes one bank's line-wear distribution. P99Wear is a
+// bucketed estimate (telemetry.QuantileFromBuckets over power-of-two
+// buckets, interpolating overflow mass toward MaxWear); Max and Mean
+// are exact.
+type BankWear struct {
+	Bank     int     `json:"bank"`
+	Lines    int     `json:"lines"` // distinct worn lines in this bank
+	MaxWear  uint64  `json:"max_wear"`
+	MeanWear float64 `json:"mean_wear"`
+	P99Wear  float64 `json:"p99_wear"`
+}
+
+// wearBuckets covers per-line write counts up to 2^23 — far beyond any
+// simulated run — for the p99 estimate.
+var wearBuckets = telemetry.ExpBuckets(1, 2, 24)
+
+// BankWearStats returns the distribution of line wear (max/mean/p99)
+// in each of banks line-interleaved banks (banks < 1 counts as 1).
+// Each call scans every worn line.
+func (w *Wear) BankWearStats(banks int) []BankWear {
+	banks = max(banks, 1)
+	stats := make([]BankWear, banks)
+	sums := make([]uint64, banks)
+	counts := make([][]uint64, banks)
+	for b := range stats {
+		stats[b].Bank = b
+		counts[b] = make([]uint64, len(wearBuckets)+1)
+	}
+	w.lines.Range(func(line, n uint64) {
+		b := int(line) % banks
+		stats[b].Lines++
+		sums[b] += n
+		if n > stats[b].MaxWear {
+			stats[b].MaxWear = n
+		}
+		counts[b][telemetry.BucketIndex(wearBuckets, float64(n))]++
+	})
+	for b := range stats {
+		if stats[b].Lines > 0 {
+			stats[b].MeanWear = float64(sums[b]) / float64(stats[b].Lines)
+		}
+		stats[b].P99Wear = telemetry.QuantileFromBuckets(wearBuckets, counts[b], float64(stats[b].MaxWear), 0.99)
+	}
+	return stats
+}
+
+// WearGrid buckets per-line wear into a banks × cols heat grid for
+// rendering: row b holds bank b's lines in ascending address order,
+// compressed into cols cells, each cell keeping the maximum wear of
+// the lines it covers. banks < 1 counts as 1; returns nil when
+// cols < 1.
+func (w *Wear) WearGrid(banks, cols int) [][]uint64 {
+	if cols < 1 {
+		return nil
+	}
+	banks = max(banks, 1)
+	grid := make([][]uint64, banks)
+	for b := range grid {
+		grid[b] = make([]uint64, cols)
+	}
+	slotsPerBank := max((w.lines.Slots()+uint64(banks)-1)/uint64(banks), 1)
+	w.lines.Range(func(line, n uint64) {
+		bank := int(line) % banks
+		slot := line / uint64(banks)
+		col := min(int(slot*uint64(cols)/slotsPerBank), cols-1)
+		if n > grid[bank][col] {
+			grid[bank][col] = n
+		}
+	})
+	return grid
 }

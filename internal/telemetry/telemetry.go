@@ -4,7 +4,7 @@
 // event trace emitted as Chrome trace-event JSON (trace.go); and the
 // fixed-bucket helpers — bucket bounds, bucket index, quantile
 // estimate — behind the plain []uint64 bucket vectors that the
-// latency observatory and the device's wear summary count into.
+// latency observatory and the sim.Wear summary count into.
 //
 // The design constraint is that disabled telemetry must be free: the
 // simulator's hot paths (secmem.Engine.WriteLine is 0 allocs/op) may

@@ -20,12 +20,12 @@ func BenchmarkWearHotspot(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := benchCfg(scheme)
-				cfg.TrackWear = true
-				m, err := sim.NewMachine(cfg)
+				m, err := sim.NewMachine(benchCfg(scheme))
 				if err != nil {
 					b.Fatal(err)
 				}
+				wear := sim.NewWear(m)
+				m.Attach(wear)
 				s, err := m.NewSession("ycsb")
 				if err != nil {
 					b.Fatal(err)
@@ -34,7 +34,7 @@ func BenchmarkWearHotspot(b *testing.B) {
 				if err := s.StepN(benchOps); err != nil {
 					b.Fatal(err)
 				}
-				_, maxWear := m.Engine().Device().MaxWear()
+				_, maxWear := wear.MaxWear()
 				b.ReportMetric(float64(maxWear), "max-line-writes")
 				b.ReportMetric(float64(m.Engine().Device().Stats().Writes)/float64(benchOps), "writes/op")
 			}
@@ -53,17 +53,17 @@ func BenchmarkWearHotspot(b *testing.B) {
 func TestWearStaysDistributed(t *testing.T) {
 	for _, scheme := range []string{"wb", "star", "anubis"} {
 		t.Run(scheme, func(t *testing.T) {
-			cfg := benchCfg(scheme)
-			cfg.TrackWear = true
-			m, err := sim.NewMachine(cfg)
+			m, err := sim.NewMachine(benchCfg(scheme))
 			if err != nil {
 				t.Fatal(err)
 			}
+			wear := sim.NewWear(m)
+			m.Attach(wear)
 			if _, err := m.RunUnverified("ycsb", 4000); err != nil {
 				t.Fatal(err)
 			}
 			total := m.Engine().Device().Stats().Writes
-			addr, maxWear := m.Engine().Device().MaxWear()
+			addr, maxWear := wear.MaxWear()
 			if frac := float64(maxWear) / float64(total); frac > 0.01 {
 				t.Errorf("hottest line %#x absorbed %.2f%% of all writes (%d/%d)",
 					addr, 100*frac, maxWear, total)
