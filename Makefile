@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-gate evaluation report examples vet fmt lint clean race verify verify-telemetry verify-observe regress regress-baseline
+.PHONY: all build test test-short bench bench-gate evaluation report vet fmt lint clean race verify verify-telemetry verify-observe regress regress-baseline
 
 all: verify
 
@@ -172,13 +172,5 @@ regress-baseline:
 		-manifest-out BASELINE_manifest.json \
 		-shapes-out BASELINE_shapes.json > /dev/null
 
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/kvstore
-	$(GO) run ./examples/crashattack
-	$(GO) run ./examples/tuning
-	$(GO) run ./examples/baselines
-	$(GO) run ./examples/restart
-
 clean:
-	rm -f test_output.txt bench_output.txt /tmp/nvmstar-restart.img
+	rm -f test_output.txt bench_output.txt

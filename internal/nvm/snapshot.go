@@ -12,7 +12,7 @@ import (
 // Snapshot format: a simple tagged binary stream. The device is
 // non-volatile — persisting its contents to a host file lets a
 // simulated machine power off with the process and recover in a fresh
-// one (see examples/restart).
+// one.
 const snapshotMagic = "NVMSTAR1"
 
 // Save serializes the device's line store to w.
@@ -52,49 +52,62 @@ func (d *Device) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Restore loads a snapshot produced by Save into the device, replacing
-// its contents. The snapshot's capacity must match the device's, and
-// it must carry no wear records.
-func (d *Device) Restore(r io.Reader) error {
+// PrepareRestore reads and validates a snapshot produced by Save
+// without changing the device: the snapshot's capacity must match the
+// device's, every line record must name a line of it, and it must
+// carry no wear records. The returned commit replaces the device's
+// contents with the snapshot's lines. A caller restoring a larger
+// image validates the rest of it before it calls commit, so a refused
+// image changes nothing.
+func (d *Device) PrepareRestore(r io.Reader) (commit func(), err error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("nvm: reading snapshot magic: %w", err)
+		return nil, fmt.Errorf("nvm: reading snapshot magic: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return fmt.Errorf("nvm: not a snapshot (magic %q)", magic)
+		return nil, fmt.Errorf("nvm: not a snapshot (magic %q)", magic)
 	}
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	capacity := binary.LittleEndian.Uint64(hdr[0:8])
 	if capacity != d.cfg.CapacityBytes {
-		return fmt.Errorf("nvm: snapshot capacity %d does not match device %d", capacity, d.cfg.CapacityBytes)
+		return nil, fmt.Errorf("nvm: snapshot capacity %d does not match device %d", capacity, d.cfg.CapacityBytes)
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:16])
-	d.store.reset()
+	// The count is not trusted to size anything: the records grow as
+	// they are read.
+	type record struct {
+		addr uint64
+		line memline.Line
+	}
+	var recs []record
 	for i := uint64(0); i < count; i++ {
 		var rec [8 + memline.Size]byte
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return fmt.Errorf("nvm: truncated snapshot at line %d: %w", i, err)
+			return nil, fmt.Errorf("nvm: truncated snapshot at line %d: %w", i, err)
 		}
 		addr := binary.LittleEndian.Uint64(rec[0:8])
 		if !validLine(addr, capacity) {
-			return fmt.Errorf("nvm: snapshot contains invalid address %#x", addr)
+			return nil, fmt.Errorf("nvm: snapshot contains invalid address %#x", addr)
 		}
-		var l memline.Line
-		copy(l[:], rec[8:])
-		d.store.store(addr, l)
+		recs = append(recs, record{addr: addr, line: memline.Line(rec[8:])})
 	}
 	var wc [8]byte
 	if _, err := io.ReadFull(br, wc[:]); err != nil {
-		return err
+		return nil, err
 	}
 	if n := binary.LittleEndian.Uint64(wc[:]); n != 0 {
-		return fmt.Errorf("nvm: snapshot carries %d wear records; the device keeps no wear", n)
+		return nil, fmt.Errorf("nvm: snapshot carries %d wear records; the device keeps no wear", n)
 	}
-	return nil
+	return func() {
+		d.store.reset()
+		for _, rec := range recs {
+			d.store.store(rec.addr, rec.line)
+		}
+	}, nil
 }
 
 // validLine reports whether a snapshot record's address names a line of

@@ -3,11 +3,22 @@ package nvm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"nvmstar/internal/memline"
 )
+
+// restore is PrepareRestore followed by its commit.
+func restore(d *Device, r io.Reader) error {
+	commit, err := d.PrepareRestore(r)
+	if err == nil {
+		commit()
+	}
+	return err
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	d := newDev(t, 1<<20)
@@ -21,7 +32,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := newDev(t, 1<<20)
-	if err := fresh.Restore(&buf); err != nil {
+	if err := restore(fresh, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.LinesWritten() != d.LinesWritten() {
@@ -44,7 +55,7 @@ func TestSnapshotEmptyDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := newDev(t, 1<<16)
-	if err := fresh.Restore(&buf); err != nil {
+	if err := restore(fresh, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.LinesWritten() != 0 {
@@ -54,7 +65,7 @@ func TestSnapshotEmptyDevice(t *testing.T) {
 
 func TestRestoreRejectsBadMagic(t *testing.T) {
 	d := newDev(t, 1<<16)
-	if err := d.Restore(strings.NewReader("BOGUS123 and then some")); err == nil {
+	if err := restore(d, strings.NewReader("BOGUS123 and then some")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -67,7 +78,7 @@ func TestRestoreRejectsCapacityMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := newDev(t, 1<<17)
-	if err := other.Restore(&buf); err == nil {
+	if err := restore(other, &buf); err == nil {
 		t.Fatal("capacity mismatch accepted")
 	}
 }
@@ -82,10 +93,29 @@ func TestRestoreRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{10, 20, buf.Len() / 2, buf.Len() - 3} {
-		fresh := newDev(t, 1<<16)
-		if err := fresh.Restore(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)
-		}
+		refuse(t, 1<<16, fmt.Sprintf("truncated snapshot (%d bytes)", cut), buf.Bytes()[:cut])
+	}
+}
+
+// refuse restores img into a device that holds line 128 and fails t
+// unless restore refuses it and leaves the device's image unchanged.
+func refuse(t *testing.T, capacity uint64, name string, img []byte) {
+	t.Helper()
+	d := newDev(t, capacity)
+	d.Write(128, memline.Line{0xab})
+	var before, after bytes.Buffer
+	if err := d.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := restore(d, bytes.NewReader(img)); err == nil {
+		t.Errorf("%s: accepted", name)
+		return
+	}
+	if err := d.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Errorf("%s: the refused snapshot changed the device", name)
 	}
 }
 
@@ -131,7 +161,7 @@ func image(capacity uint64, lineAddrs, wearAddrs []uint64) []byte {
 // TestRestoreRejectsOutOfRangeRecords: a record addressing a line past
 // capacity, misaligned, or so high that addr+64 wraps must be an error,
 // never a panic — as must any wear record, which the device no longer
-// keeps.
+// keeps — and must leave the device as it was.
 func TestRestoreRejectsOutOfRangeRecords(t *testing.T) {
 	const capacity = 1 << 20
 	cases := map[string][]byte{
@@ -140,13 +170,12 @@ func TestRestoreRejectsOutOfRangeRecords(t *testing.T) {
 		"wear wraps":         image(capacity, nil, []uint64{^uint64(memline.Size - 1)}),
 		"line past capacity": image(capacity, []uint64{capacity}, nil),
 		"line wraps":         image(capacity, []uint64{^uint64(memline.Size - 1)}, nil),
+		"two lines and wear": image(capacity, []uint64{0, 640}, []uint64{640}),
 	}
 	for name, img := range cases {
-		if err := newDev(t, capacity).Restore(bytes.NewReader(img)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		refuse(t, capacity, name, img)
 	}
-	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, []uint64{0, capacity - memline.Size}, nil))); err != nil {
+	if err := restore(newDev(t, capacity), bytes.NewReader(image(capacity, []uint64{0, capacity - memline.Size}, nil))); err != nil {
 		t.Fatalf("in-range records rejected: %v", err)
 	}
 }
@@ -160,7 +189,7 @@ func TestRestoreImageWithoutWear(t *testing.T) {
 	addrs := []uint64{0, 640, capacity - memline.Size}
 	img := image(capacity, addrs, nil)
 	d := newDev(t, capacity)
-	if err := d.Restore(bytes.NewReader(img)); err != nil {
+	if err := restore(d, bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
 	if d.LinesWritten() != len(addrs) {
@@ -178,7 +207,7 @@ func TestRestoreImageWithoutWear(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), img) {
 		t.Fatal("re-saved image differs from the one restored")
 	}
-	if err := newDev(t, capacity).Restore(bytes.NewReader(image(capacity, addrs, []uint64{640}))); err == nil {
+	if err := restore(newDev(t, capacity), bytes.NewReader(image(capacity, addrs, []uint64{640}))); err == nil {
 		t.Fatal("image with a wear record accepted")
 	}
 }

@@ -133,7 +133,7 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(&fromPaged); err != nil {
+	if err := restore(restored, &fromPaged); err != nil {
 		t.Fatal(err)
 	}
 	if restored.LinesWritten() != paged.LinesWritten() {

@@ -21,14 +21,15 @@ func (s *Scheme) SaveRegisters(w io.Writer) error {
 // RestoreRegisters implements secmem.RegisterPersister. The scheme is
 // left in the crashed state; call the engine's Recover next.
 func (s *Scheme) RestoreRegisters(r io.Reader) error {
-	if err := binary.Read(r, binary.LittleEndian, &s.treeRoot); err != nil {
+	var regs struct {
+		TreeRoot uint64
+		L3       adr.Words
+	}
+	if err := binary.Read(r, binary.LittleEndian, &regs); err != nil {
 		return err
 	}
-	var l3 adr.Words
-	if err := binary.Read(r, binary.LittleEndian, &l3); err != nil {
-		return err
-	}
-	s.tracker.SetL3Register(l3)
+	s.treeRoot = regs.TreeRoot
+	s.tracker.SetL3Register(regs.L3)
 	s.crashed = true
 	return nil
 }

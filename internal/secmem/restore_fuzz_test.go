@@ -33,23 +33,24 @@ func crashedImage(t testing.TB, scheme string) []byte {
 	e := fuzzEngine(t, scheme)
 	runWorkload(t, e, 20, 915)
 	e.Crash()
-	var buf bytes.Buffer
-	if err := e.SaveNonVolatile(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return saved(t, e)
 }
 
-// wearRecordImage is an engine image of an empty device with one wear
-// record far past the device's capacity, which restore refuses: the
-// device keeps no wear.
-func wearRecordImage(capacity uint64) []byte {
+// wearRecordImage is an engine image of a device holding one line
+// record per lineAddrs entry (all zero) and one wear record far past
+// the device's capacity, which restore refuses: the device keeps no
+// wear.
+func wearRecordImage(capacity uint64, lineAddrs ...uint64) []byte {
 	var b bytes.Buffer
 	put := func(v uint64) { _ = binary.Write(&b, binary.LittleEndian, v) }
 	b.WriteString("NVMSECM1") // engine magic
 	b.WriteString("NVMSTAR1") // device magic
 	put(capacity)
-	put(0) // no line records
+	put(uint64(len(lineAddrs)))
+	for _, a := range lineAddrs {
+		put(a)
+		b.Write(make([]byte, memline.Size))
+	}
 	put(1) // one wear record ...
 	put(1 << 40)
 	put(1)
@@ -58,16 +59,36 @@ func wearRecordImage(capacity uint64) []byte {
 	return b.Bytes()
 }
 
+// saved returns e's SaveNonVolatile image.
+func saved(t testing.TB, e *secmem.Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.SaveNonVolatile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzRestoreNonVolatile feeds arbitrary bytes to RestoreNonVolatile
 // on a star engine (which has registers) and a wb engine (which has
-// none): it must return an error or succeed, and never panic.
+// none), each holding a crashed workload's state: it must return an
+// error or succeed, never panic, and an image it refuses must leave
+// the engine's non-volatile state byte-identical.
 func FuzzRestoreNonVolatile(f *testing.F) {
 	f.Add(crashedImage(f, "star"))
 	f.Add(crashedImage(f, "wb"))
 	f.Add(wearRecordImage(fuzzEngine(f, "wb").Geometry().TotalBytes()))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		for _, scheme := range []string{"star", "wb"} {
-			_ = fuzzEngine(t, scheme).RestoreNonVolatile(bytes.NewReader(img))
+			e := fuzzEngine(t, scheme)
+			runWorkload(t, e, 20, 916)
+			e.Crash()
+			before := saved(t, e)
+			if err := e.RestoreNonVolatile(bytes.NewReader(img)); err != nil {
+				if !bytes.Equal(saved(t, e), before) {
+					t.Fatalf("%s: refused image (%v) changed the engine", scheme, err)
+				}
+			}
 		}
 	})
 }

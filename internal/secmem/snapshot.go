@@ -12,7 +12,9 @@ import (
 
 // RegisterPersister is implemented by schemes whose on-chip
 // non-volatile registers (merkle roots, index lines) must survive a
-// process restart alongside the NVM image.
+// process restart alongside the NVM image. RestoreRegisters installs
+// the registers only after it has read all of them: on an error it
+// changes nothing.
 type RegisterPersister interface {
 	SaveRegisters(w io.Writer) error
 	RestoreRegisters(r io.Reader) error
@@ -71,7 +73,9 @@ func (e *Engine) SaveNonVolatile(w io.Writer) error {
 }
 
 // RestoreNonVolatile loads a snapshot produced by SaveNonVolatile.
-// The engine behaves as if it had just crashed: call Recover next.
+// The engine behaves as if it had just crashed: call Recover next. It
+// reads and validates the whole image before it installs any of it,
+// so an image it refuses leaves the engine as it was.
 func (e *Engine) RestoreNonVolatile(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(engineSnapshotMagic))
@@ -81,37 +85,43 @@ func (e *Engine) RestoreNonVolatile(r io.Reader) error {
 	if string(magic) != engineSnapshotMagic {
 		return fmt.Errorf("secmem: not an engine snapshot (magic %q)", magic)
 	}
-	if err := e.dev.Restore(br); err != nil {
+	commitDev, err := e.dev.PrepareRestore(br)
+	if err != nil {
 		return err
 	}
 	var n uint64
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 		return err
 	}
-	e.dataMAC.Clear()
+	var macs [][2]uint64 // line index, MAC
 	for i := uint64(0); i < n; i++ {
-		var a, m uint64
-		if err := binary.Read(br, binary.LittleEndian, &a); err != nil {
+		var rec [2]uint64 // byte address, MAC
+		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
 			return err
 		}
-		if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-			return err
-		}
-		if a%memline.Size != 0 || a/memline.Size >= e.dataMAC.Slots() {
+		if a := rec[0]; a%memline.Size != 0 || a/memline.Size >= e.dataMAC.Slots() {
 			return fmt.Errorf("secmem: snapshot contains invalid data-MAC address %#x", a)
 		}
-		e.dataMAC.Set(a/memline.Size, m)
+		macs = append(macs, [2]uint64{rec[0] / memline.Size, rec[1]})
 	}
 	var rootLine memline.Line
 	if _, err := io.ReadFull(br, rootLine[:]); err != nil {
 		return err
 	}
-	e.root = counter.Decode(rootLine)
+	// The scheme's registers come last, and RestoreRegisters installs
+	// them only when it has read them all, so once it succeeds nothing
+	// can refuse the image.
 	if rp, ok := e.scheme.(RegisterPersister); ok {
 		if err := rp.RestoreRegisters(br); err != nil {
 			return err
 		}
 	}
+	commitDev()
+	e.dataMAC.Clear()
+	for _, m := range macs {
+		e.dataMAC.Set(m[0], m[1])
+	}
+	e.root = counter.Decode(rootLine)
 	// Volatile state is empty in a fresh process; make that explicit.
 	e.meta.DropAll()
 	e.pendingForced = nil

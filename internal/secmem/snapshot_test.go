@@ -2,8 +2,10 @@ package secmem_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"nvmstar/internal/adr"
 	"nvmstar/internal/memline"
 	"nvmstar/internal/secmem"
 )
@@ -90,5 +92,56 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two saves of the same state differ")
+	}
+}
+
+// TestRefusedImageChangesNothing: an image RestoreNonVolatile refuses
+// leaves the engine as it was. A star engine that wrote line 128 and
+// crashed is offered a two-line image carrying a wear record, a crashed
+// star image cut inside each of its sections, and that image with a
+// data MAC named past the data space; after each refusal its
+// SaveNonVolatile bytes equal those before the call.
+func TestRefusedImageChangesNothing(t *testing.T) {
+	const dataBytes, cacheBytes = 1 << 20, 16 << 10
+	src := newEngine(t, "star", dataBytes, cacheBytes)
+	runWorkload(t, src, 300, 913)
+	src.Crash()
+	img := saved(t, src)
+
+	// The sections of a star image, in order: engine magic, device
+	// (magic, capacity, line count, line records, wear count), data-MAC
+	// count and records, root line, tree-root and L3 registers.
+	recs := 8 + 8 + 16
+	macs := recs + src.Device().LinesWritten()*(8+memline.Size) + 8 + 8
+	regs := len(img) - 8 - binary.Size(adr.Words{})
+	root := regs - memline.Size
+	badMAC := bytes.Clone(img)
+	binary.LittleEndian.PutUint64(badMAC[macs:], 1<<40)
+
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"two lines and a wear record", wearRecordImage(src.Geometry().TotalBytes(), 0, 640)},
+		{"cut in a line record", img[:recs+100]},
+		{"cut in a data-MAC record", img[:macs+20]},
+		{"cut in the root", img[:root+30]},
+		{"cut in the tree-root register", img[:regs+3]},
+		{"cut in the L3 register", img[:len(img)-5]},
+		{"data MAC past the data space", badMAC},
+	} {
+		e := newEngine(t, "star", dataBytes, cacheBytes)
+		if err := e.WriteLine(128, memline.Line{0xab}); err != nil {
+			t.Fatal(err)
+		}
+		e.Crash()
+		before := saved(t, e)
+		if err := e.RestoreNonVolatile(bytes.NewReader(tc.img)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !bytes.Equal(saved(t, e), before) {
+			t.Errorf("%s: the refused image changed the engine", tc.name)
+		}
 	}
 }

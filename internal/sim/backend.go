@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"nvmstar/internal/bitmap"
 	"nvmstar/internal/memline"
@@ -135,7 +136,9 @@ func (b *backEnd) setErr(err error) {
 // evaluation set (wb, strict, anubis, star), then phoenix.
 func Schemes() []string { return []string{"wb", "strict", "anubis", "star", "phoenix"} }
 
-// newScheme builds cfg's persistence scheme over e.
+// newScheme builds cfg's persistence scheme over e. groupConfigs has
+// refused an unknown name and a partial Bitmap already, before anything
+// was built or rewound.
 func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
 	switch cfg.Scheme {
 	case "wb":
@@ -147,21 +150,31 @@ func newScheme(cfg Config, e *secmem.Engine) (secmem.Scheme, error) {
 	case "phoenix":
 		return phoenix.New(e)
 	case "star":
-		// An all-zero Bitmap config means "use the paper's default". A
-		// partially specified one is a caller mistake — silently
-		// replacing it would run with sizes the caller never asked for.
 		bm := cfg.Bitmap
 		if bm == (bitmap.Config{}) {
 			bm = bitmap.DefaultConfig()
-		} else if bm.ADRL1Lines <= 0 || bm.ADRL2Lines <= 0 {
-			return nil, fmt.Errorf(
-				"sim: partial Bitmap config %+v: set both ADRL1Lines and ADRL2Lines, or leave both zero for the default %+v",
-				cfg.Bitmap, bitmap.DefaultConfig())
 		}
 		return star.New(e, bm)
 	default:
-		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
+		panic(fmt.Sprintf("sim: newScheme: unknown scheme %q got past groupConfigs", cfg.Scheme))
 	}
+}
+
+// checkScheme refuses a scheme newScheme cannot build: an unknown name,
+// or star with a partially specified Bitmap. An all-zero Bitmap means
+// "use the paper's default"; a partial one is a caller mistake, and
+// silently replacing it would run with sizes the caller never asked
+// for.
+func checkScheme(cfg Config) error {
+	if !slices.Contains(Schemes(), cfg.Scheme) {
+		return fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
+	}
+	if bm := cfg.Bitmap; cfg.Scheme == "star" && bm != (bitmap.Config{}) && (bm.ADRL1Lines <= 0 || bm.ADRL2Lines <= 0) {
+		return fmt.Errorf(
+			"sim: partial Bitmap config %+v: set both ADRL1Lines and ADRL2Lines, or leave both zero for the default %+v",
+			bm, bitmap.DefaultConfig())
+	}
+	return nil
 }
 
 // --- timing -------------------------------------------------------------

@@ -153,8 +153,9 @@ func resolveDefaults(cfg *Config) {
 }
 
 // groupConfigs copies a group's configs with their defaults resolved,
-// refusing an empty list, a coreless machine and members whose front
-// ends differ.
+// refusing an empty list, a coreless machine, a scheme newScheme cannot
+// build (checkScheme) and members whose front ends differ. NewGroup and
+// ResetTo call it before they build or rewind anything.
 func groupConfigs(cfgs []Config) ([]Config, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: a group needs at least one config")
@@ -162,6 +163,9 @@ func groupConfigs(cfgs []Config) ([]Config, error) {
 	cfgs = append([]Config(nil), cfgs...)
 	for i := range cfgs {
 		resolveDefaults(&cfgs[i])
+		if err := checkScheme(cfgs[i]); err != nil {
+			return nil, err
+		}
 		if f := frontEndDiff(cfgs[0], cfgs[i]); f != "" {
 			return nil, fmt.Errorf("sim: group member %d: config differs from member 0 in %s; members may differ only in Scheme, Bitmap and MetaCache", i, f)
 		}
@@ -746,9 +750,9 @@ func (m *Machine) forkFront(cfg Config, err error) *Machine {
 // for every observable output — Results, statistics, snapshots, the
 // golden corpus — whether m was running, crashed, recovered or forked.
 // TestGoldenResults and TestResetReuseInterleaved hold it in place.
-// Attached observers are detached. A scheme NewGroup would refuse
-// (an unknown name, a partial Bitmap) is reported after the machine
-// was rewound; such a machine must not be used again.
+// Attached observers are detached. A config NewGroup would refuse —
+// an unknown scheme, a partial Bitmap, a front-end difference between
+// members — is refused the same way, before anything is rewound.
 func (m *Machine) ResetTo(cfgs ...Config) error {
 	cfgs, err := groupConfigs(cfgs)
 	if err != nil {

@@ -169,9 +169,11 @@ func TestResetReuseInterleaved(t *testing.T) {
 }
 
 // TestResetToRejectsFrontEndDifference: a machine may be retargeted
-// only to configs whose CPU side matches its own. Any other difference
-// is refused by field name, and the refused machine is untouched: it
-// runs on and matches a fresh machine of its own config.
+// only to configs whose CPU side matches its own and whose scheme
+// NewGroup would build. Any other difference is refused by field name,
+// an unknown scheme or a partial Bitmap by what is wrong, and the
+// refused machine is untouched: it runs on and matches a fresh machine
+// of its own config.
 func TestResetToRejectsFrontEndDifference(t *testing.T) {
 	const workload, ops = "array", 300
 	cfg := goldenConfig("star")
@@ -185,6 +187,8 @@ func TestResetToRejectsFrontEndDifference(t *testing.T) {
 	l3.L3.SizeBytes *= 2
 	suite := goldenConfig("star")
 	suite.Suite = simcrypto.NewFast(1)
+	partial := goldenConfig("star")
+	partial.Bitmap = bitmap.Config{ADRL1Lines: 4}
 	for _, tc := range []struct {
 		cfgs  []Config
 		field string
@@ -193,6 +197,8 @@ func TestResetToRejectsFrontEndDifference(t *testing.T) {
 		{[]Config{l3}, "L3"},
 		{[]Config{suite}, "Suite"},
 		{[]Config{goldenConfig("wb"), l3}, "member 1"},
+		{[]Config{goldenConfig("foo")}, "unknown scheme"},
+		{[]Config{goldenConfig("wb"), partial}, "partial Bitmap"},
 	} {
 		err := m.ResetTo(tc.cfgs...)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
