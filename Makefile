@@ -9,8 +9,9 @@ all: verify
 # Tier-1 verify path: build + vet + determinism lint + full tests +
 # race gate over the concurrency-bearing packages (the parallel
 # experiment runner, forked machines and the crypto suites they
-# share), plus the telemetry and observatory gates.
-verify: build vet lint test race verify-telemetry verify-observe
+# share), plus the telemetry and observatory gates and the statistical
+# regression gate against the committed baselines.
+verify: build vet lint test race verify-telemetry verify-observe regress
 
 build:
 	$(GO) build ./...

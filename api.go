@@ -216,8 +216,9 @@ func (s *System) SaveImage(w io.Writer) error {
 // crashed state afterwards; call Recover to restore the security
 // metadata before reading. RestoreImage reads and validates the whole
 // image before it installs any of it: an image it refuses (truncated,
-// from a system of another size, naming an address past the data
-// space) returns an error and leaves the system as it was.
+// saved under another scheme, from a system of another size, naming an
+// address past the data space) returns an error and leaves the system
+// as it was.
 func (s *System) RestoreImage(r io.Reader) error {
 	return s.m.Engine().RestoreNonVolatile(r)
 }

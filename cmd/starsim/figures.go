@@ -23,9 +23,9 @@ const (
 // writeFigures renders the -svg figures of one run into dir: the
 // sampled series as line charts over simulated time (dirty metadata
 // fraction, cache hit ratios, write amplification) and the per-line
-// writes wear counted, split over banks banks, as a heatmap. With the
-// observatory on it also prints the run's write-cause breakdown.
-func writeFigures(w io.Writer, dir string, res *sim.Results, tls []sim.Timeline, wear *sim.Wear, banks int) error {
+// writes wear counted, split over sim.Banks banks, as a heatmap. With
+// the observatory on it also prints the run's write-cause breakdown.
+func writeFigures(w io.Writer, dir string, res *sim.Results, tls []sim.Timeline, wear *sim.Wear) error {
 	if len(tls) == 0 || len(tls[0].TimesNs) == 0 {
 		return fmt.Errorf("run produced no timeline samples (simulated time was %.0f ns)", res.TimeNs)
 	}
@@ -45,7 +45,7 @@ func writeFigures(w io.Writer, dir string, res *sim.Results, tls []sim.Timeline,
 	for _, c := range charts {
 		figs = append(figs, figure{c.file, c.chart})
 	}
-	figs = append(figs, figure{"wearmap.svg", wearmap(wear, banks, title)})
+	figs = append(figs, figure{"wearmap.svg", wearmap(wear, title)})
 	for _, f := range figs {
 		svg, err := f.chart.SVG()
 		if err != nil {
@@ -130,9 +130,9 @@ func timelineCharts(tls []sim.Timeline, title string) ([]timelineChart, error) {
 // one row per bank, each cell the maximum per-line write count in its
 // address slot. Row labels carry the bank's max and p99 wear so the
 // figure doubles as a wear-leveling summary.
-func wearmap(wear *sim.Wear, banks int, title string) *svgplot.Heatmap {
-	grid := wear.WearGrid(banks, wearCols)
-	stats := wear.BankWearStats(banks)
+func wearmap(wear *sim.Wear, title string) *svgplot.Heatmap {
+	grid := wear.WearGrid(sim.Banks, wearCols)
+	stats := wear.BankWearStats(sim.Banks)
 	labels := make([]string, len(grid))
 	values := make([][]float64, len(grid))
 	for b, row := range grid {

@@ -255,7 +255,7 @@ func member(f *sim.Machine, o *options, res *sim.Results, snap attack.DataSnapsh
 	fmt.Fprintf(w, "workload          %s (%d threads, %d ops, seed %d)\n", o.workload, o.cores, o.ops, o.seed)
 	printResults(w, res)
 	if o.svg != "" {
-		if err := writeFigures(w, o.svg, res, timelines, wear, f.Config().Banks); err != nil {
+		if err := writeFigures(w, o.svg, res, timelines, wear); err != nil {
 			return 0, err
 		}
 	}

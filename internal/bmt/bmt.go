@@ -228,7 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		e.lvlBase = append(e.lvlBase, base)
 		base += s * memline.Size
 	}
-	e.dev, err = nvm.New(nvm.Config{CapacityBytes: base, Energy: nvm.DefaultEnergy()})
+	e.dev, err = nvm.New(nvm.Config{CapacityBytes: base})
 	if err != nil {
 		return nil, err
 	}

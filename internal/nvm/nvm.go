@@ -16,43 +16,27 @@ import (
 	"nvmstar/internal/memline"
 )
 
-// Timing holds the DDR-PCM latency model from Table I of the paper
-// (tRCD/tCL/tCWD/tFAW/tWTR/tWR = 48/15/13/50/7.5/300 ns).
-type Timing struct {
-	TRCDns float64 // row-to-column delay
-	TCLns  float64 // column access (CAS) latency
-	TCWDns float64 // column write delay
-	TFAWns float64 // four-activation window
-	TWTRns float64 // write-to-read turnaround
-	TWRns  float64 // write recovery (the long PCM cell write)
-}
+// The DDR-PCM timing and energy model of the paper's Table I
+// (tRCD/tCL/tCWD/tWR = 48/15/13/300 ns). Table I also lists tFAW =
+// 50 ns and tWTR = 7.5 ns, which the model does not charge. PCM
+// writes cost far more than reads (2 and 16 pJ/bit over a 512-bit
+// line).
+const (
+	tRCDns = 48  // row-to-column delay
+	tCLns  = 15  // column access (CAS) latency
+	tCWDns = 13  // column write delay
+	tWRns  = 300 // write recovery (the long PCM cell write)
 
-// DefaultTiming returns the paper's PCM latency model.
-func DefaultTiming() Timing {
-	return Timing{TRCDns: 48, TCLns: 15, TCWDns: 13, TFAWns: 50, TWTRns: 7.5, TWRns: 300}
-}
+	// ReadNs is the service time of one line read: row activation
+	// plus column access.
+	ReadNs = tRCDns + tCLns
+	// WriteNs is the service time of one line write: column write
+	// delay plus the PCM write-recovery time.
+	WriteNs = tCWDns + tWRns
 
-// ReadNs is the service time of one line read: row activation plus
-// column access.
-func (t Timing) ReadNs() float64 { return t.TRCDns + t.TCLns }
-
-// WriteNs is the service time of one line write: column write delay
-// plus the PCM write-recovery time.
-func (t Timing) WriteNs() float64 { return t.TCWDns + t.TWRns }
-
-// Energy holds the per-line-access energy model. PCM writes are far
-// more expensive than reads (the paper: NVM write energy is ~2x DRAM,
-// and reads are much cheaper than writes).
-type Energy struct {
-	ReadPJ  float64 // energy per 64B line read, picojoules
-	WritePJ float64 // energy per 64B line write, picojoules
-}
-
-// DefaultEnergy returns a representative PCM energy model
-// (2 pJ/bit read, 16 pJ/bit write over 512 bits).
-func DefaultEnergy() Energy {
-	return Energy{ReadPJ: 2 * memline.Bits, WritePJ: 16 * memline.Bits}
-}
+	ReadPJ  = 2 * memline.Bits  // energy per line read, picojoules
+	WritePJ = 16 * memline.Bits // energy per line write, picojoules
+)
 
 // Config configures a Device.
 type Config struct {
@@ -60,7 +44,6 @@ type Config struct {
 	// the simulator computing an out-of-range address is a bug, not a
 	// runtime condition.
 	CapacityBytes uint64
-	Energy        Energy
 }
 
 // Stats accumulates device-level counters.
@@ -151,7 +134,7 @@ func (d *Device) checkAddr(addr uint64) {
 func (d *Device) Read(addr uint64) (memline.Line, bool) {
 	d.checkAddr(addr)
 	d.stats.Reads++
-	d.stats.ReadEnergy += d.cfg.Energy.ReadPJ
+	d.stats.ReadEnergy += ReadPJ
 	if d.hook != nil {
 		d.hook(AccessRead, addr, CauseOther)
 	}
@@ -177,7 +160,7 @@ func (d *Device) Write(addr uint64, l memline.Line) {
 func (d *Device) WriteCause(addr uint64, l memline.Line, cause Cause) {
 	d.checkAddr(addr)
 	d.stats.Writes++
-	d.stats.WriteEnergy += d.cfg.Energy.WritePJ
+	d.stats.WriteEnergy += WritePJ
 	if d.hook != nil {
 		d.hook(AccessWrite, addr, cause)
 	}

@@ -9,7 +9,7 @@ import (
 
 func newDev(t *testing.T, capacity uint64) *Device {
 	t.Helper()
-	d, err := New(Config{CapacityBytes: capacity, Energy: DefaultEnergy()})
+	d, err := New(Config{CapacityBytes: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,7 @@ func TestStatsAndEnergy(t *testing.T) {
 	if s.Writes != 2 || s.Reads != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	wantW := 2 * DefaultEnergy().WritePJ
-	wantR := 1 * DefaultEnergy().ReadPJ
+	wantW, wantR := 2*8192.0, 1*1024.0 // 16 and 2 pJ/bit over 512 bits
 	if s.WriteEnergy != wantW || s.ReadEnergy != wantR {
 		t.Fatalf("energy = %+v", s)
 	}
@@ -107,11 +106,10 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestTimingModel(t *testing.T) {
-	tm := DefaultTiming()
-	if tm.ReadNs() != 63 {
-		t.Errorf("ReadNs = %v, want 63 (tRCD+tCL)", tm.ReadNs())
+	if ReadNs != 63 {
+		t.Errorf("ReadNs = %v, want 63 (tRCD+tCL)", ReadNs)
 	}
-	if tm.WriteNs() != 313 {
-		t.Errorf("WriteNs = %v, want 313 (tCWD+tWR)", tm.WriteNs())
+	if WriteNs != 313 {
+		t.Errorf("WriteNs = %v, want 313 (tCWD+tWR)", WriteNs)
 	}
 }

@@ -31,7 +31,7 @@ func forEachStore(t *testing.T, cfg Config, fn func(t *testing.T, d *Device)) {
 }
 
 func devCfg(capacity uint64) Config {
-	return Config{CapacityBytes: capacity, Energy: DefaultEnergy()}
+	return Config{CapacityBytes: capacity}
 }
 
 func TestStoreZeroFillReads(t *testing.T) {

@@ -29,7 +29,6 @@ import (
 
 	"nvmstar/internal/bitmap"
 	"nvmstar/internal/cache"
-	"nvmstar/internal/nvm"
 	"nvmstar/internal/sim"
 	"nvmstar/internal/simcrypto"
 )
@@ -150,17 +149,18 @@ func ConfigFingerprint(cfg sim.Config) string {
 	// observatory adds WriteBreakdown and Latency to cell results, so
 	// observed runs must not compare equal to unobserved baselines) or
 	// extend the mirror with a new pinned baseline. Fields that left
-	// sim.Config stay in the mirror pinned at zero (TrackWear, Shards,
-	// SampleEveryNs, TraceEvents). TestConfigFingerprintPinned guards
-	// this.
+	// sim.Config stay in the mirror pinned at the one value they
+	// always held: zero for TrackWear, Shards, SampleEveryNs,
+	// TraceEvents, Timing and Energy (Default left the last two zero),
+	// and Table I's values, now constants of the machine model, for
+	// FreqGHz through Banks. TestConfigFingerprintPinned guards this.
 	s := fmt.Sprintf("%+v", fingerprintConfig{
 		Cores: cfg.Cores, DataBytes: cfg.DataBytes,
 		L1: cfg.L1, L2: cfg.L2, L3: cfg.L3,
 		MetaCache: cfg.MetaCache, Scheme: cfg.Scheme, Bitmap: cfg.Bitmap,
-		Suite: cfg.Suite, Timing: cfg.Timing, Energy: cfg.Energy,
-		FreqGHz: cfg.FreqGHz,
-		L1LatNs: cfg.L1LatNs, L2LatNs: cfg.L2LatNs, L3LatNs: cfg.L3LatNs,
-		MCLatNs: cfg.MCLatNs, WriteQueue: cfg.WriteQueue, Banks: cfg.Banks,
+		Suite: cfg.Suite, FreqGHz: 2,
+		L1LatNs: 0.5, L2LatNs: 2, L3LatNs: 15, MCLatNs: 5,
+		WriteQueue: 64, Banks: 8,
 		Seed: cfg.Seed, Telemetry: cfg.Telemetry,
 	})
 	if customSuite {
@@ -189,10 +189,10 @@ type fingerprintConfig struct {
 	Scheme        string
 	Bitmap        bitmap.Config
 	Suite         simcrypto.Suite
-	Timing        nvm.Timing
-	Energy        nvm.Energy
-	TrackWear     bool // always false, as Shards: wear is now a subscriber a tool attaches
-	FreqGHz       float64
+	Timing        fingerprintTiming // always zero, as Shards: the timing model is constants
+	Energy        fingerprintEnergy // always zero, as Shards: the energy model is constants
+	TrackWear     bool              // always false, as Shards: wear is now a subscriber a tool attaches
+	FreqGHz       float64           // FreqGHz through Banks: always Table I's values, now constants of the machine model
 	L1LatNs       float64
 	L2LatNs       float64
 	L3LatNs       float64
@@ -205,3 +205,10 @@ type fingerprintConfig struct {
 	SampleEveryNs float64 // always zero, as Shards: sampling is now a subscriber a tool attaches
 	TraceEvents   bool    // always zero, as Shards: tracing is now a subscriber a tool attaches
 }
+
+// fingerprintTiming and fingerprintEnergy mirror the field names of
+// the nvm timing and energy structs the config once carried; %+v
+// prints field names, not type names.
+type fingerprintTiming struct{ TRCDns, TCLns, TCWDns, TFAWns, TWTRns, TWRns float64 }
+
+type fingerprintEnergy struct{ ReadPJ, WritePJ float64 }

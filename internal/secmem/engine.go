@@ -56,9 +56,6 @@ type Config struct {
 	MetaCache cache.Config
 	// Suite supplies OTP and MAC primitives.
 	Suite simcrypto.Suite
-	// Energy parameterizes the NVM device; the zero value takes the
-	// paper's default.
-	Energy nvm.Energy
 }
 
 // DefaultMetaCache is the paper's metadata cache configuration.
@@ -176,9 +173,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MetaCache.SizeBytes == 0 {
 		cfg.MetaCache = DefaultMetaCache()
 	}
-	if cfg.Energy == (nvm.Energy{}) {
-		cfg.Energy = nvm.DefaultEnergy()
-	}
 	meta, err := cache.NewOf[MetaLine](cfg.MetaCache)
 	if err != nil {
 		return nil, fmt.Errorf("secmem: metadata cache: %w", err)
@@ -187,7 +181,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, err := nvm.New(nvm.Config{CapacityBytes: geo.TotalBytes(), Energy: cfg.Energy})
+	dev, err := nvm.New(nvm.Config{CapacityBytes: geo.TotalBytes()})
 	if err != nil {
 		return nil, err
 	}

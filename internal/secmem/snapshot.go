@@ -20,21 +20,31 @@ type RegisterPersister interface {
 	RestoreRegisters(r io.Reader) error
 }
 
-const engineSnapshotMagic = "NVMSECM1"
+// An engine image starts with engineSnapshotMagic and the saving
+// scheme's name, one length byte and the name's bytes. An image that
+// starts with untaggedSnapshotMagic names no scheme; it is the format
+// before the name was added, and restores into any scheme.
+const (
+	engineSnapshotMagic   = "NVMSECM2"
+	untaggedSnapshotMagic = "NVMSECM1"
+)
 
 // SaveNonVolatile serializes everything that survives a power failure:
 // the NVM image, the sideband data MACs (the 9th chip), the on-chip
-// SIT root register and the scheme's registers. Call Crash first — a
-// real power failure flushes ADR by battery and freezes the registers;
-// Crash models exactly that, and SaveNonVolatile refuses to guess at
-// volatile state.
+// SIT root register and the scheme's registers, under the scheme's
+// name. Call Crash first — a real power failure flushes ADR by battery
+// and freezes the registers; Crash models exactly that, and
+// SaveNonVolatile refuses to guess at volatile state.
 //
 // The counterpart process must rebuild an Engine with an identical
-// configuration (including the crypto suite key) before calling
-// RestoreNonVolatile and then Recover.
+// configuration (including the crypto suite key and the scheme) before
+// calling RestoreNonVolatile and then Recover.
 func (e *Engine) SaveNonVolatile(w io.Writer) error {
+	name := e.scheme.Name()
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(engineSnapshotMagic); err != nil {
+	bw.WriteString(engineSnapshotMagic)
+	bw.WriteByte(byte(len(name))) // scheme names are a few bytes long
+	if _, err := bw.WriteString(name); err != nil {
 		return err
 	}
 	if err := e.dev.Save(bw); err != nil {
@@ -74,15 +84,30 @@ func (e *Engine) SaveNonVolatile(w io.Writer) error {
 
 // RestoreNonVolatile loads a snapshot produced by SaveNonVolatile.
 // The engine behaves as if it had just crashed: call Recover next. It
-// reads and validates the whole image before it installs any of it,
-// so an image it refuses leaves the engine as it was.
+// refuses an image saved under another scheme, and it reads and
+// validates the whole image before it installs any of it, so an image
+// it refuses leaves the engine as it was.
 func (e *Engine) RestoreNonVolatile(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(engineSnapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return err
 	}
-	if string(magic) != engineSnapshotMagic {
+	switch string(magic) {
+	case engineSnapshotMagic:
+		n, err := br.ReadByte()
+		if err != nil {
+			return err
+		}
+		name := make([]byte, n)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return err
+		}
+		if want := e.scheme.Name(); string(name) != want {
+			return fmt.Errorf("secmem: image was saved under scheme %q, this engine runs %q", name, want)
+		}
+	case untaggedSnapshotMagic:
+	default:
 		return fmt.Errorf("secmem: not an engine snapshot (magic %q)", magic)
 	}
 	commitDev, err := e.dev.PrepareRestore(br)

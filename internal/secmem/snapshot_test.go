@@ -3,6 +3,8 @@ package secmem_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
+	"strings"
 	"testing"
 
 	"nvmstar/internal/adr"
@@ -108,10 +110,11 @@ func TestRefusedImageChangesNothing(t *testing.T) {
 	src.Crash()
 	img := saved(t, src)
 
-	// The sections of a star image, in order: engine magic, device
-	// (magic, capacity, line count, line records, wear count), data-MAC
-	// count and records, root line, tree-root and L3 registers.
-	recs := 8 + 8 + 16
+	// The sections of a star image, in order: engine magic, scheme
+	// name (length byte and "star"), device (magic, capacity, line
+	// count, line records, wear count), data-MAC count and records,
+	// root line, tree-root and L3 registers.
+	recs := 8 + 1 + len("star") + 8 + 16
 	macs := recs + src.Device().LinesWritten()*(8+memline.Size) + 8 + 8
 	regs := len(img) - 8 - binary.Size(adr.Words{})
 	root := regs - memline.Size
@@ -144,4 +147,53 @@ func TestRefusedImageChangesNothing(t *testing.T) {
 			t.Errorf("%s: the refused image changed the engine", tc.name)
 		}
 	}
+}
+
+// TestImageNamesItsScheme: an image saved under one scheme is refused
+// by an engine of any other, with an error naming both, and the refusal
+// changes nothing. Without the name, wb and strict would leave star's
+// registers unread and anubis and phoenix would fail recovery with a
+// root mismatch that reads as an attack.
+func TestImageNamesItsScheme(t *testing.T) {
+	const dataBytes, cacheBytes = 1 << 20, 16 << 10
+	src := newEngine(t, "star", dataBytes, cacheBytes)
+	runWorkload(t, src, 300, 914)
+	src.Crash()
+	img := saved(t, src)
+	for _, scheme := range []string{"wb", "strict", "anubis", "phoenix"} {
+		e := newEngine(t, scheme, dataBytes, cacheBytes)
+		runWorkload(t, e, 100, 915)
+		e.Crash()
+		before := saved(t, e)
+		err := e.RestoreNonVolatile(bytes.NewReader(img))
+		if err == nil || !strings.Contains(err.Error(), `"star"`) || !strings.Contains(err.Error(), strconv.Quote(scheme)) {
+			t.Errorf("%s: restoring a star image returned %v, want an error naming both schemes", scheme, err)
+		}
+		if !bytes.Equal(saved(t, e), before) {
+			t.Errorf("%s: the refused star image changed the engine", scheme)
+		}
+	}
+}
+
+// TestUntaggedImageRestores: an image in the format that names no
+// scheme (magic NVMSECM1, no name) still restores and recovers.
+func TestUntaggedImageRestores(t *testing.T) {
+	const dataBytes, cacheBytes = 1 << 20, 16 << 10
+	src := newEngine(t, "star", dataBytes, cacheBytes)
+	expect := runWorkload(t, src, 1000, 916)
+	src.Crash()
+	img := saved(t, src)
+	tagged := "NVMSECM2\x04star"
+	if !bytes.HasPrefix(img, []byte(tagged)) {
+		t.Fatalf("image starts %q, want %q", img[:len(tagged)], tagged)
+	}
+	untagged := append([]byte("NVMSECM1"), img[len(tagged):]...)
+	e := newEngine(t, "star", dataBytes, cacheBytes)
+	if err := e.RestoreNonVolatile(bytes.NewReader(untagged)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := e.Recover(); err != nil || !rep.Verified {
+		t.Fatalf("recovery after an untagged restore: %+v, %v", rep, err)
+	}
+	verifyAll(t, e, expect)
 }

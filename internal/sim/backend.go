@@ -30,14 +30,9 @@ type backEnd struct {
 
 	engine *secmem.Engine
 
-	// timing is cfg.Timing with the zero value resolved to the
-	// default once, here rather than on every device access; cfg keeps
-	// the caller's value because it feeds config fingerprints.
-	timing nvm.Timing
-
-	coreNow   []float64 // per-core clock, ns
-	bankFree  []float64 // per-bank busy-until for reads, ns
-	wqDone    []float64 // completion times of outstanding writes (ring)
+	coreNow   []float64           // per-core clock, ns
+	bankFree  [Banks]float64      // per-bank busy-until for reads, ns
+	wqDone    [writeQueue]float64 // completion times of outstanding writes (ring)
 	wqIdx     int
 	wqLastOut float64 // completion time of the most recent write
 
@@ -53,16 +48,12 @@ type backEnd struct {
 // newBackEnd builds cfg's engine under front end m; start builds the
 // rest.
 func newBackEnd(m *Machine, cfg Config) (*backEnd, error) {
-	b := &backEnd{m: m, cfg: cfg, timing: cfg.Timing}
-	if b.timing == (nvm.Timing{}) {
-		b.timing = nvm.DefaultTiming()
-	}
+	b := &backEnd{m: m, cfg: cfg}
 	var err error
 	b.engine, err = secmem.New(secmem.Config{
 		DataBytes: cfg.DataBytes,
 		MetaCache: cfg.MetaCache,
 		Suite:     cfg.Suite,
-		Energy:    cfg.Energy,
 	})
 	if err != nil {
 		return nil, err
@@ -87,7 +78,7 @@ func (b *backEnd) start() error {
 	}
 	b.engine.SetScheme(s)
 	b.coreNow = make([]float64, b.cfg.Cores)
-	b.bankFree, b.wqDone = make([]float64, b.cfg.Banks), make([]float64, b.cfg.WriteQueue)
+	b.bankFree, b.wqDone = [Banks]float64{}, [writeQueue]float64{}
 	b.wqIdx, b.wqLastOut = 0, 0
 	b.err = nil
 	b.observed = nil
@@ -104,10 +95,9 @@ func (b *backEnd) fork(f *Machine) *backEnd {
 		m:         f,
 		cfg:       b.cfg,
 		engine:    b.engine.Fork(),
-		timing:    b.timing,
 		coreNow:   append([]float64(nil), b.coreNow...),
-		bankFree:  append([]float64(nil), b.bankFree...),
-		wqDone:    append([]float64(nil), b.wqDone...),
+		bankFree:  b.bankFree,
+		wqDone:    b.wqDone,
 		wqIdx:     b.wqIdx,
 		wqLastOut: b.wqLastOut,
 		err:       b.err,
@@ -189,24 +179,24 @@ func checkScheme(cfg Config) error {
 // write-pending queue accepts it, so the core continues immediately —
 // UNLESS the queue is full, in which case the core stalls until the
 // oldest write drains. The queue drains at the device's aggregate
-// write bandwidth (Banks lines per tWR). This back-pressure is exactly
-// how extra write traffic (Anubis's ST blocks, strict's branch
-// write-throughs) turns into IPC loss in the paper.
+// write bandwidth, Banks lines per nvm.WriteNs (one per writeDrainNs).
+// This back-pressure is exactly how extra write traffic (Anubis's ST
+// blocks, strict's branch write-throughs) turns into IPC loss in the
+// paper.
 //
 // Out-of-band stores are not part of the timed run and charge nothing.
 func (b *backEnd) onDeviceAccess(kind nvm.Access, addr uint64, cause nvm.Cause) {
 	c := b.m.curCore
-	t := &b.timing
 	now := b.coreNow[c]
 	var wait, service float64
 	switch kind {
 	case nvm.AccessRead:
-		bank := int(addr/memline.Size) % len(b.bankFree)
+		bank := addr / memline.Size % Banks
 		start := now
 		if b.bankFree[bank] > start {
 			start = b.bankFree[bank]
 		}
-		wait, service = start-now, t.ReadNs()
+		wait, service = start-now, nvm.ReadNs
 		b.bankFree[bank] = start + service
 		b.coreNow[c] = b.bankFree[bank]
 	case nvm.AccessWrite:
@@ -215,15 +205,13 @@ func (b *backEnd) onDeviceAccess(kind nvm.Access, addr uint64, cause nvm.Cause) 
 			wait = oldest - now
 			b.coreNow[c] = oldest
 		}
-		// Service completion: aggregate drain rate of Banks/tWR.
-		interval := t.WriteNs() / float64(len(b.bankFree))
-		done := b.coreNow[c] + interval
-		if b.wqLastOut+interval > done {
-			done = b.wqLastOut + interval
+		done := b.coreNow[c] + writeDrainNs
+		if b.wqLastOut+writeDrainNs > done {
+			done = b.wqLastOut + writeDrainNs
 		}
 		b.wqLastOut = done
 		b.wqDone[b.wqIdx] = done
-		b.wqIdx = (b.wqIdx + 1) % len(b.wqDone)
+		b.wqIdx = (b.wqIdx + 1) % writeQueue
 	}
 	if len(b.obs) > 0 {
 		b.emit(Event{Kind: EvAccess, Core: c, T: now, Access: kind, Addr: addr, Cause: cause,

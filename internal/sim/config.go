@@ -27,23 +27,10 @@ type Config struct {
 	L2 cache.Config // per-core; Table I: 512 KB, 8-way
 	L3 cache.Config // shared; Table I: 4 MB, 8-way
 
-	MetaCache cache.Config  // memory controller; Table I: 512 KB, 8-way
-	Scheme    string        // "wb", "strict", "anubis" or "star"
-	Bitmap    bitmap.Config // STAR's ADR allocation; default 14+2
-
-	Suite  simcrypto.Suite // nil -> Fast suite
-	Timing nvm.Timing      // zero -> paper defaults
-	Energy nvm.Energy      // zero -> paper defaults
-
-	FreqGHz    float64 // core frequency; Table I: 2 GHz
-	L1LatNs    float64 // L1 hit latency
-	L2LatNs    float64 // L2 hit latency
-	L3LatNs    float64 // L3 hit latency
-	MCLatNs    float64 // memory-controller processing per request
-	WriteQueue int     // memory-controller write queue depth
-	Banks      int     // PCM banks (line-interleaved); writes to
-	// different banks overlap, so extra write traffic degrades
-	// performance gradually rather than serializing everything
+	MetaCache cache.Config    // memory controller; Table I: 512 KB, 8-way
+	Scheme    string          // "wb", "strict", "anubis", "star" or "phoenix"
+	Bitmap    bitmap.Config   // STAR's ADR allocation; default 14+2
+	Suite     simcrypto.Suite // nil -> Fast suite
 
 	Seed uint64 // workload PRNG seed
 
@@ -81,22 +68,15 @@ type Config struct {
 // by setting DataBytes = 16 << 30; the NVM store is sparse).
 func Default() Config {
 	return Config{
-		Cores:      8,
-		DataBytes:  256 << 20,
-		L1:         cache.Config{SizeBytes: 64 << 10, Ways: 2},
-		L2:         cache.Config{SizeBytes: 512 << 10, Ways: 8},
-		L3:         cache.Config{SizeBytes: 4 << 20, Ways: 8},
-		MetaCache:  cache.Config{SizeBytes: 512 << 10, Ways: 8},
-		Scheme:     "star",
-		Bitmap:     bitmap.DefaultConfig(),
-		FreqGHz:    2,
-		L1LatNs:    0.5, // 1 cycle
-		L2LatNs:    2,   // 4 cycles
-		L3LatNs:    15,  // 30 cycles
-		MCLatNs:    5,
-		WriteQueue: 64,
-		Banks:      8,
-		Seed:       1,
+		Cores:     8,
+		DataBytes: 256 << 20,
+		L1:        cache.Config{SizeBytes: 64 << 10, Ways: 2},
+		L2:        cache.Config{SizeBytes: 512 << 10, Ways: 8},
+		L3:        cache.Config{SizeBytes: 4 << 20, Ways: 8},
+		MetaCache: cache.Config{SizeBytes: 512 << 10, Ways: 8},
+		Scheme:    "star",
+		Bitmap:    bitmap.DefaultConfig(),
+		Seed:      1,
 	}
 }
 
@@ -112,6 +92,28 @@ func Evaluation() Config {
 	return cfg
 }
 
+// The timing model of Table I's machine. The PCM device's service
+// times are nvm.ReadNs and nvm.WriteNs.
+const (
+	freqGHz            = 2   // core frequency
+	l1LatNs    float64 = 0.5 // L1 hit latency (1 cycle)
+	l2LatNs    float64 = 2   // L2 hit latency (4 cycles)
+	l3LatNs    float64 = 15  // L3 hit latency (30 cycles)
+	mcLatNs    float64 = 5   // memory-controller processing per request
+	fenceLatNs         = 5   // ADR: a fence waits only for WPQ acceptance
+
+	// Banks is the number of line-interleaved PCM banks. Writes to
+	// different banks overlap, so extra write traffic degrades
+	// performance gradually rather than serializing everything.
+	Banks = 8
+	// writeQueue is the memory controller's write-queue depth.
+	writeQueue = 64
+	// writeDrainNs is the interval at which the write queue drains:
+	// the device's aggregate write bandwidth is Banks lines per
+	// nvm.WriteNs.
+	writeDrainNs = float64(nvm.WriteNs) / Banks
+)
+
 // instruction-charge model: relative IPC is what the paper reports, so
 // the constants only need to be identical across schemes.
 const (
@@ -119,5 +121,4 @@ const (
 	instrPerPersist = 2  // CLWB + bookkeeping
 	instrPerFence   = 1  // SFENCE
 	instrPerStep    = 30 // non-memory work per benchmark operation
-	fenceLatNs      = 5  // ADR: a fence waits only for WPQ acceptance
 )

@@ -6,15 +6,22 @@ import (
 	"nvmstar/internal/nvm"
 )
 
-// TestDefaultMatchesTableI pins the default configuration to the
-// paper's Table I so accidental drift is caught.
+// TestDefaultMatchesTableI pins the default configuration and the
+// machine's timing constants to the paper's Table I so accidental
+// drift is caught.
 func TestDefaultMatchesTableI(t *testing.T) {
 	cfg := Default()
 	if cfg.Cores != 8 {
 		t.Errorf("cores = %d, Table I says 8", cfg.Cores)
 	}
-	if cfg.FreqGHz != 2 {
-		t.Errorf("frequency = %v GHz, Table I says 2", cfg.FreqGHz)
+	if freqGHz != 2 {
+		t.Errorf("frequency = %v GHz, Table I says 2", freqGHz)
+	}
+	if l1LatNs != 0.5 || l2LatNs != 2 || l3LatNs != 15 || mcLatNs != 5 {
+		t.Errorf("L1/L2/L3/MC latency = %v/%v/%v/%v ns, want 0.5/2/15/5", l1LatNs, l2LatNs, l3LatNs, mcLatNs)
+	}
+	if Banks != 8 || writeQueue != 64 {
+		t.Errorf("banks = %d, write queue = %d, want 8 and 64", Banks, writeQueue)
 	}
 	if cfg.L1.SizeBytes != 64<<10 || cfg.L1.Ways != 2 {
 		t.Errorf("L1 = %+v, Table I says 64 KB 2-way", cfg.L1)
@@ -35,12 +42,18 @@ func TestDefaultMatchesTableI(t *testing.T) {
 	}
 }
 
-// TestDefaultTimingMatchesTableI pins the PCM latency model.
+// TestDefaultTimingMatchesTableI pins the PCM latency and energy
+// model: tRCD+tCL and tCWD+tWR of Table I, the write queue's drain
+// interval over the banks, and 2 and 16 pJ/bit over a 512-bit line.
 func TestDefaultTimingMatchesTableI(t *testing.T) {
-	tm := nvm.DefaultTiming()
-	want := nvm.Timing{TRCDns: 48, TCLns: 15, TCWDns: 13, TFAWns: 50, TWTRns: 7.5, TWRns: 300}
-	if tm != want {
-		t.Errorf("timing = %+v, Table I says %+v", tm, want)
+	if nvm.ReadNs != 63 || nvm.WriteNs != 313 {
+		t.Errorf("line read/write service = %v/%v ns, Table I gives 48+15 and 13+300", nvm.ReadNs, nvm.WriteNs)
+	}
+	if writeDrainNs != 39.125 {
+		t.Errorf("write drain interval = %v ns, want 313/8", writeDrainNs)
+	}
+	if nvm.ReadPJ != 1024 || nvm.WritePJ != 8192 {
+		t.Errorf("line read/write energy = %v/%v pJ, want 1024 and 8192", nvm.ReadPJ, nvm.WritePJ)
 	}
 }
 
@@ -95,22 +108,5 @@ func TestSetCoreOutOfRange(t *testing.T) {
 	}
 	if m.curCore != 1 {
 		t.Fatalf("SetCore(99) changed the selected core to %d", m.curCore)
-	}
-}
-
-func TestMachineDefaultsFilledIn(t *testing.T) {
-	cfg := Default()
-	cfg.Suite = nil
-	cfg.WriteQueue = 0
-	cfg.Banks = 0
-	cfg.FreqGHz = 0
-	cfg.DataBytes = 16 << 20
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Config()
-	if got.WriteQueue <= 0 || got.Banks <= 0 || got.FreqGHz <= 0 {
-		t.Fatalf("defaults not applied: %+v", got)
 	}
 }

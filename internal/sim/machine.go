@@ -138,31 +138,16 @@ func NewGroup(cfgs ...Config) (*Machine, error) {
 	return m, nil
 }
 
-// resolveDefaults fills the zero-valued sizing fields NewMachine
-// defaults (the suite is per member and resolved by NewGroup).
-func resolveDefaults(cfg *Config) {
-	if cfg.WriteQueue <= 0 {
-		cfg.WriteQueue = 64
-	}
-	if cfg.FreqGHz == 0 {
-		cfg.FreqGHz = 2
-	}
-	if cfg.Banks <= 0 {
-		cfg.Banks = 8
-	}
-}
-
-// groupConfigs copies a group's configs with their defaults resolved,
-// refusing an empty list, a coreless machine, a scheme newScheme cannot
-// build (checkScheme) and members whose front ends differ. NewGroup and
-// ResetTo call it before they build or rewind anything.
+// groupConfigs copies a group's configs, refusing an empty list, a
+// coreless machine, a scheme newScheme cannot build (checkScheme) and
+// members whose front ends differ. NewGroup and ResetTo call it before
+// they build or rewind anything.
 func groupConfigs(cfgs []Config) ([]Config, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: a group needs at least one config")
 	}
 	cfgs = append([]Config(nil), cfgs...)
 	for i := range cfgs {
-		resolveDefaults(&cfgs[i])
 		if err := checkScheme(cfgs[i]); err != nil {
 			return nil, err
 		}
@@ -313,7 +298,7 @@ func (m *Machine) opEnd() {
 // bracket. The line is member 0's; a member whose line or error
 // differs from it fails the run with a divergence error.
 func (m *Machine) readLine(c int, addr uint64) memline.Line {
-	lat := m.cfg.L2LatNs + m.cfg.L3LatNs + m.cfg.MCLatNs
+	lat := l2LatNs + l3LatNs + mcLatNs
 	var line memline.Line
 	var err0, div error
 	for i, b := range m.be {
@@ -392,20 +377,20 @@ func memberName(cfg Config) string {
 func (m *Machine) ensureL1(c int, addr uint64) *cache.Entry {
 	addr = memline.Align(addr)
 	if e, ok := m.l1[c].Lookup(addr); ok {
-		m.charge(c, m.cfg.L1LatNs)
+		m.charge(c, l1LatNs)
 		return e
 	}
-	m.charge(c, m.cfg.L1LatNs) // L1 miss still costs the probe
+	m.charge(c, l1LatNs) // L1 miss still costs the probe
 
 	var data memline.Line
 	var dirty bool
 	switch {
 	case m.takeFrom(m.l2[c], addr, &data, &dirty, true):
-		m.charge(c, m.cfg.L2LatNs)
+		m.charge(c, l2LatNs)
 	case m.takeFrom(m.l3, addr, &data, &dirty, true):
-		m.charge(c, m.cfg.L3LatNs)
+		m.charge(c, l3LatNs)
 	case m.takeFromOtherCore(c, addr, &data, &dirty):
-		m.charge(c, m.cfg.L3LatNs) // directory + cross-core transfer
+		m.charge(c, l3LatNs) // directory + cross-core transfer
 	default:
 		data, dirty = m.readLine(c, addr), false
 	}
@@ -590,8 +575,8 @@ func (m *Machine) Persist(addr uint64, size int) {
 		}
 		m.instr[c] += instrPerPersist
 		if e, holder := m.locate(line); e != nil && e.Dirty {
-			m.charge(c, m.cfg.MCLatNs)
-			m.noteComp(compMC, m.cfg.MCLatNs)
+			m.charge(c, mcLatNs)
+			m.noteComp(compMC, mcLatNs)
 			m.writeLine(line, e.Data)
 			holder.CleanEntry(e)
 		}

@@ -121,7 +121,7 @@ type observatory struct {
 }
 
 func newObservatory(b *backEnd) *observatory {
-	return &observatory{attr: newAttribution(b.cfg.Banks), lat: latRecorder{geo: b.engine.Geometry()}}
+	return &observatory{attr: newAttribution(Banks), lat: latRecorder{geo: b.engine.Geometry()}}
 }
 
 func (o *observatory) Observe(ev Event) {

@@ -265,7 +265,7 @@ func (b *backEnd) results(name string, instr uint64, k *mark) *Results {
 	}
 	res.Instructions = instr
 	res.TimeNs = maxTime
-	res.Cycles = maxTime * b.cfg.FreqGHz
+	res.Cycles = maxTime * freqGHz
 	if res.Cycles > 0 {
 		res.IPC = float64(instr) / res.Cycles
 	}
@@ -289,8 +289,8 @@ func (b *backEnd) results(name string, instr uint64, k *mark) *Results {
 	return res
 }
 
-// RunScenario builds a machine and runs one workload — the one-call
-// entry point used by the benchmark harness and the CLI.
+// RunScenario builds a machine and runs one workload in one call, for
+// tests that need a single run's results and machine.
 func RunScenario(cfg Config, workloadName string, ops int) (*Results, *Machine, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
